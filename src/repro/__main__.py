@@ -740,9 +740,10 @@ def build_parser() -> argparse.ArgumentParser:
             "--fastpath",
             choices=list(FASTPATH_CHOICES),
             default="auto",
-            help="columnar numpy delivery path for the sync engine: auto "
-            "uses it when numpy is importable, on requires it, off forces "
-            "the pure-python path (bit-identical either way)",
+            help="delivery store of the sync engine: auto picks the columnar "
+            "numpy store for the D family at t >= 64 when numpy is "
+            "importable, on forces it, off forces the pure-python list "
+            "store (bit-identical either way)",
         )
         p.add_argument(
             "--crashes",

@@ -112,10 +112,11 @@ class Scenario:
         allow_total_failure: tolerate all-crashed executions (sync).
         max_steps / max_rounds: sync engine budgets.
         max_events: async engine budget.
-        fastpath: columnar numpy delivery path for the sync engine -
-            ``"auto"`` (use numpy when installed; the default),
-            ``"on"`` (require it; errors when the ``repro[fast]`` extra
-            is missing) or ``"off"`` (pure python).  Results are
+        fastpath: delivery store of the sync engine - ``"auto"`` (the
+            default: the columnar numpy store for the D family at
+            ``t >= 64`` when numpy is installed, else the list store),
+            ``"on"`` (columnar; errors when the ``repro[fast]`` extra
+            is missing) or ``"off"`` (the list store).  Results are
             bit-identical either way, so the field is excluded from
             :meth:`canonical_dict` / :meth:`cache_key`.
         options: extra keyword arguments for the protocol builder

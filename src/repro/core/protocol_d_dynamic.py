@@ -30,98 +30,17 @@ simulation parameter - a real deployment would run forever).
 from __future__ import annotations
 
 import math
-from operator import attrgetter
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
 
+from repro.core.agreement_fold import AgreementLayout, AgreementProcess
 from repro.errors import ConfigurationError
 from repro.sim.actions import Action, Broadcast, Envelope, MessageKind
 from repro.sim.bitset import IntBitset
-from repro.sim.columnar import (
-    KIND_CODES,
-    ColumnarInbox,
-    bit_test,
-    dedup_last_wins,
-    int_to_words,
-    np,
-    or_srcs_mask,
-    words_to_int,
-)
-from repro.sim.process import Process
 
 Arrival = Tuple[int, int, int]  # (round, site pid, unit)
 
 _AGREE = "agree"
 _WORK = "work"
-
-
-class _DynAgreeCache:
-    """Columnar decoded-payload cache for the dynamic agreement fold.
-
-    The dynamic payload is ``(cycle_start, known, done, live, flag)``;
-    ``known``/``done`` are unit sets (bounded by the schedule's largest
-    unit, shared by every process of a run), ``live`` is a pid set.
-    ``cycle`` is object dtype: cycle starts are round numbers, which the
-    arrival schedule may place arbitrarily far out (``None`` marks
-    non-AGREEMENT payload ids - it never equals a cycle start).
-    """
-
-    __slots__ = (
-        "width_n", "width_t", "filled",
-        "cycle", "flag", "known_words", "done_words", "live_words",
-    )
-
-    def __init__(self, schedule: "ArrivalSchedule", t: int):
-        max_unit = max(schedule.units, default=0)
-        self.width_n = (max_unit + 64) >> 6
-        self.width_t = max(1, (t + 63) >> 6)
-        self.filled = 0
-        capacity = 256
-        self.cycle = np.full(capacity, None, dtype=object)
-        self.flag = np.zeros(capacity, dtype=bool)
-        self.known_words = np.zeros((capacity, self.width_n), dtype=np.uint64)
-        self.done_words = np.zeros((capacity, self.width_n), dtype=np.uint64)
-        self.live_words = np.zeros((capacity, self.width_t), dtype=np.uint64)
-
-    def ensure(self, store) -> None:
-        total = store.payload_count()
-        if self.filled >= total:
-            return
-        if total > len(self.cycle):
-            capacity = len(self.cycle)
-            while capacity < total:
-                capacity *= 2
-            cycle = np.full(capacity, None, dtype=object)
-            cycle[: self.filled] = self.cycle[: self.filled]
-            self.cycle = cycle
-            for name, width in (
-                ("flag", 0),
-                ("known_words", self.width_n),
-                ("done_words", self.width_n),
-                ("live_words", self.width_t),
-            ):
-                old = getattr(self, name)
-                shape = (capacity, width) if width else capacity
-                new = np.zeros(shape, dtype=old.dtype)
-                new[: self.filled] = old[: self.filled]
-                setattr(self, name, new)
-        code = KIND_CODES[MessageKind.AGREEMENT]
-        bytes_n, bytes_t = self.width_n * 8, self.width_t * 8
-        for payload_id in range(self.filled, total):
-            if store.payload_kind_code(payload_id) != code:
-                continue
-            payload = store.payload(payload_id)
-            self.cycle[payload_id] = payload[0]
-            self.flag[payload_id] = payload[4]
-            self.known_words[payload_id] = np.frombuffer(
-                payload[1]._bits.to_bytes(bytes_n, "little"), dtype="<u8"
-            )
-            self.done_words[payload_id] = np.frombuffer(
-                payload[2]._bits.to_bytes(bytes_n, "little"), dtype="<u8"
-            )
-            self.live_words[payload_id] = np.frombuffer(
-                payload[3]._bits.to_bytes(bytes_t, "little"), dtype="<u8"
-            )
-        self.filled = total
 
 
 class ArrivalSchedule:
@@ -146,8 +65,18 @@ class ArrivalSchedule:
         return len(self.units)
 
 
-class DynamicProtocolDProcess(Process):
+class DynamicProtocolDProcess(AgreementProcess):
     """One site of the dynamic-workload variant."""
+
+    #: Payload ``(cycle_start, known, done, live, flag)``: every view is
+    #: unioned (new arrivals and completions propagate).  Cycle starts are
+    #: round numbers, so the key column is ``object``.
+    layout = AgreementLayout(
+        "protocol-d-dynamic",
+        object,
+        4,
+        ((1, "known", False), (2, "done", False), (3, "live", False)),
+    )
 
     def __init__(
         self,
@@ -217,9 +146,23 @@ class DynamicProtocolDProcess(Process):
         self._absorb_arrivals(round_number)
         if self.state == _WORK and round_number >= self._cycle_start + self.cycle_length:
             self._enter_agree(round_number)
-        if self.state == _AGREE:
-            return self._agree_round(round_number, inbox)
-        return self._work_round()
+        if self.state == _WORK:
+            return self._work_round()
+        if self._broadcast_pending:
+            # First round of the cycle's agreement: announce buffered
+            # arrivals, then broadcast.
+            self.known |= self._arrived_buffer
+            self._arrived_buffer.clear()
+            self._broadcast_pending = False
+            self._u_snapshot = self._U.copy()
+            return Action(sends=self._agree_broadcast(False))
+        # Same fold as Protocol D's (see repro.core.agreement_fold); a
+        # laggard's stale cycle fails the key filter, arrivals re-sync it.
+        return self._agree_round(round_number, [inbox], self._cycle_start)
+
+    def _field_widths(self) -> Tuple[int, int, int]:
+        width_n = (max(self.schedule.units, default=0) + 64) >> 6
+        return width_n, width_n, max(1, (self.t + 63) >> 6)
 
     # ---- agreement sub-phase --------------------------------------------------
 
@@ -246,123 +189,6 @@ class DynamicProtocolDProcess(Process):
         recipients = self._U.copy()
         recipients.discard(self.pid)
         return Broadcast(recipients, self._payload(done_flag), MessageKind.AGREEMENT)
-
-    def _agree_round(self, round_number: int, inbox: List[Envelope]) -> Action:
-        if self._broadcast_pending:
-            # First round of the cycle's agreement: announce buffered
-            # arrivals, then broadcast.
-            self.known |= self._arrived_buffer
-            self._arrived_buffer.clear()
-            self._broadcast_pending = False
-            self._u_snapshot = self._U.copy()
-            return Action(sends=self._agree_broadcast(False))
-        if isinstance(inbox, ColumnarInbox) and len(inbox):
-            return self._agree_round_fast(round_number, inbox)
-        received: Dict[int, tuple] = {}
-        for envelope in sorted(inbox, key=attrgetter("sent_round")):
-            if envelope.kind is not MessageKind.AGREEMENT:
-                continue
-            payload = envelope.payload
-            if payload[0] != self._cycle_start:
-                continue  # a laggard's stale cycle; arrivals re-sync us
-            previous = received.get(envelope.src)
-            if previous is None or payload[4] or not previous[4]:
-                received[envelope.src] = payload
-        # Same fold shape as Protocol D's agreement round: iterate the
-        # received dict (the union/intersection folds commute), adopt a
-        # decided view only when one arrived, and remove silent senders
-        # with one masked update.
-        snapshot = self._u_snapshot
-        adopted = None
-        for pid, payload in received.items():
-            if payload[4]:
-                continue
-            if pid != self.pid and pid in snapshot:
-                self.known |= payload[1]
-                self.done |= payload[2]
-                self.live |= payload[3]
-        for pid in sorted(received):
-            payload = received[pid]
-            if payload[4]:
-                adopted = payload
-        if adopted is not None:
-            self.known = adopted[1].thaw()
-            self.done = adopted[2].thaw()
-            self.live = adopted[3].thaw()
-            self._agree_done = True
-        if self._round_var >= 1:
-            heard = IntBitset.from_iterable(received)
-            heard.add(self.pid)
-            self._U -= snapshot - heard
-        return self._agree_tail(round_number)
-
-    def _agree_round_fast(self, round_number: int, inbox: ColumnarInbox) -> Action:
-        """Columnar twin of the receive half above: same dedup, fold,
-        adoption and silent-removal rules, evaluated on the store's
-        decoded-payload columns without materialising envelopes.  A
-        drain's rows ascend and stamps are non-decreasing in row order,
-        so the slow path's stable ``sorted`` is the identity here.
-        """
-        store = inbox.store
-        cache = store.cache(
-            "protocol-d-dynamic", lambda: _DynAgreeCache(self.schedule, self.t)
-        )
-        cache.ensure(store)
-        payload_ids = inbox.payload_ids()
-        # Cycle filter doubles as the kind filter: non-AGREEMENT ids
-        # keep the None sentinel, which equals no cycle start.
-        keep = cache.cycle[payload_ids] == self._cycle_start
-        if not keep.any():
-            return self._agree_tail_empty(round_number)
-        payload_ids = payload_ids[keep]
-        srcs = store._src[inbox.rows[keep]]
-        flags = cache.flag[payload_ids]
-        winners = dedup_last_wins(srcs, flags)
-        w_src = srcs[winners]
-        w_flag = flags[winners]
-        w_pid = payload_ids[winners]
-        snapshot_bits = self._u_snapshot.to_int() & ~(1 << self.pid)
-        snap_words = int_to_words(snapshot_bits, cache.width_t)
-        admitted = ~w_flag & bit_test(snap_words, w_src).astype(bool)
-        if admitted.any():
-            admitted_ids = w_pid[admitted]
-            known_fold = np.bitwise_or.reduce(cache.known_words[admitted_ids], axis=0)
-            done_fold = np.bitwise_or.reduce(cache.done_words[admitted_ids], axis=0)
-            live_fold = np.bitwise_or.reduce(cache.live_words[admitted_ids], axis=0)
-            self.known = IntBitset(self.known.to_int() | words_to_int(known_fold))
-            self.done = IntBitset(self.done.to_int() | words_to_int(done_fold))
-            self.live = IntBitset(self.live.to_int() | words_to_int(live_fold))
-        if w_flag.any():
-            # Winners ascend by src; the highest flagged src's view wins,
-            # matching the slow path's sorted adoption loop.
-            adopted = store.payload(int(w_pid[np.nonzero(w_flag)[0][-1]]))
-            self.known = adopted[1].thaw()
-            self.done = adopted[2].thaw()
-            self.live = adopted[3].thaw()
-            self._agree_done = True
-        if self._round_var >= 1:
-            heard_bits = or_srcs_mask(w_src, cache.width_t) | (1 << self.pid)
-            self._U -= IntBitset(self._u_snapshot.to_int() & ~heard_bits)
-        return self._agree_tail(round_number)
-
-    def _agree_tail_empty(self, round_number: int) -> Action:
-        if self._round_var >= 1:
-            self._U -= self._u_snapshot - IntBitset.singleton(self.pid)
-        return self._agree_tail(round_number)
-
-    def _agree_tail(self, round_number: int) -> Action:
-        if (
-            not self._agree_done
-            and self._round_var >= 1
-            and self._U == self._u_snapshot
-        ):
-            self._agree_done = True
-        self._round_var += 1
-        if self._agree_done:
-            sends = self._agree_broadcast(True)
-            return self._finish_agreement(round_number, sends)
-        self._u_snapshot = self._U.copy()
-        return Action(sends=self._agree_broadcast(False))
 
     def _finish_agreement(self, round_number: int, sends: Broadcast) -> Action:
         outstanding = self.known - self.done

@@ -59,7 +59,6 @@ class ProtocolDRecoveryProcess(ProtocolDProcess):
         # traffic, the live-set estimate, and any embedded Protocol A
         # run from a reversion in progress.
         self._buffer = []
-        self._cbuffer = []
         self._U = IntBitset()
         self._u_snapshot = IntBitset()
         self._round_var = 0

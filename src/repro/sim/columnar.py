@@ -1,8 +1,8 @@
-"""Columnar (numpy) commit + delivery fast path for the sync engine.
+"""Columnar (numpy) delivery store for the sync engine.
 
 The synchronous workloads of this paper are *bulk-synchronous*: in an
 agreement round every live Protocol D process broadcasts one payload to
-Theta(t) recipients, so the engine's per-copy representation - one
+Theta(t) recipients, so the list store's per-copy representation - one
 ``EnvelopeView`` object appended per (broadcast, live recipient) pair -
 allocates and later re-inspects Theta(t^2) Python objects per round.
 This module stores the same delivery state as *columns*: one row per
@@ -12,14 +12,15 @@ payload intern table mapping payload ids back to the shared payload
 objects.  Commit is one row append regardless of fan-out; per-recipient
 delivery state is a single integer cursor into the row log.
 
-Equivalence contract (the PR 1/2/5 discipline): with the fast path on,
-every run produces bit-identical metrics, traces and RNG draw sequences
-to the pure-python path.  The engine keeps metrics/trace/censoring
-exactly where they were; this module only replaces *storage*:
+Equivalence contract: with this store, every run produces bit-identical
+metrics, traces and RNG draw sequences to the list store
+(:class:`repro.sim.mailboxes.ListMailboxes`).  Both stores share one
+surface and the engine keeps metrics/trace/censoring in one place, so
+only *storage* differs:
 
 * ``post_broadcast`` appends one row whose recipient mask is already
   restricted to live pids (the engine's ``& live_mask``), mirroring the
-  slow path's "only live recipients get a view" rule;
+  list store's "only live recipients get a view" rule;
 * ``head_stamp``/``drain`` reproduce the stamp-sorted mailbox semantics:
   rows are appended at strictly non-decreasing processed rounds, so each
   recipient's undelivered mail is exactly the rows at index >= its
@@ -29,23 +30,22 @@ exactly where they were; this module only replaces *storage*:
 * ``clear`` (retirement) advances the cursor past every existing row;
   rows appended later never address a retired pid (the live-mask
   restriction), so crash-recover rejoins see an empty mailbox followed
-  by only post-recovery mail - byte-for-byte the slow path's behaviour.
+  by only post-recovery mail - byte-for-byte the list store's behaviour.
 
 A drain returns a :class:`ColumnarInbox`: a sequence that materialises
 ``Envelope``/``EnvelopeView`` objects *lazily* (memoized), so protocols
 that iterate their inbox behave identically while protocols that
-understand columns (Protocol D's agreement fold) read the arrays
-directly and never allocate a view at all.
+understand columns (the agreement fold of :mod:`repro.core.agreement_fold`)
+read the arrays directly and never allocate a view at all.
 
 numpy is an optional dependency (the ``repro[fast]`` extra).  This
-module always imports; :func:`resolve_fastpath` decides per engine
-whether the fast path is available (``"auto"``), required (``"on"``) or
-disabled (``"off"``).
+module always imports; :func:`resolve_fastpath` picks each engine's
+store from its ``fastpath`` knob.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.sim.actions import Envelope, EnvelopeView, MessageKind, SharedEnvelope
@@ -65,20 +65,32 @@ FASTPATH_CHOICES = ("auto", "on", "off")
 KIND_CODES = {kind: code for code, kind in enumerate(MessageKind)}
 KIND_BY_CODE = tuple(MessageKind)
 
+#: Smallest ``t`` for which ``"auto"`` picks the columnar store.  Below
+#: it the per-row numpy calls cost more than the list store's per-copy
+#: appends (see "Store selection" in docs/perf.md).
+COLUMNAR_MIN_T = 64
 
-def resolve_fastpath(mode: str) -> bool:
-    """Decide whether an engine runs columnar, from its ``fastpath`` knob.
 
-    ``"auto"`` uses numpy when importable, ``"off"`` never does, and
-    ``"on"`` demands it - raising a :class:`ConfigurationError` that
-    names the ``repro[fast]`` extra when numpy is missing, so a run that
-    was promised the fast path fails loudly instead of silently slowing
-    down.
+def resolve_fastpath(mode: str, processes: Sequence) -> bool:
+    """Decide whether an engine over ``processes`` runs columnar.
+
+    ``"off"`` never does and ``"on"`` always does - raising a
+    :class:`ConfigurationError` that names the ``repro[fast]`` extra when
+    numpy is missing, so a run that was promised the columnar store fails
+    loudly instead of silently slowing down.  ``"auto"`` picks it only
+    where it wins: numpy is importable, there are at least
+    :data:`COLUMNAR_MIN_T` processes, and every process class declares a
+    columnar fold (``Process.columnar_fold``) that reads the store's
+    columns instead of materialising envelopes.
     """
     if mode == "off":
         return False
     if mode == "auto":
-        return HAVE_NUMPY
+        return (
+            HAVE_NUMPY
+            and len(processes) >= COLUMNAR_MIN_T
+            and all(process.columnar_fold for process in processes)
+        )
     if mode == "on":
         if not HAVE_NUMPY:
             raise ConfigurationError(
@@ -89,58 +101,6 @@ def resolve_fastpath(mode: str) -> bool:
     raise ConfigurationError(
         f"unknown fastpath {mode!r}; choices: " + ", ".join(FASTPATH_CHOICES)
     )
-
-
-# ---- packed-int <-> word-array helpers (shared with the protocols) ------
-
-
-def int_to_words(bits: int, width: int):
-    """Little-endian uint64 word view of a packed bitset int.
-
-    ``width`` words must cover ``bits`` (callers size from the known
-    member universe: pids < t, units <= n); ``to_bytes`` raises if not.
-    """
-    return np.frombuffer(bits.to_bytes(width * 8, "little"), dtype="<u8")
-
-
-def words_to_int(words) -> int:
-    """Inverse of :func:`int_to_words` (accepts any uint64 row)."""
-    return int.from_bytes(np.ascontiguousarray(words, dtype="<u8").tobytes(), "little")
-
-
-def or_srcs_mask(srcs, width: int) -> int:
-    """The packed-int set ``{s for s in srcs}`` built word-parallel."""
-    words = np.zeros(width, dtype=np.uint64)
-    np.bitwise_or.at(
-        words,
-        srcs >> 6,
-        np.left_shift(np.uint64(1), (srcs & 63).astype(np.uint64)),
-    )
-    return words_to_int(words)
-
-
-def bit_test(words, members):
-    """Vectorized membership test: 1 where ``members``' bit is set."""
-    return (words[members >> 6] >> (members & 63).astype(np.uint64)) & np.uint64(1)
-
-
-def dedup_last_wins(srcs, preferred) -> "np.ndarray":
-    """Indices of the winning item per source, sources ascending.
-
-    Reproduces the agreement protocols' receipt-dedup rule exactly: for
-    each source, the *last* item in sequence order wins, except that a
-    ``preferred`` (done-flagged) item is never displaced by a
-    non-preferred one - equivalently, the last preferred item if any,
-    else the last item.  ``lexsort`` orders by (source, preferred,
-    position); the final entry of each source group is the winner.
-    """
-    count = len(srcs)
-    order = np.lexsort((np.arange(count), preferred, srcs))
-    sorted_srcs = srcs[order]
-    last = np.empty(count, dtype=bool)
-    last[:-1] = sorted_srcs[1:] != sorted_srcs[:-1]
-    last[-1] = True
-    return order[last]
 
 
 # ---- the columnar store -------------------------------------------------
@@ -269,7 +229,7 @@ class ColumnarMailboxes:
     def head_stamp(self, pid: int) -> Optional[int]:
         """Stamp of ``pid``'s earliest undelivered mail (or ``None``).
 
-        Equivalent to the slow path's ``mailbox[0].sent_round``: rows
+        Equivalent to the list store's ``box[0].sent_round``: rows
         are stamp-sorted, so the first row at or after the cursor whose
         mask includes ``pid`` is the mailbox head.  The cursor advances
         past leading non-addressed rows so repeated queries stay cheap.
@@ -330,7 +290,7 @@ class ColumnarMailboxes:
         return self._table_kind[payload_id]
 
     def envelope(self, row: int, dst: int):
-        """The exact object the slow path would have mailed for ``row``:
+        """The exact object the list store would have mailed for ``row``:
         an ``Envelope`` tuple for point-to-point rows, a shared-envelope
         ``EnvelopeView`` for broadcast rows (one ``SharedEnvelope`` per
         row, shared by every recipient that materialises it)."""
@@ -351,9 +311,9 @@ class ColumnarMailboxes:
         """Fetch-or-create a protocol-owned decoded-payload cache.
 
         The store is shared by every process of a run, so fields decoded
-        into a cache (e.g. Protocol D's per-payload phase/done/S/T word
-        rows) are computed once per payload id instead of once per
-        delivered copy.
+        into a cache (e.g. the agreement fold's per-payload key, flag and
+        view word rows) are computed once per payload id instead of once
+        per delivered copy.
         """
         cache = self._caches.get(name)
         if cache is None:
@@ -364,7 +324,7 @@ class ColumnarMailboxes:
 class ColumnarInbox:
     """One drain's worth of mail, as columns plus a lazy object view.
 
-    Sequence-compatible with the slow path's ``List[Envelope]``: ``len``,
+    Sequence-compatible with the list store's ``List[Envelope]``: ``len``,
     truthiness, iteration, indexing and slicing all materialise (and
     memoize) the identical envelope objects in identical order.  Column
     accessors hand protocols the underlying arrays so a vectorized
@@ -379,7 +339,7 @@ class ColumnarInbox:
         self.rows = rows
         self._objects: Optional[list] = None
 
-    # ---- sequence protocol (slow-path compatibility) -----------------
+    # ---- sequence protocol (list-store compatibility) ----------------
 
     def _materialize(self) -> list:
         objects = self._objects
@@ -406,16 +366,10 @@ class ColumnarInbox:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ColumnarInbox(dst={self.dst}, rows={self.rows.tolist()})"
 
-    # ---- column accessors (the protocol fast path) -------------------
+    # ---- column accessors (the columnar agreement fold) --------------
 
     def srcs(self):
         return self.store._src[self.rows]
-
-    def sent_rounds(self):
-        return self.store._sent[self.rows]
-
-    def kind_codes(self):
-        return self.store._kind[self.rows]
 
     def payload_ids(self):
         return self.store._payload_id[self.rows]

@@ -35,20 +35,25 @@ an event index, mirroring the heap-based design of
   incrementally - when mail is posted, when a process steps (its wake
   round may have moved), and when a process retires - never by scanning
   all ``t`` processes.
-* **Stamp-sorted mailboxes.**  Posts happen at the current processed
-  round and processed rounds strictly increase, so each mailbox is
-  always sorted by ``sent_round``.  The earliest stamp is ``mailbox[0]``
-  (no ``min()`` scan) and delivery splits off a prefix instead of
-  rebuilding the list.
+* **One delivery store.**  Mail lives in a store with one surface
+  (``post_p2p``/``post_broadcast``/``drain``/``head_stamp``/``clear``):
+  :class:`~repro.sim.mailboxes.ListMailboxes` or, for large-``t``
+  protocols with a columnar fold,
+  :class:`~repro.sim.columnar.ColumnarMailboxes` (chosen once per run by
+  :func:`~repro.sim.columnar.resolve_fastpath`).  Posts happen at the
+  current processed round and processed rounds strictly increase, so
+  every mailbox is sorted by stamp: the head stamp needs no ``min()``
+  scan and delivery splits off a prefix.  Every post within one round
+  implies the same due round, so due-round notes are memoized per round
+  in one bitmask.
 * **Live-set bookkeeping.**  ``_live``, ``_active`` and ``_crashed_pids``
   are maintained at retirement/activation events, so the main loop,
   strict-invariant check and crash guard never iterate over retired
   processes.
 * **Lazy broadcast fan-out.**  A packed :class:`Broadcast` batch is
   committed without ever materialising per-copy ``Send`` tuples: one
-  :meth:`Metrics.record_send_batch` call, one shared
-  :class:`SharedEnvelope` per broadcast, and one lightweight
-  :class:`EnvelopeView` per *live* recipient in the mailboxes.  Legacy
+  :meth:`Metrics.record_send_batch` call and one store post, restricted
+  to *live* recipients with one mask ``&``.  Legacy
   ``List[Send]`` batches are auto-packed when exactly equivalent
   (uniform payload/kind, ascending dsts) so out-of-tree protocols take
   the same path; genuinely mixed batches keep the per-copy commit.
@@ -103,17 +108,15 @@ from repro.errors import (
 from repro.sim.actions import (
     Action,
     Broadcast,
-    Envelope,
-    EnvelopeView,
     MessageKind,
     Send,
     SendBatch,
-    SharedEnvelope,
     pack_sends,
 )
 from repro.sim.columnar import ColumnarMailboxes, resolve_fastpath
 from repro.sim.congestion import CongestionBudget
 from repro.sim.crashes import CrashDirective
+from repro.sim.mailboxes import ListMailboxes
 from repro.sim.metrics import Metrics, RunResult
 from repro.sim.process import Process
 from repro.sim.rng import derive_rng, make_rng
@@ -164,19 +167,17 @@ class Engine:
         self._recoveries: List[Tuple[int, int]] = []
         self.metrics = Metrics()
         self.round = -1  # last processed round
-        # Mailboxes hold Envelope tuples (point-to-point, legacy batches)
-        # and EnvelopeView objects (broadcast deliveries) interchangeably.
-        self._mailboxes: Dict[int, List] = {p.pid: [] for p in self.processes}
-        # Columnar fast path (see repro.sim.columnar): when resolved on,
-        # ``_fast`` replaces the per-copy mailboxes as the delivery store
-        # - same stamps, same order, same budgets, bit-identical results.
-        # ``_noted_mask`` tracks which pids already had their due round
-        # lowered this round (all same-round posts imply the same due),
-        # replacing the slow path's per-copy _note_mail calls.
+        # The delivery store (see module docstring): same stamps, same
+        # order, same budgets and bit-identical results either way.
+        # ``_noted_mask`` holds the pids whose due round was already
+        # lowered this round (see _note_mail).
         self.fastpath = fastpath
-        self._fast: Optional[ColumnarMailboxes] = (
-            ColumnarMailboxes(self.t) if resolve_fastpath(fastpath) else None
+        store = (
+            ColumnarMailboxes
+            if resolve_fastpath(fastpath, self.processes)
+            else ListMailboxes
         )
+        self._store = store(self.t)
         self._noted_mask: int = 0
         # Event index: see module docstring.
         self._heap: List[Tuple[int, int]] = []
@@ -269,19 +270,12 @@ class Engine:
                 self.metrics.record_retire(pid, process.crash_round)
             if process.halt_round is not None:
                 self.metrics.record_retire(pid, process.halt_round)
-            if self._fast is not None:
-                self._fast.clear(pid)
-            else:
-                self._mailboxes[pid].clear()
+            self._store.clear(pid)
             return
         self._live.add(pid)
         self._live_mask |= 1 << pid
-        if self._fast is not None:
-            head = self._fast.head_stamp(pid)
-            due = head + 1 if head is not None else None
-        else:
-            mailbox = self._mailboxes[pid]
-            due = mailbox[0].sent_round + 1 if mailbox else None
+        head = self._store.head_stamp(pid)
+        due = head + 1 if head is not None else None
         wake = process.wake_round()
         if wake is not None and (due is None or wake < due):
             due = wake
@@ -290,28 +284,33 @@ class Engine:
             if due is not None:
                 heappush(self._heap, (due, pid))
 
-    def _note_mail(self, dst: int, sent_round: int) -> None:
-        """Lower ``dst``'s due round after mail stamped ``sent_round``."""
-        due = sent_round + 1
-        cached = self._due.get(dst)
-        if cached is None or cached > due:
-            self._due[dst] = due
-            heappush(self._heap, (due, dst))
-
-    def _note_fast(self, dst: int, sent_round: int) -> None:
-        """Fast-path :meth:`_note_mail` memoized per round.
+    def _note_mail(self, recipients: int, sent_round: int) -> None:
+        """Lower the due round of every pid in the ``recipients`` mask
+        after mail stamped ``sent_round``, memoized per round.
 
         Every post within one processed round implies the same due round
-        (``sent_round + 1``), and ``_note_mail`` only ever *lowers* a
-        cached due, so once a pid has been noted this round further
-        notes are no-ops.  Pids whose due entry was popped by
-        ``_collect_due_pids`` (they stepped this round) are refreshed
-        unconditionally after commit, so skipping them here is safe too.
+        (``sent_round + 1``), and a note only ever *lowers* a cached due,
+        so once a pid has been noted this round further notes are no-ops
+        (typically every note after the round's first broadcast).  Pids
+        whose due entry was popped by ``_collect_due_pids`` (they stepped
+        this round) are refreshed unconditionally after commit, so
+        skipping them here is safe too.
         """
-        bit = 1 << dst
-        if not self._noted_mask & bit:
-            self._noted_mask |= bit
-            self._note_mail(dst, sent_round)
+        new = recipients & ~self._noted_mask
+        if not new:
+            return
+        self._noted_mask |= new
+        due_map = self._due
+        heap = self._heap
+        due = sent_round + 1
+        while new:
+            low = new & -new
+            new ^= low
+            dst = low.bit_length() - 1
+            cached = due_map.get(dst)
+            if cached is None or cached > due:
+                due_map[dst] = due
+                heappush(heap, (due, dst))
 
     def _next_due_round(self) -> Optional[int]:
         heap, due_map = self._heap, self._due
@@ -392,38 +391,14 @@ class Engine:
     def _drain_mailbox(self, pid: int, round_number: int) -> Sequence:
         """Split off (and return) all mail stamped before ``round_number``.
 
-        Mailboxes are sorted by stamp (posts happen at strictly
-        increasing processed rounds), so delivery is a prefix split - a
-        list slice on the slow path, a vectorized ``searchsorted`` over
-        the columnar store (returning a lazy ``ColumnarInbox``) on the
-        fast path.
+        A receive budget absorbs at most ``receive`` envelopes this round;
+        the rest stay queued (oldest first, stamp order intact) and the
+        post-round _refresh_schedule re-dues this process off the new
+        mailbox head, so the backlog drains on consecutive rounds.
         """
-        if self._fast is not None:
-            congestion = self.congestion
-            receive = congestion.receive if congestion is not None else None
-            return self._fast.drain(pid, round_number, receive)
-        mailbox = self._mailboxes[pid]
-        if not mailbox or mailbox[0].sent_round >= round_number:
-            return []
-        split = len(mailbox)
-        for index, envelope in enumerate(mailbox):
-            if envelope.sent_round >= round_number:
-                split = index
-                break
-        # Receive budget: absorb at most ``receive`` envelopes this round;
-        # the rest stay queued (oldest first, stamp order intact) and the
-        # post-round _refresh_schedule re-dues this process off the new
-        # mailbox head, so the backlog drains on consecutive rounds.
         congestion = self.congestion
-        if (
-            congestion is not None
-            and congestion.receive is not None
-            and split > congestion.receive
-        ):
-            split = congestion.receive
-        ready = mailbox[:split]
-        del mailbox[:split]
-        return ready
+        receive = congestion.receive if congestion is not None else None
+        return self._store.drain(pid, round_number, receive)
 
     # ---- crashes ---------------------------------------------------------
 
@@ -598,14 +573,8 @@ class Engine:
             )
         dst = send.dst
         if 0 <= dst < self.t and not self.processes[dst].retired:
-            if self._fast is not None:
-                self._fast.post_p2p(src, dst, send.payload, send.kind, round_number)
-                self._note_fast(dst, round_number)
-            else:
-                self._mailboxes[dst].append(
-                    Envelope(src, dst, send.payload, send.kind, round_number)
-                )
-                self._note_mail(dst, round_number)
+            self._store.post_p2p(src, dst, send.payload, send.kind, round_number)
+            self._note_mail(1 << dst, round_number)
 
     def _post_batch(self, src: int, sends: SendBatch, round_number: int) -> None:
         """Post one round's send batch from ``src``.
@@ -661,32 +630,16 @@ class Engine:
                 )
         t = self.t
         processes = self.processes
-        fast = self._fast
-        if fast is not None:
-            for send in sends:
-                dst = send.dst
-                if 0 <= dst < t and not processes[dst].retired:
-                    fast.post_p2p(src, dst, send.payload, send.kind, round_number)
-                    self._note_fast(dst, round_number)
-            return
-        mailboxes = self._mailboxes
-        due_map = self._due
-        heap = self._heap
-        next_due = round_number + 1
+        post = self._store.post_p2p
         for send in sends:
             dst = send.dst
             if 0 <= dst < t and not processes[dst].retired:
-                mailboxes[dst].append(
-                    Envelope(src, dst, send.payload, send.kind, round_number)
-                )
-                cached = due_map.get(dst)
-                if cached is None or cached > next_due:
-                    due_map[dst] = next_due
-                    heappush(heap, (next_due, dst))
+                post(src, dst, send.payload, send.kind, round_number)
+                self._note_mail(1 << dst, round_number)
 
     def _post_broadcast(self, src: int, bcast: Broadcast, round_number: int) -> None:
-        """Commit one packed broadcast: shared envelope, per-recipient
-        views, one metrics record for the whole batch."""
+        """Commit one packed broadcast: one store post and one metrics
+        record for the whole batch."""
         kind = bcast.kind
         payload = bcast.payload
         count = len(bcast)
@@ -699,46 +652,9 @@ class Engine:
         # Restricting to live recipients is one mask ``&`` (the live mask
         # only holds pids < t, so out-of-range dsts drop too).
         bits = bcast.recipients.to_int() & self._live_mask
-        if self._fast is not None:
-            if bits:
-                self._fast.post_broadcast(src, payload, kind, round_number, bits)
-                # Due-round notes collapse to one pass over the pids not
-                # yet noted this round (all same-round posts share the
-                # same due); typically empty after the round's first
-                # broadcast.
-                new = bits & ~self._noted_mask
-                if new:
-                    self._noted_mask |= new
-                    due_map = self._due
-                    heap = self._heap
-                    next_due = round_number + 1
-                    while new:
-                        low = new & -new
-                        new ^= low
-                        dst = low.bit_length() - 1
-                        cached = due_map.get(dst)
-                        if cached is None or cached > next_due:
-                            due_map[dst] = next_due
-                            heappush(heap, (next_due, dst))
-            return
-        mailboxes = self._mailboxes
-        due_map = self._due
-        heap = self._heap
-        next_due = round_number + 1
-        shared = SharedEnvelope(src, payload, kind, round_number)
-        # The loop uses inlined low-bit extraction - the recipient walk
-        # runs Theta(t) times per broadcast, so skipping both the per-dst
-        # retirement check and the bitset generator's frame switches is
-        # a measurable share of commit time.
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            dst = low.bit_length() - 1
-            mailboxes[dst].append(EnvelopeView(shared, dst))
-            cached = due_map.get(dst)
-            if cached is None or cached > next_due:
-                due_map[dst] = next_due
-                heappush(heap, (next_due, dst))
+        if bits:
+            self._store.post_broadcast(src, payload, kind, round_number, bits)
+            self._note_mail(bits, round_number)
 
     # ---- invariants and results -------------------------------------------
 

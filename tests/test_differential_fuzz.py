@@ -10,6 +10,10 @@ cascade-neighbours, congestion budgets included) and runs each twice,
 ``fastpath="off"`` vs ``fastpath="on"``, asserting equality of
 ``Metrics.as_dict(full=True)``, the trace stream and the run outcome.
 
+A second, fixed slice draws D-family configs with ``t`` in 65..130: the
+sizes where ``fastpath="auto"`` picks the columnar store, and where
+recipient masks and decoded pid sets span more than one uint64 word.
+
 On failure the reproducer ``Scenario`` JSON is printed in the assertion
 message and written to ``fuzz-reproducer.json`` (the CI fuzz-smoke step
 uploads it as an artifact).
@@ -42,6 +46,10 @@ SEED = int(os.environ.get("REPRO_FUZZ_SEED", "20260808"))
 COUNT = int(os.environ.get("REPRO_FUZZ_COUNT", "200"))
 
 REPRODUCER_PATH = Path("fuzz-reproducer.json")
+
+#: The multi-word slice: a fixed seed and size, independent of the knobs.
+WIDE_SEED = 12
+WIDE_COUNT = 12
 
 #: Every sync protocol in the registry (the async engine has no
 #: fastpath; Scenario rejects the field there, which test_api covers).
@@ -98,17 +106,22 @@ def _adversary_for(rng: random.Random, protocol: str, t: int):
     }
 
 
-def _random_config(rng: random.Random) -> dict:
-    protocol = rng.choice(PROTOCOLS)
-    # C's deadlines are exponential in n + t; keep its universe tiny so
-    # the suite stays fast (fast-forward keeps the wall time bounded,
-    # but the message volume still grows quickly).
-    if protocol in ("C", "C-batched", "C-naive"):
-        t = rng.randint(2, 4)
-        n = rng.randint(4, 12)
+def _random_config(rng: random.Random, wide: bool = False) -> dict:
+    if wide:
+        protocol = rng.choice(("D", "D-dynamic", "D-recovery"))
+        t = rng.randint(65, 130)
+        n = rng.randint(8, 64)
     else:
-        t = rng.randint(2, 10)
-        n = rng.randint(4, 40)
+        protocol = rng.choice(PROTOCOLS)
+        # C's deadlines are exponential in n + t; keep its universe tiny
+        # so the suite stays fast (fast-forward keeps the wall time
+        # bounded, but the message volume still grows quickly).
+        if protocol in ("C", "C-batched", "C-naive"):
+            t = rng.randint(2, 4)
+            n = rng.randint(4, 12)
+        else:
+            t = rng.randint(2, 10)
+            n = rng.randint(4, 40)
     config: dict = {"protocol": protocol, "n": n, "t": t, "seed": rng.randint(0, 10**6)}
     adversary = _adversary_for(rng, protocol, t)
     if adversary is not None:
@@ -159,11 +172,10 @@ def _run(scenario: Scenario, fastpath: str):
     }
 
 
-def test_differential_fuzz_fastpath_bit_identical():
-    rng = random.Random(SEED)
+def _assert_paths_agree(seed: int, configs) -> int:
+    """Run every config off and on; return how many ran to completion."""
     exercised = 0
-    for index in range(COUNT):
-        config = _random_config(rng)
+    for index, config in enumerate(configs):
         scenario = Scenario.from_dict(config)
         off = _run(scenario, "off")
         on = _run(scenario, "on")
@@ -171,20 +183,32 @@ def test_differential_fuzz_fastpath_bit_identical():
             reproducer = json.dumps(config, sort_keys=True)
             REPRODUCER_PATH.write_text(
                 json.dumps(
-                    {"seed": SEED, "index": index, "scenario": config},
+                    {"seed": seed, "index": index, "scenario": config},
                     indent=2,
                     sort_keys=True,
                 )
             )
             raise AssertionError(
-                f"fastpath divergence at scenario {index} (seed {SEED}); "
+                f"fastpath divergence at scenario {index} (seed {seed}); "
                 f"reproducer Scenario JSON: {reproducer}"
             )
         if "error" not in off:
             exercised += 1
+    return exercised
+
+
+def test_differential_fuzz_fastpath_bit_identical():
+    rng = random.Random(SEED)
+    exercised = _assert_paths_agree(SEED, [_random_config(rng) for _ in range(COUNT)])
     # The generator must mostly produce *runnable* configs - a harness
     # where everything errors out symmetrically would prove nothing.
     assert exercised >= COUNT * 3 // 4, (
         f"only {exercised}/{COUNT} scenarios ran to completion; "
         "the generator drifted into degenerate configs"
     )
+
+
+def test_multi_word_masks_fastpath_bit_identical():
+    rng = random.Random(WIDE_SEED)
+    configs = [_random_config(rng, wide=True) for _ in range(WIDE_COUNT)]
+    assert _assert_paths_agree(WIDE_SEED, configs) == WIDE_COUNT

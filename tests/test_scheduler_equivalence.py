@@ -16,6 +16,7 @@ from typing import List, Optional
 import pytest
 
 from repro.core.registry import build_processes
+from repro.sim.columnar import HAVE_NUMPY
 from repro.sim.adversary import (
     Cascade,
     CrashMidBroadcast,
@@ -29,6 +30,12 @@ from repro.sim.engine import Engine
 from repro.sim.trace import Trace
 from repro.work.tracker import WorkTracker
 
+#: The store of the engine under test.  At these small t ``auto`` would
+#: pick the list store the reference runs on too, so the columnar store
+#: is forced to keep this a cross-store oracle; without numpy only the
+#: list store exists and the oracle checks the scheduler alone.
+UNDER_TEST_FASTPATH = "on" if HAVE_NUMPY else "off"
+
 
 class _ReferenceScheduler(Engine):
     """The seed engine's O(rounds * t) schedule computation, kept as an
@@ -40,9 +47,8 @@ class _ReferenceScheduler(Engine):
     """
 
     def __init__(self, *args, **kwargs):
-        # The reference scans self._mailboxes directly, so it must run
-        # the pure-python store; the indexed engine under test keeps its
-        # default fastpath, making this a cross-path oracle as well.
+        # The reference scans the list store's boxes directly, so it must
+        # run on that store.
         kwargs["fastpath"] = "off"
         super().__init__(*args, **kwargs)
 
@@ -51,7 +57,7 @@ class _ReferenceScheduler(Engine):
             return None
         floor = self.round + 1
         due: Optional[int] = None
-        mailbox = self._mailboxes[process.pid]
+        mailbox = self._store.boxes[process.pid]
         if mailbox:
             earliest = min(env.sent_round for env in mailbox) + 1
             due = max(earliest, floor)
@@ -71,7 +77,7 @@ class _ReferenceScheduler(Engine):
         for process in self.processes:
             if process.retired:
                 continue
-            mailbox = self._mailboxes[process.pid]
+            mailbox = self._store.boxes[process.pid]
             if any(env.sent_round < round_number for env in mailbox):
                 due_pids.append(process.pid)
                 continue
@@ -83,10 +89,11 @@ class _ReferenceScheduler(Engine):
     def _drain_mailbox(self, pid: int, round_number: int):
         # Seed behaviour: filter rather than prefix-split, so the oracle
         # does not depend on the stamp-sortedness invariant either.
-        mailbox = self._mailboxes[pid]
+        boxes = self._store.boxes
+        mailbox = boxes[pid]
         ready = [env for env in mailbox if env.sent_round < round_number]
         if ready:
-            self._mailboxes[pid] = [
+            boxes[pid] = [
                 env for env in mailbox if env.sent_round >= round_number
             ]
         return ready
@@ -102,6 +109,7 @@ def _run(engine_cls, protocol, n, t, adversary_factory, seed, **options):
         seed=seed,
         strict_invariants=protocol.lower() in {"a", "b", "c", "naive"},
         trace=trace,
+        fastpath=UNDER_TEST_FASTPATH,
     )
     result = engine.run()
     events = [(e.round, e.kind, e.pid, e.detail) for e in trace]
