@@ -114,6 +114,7 @@ from repro.api import ENGINE_CHOICES, Scenario
 from repro.core.registry import available_protocols, get_entry
 from repro.errors import ConfigurationError
 from repro.sim.columnar import FASTPATH_CHOICES
+from repro.sim.metrics import MEASURES
 
 
 def _adversary_spec(args):
@@ -205,15 +206,11 @@ def _cmd_compare(args) -> int:
     failures = 0
     for protocol in args.protocols:
         result = _scenario_from_args(args, protocol).run()
-        metrics = result.metrics
         payload.append(result.to_dict())
         rows.append(
             [
                 protocol,
-                metrics.work_total,
-                metrics.messages_total,
-                metrics.effort,
-                float(metrics.retire_round),
+                *result.metrics.measures().values(),
                 "yes" if result.completed else "NO",
             ]
         )
@@ -221,11 +218,7 @@ def _cmd_compare(args) -> int:
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(
-            render_table(
-                ["protocol", "work", "messages", "effort", "rounds", "completed"], rows
-            )
-        )
+        print(render_table(["protocol", *MEASURES, "completed"], rows))
     return 0 if failures == 0 else 1
 
 
@@ -349,10 +342,7 @@ def _cmd_submit(args) -> int:
                     str(path),
                     result.get("config", {}).get("protocol", "?"),
                     source,
-                    metrics["work"],
-                    metrics["messages"],
-                    metrics["effort"],
-                    float(metrics["rounds"]),
+                    *(metrics[measure] for measure in MEASURES),
                     "yes" if completed else "NO",
                 ]
             )
@@ -360,19 +350,7 @@ def _cmd_submit(args) -> int:
         print(json.dumps(payloads, indent=2, sort_keys=True))
     else:
         print(
-            render_table(
-                [
-                    "file",
-                    "protocol",
-                    "source",
-                    "work",
-                    "messages",
-                    "effort",
-                    "rounds",
-                    "completed",
-                ],
-                rows,
-            )
+            render_table(["file", "protocol", "source", *MEASURES, "completed"], rows)
         )
         stats = payloads[-1]["cache"]
         print(

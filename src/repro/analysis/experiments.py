@@ -1,13 +1,16 @@
 """The experiment registry: one runner per quantitative claim of the paper.
 
 Each experiment function reproduces one theorem/claim (see DESIGN.md's
-per-experiment index), returning paper-bound-vs-measured rows.  The
-benchmark files under ``benchmarks/`` each call one of these and assert
-the claim's *shape*; ``python -m repro.analysis.report`` runs them all
-and regenerates EXPERIMENTS.md.
+per-experiment index), returning paper-bound-vs-measured rows.  An
+adversary battery runs as a :class:`~repro.api.Sweep` and is reduced
+with ``ResultSet.worst()``, the package's one worst-case reducer.
+``python -m repro.analysis.report`` runs them all, regenerates
+EXPERIMENTS.md and exits 1 if any claim fails; CI's ``experiments`` job
+runs it on the full grids.
 
 Every experiment takes ``quick``: True shrinks the sweep for use inside
-the test-suite, False is the full benchmark grid.
+the test-suite (``tests/test_experiment_pins.py`` pins those rows),
+False is the full grid.
 """
 
 from __future__ import annotations
@@ -19,10 +22,10 @@ from typing import Callable, Dict, List
 
 from repro.agreement.byzantine import ByzantineAgreement
 from repro.analysis import bounds
-from repro.analysis.sweep import battery, worst_case
-from repro.api import Scenario
+from repro.api import ResultSet, Scenario, Sweep
 from repro.core.registry import run_protocol
 from repro.sim.adversary import (
+    AdversarySpec,
     RandomCrashes,
     StaggeredWorkKills,
 )
@@ -43,7 +46,13 @@ class ExperimentResult:
         return all(bool(row.get("ok", True)) for row in self.rows)
 
 
-def _standard_adversaries(t: int, *, heavy: bool = True) -> List[Callable]:
+def _sweep(protocol: str, n: int, t: int, adversaries, seeds, **options) -> ResultSet:
+    """Every (adversary, seed) run of one configuration, for ``worst()``."""
+    base = Scenario(protocol, n, t, options=options)
+    return Sweep(base, adversaries=adversaries, seeds=seeds).run()
+
+
+def _standard_adversaries(t: int, *, heavy: bool = True) -> List[AdversarySpec]:
     """The adversary battery used for worst-case aggregation, built from
     declarative specs (the same grammar the CLI and Scenario files use)."""
     specs = [
@@ -54,7 +63,7 @@ def _standard_adversaries(t: int, *, heavy: bool = True) -> List[Callable]:
     ]
     if heavy:
         specs.append(f"kill-active:{t - 1},actions_before_kill=1")
-    return battery(*specs)
+    return specs
 
 
 # =====================================================================
@@ -75,26 +84,25 @@ def _sequential_protocol_experiment(
     seeds = range(3) if quick else range(8)
     rows = []
     for t, n in shapes:
-        aggregate = worst_case(
-            protocol, n, t, _standard_adversaries(t), seeds
-        )
+        results = _sweep(protocol, n, t, _standard_adversaries(t), seeds)
+        worst = results.worst()
         wb, mb, rb = work_bound(n, t), message_bound(n, t), round_bound(n, t)
         rows.append(
             {
                 "t": t,
                 "n": n,
-                "runs": aggregate.executions,
-                "work": aggregate.work,
+                "runs": len(results),
+                "work": worst["work"],
                 "work bound": wb.value,
-                "messages": aggregate.messages,
+                "messages": worst["messages"],
                 "msg bound": mb.value,
-                "rounds": aggregate.rounds,
+                "rounds": worst["rounds"],
                 "round bound": rb.value,
-                "completed": aggregate.all_completed,
+                "completed": results.all_completed,
                 "ok": (
-                    aggregate.all_completed
-                    and wb.holds_for(aggregate.work)
-                    and mb.holds_for(aggregate.messages)
+                    results.all_completed
+                    and wb.holds_for(worst["work"])
+                    and mb.holds_for(worst["messages"])
                 ),
             }
         )
@@ -156,7 +164,8 @@ def experiment_e3(quick: bool = False) -> ExperimentResult:
                 "initial_dead": list(range(t // 2 + 1, t)),
             },
         ]
-        aggregate = worst_case("C", n, t, adversaries, seeds)
+        results = _sweep("C", n, t, adversaries, seeds)
+        worst = results.worst()
         wb = bounds.protocol_c_work(n, t)
         mb = bounds.protocol_c_messages(n, t)
         rb = bounds.protocol_c_rounds(n, t)
@@ -164,19 +173,19 @@ def experiment_e3(quick: bool = False) -> ExperimentResult:
             {
                 "t": t,
                 "n": n,
-                "runs": aggregate.executions,
-                "work": aggregate.work,
+                "runs": len(results),
+                "work": worst["work"],
                 "work bound": wb.value,
-                "messages": aggregate.messages,
+                "messages": worst["messages"],
                 "msg bound": mb.value,
-                "rounds": float(aggregate.rounds),
+                "rounds": float(worst["rounds"]),
                 "round bound": rb.value,
-                "completed": aggregate.all_completed,
+                "completed": results.all_completed,
                 "ok": (
-                    aggregate.all_completed
-                    and wb.holds_for(aggregate.work)
-                    and mb.holds_for(aggregate.messages)
-                    and rb.holds_for(float(aggregate.rounds))
+                    results.all_completed
+                    and wb.holds_for(worst["work"])
+                    and mb.holds_for(worst["messages"])
+                    and rb.holds_for(float(worst["rounds"]))
                 ),
             }
         )
@@ -208,25 +217,27 @@ def experiment_e4(quick: bool = False) -> ExperimentResult:
             None,
             f"random:{max(1, t // 2)},max_action_index=20",
         ]
-        plain = worst_case("C", n, t, adversaries, seeds)
-        batched = worst_case("C-batched", n, t, adversaries, seeds)
+        plain = _sweep("C", n, t, adversaries, seeds)
+        batched = _sweep("C-batched", n, t, adversaries, seeds)
+        plain_msgs = plain.worst()["messages"]
+        batched_worst = batched.worst()
         mb = bounds.protocol_c_batched_messages(n, t)
         wb = bounds.protocol_c_batched_work(n, t)
         rows.append(
             {
                 "t": t,
                 "n": n,
-                "plain msgs": plain.messages,
-                "batched msgs": batched.messages,
+                "plain msgs": plain_msgs,
+                "batched msgs": batched_worst["messages"],
                 "batched bound": mb.value,
-                "batched work": batched.work,
+                "batched work": batched_worst["work"],
                 "work bound": wb.value,
                 "completed": plain.all_completed and batched.all_completed,
                 "ok": (
                     batched.all_completed
-                    and mb.holds_for(batched.messages)
-                    and wb.holds_for(batched.work)
-                    and batched.messages < plain.messages
+                    and mb.holds_for(batched_worst["messages"])
+                    and wb.holds_for(batched_worst["work"])
+                    and batched_worst["messages"] < plain_msgs
                 ),
             }
         )
@@ -421,16 +432,17 @@ def experiment_e8(quick: bool = False) -> ExperimentResult:
         ("C", {}),
         ("D", {}),
     ]:
-        aggregate = worst_case(protocol, n, t, adversaries, seeds, **options)
+        results = _sweep(protocol, n, t, adversaries, seeds, **options)
+        worst = results.worst()
         rows.append(
             {
                 "protocol": protocol,
-                "work": aggregate.work,
-                "messages": aggregate.messages,
-                "effort": aggregate.effort,
-                "rounds": float(aggregate.rounds),
-                "completed": aggregate.all_completed,
-                "ok": aggregate.all_completed,
+                "work": worst["work"],
+                "messages": worst["messages"],
+                "effort": worst["effort"],
+                "rounds": float(worst["rounds"]),
+                "completed": results.all_completed,
+                "ok": results.all_completed,
             }
         )
     effort = {row["protocol"]: row["effort"] for row in rows}
@@ -460,19 +472,20 @@ def experiment_e8(quick: bool = False) -> ExperimentResult:
 def _naive_row(n, t, interval, label, seeds):
     work_target = bounds.protocol_a_work(n, t).value
     msg_target = bounds.protocol_a_messages(n, t).value
-    aggregate = worst_case(
+    results = _sweep(
         "naive", n, t, [f"kill-before-checkpoint:{t - 1}"], seeds, interval=interval
     )
+    worst = results.worst()
     return {
         "scheme": label,
         "t": t,
         "interval": interval,
-        "work": aggregate.work,
-        "messages": aggregate.messages,
-        "effort": aggregate.effort,
-        "work<=3n'": aggregate.work <= work_target,
-        "msgs<=9t^1.5": aggregate.messages <= msg_target,
-        "ok": aggregate.all_completed,
+        "work": worst["work"],
+        "messages": worst["messages"],
+        "effort": worst["effort"],
+        "work<=3n'": worst["work"] <= work_target,
+        "msgs<=9t^1.5": worst["messages"] <= msg_target,
+        "ok": results.all_completed,
     }
 
 
@@ -498,22 +511,21 @@ def experiment_e9(quick: bool = False) -> ExperimentResult:
     intervals = [1, 4, 16, 64, n] if quick else [1, 6, 18, 36, 72, 216, n]
     for interval in intervals:
         rows.append(_naive_row(n, t, interval, f"naive t={t}", seeds))
-    a_aggregate = worst_case(
-        "A", n, t, [f"kill-before-checkpoint:{t - 1}"], seeds
-    )
+    a_results = _sweep("A", n, t, [f"kill-before-checkpoint:{t - 1}"], seeds)
+    a_worst = a_results.worst()
     rows.append(
         {
             "scheme": "A (2-level)",
             "t": t,
             "interval": "-",
-            "work": a_aggregate.work,
-            "messages": a_aggregate.messages,
-            "effort": a_aggregate.effort,
-            "work<=3n'": a_aggregate.work <= work_target,
-            "msgs<=9t^1.5": a_aggregate.messages <= msg_target,
-            "ok": a_aggregate.all_completed
-            and a_aggregate.work <= work_target
-            and a_aggregate.messages <= msg_target,
+            "work": a_worst["work"],
+            "messages": a_worst["messages"],
+            "effort": a_worst["effort"],
+            "work<=3n'": a_worst["work"] <= work_target,
+            "msgs<=9t^1.5": a_worst["messages"] <= msg_target,
+            "ok": a_results.all_completed
+            and a_worst["work"] <= work_target
+            and a_worst["messages"] <= msg_target,
         }
     )
     if not quick:
@@ -606,35 +618,29 @@ def experiment_e11(quick: bool = False) -> ExperimentResult:
     seeds = range(3) if quick else range(6)
     rows = []
     for t, n in shapes:
-        sync_aggregate = worst_case(
+        sync_worst = _sweep(
             "A", n, t, [f"random:{t // 2},max_action_index=25"], seeds
-        )
-        worst_work = 0
-        worst_msgs = 0
-        all_completed = True
+        ).worst()
         crash_times = {pid: 3.0 + 9.0 * pid for pid in range(1, t // 2 + 1)}
         scenario = Scenario(protocol="A-async", n=n, t=t, crash_times=crash_times)
-        for seed in seeds:
-            result = scenario.replace(seed=seed).run()
-            worst_work = max(worst_work, result.metrics.work_total)
-            worst_msgs = max(worst_msgs, result.metrics.messages_total)
-            all_completed = all_completed and result.completed
+        async_results = Sweep(scenario, seeds=seeds).run()
+        async_worst = async_results.worst()
         wb = bounds.protocol_a_work(n, t)
         mb = bounds.protocol_a_messages(n, t)
         rows.append(
             {
                 "t": t,
                 "n": n,
-                "async work": worst_work,
-                "async msgs": worst_msgs,
-                "sync work": sync_aggregate.work,
-                "sync msgs": sync_aggregate.messages,
+                "async work": async_worst["work"],
+                "async msgs": async_worst["messages"],
+                "sync work": sync_worst["work"],
+                "sync msgs": sync_worst["messages"],
                 "work bound": wb.value,
                 "msg bound": mb.value,
-                "completed": all_completed,
-                "ok": all_completed
-                and wb.holds_for(worst_work)
-                and mb.holds_for(worst_msgs),
+                "completed": async_results.all_completed,
+                "ok": async_results.all_completed
+                and wb.holds_for(async_worst["work"])
+                and mb.holds_for(async_worst["messages"]),
             }
         )
     return ExperimentResult(
@@ -775,11 +781,11 @@ def experiment_e17(quick: bool = False) -> ExperimentResult:
                 f"kill-active:{t - 1},actions_before_kill=2",
                 f"random:{t // 2},max_action_index=20",
             ]
-            aggregate = worst_case(protocol, n, t, adversaries, seeds)
-            measured.append(float(aggregate.messages))
+            messages = _sweep(protocol, n, t, adversaries, seeds).worst()["messages"]
+            measured.append(float(messages))
             if protocol in bound_fns and not bound_fns[protocol](
                 n, t
-            ).holds_for(aggregate.messages):
+            ).holds_for(messages):
                 measured[-1] = float("nan")  # flagged below via ok
         series[protocol] = measured
         fit = fit_power_law([float(t) for t in ts], measured)
@@ -897,23 +903,24 @@ def experiment_e15(quick: bool = False) -> ExperimentResult:
             "initial_dead": list(range(t // 2 + 1, t)),
         }
 
-        naive = worst_case("C-naive", n, t, [adversary], range(1))
-        full_c = worst_case("C", n, t, [adversary], range(1))
-        naive_work.append(float(naive.work))
-        c_work.append(float(full_c.work))
+        naive = _sweep("C-naive", n, t, [adversary], range(1))
+        full_c = _sweep("C", n, t, [adversary], range(1))
+        naive_worst, c_worst = naive.worst(), full_c.worst()
+        naive_work.append(float(naive_worst["work"]))
+        c_work.append(float(c_worst["work"]))
         rows.append(
             {
                 "t": t,
                 "n": n,
-                "naive work": naive.work,
-                "naive msgs": naive.messages,
-                "C work": full_c.work,
-                "C msgs": full_c.messages,
+                "naive work": naive_worst["work"],
+                "naive msgs": naive_worst["messages"],
+                "C work": c_worst["work"],
+                "C msgs": c_worst["messages"],
                 "C work bound": bounds.protocol_c_work(n, t).value,
                 "completed": naive.all_completed and full_c.all_completed,
                 "ok": full_c.all_completed
                 and naive.all_completed
-                and full_c.work <= bounds.protocol_c_work(n, t).value,
+                and c_worst["work"] <= bounds.protocol_c_work(n, t).value,
             }
         )
     naive_fit = fit_power_law([float(t) for t in ts], naive_work)
@@ -976,8 +983,8 @@ def experiment_e14(quick: bool = False) -> ExperimentResult:
         ("C", {}),
         ("D", {}),
     ]:
-        aggregate = worst_case(protocol, n, t, adversaries, seeds, **options)
-        profiles[protocol] = (aggregate.work, aggregate.messages)
+        worst = _sweep(protocol, n, t, adversaries, seeds, **options).worst()
+        profiles[protocol] = (worst["work"], worst["messages"])
     rows = []
     winners = set()
     for weight in [0.0, 0.1, 1.0, 10.0, 100.0]:

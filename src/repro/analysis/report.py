@@ -7,8 +7,9 @@ Usage::
     python -m repro.analysis.report --out PATH # write elsewhere
 
 Runs every experiment in the registry and writes a paper-vs-measured
-report.  The benchmark files under ``benchmarks/`` exercise the same
-registry, so the report and the benches can never drift apart.
+report; the exit status is 1 if any paper claim fails.  CI's
+``experiments`` job runs the full grids this way, which is what keeps
+the full-size claims checked.
 """
 
 from __future__ import annotations

@@ -41,6 +41,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import hashlib
+import inspect
 import json
 import multiprocessing
 import sys
@@ -68,7 +69,6 @@ from repro.sim.congestion import (
     normalize_congestion_spec,
 )
 from repro.sim.columnar import FASTPATH_CHOICES
-from repro.sim.engine import Engine
 from repro.sim.failure_detector import FailureDetector
 from repro.sim.specs import normalize_schedule_spec
 from repro.sim.metrics import RunResult
@@ -80,6 +80,10 @@ DEFAULT_MAX_STEPS = 5_000_000
 DEFAULT_MAX_EVENTS = 2_000_000
 
 _FD_FIELDS = ("min_delay", "max_delay")
+
+#: Keywords of :func:`registry.run_protocol` itself: a builder option so
+#: named would bind to the run setting, not reach the builder.
+_RUN_KEYWORDS = frozenset(inspect.signature(registry.run_protocol).parameters)
 
 
 @dataclass
@@ -302,15 +306,7 @@ class Scenario:
         """
         engine_kind = self.resolved_engine
         self._check_engine_fields(engine_kind)
-        entry = registry.get_entry(self.protocol)
-        processes = registry.build_processes(
-            self.protocol, self.n, self.t, **self.options
-        )
-        tracker = WorkTracker(self.n)
         if engine_kind == "sync":
-            strict = self.strict_invariants
-            if strict is None:
-                strict = entry.single_active
             adversary = self.adversary
             if isinstance(adversary, Adversary):
                 # Adversaries are stateful (budgets, countdowns); hand the
@@ -319,19 +315,27 @@ class Scenario:
                 adversary = copy.deepcopy(adversary)
             else:
                 adversary = adversary_from_spec(adversary)
-            engine = Engine(
-                list(processes),
-                tracker=tracker,
+            clash = _RUN_KEYWORDS.intersection(self.options)
+            if clash:
+                raise ConfigurationError(
+                    f"protocol {self.protocol!r} rejected builder option(s) "
+                    f"{sorted(clash)}: they name run settings (scenario fields)"
+                )
+            result = registry.run_protocol(
+                self.protocol,
+                self.n,
+                self.t,
                 adversary=adversary,
                 seed=self.seed,
-                strict_invariants=strict,
+                strict_invariants=self.strict_invariants,
                 allow_total_failure=self.allow_total_failure,
                 max_steps=self.max_steps,
                 max_rounds=self.max_rounds,
                 trace=trace,
                 unit_effect=unit_effect,
-                congestion=congestion_from_spec(self.congestion),
+                congestion=self.congestion,
                 fastpath=self.fastpath,
+                **self.options,
             )
         else:
             if trace is not None or unit_effect is not None:
@@ -339,12 +343,15 @@ class Scenario:
                     "trace/unit_effect are sync-engine observers; the async "
                     "engine does not support them"
                 )
+            processes = registry.build_processes(
+                self.protocol, self.n, self.t, **self.options
+            )
             detector = None
             if self.failure_detector is not None:
                 detector = FailureDetector(**self.failure_detector)
             engine = AsyncEngine(
                 list(processes),
-                tracker=tracker,
+                tracker=WorkTracker(self.n),
                 seed=self.seed,
                 delay_model=delay_model_from_spec(self.delay),
                 failure_detector=detector,
@@ -352,7 +359,7 @@ class Scenario:
                 max_events=self.max_events,
                 congestion=congestion_from_spec(self.congestion),
             )
-        result = engine.run()
+            result = engine.run()
         try:
             config = self.to_dict()
         except ConfigurationError:
@@ -634,18 +641,6 @@ def run_scenarios(
 # =====================================================================
 
 
-def _metrics_row(result: RunResult) -> Dict[str, float]:
-    metrics = result.metrics
-    return {
-        "work": metrics.work_total,
-        "messages": metrics.messages_total,
-        "effort": metrics.effort,
-        "rounds": metrics.retire_round,
-        "redundant_work": metrics.redundant_work(),
-        "crashes": metrics.crashes,
-    }
-
-
 class ResultSet:
     """An ordered collection of ``(scenario, result)`` pairs with the
     paper's aggregation conventions baked in.
@@ -700,7 +695,7 @@ class ResultSet:
     def _reduced(self, reducer) -> Dict[str, float]:
         if not self.entries:
             raise ConfigurationError("cannot reduce an empty ResultSet")
-        rows = [_metrics_row(result) for result in self.results]
+        rows = [result.metrics.measures() for result in self.results]
         return {key: reducer([row[key] for row in rows]) for key in rows[0]}
 
     def worst(self) -> Dict[str, float]:
@@ -758,6 +753,34 @@ class ResultSet:
 
     def to_json(self, *, indent: int = 2) -> str:
         return json.dumps(self.as_dict(), indent=indent, sort_keys=True) + "\n"
+
+
+def is_int(value: Any) -> bool:
+    """True for an integer that is not a bool (JSON ``true`` is an int)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_axis(
+    values: Any, where: str, *, entry=None, expected: str = ""
+) -> Optional[List[Any]]:
+    """Check one grid axis read from a document and return it.
+
+    ``None`` (an absent axis: keep the base scenario's value) passes
+    through; anything else must be a non-empty list whose entries all
+    pass ``entry`` (``expected`` describes a valid entry), or
+    :class:`ConfigurationError` names ``where``.  Shared by
+    :meth:`Sweep.from_dict` and the campaign loader.
+    """
+    if values is None:
+        return None
+    if not isinstance(values, list) or not values:
+        raise ConfigurationError(f"{where} must be a non-empty list, got {values!r}")
+    for value in values:
+        if entry is not None and not entry(value):
+            raise ConfigurationError(
+                f"{where} entries must be {expected}, got {value!r}"
+            )
+    return values
 
 
 @dataclass
@@ -826,9 +849,16 @@ class Sweep:
             )
         return cls(
             base=Scenario.from_dict(data["base"]),
-            seeds=data.get("seeds"),
-            adversaries=data.get("adversaries"),
-            protocols=data.get("protocols"),
+            seeds=check_axis(
+                data.get("seeds"), "sweep 'seeds'", entry=is_int, expected="integers"
+            ),
+            adversaries=check_axis(data.get("adversaries"), "sweep 'adversaries'"),
+            protocols=check_axis(
+                data.get("protocols"),
+                "sweep 'protocols'",
+                entry=lambda value: isinstance(value, str),
+                expected="protocol names",
+            ),
         )
 
     def to_json(self, *, indent: int = 2) -> str:

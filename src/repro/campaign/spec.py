@@ -57,9 +57,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.api import Scenario
+from repro.api import Scenario, check_axis, is_int
 from repro.errors import ConfigurationError
 from repro.sim.adversary import normalize_adversary_spec
+from repro.sim.metrics import MEASURES as PIN_MEASURES
 
 #: The campaign file format version this loader understands.
 CAMPAIGN_FORMAT_VERSION = 1
@@ -68,28 +69,10 @@ CAMPAIGN_FORMAT_VERSION = 1
 #: (seeds vary fastest).
 GRID_AXES = ("protocols", "adversaries", "n", "t", "seeds")
 
-#: Measures a campaign pin may reference (the suite pin vocabulary).
-from repro.suites import PIN_MEASURES  # noqa: E402  (shared vocabulary)
-
 _SPEC_FIELDS = {"campaign", "version", "description", "base", "axes",
                 "chunk_size", "pins"}
 
 DEFAULT_CHUNK_SIZE = 100
-
-
-def _positive_int_list(values: Any, *, where: str) -> List[int]:
-    if not isinstance(values, list) or not values:
-        raise ConfigurationError(
-            f"{where} must be a non-empty list, got {values!r}"
-        )
-    out = []
-    for value in values:
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ConfigurationError(
-                f"{where} entries must be positive integers, got {value!r}"
-            )
-        out.append(value)
-    return out
 
 
 def _seed_list(raw: Any, *, where: str) -> List[int]:
@@ -104,7 +87,7 @@ def _seed_list(raw: Any, *, where: str) -> List[int]:
         start = raw.get("start", 0)
         count = raw.get("count")
         for label, value in (("start", start), ("count", count)):
-            if isinstance(value, bool) or not isinstance(value, int):
+            if not is_int(value):
                 raise ConfigurationError(
                     f"'{label}' of {where} must be an integer, got {value!r}"
                 )
@@ -113,19 +96,7 @@ def _seed_list(raw: Any, *, where: str) -> List[int]:
                 f"'count' of {where} must be at least 1, got {count!r}"
             )
         return list(range(start, start + count))
-    if not isinstance(raw, list) or not raw:
-        raise ConfigurationError(
-            f"{where} must be a non-empty list of integers or a "
-            f"{{'start', 'count'}} range, got {raw!r}"
-        )
-    seeds = []
-    for value in raw:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigurationError(
-                f"{where} entries must be integers, got {value!r}"
-            )
-        seeds.append(value)
-    return seeds
+    return check_axis(raw, where, entry=is_int, expected="integers")
 
 
 def adversary_label(spec: Any) -> str:
@@ -435,27 +406,19 @@ class CampaignSpec:
                 f"'axes' of {where} requires a 'seeds' axis (explicit list "
                 "or {'start', 'count'} range)"
             )
-        protocols = axes.get("protocols")
-        if protocols is not None:
-            if not isinstance(protocols, list) or not all(
-                isinstance(p, str) for p in protocols
-            ):
-                raise ConfigurationError(
-                    f"'protocols' axis of {where} must be a list of names, "
-                    f"got {protocols!r}"
-                )
-        adversaries = axes.get("adversaries")
-        if adversaries is not None and not isinstance(adversaries, list):
-            raise ConfigurationError(
-                f"'adversaries' axis of {where} must be a list of specs, "
-                f"got {adversaries!r}"
-            )
-        n_values = axes.get("n")
-        if n_values is not None:
-            n_values = _positive_int_list(n_values, where=f"'n' axis of {where}")
-        t_values = axes.get("t")
-        if t_values is not None:
-            t_values = _positive_int_list(t_values, where=f"'t' axis of {where}")
+        protocols = check_axis(
+            axes.get("protocols"),
+            f"'protocols' axis of {where}",
+            entry=lambda value: isinstance(value, str),
+            expected="protocol names",
+        )
+        adversaries = check_axis(axes.get("adversaries"), f"'adversaries' axis of {where}")
+        positive = dict(
+            entry=lambda value: is_int(value) and value >= 1,
+            expected="positive integers",
+        )
+        n_values = check_axis(axes.get("n"), f"'n' axis of {where}", **positive)
+        t_values = check_axis(axes.get("t"), f"'t' axis of {where}", **positive)
         pins_raw = data.get("pins", {})
         if not isinstance(pins_raw, dict):
             raise ConfigurationError(

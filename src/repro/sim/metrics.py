@@ -125,6 +125,21 @@ class Metrics:
     def messages_of(self, kind: MessageKind) -> int:
         return self.messages_by_kind.get(kind, 0)
 
+    def measures(self) -> Dict[str, int]:
+        """The six per-run measures the paper's worst-case statements
+        reduce over, keyed by name.  This is the one table of them:
+        :data:`MEASURES`, ``ResultSet.worst()``/``mean()``, the suite and
+        campaign pins and the CLI tables all read it, and
+        :meth:`as_dict` leads with it."""
+        return {
+            "work": self.work_total,
+            "messages": self.messages_total,
+            "effort": self.effort,
+            "rounds": self.retire_round,
+            "redundant_work": self.redundant_work(),
+            "crashes": self.crashes,
+        }
+
     def as_dict(self, *, full: bool = False) -> Dict[str, object]:
         """Flat summary used by tables, benches and EXPERIMENTS.md.
 
@@ -135,12 +150,7 @@ class Metrics:
         it is what tables, ``--json`` and the benchmarks print.
         """
         data: Dict[str, object] = {
-            "work": self.work_total,
-            "messages": self.messages_total,
-            "effort": self.effort,
-            "rounds": self.retire_round,
-            "redundant_work": self.redundant_work(),
-            "crashes": self.crashes,
+            **self.measures(),
             "recoveries": self.recoveries,
             "activations": self.activations,
             "available_processor_steps": self.available_processor_steps,
@@ -282,6 +292,10 @@ class Metrics:
                     "corrupt"
                 )
         return metrics
+
+
+#: Names of the :meth:`Metrics.measures` table, in display order.
+MEASURES = tuple(Metrics().measures())
 
 
 @dataclass(frozen=True)

@@ -66,13 +66,14 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.api import ResultSet, Scenario, Sweep, run_scenarios
 from repro.errors import ConfigurationError
-from repro.sim.metrics import RunResult
+from repro.sim.metrics import MEASURES, RunResult
 
 #: The suite file format version this loader understands.
 SUITE_FORMAT_VERSION = 1
 
-#: Measures a pin may reference: the keys of the worst-case reduction.
-PIN_MEASURES = ("work", "messages", "effort", "rounds", "redundant_work", "crashes")
+#: Measures a pin may reference: the keys of the worst-case reduction
+#: (:meth:`repro.sim.metrics.Metrics.measures`).
+PIN_MEASURES = MEASURES
 
 _SUITE_FIELDS = {"suite", "version", "description", "entries"}
 _ENTRY_FIELDS = {"name", "scenario", "sweep", "pins", "workers"}

@@ -3,8 +3,8 @@
 
 from repro.analysis import bounds
 from repro.analysis.experiments import REGISTRY, experiment_e7, run_experiment
-from repro.analysis.sweep import worst_case
 from repro.analysis.tables import format_number, render_dict_rows, render_table
+from repro.api import Scenario, Sweep
 from repro.sim.adversary import RandomCrashes
 
 # ---- bounds ----------------------------------------------------------------
@@ -65,18 +65,17 @@ def test_render_dict_rows_missing_values():
 
 
 def test_worst_case_aggregates_maxima():
-    aggregate = worst_case(
-        "A",
-        32,
-        8,
-        [lambda: None, lambda: RandomCrashes(4, max_action_index=10)],
-        range(2),
-    )
-    assert aggregate.executions == 4
-    assert aggregate.all_completed
-    assert aggregate.work >= 32
-    row = aggregate.as_row()
-    assert row["protocol"] == "A" and row["runs"] == 4
+    results = Sweep(
+        Scenario("A", 32, 8),
+        adversaries=[None, RandomCrashes(4, max_action_index=10)],
+        seeds=range(2),
+    ).run()
+    assert len(results) == 4
+    assert results.all_completed
+    worst = results.worst()
+    assert worst["work"] >= 32
+    for measure, value in worst.items():
+        assert value == max(r.metrics.measures()[measure] for r in results.results)
 
 
 # ---- experiment registry -----------------------------------------------------------

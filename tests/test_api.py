@@ -224,6 +224,13 @@ def test_fastpath_round_trips_and_default_stays_implicit():
     assert "fastpath" not in Scenario(protocol="a", n=8, t=2).to_dict()
 
 
+def test_builder_option_named_like_a_run_setting_is_rejected():
+    for name in ("seed", "adversary", "fastpath", "name", "n"):
+        scenario = Scenario(protocol="a", n=8, t=2, options={name: 1})
+        with pytest.raises(ConfigurationError, match="rejected builder option"):
+            scenario.run()
+
+
 def test_fastpath_is_a_sync_engine_knob():
     with pytest.raises(ConfigurationError, match="sync"):
         Scenario(protocol="A-async", n=8, t=2, fastpath="off").run()
@@ -309,6 +316,26 @@ def test_sweep_serialization_round_trip():
     assert [s.to_dict() for s in revived.scenarios()] == [
         s.to_dict() for s in sweep.scenarios()
     ]
+
+
+@pytest.mark.parametrize(
+    "axes, field",
+    [
+        ({"seeds": 3}, "seeds"),
+        ({"seeds": "12"}, "seeds"),  # a string would iterate as '1', '2'
+        ({"seeds": []}, "seeds"),
+        ({"seeds": [1, True]}, "seeds"),
+        ({"seeds": [1.5]}, "seeds"),
+        ({"protocols": "AB"}, "protocols"),  # would run protocols A and B
+        ({"protocols": []}, "protocols"),
+        ({"protocols": ["a", 7]}, "protocols"),
+        ({"adversaries": "random:1"}, "adversaries"),
+        ({"adversaries": []}, "adversaries"),
+    ],
+)
+def test_sweep_from_dict_rejects_malformed_axes(axes, field):
+    with pytest.raises(ConfigurationError, match=f"sweep '{field}'"):
+        Sweep.from_dict({"base": {"protocol": "a", "n": 8, "t": 2}, **axes})
 
 
 def test_package_exports_scenario_surface():

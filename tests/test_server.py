@@ -4,6 +4,8 @@ the duplicate-submission single-execution guarantee."""
 
 import json
 import threading
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -202,6 +204,21 @@ def test_stats_and_manifest_shapes(client):
     assert about["service"] == "repro-serve"
     assert "a" in about["protocols"]
     assert any(endpoint.startswith("POST /jobs") for endpoint in about["endpoints"])
+
+
+def test_malformed_sweep_axis_is_a_400_naming_the_field(server):
+    document = {"sweep": {"base": {"protocol": "A", "n": 32, "t": 4}, "seeds": 3}}
+    request = urllib.request.Request(
+        server.url + "/jobs",
+        data=json.dumps(document).encode("utf-8"),
+        headers={"Content-Type": "application/json"},
+    )
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        urllib.request.urlopen(request, timeout=30.0)
+    assert excinfo.value.code == 400
+    error = json.loads(excinfo.value.read())["error"]
+    assert error["type"] == "ConfigurationError"
+    assert "sweep 'seeds'" in error["message"]
 
 
 # ---- wire-format helpers ----------------------------------------------------
