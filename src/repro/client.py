@@ -1,6 +1,6 @@
 """Client API for the ``repro serve`` run server.
 
-Stdlib-only (``urllib``).  The client speaks the wire format documented
+Stdlib-only (``http.client``).  The client speaks the wire format documented
 in ``docs/serve.md`` and rehydrates every served result through
 :meth:`~repro.sim.metrics.RunResult.from_dict`, so remote callers get
 the *same objects* in-process callers do - bit-identical metrics, same
@@ -18,9 +18,18 @@ transport failures, timeouts and 5xx raise
 :class:`~repro.errors.ServerError`.  A job that *failed on the server*
 re-raises its recorded error type the same way.
 
-Transient *connection* failures (refused, reset, DNS hiccups - anything
-``urllib`` surfaces as a ``URLError`` without an HTTP status) are
-retried with a bounded, deterministic backoff schedule before
+Transport: each thread using a ``Client`` holds one persistent HTTP/1.1
+connection to the server and sends every request over it, so a
+closed-loop caller pays one TCP connect, not one per request.  A
+request that fails on a *reused* connection before any response
+arrives (the server closed it while idle, or restarted) is re-sent once
+on a fresh connection, without sleeping and without spending an
+attempt.  Re-sending is safe: submissions are content-addressed and
+coalesced, so a scenario still runs at most once.
+
+Transient *connection* failures (refused, reset, timeouts, DNS hiccups
+- any ``OSError`` without an HTTP status) are retried with a bounded,
+deterministic backoff schedule before
 :class:`~repro.errors.ServerError` is raised: ``attempts`` tries total,
 sleeping ``backoff * 2**i`` between them (default 4 tries: 0.05s, 0.1s,
 0.2s).  Long-running campaigns polling a shared serve instance survive
@@ -40,12 +49,13 @@ any single client stays reproducible.
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
+import threading
 import time
-import urllib.error
-import urllib.request
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
+from urllib.parse import urlsplit
 
 from repro.api import ResultSet, Scenario, Sweep
 from repro.errors import ConfigurationError, ServerError
@@ -91,6 +101,21 @@ def _wire_document(document: Document) -> Dict[str, Any]:
     return {"scenario": document}
 
 
+class _IdleConnection:
+    """One thread's idle connection to the server.  It is closed when the
+    thread ends or the client is collected, instead of being left for the
+    garbage collector to find open."""
+
+    __slots__ = ("connection",)
+
+    def __init__(self):
+        self.connection = None
+
+    def __del__(self):
+        if self.connection is not None:
+            self.connection.close()
+
+
 class Client:
     """HTTP client for one run server; see the module docstring."""
 
@@ -132,6 +157,19 @@ class Client:
                 f"client jitter must be a fraction in [0, 1], got {jitter!r}"
             )
         self.base_url = base_url.rstrip("/")
+        split = urlsplit(self.base_url)
+        if split.scheme not in ("http", "https") or not split.netloc:
+            raise ConfigurationError(
+                f"server URL must look like http://HOST:PORT, got {base_url!r}"
+            )
+        self._connection_class = (
+            http.client.HTTPSConnection
+            if split.scheme == "https"
+            else http.client.HTTPConnection
+        )
+        self._netloc = split.netloc
+        self._prefix = split.path
+        self._local = threading.local()  # .idle: this thread's _IdleConnection
         self.timeout = timeout
         self.attempts = attempts
         self.backoff = backoff
@@ -155,14 +193,62 @@ class Client:
             return delay
         return delay * (1.0 + self.jitter * self._jitter_rng.random())
 
+    def _connect(self) -> http.client.HTTPConnection:
+        """A new connection to the server; it connects on its first
+        request.  The transport seam: tests script it."""
+        return self._connection_class(self._netloc, timeout=self.timeout)
+
+    def _send_on(self, connection, method: str, path: str, body, headers):
+        """Send one request on ``connection`` and read its status line
+        and headers; a failure closes the connection."""
+        try:
+            connection.request(method, self._prefix + path, body, headers)
+            return connection.getresponse()
+        except BaseException:
+            connection.close()
+            raise
+
+    def _exchange(
+        self, method: str, path: str, body: Optional[bytes], headers: Dict[str, str]
+    ) -> Tuple[int, Optional[str], bytes]:
+        """One request over this thread's connection: ``(status,
+        Retry-After, body)``.  The body is read in full, so the
+        connection stays usable for the next request."""
+        idle = getattr(self._local, "idle", None)
+        if idle is None:
+            idle = self._local.idle = _IdleConnection()
+        # Held again only once an answer was read in full.
+        connection, idle.connection = idle.connection, None
+        if connection is None:
+            connection = self._connect()
+            response = self._send_on(connection, method, path, body, headers)
+        else:
+            try:
+                response = self._send_on(connection, method, path, body, headers)
+            except (BrokenPipeError, ConnectionResetError):
+                # The server closed the idle connection (idle timeout,
+                # restart) and answered nothing: re-send once on a fresh
+                # one, with no sleep and no attempt spent.
+                connection = self._connect()
+                response = self._send_on(connection, method, path, body, headers)
+        try:
+            data = response.read()
+        except BaseException:
+            connection.close()
+            raise
+        if response.will_close:
+            connection.close()
+        else:
+            idle.connection = connection
+        return response.status, response.getheader("Retry-After"), data
+
     def _request(
         self, path: str, payload: Optional[Dict[str, Any]] = None
     ) -> Dict[str, Any]:
-        url = self.base_url + path
-        data = None
-        headers = {}
+        method, body, headers = "GET", None, {}
         if payload is not None:
-            data = json.dumps(payload).encode("utf-8")
+            method = "POST"
+            body = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
         delays = self._retry_delays()
         last_reason: Any = None
@@ -195,32 +281,27 @@ class Client:
                     continue
                 if mode == "slow":
                     self._sleep(CHAOS_SLOW_SECONDS)
-            request = urllib.request.Request(url, data=data, headers=headers)
             try:
-                with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                    return json.loads(response.read().decode("utf-8"))
-            except urllib.error.HTTPError as exc:
-                if exc.code in RETRYABLE_HTTP_STATUSES:
-                    # Transient server-side condition: drain the body,
-                    # honor Retry-After (429), and retry on schedule.
-                    last_reason = f"HTTP {exc.code}"
-                    retry_after = exc.headers.get("Retry-After")
-                    if exc.code == 429 and retry_after is not None:
-                        try:
-                            next_delay = max(0.0, float(retry_after))
-                        except ValueError:
-                            pass
+                status, retry_after, data = self._exchange(method, path, body, headers)
+            except OSError as exc:
+                last_reason = exc
+                continue
+            if status in RETRYABLE_HTTP_STATUSES:
+                # Transient server-side condition: honor Retry-After
+                # (429) and retry on schedule.
+                last_reason = f"HTTP {status}"
+                if status == 429 and retry_after is not None:
                     try:
-                        exc.read()
-                    except Exception:
+                        next_delay = max(0.0, float(retry_after))
+                    except ValueError:
                         pass
-                    continue
+                continue
+            if status >= 300:
                 # Any other HTTP status is a real answer, not a
                 # transport hiccup - never retried.
-                self._raise_http_error(exc)
-            except urllib.error.URLError as exc:
-                last_reason = exc.reason
-                continue
+                self._raise_http_error(status, data)
+            try:
+                return json.loads(data.decode("utf-8"))
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ServerError(
                     f"repro server at {self.base_url} sent a non-JSON response: {exc}"
@@ -239,15 +320,15 @@ class Client:
             f"{last_reason}"
         )
 
-    def _raise_http_error(self, exc: urllib.error.HTTPError) -> None:
+    def _raise_http_error(self, status: int, body: bytes) -> None:
         try:
-            error = json.loads(exc.read().decode("utf-8")).get("error", {})
+            error = json.loads(body.decode("utf-8")).get("error", {})
         except Exception:
             error = {}
-        message = error.get("message") or f"HTTP {exc.code}"
-        if exc.code == 400 and error.get("type") == "ConfigurationError":
-            raise ConfigurationError(message) from exc
-        raise ServerError(f"server returned HTTP {exc.code}: {message}") from exc
+        message = error.get("message") or f"HTTP {status}"
+        if status == 400 and error.get("type") == "ConfigurationError":
+            raise ConfigurationError(message)
+        raise ServerError(f"server returned HTTP {status}: {message}")
 
     # ---- the job protocol --------------------------------------------
 

@@ -10,6 +10,7 @@ guarantees, and :mod:`repro.client` for the matching client API.
 """
 
 from repro.server.app import (
+    IDLE_TIMEOUT_SECONDS,
     MAX_BODY_BYTES,
     MAX_WAIT_SECONDS,
     RateLimiter,
@@ -26,6 +27,7 @@ from repro.server.jobs import (
 
 __all__ = [
     "DOCUMENT_KINDS",
+    "IDLE_TIMEOUT_SECONDS",
     "JOB_STATES",
     "MAX_BODY_BYTES",
     "MAX_WAIT_SECONDS",

@@ -38,6 +38,7 @@ errors so long-polls return promptly - and returns the drain report.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -54,6 +55,10 @@ from repro.server.jobs import JobStore, scenarios_from_document
 #: Ceiling on ``?wait=`` long-polls, so a stuck client cannot pin a
 #: handler thread forever.
 MAX_WAIT_SECONDS = 30.0
+
+#: Seconds a keep-alive connection may sit idle (or stall mid-request)
+#: before the server closes it and frees its handler thread.
+IDLE_TIMEOUT_SECONDS = 60.0
 
 #: Default cap on submission bodies; override per server with
 #: ``max_body_bytes=``.
@@ -146,19 +151,83 @@ class _ServerState:
 
 
 class _ThreadingServer(ThreadingHTTPServer):
+    """One handler thread per persistent connection, plus the
+    bookkeeping :meth:`ReproServer.shutdown` needs to close the
+    connections that sit idle between requests."""
+
     daemon_threads = True
     # Concurrent duplicate submissions arrive in bursts; the default
     # accept backlog of 5 drops connections under load.
     request_queue_size = 128
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.connections = 0  # accepted TCP connections, lifetime
+        self._lock = threading.Lock()
+        self._idle = set()  # sockets waiting for their next request
+        self._closing = False
+
+    def process_request(self, request, client_address):
+        with self._lock:
+            self.connections += 1
+        super().process_request(request, client_address)
+
+    def park(self, connection) -> bool:
+        """Mark ``connection`` idle; False once idle connections are
+        being closed (its handler should stop)."""
+        with self._lock:
+            if not self._closing:
+                self._idle.add(connection)
+            return not self._closing
+
+    def unpark(self, connection) -> None:
+        with self._lock:
+            self._idle.discard(connection)
+
+    def close_idle(self) -> None:
+        """Close every idle connection and every one that goes idle
+        from now on; a handler blocked reading its next request sees
+        end-of-file and exits."""
+        with self._lock:
+            self._closing = True
+            idle, self._idle = self._idle, set()
+        for connection in idle:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the peer already hung up
 
 
 def _make_handler(store: JobStore, state: _ServerState):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
         server_version = f"repro-serve/{repro.__version__}"
+        # Headers and body go out as two writes; without TCP_NODELAY a
+        # keep-alive peer waits out a delayed ACK (~40 ms) per request.
+        disable_nagle_algorithm = True
+        timeout = IDLE_TIMEOUT_SECONDS
+        # True while a POST body is still unread on the socket: a
+        # response sent then closes the connection, or the body would
+        # be parsed as the next request.
+        body_pending = False
 
         def log_message(self, format, *args):  # noqa: A002 - stdlib signature
             pass  # request logging is the CLI's choice, not the handler's
+
+        # ---- connection lifecycle ------------------------------------
+
+        def handle_one_request(self) -> None:
+            if not self.server.park(self.connection):
+                self.close_connection = True  # shutting down
+                return
+            try:
+                super().handle_one_request()
+            finally:
+                self.server.unpark(self.connection)
+
+        def parse_request(self) -> bool:
+            self.server.unpark(self.connection)  # a request line arrived
+            return super().parse_request()
 
         # ---- plumbing ------------------------------------------------
 
@@ -174,6 +243,8 @@ def _make_handler(store: JobStore, state: _ServerState):
             self.send_header("Content-Length", str(len(body)))
             for name, value in (headers or {}).items():
                 self.send_header(name, value)
+            if self.body_pending or self.close_connection:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
 
@@ -209,6 +280,7 @@ def _make_handler(store: JobStore, state: _ServerState):
                 )
                 return None
             raw = self.rfile.read(length)
+            self.body_pending = False
             try:
                 return json.loads(raw.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -253,6 +325,7 @@ def _make_handler(store: JobStore, state: _ServerState):
                     payload = store.stats()
                     if state.limiter is not None:
                         payload["throttled"] = state.limiter.throttled
+                    payload["connections"] = self.server.connections
                     if state.chaos is not None:
                         payload["chaos"] = state.chaos.log.as_dict()
                         payload["chaos"].pop("events", None)  # counters only
@@ -266,9 +339,11 @@ def _make_handler(store: JobStore, state: _ServerState):
             except BrokenPipeError:
                 pass  # client hung up mid-response
             except Exception as exc:  # never leak a traceback to the wire
+                self.close_connection = True  # the stream may be mid-response
                 self._error(500, type(exc).__name__, str(exc))
 
         def do_POST(self) -> None:  # noqa: N802 - stdlib naming
+            self.body_pending = True
             try:
                 url = urlsplit(self.path)
                 if url.path.rstrip("/") != "/jobs":
@@ -320,6 +395,7 @@ def _make_handler(store: JobStore, state: _ServerState):
             except BrokenPipeError:
                 pass
             except Exception as exc:
+                self.close_connection = True
                 self._error(500, type(exc).__name__, str(exc))
 
         def _get_job(self, job_id: str, query: str) -> None:
@@ -498,8 +574,9 @@ class ReproServer:
         2. finish (or quarantine) every in-flight execution and resolve
            stragglers with typed errors, so blocked long-polls return
            promptly instead of timing out;
-        3. stop the accept loop and close the socket (handler threads
-           finish their in-flight responses first);
+        3. stop the accept loop, close the keep-alive connections that
+           sit idle (a busy one closes after its in-flight response)
+           and close the listening socket;
         4. return the drain report (``leaked_keys``/``leaked_jobs`` are
            empty on a clean drain; completed work is already journaled -
            cache appends flush per write).
@@ -509,6 +586,7 @@ class ReproServer:
         self._state.draining = True
         report = self.store.drain()
         self._http.shutdown()
+        self._http.close_idle()
         self._http.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
@@ -536,6 +614,7 @@ def serve(
 
 
 __all__ = [
+    "IDLE_TIMEOUT_SECONDS",
     "MAX_BODY_BYTES",
     "MAX_WAIT_SECONDS",
     "RateLimiter",
