@@ -160,10 +160,6 @@ class ProtocolDProcess(AgreementProcess):
         inboxes, self._buffer = self._buffer, []
         return self._agree_round(round_number, inboxes, self.phase_index)
 
-    def _field_widths(self) -> Tuple[int, int]:
-        # Units are 1..n (bit n set => bit_length n+1); pids are 0..t-1.
-        return (self.n + 64) >> 6, max(1, (self.t + 63) >> 6)
-
     # ---- work rounds ---------------------------------------------------------
 
     def _work_round(self, round_number: int) -> Action:

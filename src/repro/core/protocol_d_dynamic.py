@@ -160,10 +160,6 @@ class DynamicProtocolDProcess(AgreementProcess):
         # laggard's stale cycle fails the key filter, arrivals re-sync it.
         return self._agree_round(round_number, [inbox], self._cycle_start)
 
-    def _field_widths(self) -> Tuple[int, int, int]:
-        width_n = (max(self.schedule.units, default=0) + 64) >> 6
-        return width_n, width_n, max(1, (self.t + 63) >> 6)
-
     # ---- agreement sub-phase --------------------------------------------------
 
     def _enter_agree(self, round_number: int) -> None:

@@ -278,6 +278,19 @@ class ColumnarMailboxes:
         """Retirement: drop everything currently queued for ``pid``."""
         self._cursor[pid] = self._count
 
+    def stamp_window(self, row: int) -> range:
+        """Every row stamped like ``row``, whoever it addresses.
+
+        Rows are appended at non-decreasing stamps, so the rows of one
+        stamp are one contiguous range of row ids.
+        """
+        sent = self._sent[: self._count]
+        stamp = sent[row]
+        return range(
+            int(np.searchsorted(sent, stamp, side="left")),
+            int(np.searchsorted(sent, stamp, side="right")),
+        )
+
     # ---- payloads and materialisation --------------------------------
 
     def payload(self, payload_id: int) -> Any:
@@ -311,9 +324,9 @@ class ColumnarMailboxes:
         """Fetch-or-create a protocol-owned decoded-payload cache.
 
         The store is shared by every process of a run, so fields decoded
-        into a cache (e.g. the agreement fold's per-payload key, flag and
-        view word rows) are computed once per payload id instead of once
-        per delivered copy.
+        into a cache (e.g. the agreement fold's per-payload key and flag)
+        are computed once per payload id instead of once per delivered
+        copy.
         """
         cache = self._caches.get(name)
         if cache is None:

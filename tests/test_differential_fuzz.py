@@ -13,6 +13,9 @@ cascade-neighbours, congestion budgets included) and runs each twice,
 A second, fixed slice draws D-family configs with ``t`` in 65..130: the
 sizes where ``fastpath="auto"`` picks the columnar store, and where
 recipient masks and decoded pid sets span more than one uint64 word.
+A third, fixed slice draws D and D-recovery configs with ``n`` in
+65..300 as well, so both of Protocol D's view fields (outstanding units
+and known-correct pids) span more than one word in the agreement fold.
 
 On failure the reproducer ``Scenario`` JSON is printed in the assertion
 message and written to ``fuzz-reproducer.json`` (the CI fuzz-smoke step
@@ -50,6 +53,10 @@ REPRODUCER_PATH = Path("fuzz-reproducer.json")
 #: The multi-word slice: a fixed seed and size, independent of the knobs.
 WIDE_SEED = 12
 WIDE_COUNT = 12
+
+#: The multi-word view slice (units and pids both past one word).
+WIDE_VIEWS_SEED = 15
+WIDE_VIEWS_COUNT = 8
 
 #: Every sync protocol in the registry (the async engine has no
 #: fastpath; Scenario rejects the field there, which test_api covers).
@@ -106,12 +113,20 @@ def _adversary_for(rng: random.Random, protocol: str, t: int):
     }
 
 
-def _random_config(rng: random.Random, wide: bool = False) -> dict:
-    if wide:
+def _random_config(rng: random.Random, sizes: str = "small") -> dict:
+    """One random config of a slice: ``sizes`` is ``"small"`` (every
+    sync protocol), ``"wide"`` (multi-word pid masks) or ``"wide_views"``
+    (multi-word pid and unit sets)."""
+    if sizes == "wide_views":
+        protocol = rng.choice(("D", "D-recovery"))
+        t = rng.randint(65, 130)
+        n = rng.randint(65, 300)
+    elif sizes == "wide":
         protocol = rng.choice(("D", "D-dynamic", "D-recovery"))
         t = rng.randint(65, 130)
         n = rng.randint(8, 64)
     else:
+        assert sizes == "small", sizes
         protocol = rng.choice(PROTOCOLS)
         # C's deadlines are exponential in n + t; keep its universe tiny
         # so the suite stays fast (fast-forward keeps the wall time
@@ -210,5 +225,11 @@ def test_differential_fuzz_fastpath_bit_identical():
 
 def test_multi_word_masks_fastpath_bit_identical():
     rng = random.Random(WIDE_SEED)
-    configs = [_random_config(rng, wide=True) for _ in range(WIDE_COUNT)]
+    configs = [_random_config(rng, "wide") for _ in range(WIDE_COUNT)]
     assert _assert_paths_agree(WIDE_SEED, configs) == WIDE_COUNT
+
+
+def test_multi_word_views_fastpath_bit_identical():
+    rng = random.Random(WIDE_VIEWS_SEED)
+    configs = [_random_config(rng, "wide_views") for _ in range(WIDE_VIEWS_COUNT)]
+    assert _assert_paths_agree(WIDE_VIEWS_SEED, configs) == WIDE_VIEWS_COUNT
