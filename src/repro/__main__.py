@@ -66,15 +66,6 @@ Subcommands:
   ``compact`` rewrites an append-only journal to its live entries
   (atomically), dropping dead lines left by re-stores and evictions.
 
-* ``bench`` - commit-stamped bench history (see ``docs/perf.md``)::
-
-      python -m repro bench snapshot --label pr8
-      python -m repro bench timeline --measure seconds_best
-
-  ``snapshot`` copies ``BENCH_engine.json`` into
-  ``benchmarks/history/NNNN_<commit>.json``; ``timeline`` pivots every
-  snapshot into per-scenario trend tables across the PR series.
-
 * ``suite`` - versioned, regression-pinned scenario suites (see
   ``docs/suites.md``)::
 
@@ -652,25 +643,6 @@ def _cmd_cache_verify(args) -> int:
     return 0 if audit["ok"] else 1
 
 
-def _cmd_bench_snapshot(args) -> int:
-    from repro.bench_history import snapshot
-
-    path = snapshot(args.bench, args.dir, label=args.label)
-    print(f"wrote {path}")
-    return 0
-
-
-def _cmd_bench_timeline(args) -> int:
-    from repro.bench_history import timeline
-
-    line = timeline(args.dir)
-    if args.json:
-        print(json.dumps(line.as_dict(measure=args.measure), indent=2, sort_keys=True))
-        return 0
-    print(line.table(measure=args.measure))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="Do-All protocols from Dwork-Halpern-Waarts 1992"
@@ -1154,54 +1126,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="emit the audit as JSON"
     )
     cache_verify_p.set_defaults(func=_cmd_cache_verify)
-
-    bench_p = sub.add_parser(
-        "bench", help="commit-stamped bench history (see docs/perf.md)"
-    )
-    bench_sub = bench_p.add_subparsers(dest="bench_command", required=True)
-    bench_snapshot_p = bench_sub.add_parser(
-        "snapshot", help="record BENCH_engine.json as the next history snapshot"
-    )
-    bench_snapshot_p.add_argument(
-        "--bench",
-        default="BENCH_engine.json",
-        metavar="PATH",
-        help="bench report to snapshot (from benchmarks/run_bench.py)",
-    )
-    bench_snapshot_p.add_argument(
-        "--dir",
-        default="benchmarks/history",
-        metavar="DIR",
-        help="history directory",
-    )
-    bench_snapshot_p.add_argument(
-        "--label",
-        default=None,
-        help="column label for the timeline (default: the commit hash)",
-    )
-    bench_snapshot_p.set_defaults(func=_cmd_bench_snapshot)
-
-    bench_timeline_p = bench_sub.add_parser(
-        "timeline", help="per-scenario trend tables across bench snapshots"
-    )
-    bench_timeline_p.add_argument(
-        "--dir",
-        default="benchmarks/history",
-        metavar="DIR",
-        help="history directory",
-    )
-    bench_timeline_p.add_argument(
-        "--measure",
-        default="seconds_best",
-        help="bench measure to pivot on (seconds_best, work, messages, "
-        "virtual_rounds)",
-    )
-    bench_timeline_p.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the machine-readable timeline instead of the table",
-    )
-    bench_timeline_p.set_defaults(func=_cmd_bench_timeline)
     return parser
 
 

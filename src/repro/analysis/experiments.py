@@ -528,6 +528,16 @@ def experiment_e9(quick: bool = False) -> ExperimentResult:
             and a_worst["messages"] <= msg_target,
         }
     )
+    # Intervals ascend: the densest naive row must blow the message bound,
+    # the sparsest the work bound, and A must beat every one on effort.
+    dense, *_, sparse, a_row = rows
+    shape_ok = (
+        not dense["msgs<=9t^1.5"]
+        and not sparse["work<=3n'"]
+        and a_row["effort"] < min(row["effort"] for row in rows[:-1])
+    )
+    for row in rows:
+        row["ok"] = bool(row["ok"]) and shape_ok
     if not quick:
         # The large-t instance where no interval can meet both bounds:
         # intervals 7 and 8 straddle the constraint crossover.
@@ -692,6 +702,11 @@ def experiment_e12(quick: bool = False) -> ExperimentResult:
                 "ok": result.completed,
             }
         )
+    # Thresholds ascend, so "more eagerly" means the flags never fall.
+    reverted_flags = [row["reverted"] for row in rows]
+    shape_ok = reverted_flags == sorted(reverted_flags)
+    for row in rows:
+        row["ok"] = bool(row["ok"]) and shape_ok
     return ExperimentResult(
         exp_id="E12",
         title=f"Protocol D reversion-threshold ablation (n={n}, t={t}, {f} first-phase kills)",
@@ -799,6 +814,7 @@ def experiment_e17(quick: bool = False) -> ExperimentResult:
         exponents["C"] + 0.3 < exponents["A"]
         and exponents["C"] + 0.3 < exponents["B"]
         and exponents["A"] + 0.3 < exponents["D"]
+        and exponents["B"] + 0.3 < exponents["D"]
     )
     for row in rows:
         row["ok"] = shape_ok
@@ -994,10 +1010,11 @@ def experiment_e14(quick: bool = False) -> ExperimentResult:
         row = {"msg weight": weight, "winner": winner}
         for name, (work, messages) in sorted(profiles.items()):
             row[name] = model.effort_of(work, messages)
-        row["ok"] = True
         rows.append(row)
+    heaviest = max(rows, key=lambda row: row["msg weight"])
+    shape_ok = len(winners) >= 2 and heaviest["winner"] == "replicate"
     for row in rows:
-        row["ok"] = len(winners) >= 2
+        row["ok"] = shape_ok
     return ExperimentResult(
         exp_id="E14",
         title=f"Weighted effort: who is optimal depends on the cost model (n={n}, t={t})",

@@ -114,20 +114,20 @@ def test_crash_mid_broadcast_delivers_strict_subset_sometimes():
 def test_kill_before_checkpoint_loses_the_interval():
     from repro.sim.adversary import KillBeforeCheckpoint
 
-    n, t = 60, 6
-    interval = 20
-    result = run_protocol(
-        "naive",
-        n,
-        t,
-        interval=interval,
-        adversary=KillBeforeCheckpoint(t - 1),
-        seed=0,
-    )
-    assert result.completed
-    # Every kill fires at the first broadcast attempt: exactly one full
-    # interval of work is lost per crash.
-    assert result.metrics.work_total == n + (t - 1) * interval
+    # The second shape's sparse checkpoints blow the 3n work bound.
+    for n, t, interval in [(60, 6, 20), (1296, 36, 648)]:
+        result = run_protocol(
+            "naive",
+            n,
+            t,
+            interval=interval,
+            adversary=KillBeforeCheckpoint(t - 1),
+            seed=0,
+        )
+        assert result.completed
+        # Every kill fires at the first broadcast attempt: exactly one full
+        # interval of work is lost per crash.
+        assert result.metrics.work_total == n + (t - 1) * interval
 
 
 def test_kill_before_checkpoint_budget_respected():

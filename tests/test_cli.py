@@ -343,32 +343,3 @@ def test_cache_verify_verb(tmp_path, capsys):
     assert audit["ok"] is False
 
     assert main(["cache", "verify", str(tmp_path / "absent.jsonl")]) == 2
-
-
-def test_bench_snapshot_and_timeline_verbs(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("REPRO_COMMIT", "cli01")
-    bench = tmp_path / "bench.json"
-    bench.write_text(json.dumps({
-        "suite": "engine",
-        "scenarios": [{
-            "name": "A_small", "completed": True,
-            "seconds_best": 0.5, "work": 10, "messages": 5,
-            "virtual_rounds": 3,
-        }],
-    }))
-    history = tmp_path / "history"
-    assert main(
-        ["bench", "snapshot", "--bench", str(bench), "--dir", str(history)]
-    ) == 0
-    assert "0001_cli01.json" in capsys.readouterr().out
-    assert main(["bench", "timeline", "--dir", str(history)]) == 0
-    assert "A_small" in capsys.readouterr().out
-    assert main(
-        ["bench", "timeline", "--dir", str(history), "--measure", "work",
-         "--json"]
-    ) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["scenarios"]["A_small"] == [10]
-    assert main(
-        ["bench", "timeline", "--dir", str(history), "--measure", "bogus"]
-    ) == 2
