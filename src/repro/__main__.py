@@ -488,10 +488,10 @@ def _cmd_campaign_plan(args) -> int:
     for axis in ("protocols", "adversaries", "n", "t"):
         values = summary["axes"][axis]
         print(f"  {axis}: {', '.join(str(v) for v in values)}")
-    print(f"  seeds: {len(spec.seeds)}")
+    print(f"  seeds: {summary['axes']['seeds']}")
     print(
         f"  {summary['runs']} runs = {summary['cells']} cells x "
-        f"{len(spec.seeds)} seeds, in {summary['chunks']} chunks of "
+        f"{summary['axes']['seeds']} seeds, in {summary['chunks']} chunks of "
         f"<= {spec.chunk_size}"
     )
     if spec.pins:

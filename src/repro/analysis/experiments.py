@@ -1,9 +1,10 @@
 """The experiment registry: one runner per quantitative claim of the paper.
 
-Each experiment function reproduces one theorem/claim (see DESIGN.md's
-per-experiment index), returning paper-bound-vs-measured rows.  An
-adversary battery runs as a :class:`~repro.api.Sweep` and is reduced
-with ``ResultSet.worst()``, the package's one worst-case reducer.
+Each experiment function reproduces one theorem/claim (:data:`REGISTRY`
+at the bottom of this module is the per-experiment index), returning
+paper-bound-vs-measured rows.  An adversary battery runs as a
+:class:`~repro.api.Sweep` and is reduced with ``ResultSet.worst()``,
+the package's one worst-case reducer.
 ``python -m repro.analysis.report`` runs them all, regenerates
 EXPERIMENTS.md and exits 1 if any claim fails; CI's ``experiments`` job
 runs it on the full grids.
@@ -22,6 +23,7 @@ from typing import Callable, Dict, List
 
 from repro.agreement.byzantine import ByzantineAgreement
 from repro.analysis import bounds
+from repro.analysis.verify import protocol_d_reverted
 from repro.api import ResultSet, Scenario, Sweep
 from repro.core.registry import run_protocol
 from repro.sim.adversary import (
@@ -310,16 +312,8 @@ def experiment_e6(quick: bool = False) -> ExperimentResult:
     f = t // 2 + 2  # more than half die in the first phase -> reversion
     adversary = StaggeredWorkKills.plan([(pid, 1) for pid in range(f)])
     result = run_protocol("D", n, t, adversary=adversary, seed=5)
-    reverted = any(
-        getattr(p, "reverted", False)
-        for p in []  # placeholder; checked via messages below
-    )
     metrics = result.metrics
-    from repro.sim.actions import MessageKind
-
-    reverted = metrics.messages_of(MessageKind.PARTIAL_CHECKPOINT) > 0 or (
-        metrics.messages_of(MessageKind.FULL_CHECKPOINT) > 0
-    )
+    reverted = protocol_d_reverted(metrics)
     wb = bounds.protocol_d_reverted_work(n, t, f)
     mb = bounds.protocol_d_reverted_messages(n, t, f)
     rows = [
@@ -684,13 +678,8 @@ def experiment_e12(quick: bool = False) -> ExperimentResult:
             seed=4,
             revert_threshold=threshold,
         )
-        from repro.sim.actions import MessageKind
-
         metrics = result.metrics
-        reverted = (
-            metrics.messages_of(MessageKind.PARTIAL_CHECKPOINT)
-            + metrics.messages_of(MessageKind.FULL_CHECKPOINT)
-        ) > 0
+        reverted = protocol_d_reverted(metrics)
         rows.append(
             {
                 "threshold": threshold,

@@ -30,15 +30,16 @@ Efficiently in the Presence of Faults* (PODC 1992 / SIAM J. Computing).
 
 The paper's evaluation is analytic: worst-case bounds per protocol.  Each
 section below corresponds to one theorem-level claim (the experiment ids
-match DESIGN.md's index), showing the paper's bound next to the worst
-measurement over that experiment's adversary battery and seeds.  `ok`
-means the claim's shape held: measured within the bound (for exact
-claims, exactly equal), completion in every execution with a survivor.
+are the keys of `REGISTRY` in `repro/analysis/experiments.py`), showing
+the paper's bound next to the worst measurement over that experiment's
+adversary battery and seeds.  `ok` means the claim's shape held:
+measured within the bound (for exact claims, exactly equal), completion
+in every execution with a survivor.
 
 Absolute round counts depend on timeout constants; the implementation
-uses the paper's constants plus a small documented slack (DESIGN.md
-section 3), so round columns are reported against the paper's formula
-for shape comparison rather than asserted as exact.
+uses the paper's constants plus a small slack (documented in
+`repro/core/deadlines.py`), so round columns are reported against the
+paper's formula for shape comparison rather than asserted as exact.
 
 Regenerate with: `python -m repro.analysis.report`
 """

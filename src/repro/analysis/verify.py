@@ -20,7 +20,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis import bounds
 from repro.errors import ConfigurationError
-from repro.sim.metrics import RunResult
+from repro.sim.actions import MessageKind
+from repro.sim.metrics import Metrics, RunResult
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,16 @@ class VerificationReport:
             }
             for check in self.checks
         ]
+
+
+def protocol_d_reverted(metrics: Metrics) -> bool:
+    """Whether a Protocol D run reverted to Protocol A, which decides
+    which of D's two bound families applies.  D itself sends no
+    checkpoints, so any A checkpoint traffic means it reverted."""
+    return (
+        metrics.messages_of(MessageKind.PARTIAL_CHECKPOINT)
+        + metrics.messages_of(MessageKind.FULL_CHECKPOINT)
+    ) > 0
 
 
 _WORK_MESSAGE_BOUNDS: Dict[str, Tuple[Callable, Callable]] = {
@@ -130,10 +141,7 @@ def verify_run(
             raise ConfigurationError(
                 "Protocol D's bounds depend on the failure count; pass failures="
             )
-        reverted = metrics.messages_by_kind and any(
-            kind.value.endswith("checkpoint") for kind in metrics.messages_by_kind
-        )
-        if reverted:
+        if protocol_d_reverted(metrics):
             add("work", bounds.protocol_d_reverted_work(n, t, failures), metrics.work_total)
             add(
                 "messages",

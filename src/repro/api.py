@@ -23,8 +23,9 @@ failure-detector window::
     Scenario(protocol="A-async", n=200, t=25,
              delay="uniform:0.5,6.0", crash_times={0: 5.0}, seed=2).run()
 
-:class:`Sweep` fans one scenario out over seeds x adversary specs (and
-optionally protocols) and aggregates the executions in a
+:class:`Sweep` fans one scenario out over a protocols x adversaries x
+n x t x seeds grid (the package's one grid enumerator; campaigns plan
+their chunks over it) and aggregates the executions in a
 :class:`ResultSet` with the paper's worst-case reducer (its theorems are
 worst-case statements) plus a mean reducer, markdown tables and JSON
 export.  ``Sweep.run(workers=4)`` executes the grid on a multiprocessing
@@ -43,6 +44,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import math
 import multiprocessing
 import sys
 from dataclasses import dataclass, field
@@ -760,55 +762,158 @@ def is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def check_axis(
-    values: Any, where: str, *, entry=None, expected: str = ""
-) -> Optional[List[Any]]:
-    """Check one grid axis read from a document and return it.
+#: The grid axes in nesting order (seeds vary fastest).  Per axis: the
+#: :class:`Scenario` field it sets, the check each entry of a document's
+#: list must pass, and how an error describes a valid entry.
+_AXES = {
+    "protocols": ("protocol", lambda value: isinstance(value, str), "protocol names"),
+    "adversaries": ("adversary", lambda value: True, ""),
+    "n": ("n", lambda value: is_int(value) and value >= 1, "positive integers"),
+    "t": ("t", lambda value: is_int(value) and value >= 1, "positive integers"),
+    "seeds": ("seed", is_int, "integers"),
+}
+GRID_AXES = tuple(_AXES)
 
-    ``None`` (an absent axis: keep the base scenario's value) passes
-    through; anything else must be a non-empty list whose entries all
-    pass ``entry`` (``expected`` describes a valid entry), or
-    :class:`ConfigurationError` names ``where``.  Shared by
-    :meth:`Sweep.from_dict` and the campaign loader.
-    """
-    if values is None:
-        return None
-    if not isinstance(values, list) or not values:
-        raise ConfigurationError(f"{where} must be a non-empty list, got {values!r}")
-    for value in values:
-        if entry is not None and not entry(value):
+
+def _seed_range(raw: Dict[str, Any], where: str) -> List[int]:
+    """The ``{"start", "count"}`` range form of a seeds axis, as a list."""
+    unknown = set(raw) - {"start", "count"}
+    if unknown:
+        raise ConfigurationError(
+            f"unknown field(s) {sorted(unknown)} in the range form of "
+            f"{where}; accepted: start, count"
+        )
+    start = raw.get("start", 0)
+    count = raw.get("count")
+    for label, value in (("start", start), ("count", count)):
+        if not is_int(value):
             raise ConfigurationError(
-                f"{where} entries must be {expected}, got {value!r}"
+                f"'{label}' of {where} must be an integer, got {value!r}"
             )
-    return values
+    if count < 1:
+        raise ConfigurationError(
+            f"'count' of {where} must be at least 1, got {count!r}"
+        )
+    return list(range(start, start + count))
+
+
+def parse_axes(data: Dict[str, Any], where: str) -> Dict[str, Optional[List[Any]]]:
+    """Read the grid axes of a document, keyed by :data:`GRID_AXES`.
+
+    An absent axis is ``None`` (keep the base scenario's value).  A
+    present one must be a non-empty list whose entries fit the axis;
+    ``seeds`` may also be the range form ``{"start": s, "count": c}``
+    (a :math:`10^5`-seed grid should not need a :math:`10^5`-element
+    list).  Keys other than the axes are rejected.  Errors
+    are :class:`ConfigurationError` naming ``where`` and the axis.  The
+    one axis parser: :meth:`Sweep.from_dict` and the campaign loader
+    both read their axes here.
+    """
+    unknown = set(data) - set(GRID_AXES)
+    if unknown:
+        raise ConfigurationError(
+            f"unknown axis(es) {sorted(unknown)} in {where}; accepted: "
+            + ", ".join(GRID_AXES)
+        )
+    axes: Dict[str, Optional[List[Any]]] = {}
+    for name, (_, entry, expected) in _AXES.items():
+        values = data.get(name)
+        label = f"{where} '{name}'"
+        if name == "seeds" and isinstance(values, dict):
+            values = _seed_range(values, label)
+        elif values is not None:
+            if not isinstance(values, list) or not values:
+                raise ConfigurationError(
+                    f"{label} must be a non-empty list, got {values!r}"
+                )
+            for value in values:
+                if not entry(value):
+                    raise ConfigurationError(
+                        f"{label} entries must be {expected}, got {value!r}"
+                    )
+        axes[name] = values
+    return axes
 
 
 @dataclass
 class Sweep:
-    """Fan a base scenario out over seeds x adversary specs (x protocols).
+    """Fan a base scenario out over protocols x adversaries x n x t x seeds.
 
-    ``None`` sequences mean "keep the base scenario's value"; passing
-    explicit sequences replaces it per grid point.  ``run()`` executes
-    the full grid and returns a :class:`ResultSet`.
+    Each axis lists values of one :class:`Scenario` field (``protocol``,
+    ``adversary``, ``n``, ``t``, ``seed``); ``None`` keeps the base
+    scenario's value, and every other field of the base - its ``name``
+    included - carries to every grid point.  A given axis must be
+    non-empty.  Adversary specs are normalized at construction; live
+    instances pass through.
+
+    **The order is a contract.**  The grid enumerates in
+    :data:`GRID_AXES` order with seeds fastest; :meth:`scenario_at`
+    addresses any point of it, and a campaign's chunks are slices of
+    it.  ``run()`` executes the full grid and returns a
+    :class:`ResultSet`.
     """
 
     base: Scenario
     seeds: Optional[Sequence[int]] = None
     adversaries: Optional[Sequence[AdversarySpec]] = None
     protocols: Optional[Sequence[str]] = None
+    n: Optional[Sequence[int]] = None
+    t: Optional[Sequence[int]] = None
+
+    def __post_init__(self) -> None:
+        for name in GRID_AXES:
+            values = getattr(self, name)
+            if values is None:
+                continue
+            values = list(values)
+            if not values:
+                raise ConfigurationError(f"sweep '{name}' must be a non-empty list")
+            setattr(self, name, values)
+        if self.adversaries is not None:
+            self.adversaries = [
+                spec if isinstance(spec, Adversary) else normalize_adversary_spec(spec)
+                for spec in self.adversaries
+            ]
+
+    def axes(self) -> Dict[str, List[Any]]:
+        """Every axis in :data:`GRID_AXES` order; an absent one is the
+        base scenario's value alone.  Given axes are the sweep's own
+        lists, not copies."""
+        return {
+            name: (
+                getattr(self, name)
+                if getattr(self, name) is not None
+                else [getattr(self.base, field_name)]
+            )
+            for name, (field_name, _, _) in _AXES.items()
+        }
+
+    def __len__(self) -> int:
+        return math.prod(len(values) for values in self.axes().values())
+
+    def scenario_at(self, offset: int) -> Scenario:
+        """Grid point ``offset`` of the enumeration (seeds fastest).
+
+        Mixed-radix decoding addresses any point without enumerating
+        the prefix: resuming chunk 900 of a 1000-chunk campaign does not
+        rebuild 90k scenarios.
+        """
+        size = len(self)
+        if not 0 <= offset < size:
+            raise ConfigurationError(
+                f"grid offset {offset} out of range; this grid has {size} runs"
+            )
+        axes = self.axes()
+        point: Dict[str, Any] = {}
+        for name in reversed(GRID_AXES):
+            offset, index = divmod(offset, len(axes[name]))
+            point[_AXES[name][0]] = axes[name][index]
+        return self.base.replace(**point)
 
     def scenarios(self) -> Iterator[Scenario]:
-        protocols = self.protocols if self.protocols is not None else [self.base.protocol]
-        adversaries = (
-            self.adversaries if self.adversaries is not None else [self.base.adversary]
-        )
-        seeds = self.seeds if self.seeds is not None else [self.base.seed]
-        for protocol in protocols:
-            for adversary in adversaries:
-                for seed in seeds:
-                    yield self.base.replace(
-                        protocol=protocol, adversary=adversary, seed=seed
-                    )
+        """The full grid in enumeration order."""
+        for offset in range(len(self)):
+            yield self.scenario_at(offset)
 
     def run(self, *, workers: Optional[int] = None) -> ResultSet:
         """Execute the full grid and aggregate it.
@@ -827,39 +932,22 @@ class Sweep:
 
     def to_dict(self) -> Dict[str, Any]:
         data: Dict[str, Any] = {"base": self.base.to_dict()}
-        if self.seeds is not None:
-            data["seeds"] = list(self.seeds)
-        if self.adversaries is not None:
-            data["adversaries"] = [
-                normalize_adversary_spec(spec) for spec in self.adversaries
-            ]
-        if self.protocols is not None:
-            data["protocols"] = list(self.protocols)
+        # Field order, not grid order: ``Suite.save`` keeps key order.
+        for name in ("seeds", "adversaries", "protocols", "n", "t"):
+            values = getattr(self, name)
+            if values is None:
+                continue
+            if name == "adversaries":
+                values = [normalize_adversary_spec(spec) for spec in values]
+            data[name] = list(values)
         return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Sweep":
         if not isinstance(data, dict) or "base" not in data:
             raise ConfigurationError("a sweep needs a 'base' scenario dict")
-        unknown = set(data) - {"base", "seeds", "adversaries", "protocols"}
-        if unknown:
-            raise ConfigurationError(
-                f"unknown sweep field(s) {sorted(unknown)}; accepted: "
-                "base, seeds, adversaries, protocols"
-            )
-        return cls(
-            base=Scenario.from_dict(data["base"]),
-            seeds=check_axis(
-                data.get("seeds"), "sweep 'seeds'", entry=is_int, expected="integers"
-            ),
-            adversaries=check_axis(data.get("adversaries"), "sweep 'adversaries'"),
-            protocols=check_axis(
-                data.get("protocols"),
-                "sweep 'protocols'",
-                entry=lambda value: isinstance(value, str),
-                expected="protocol names",
-            ),
-        )
+        axes = {key: value for key, value in data.items() if key != "base"}
+        return cls(base=Scenario.from_dict(data["base"]), **parse_axes(axes, "sweep"))
 
     def to_json(self, *, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True) + "\n"
@@ -875,8 +963,10 @@ class Sweep:
 
 __all__ = [
     "ENGINE_CHOICES",
+    "GRID_AXES",
     "ResultSet",
     "Scenario",
     "Sweep",
+    "parse_axes",
     "run_scenarios",
 ]

@@ -113,7 +113,7 @@ class CampaignReport:
                 "chunks": spec.total_chunks,
                 "chunk_size": spec.chunk_size,
                 "cells": spec.total_cells,
-                "seeds": len(spec.seeds),
+                "seeds": len(spec.grid.seeds),
             },
             "complete": self.complete,
             "results": {

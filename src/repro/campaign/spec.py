@@ -1,12 +1,12 @@
-"""Campaign grid specs: declarative seeds x n x t x adversary x protocol grids.
+"""Campaign grid specs: a :class:`~repro.api.Sweep` planned into chunks.
 
 A *campaign* is the big-grid regime the suite layer does not reach: the
 paper's bounds are worst-case statements over all crash patterns, so
 "predicted vs simulated" only becomes visible statistically over
-:math:`10^4`-:math:`10^5` runs.  A :class:`CampaignSpec` describes such a
-grid declaratively - one base :class:`~repro.api.Scenario` plus axes -
-and *plans* it into deterministic fixed-size chunks that the runner
-(:mod:`repro.campaign.runner`) executes, checkpoints and resumes.
+:math:`10^4`-:math:`10^5` runs.  A :class:`CampaignSpec` holds such a
+grid - a :class:`~repro.api.Sweep` over protocols x adversaries x n x t
+x seeds - and *plans* it into deterministic fixed-size chunks that the
+runner (:mod:`repro.campaign.runner`) executes, checkpoints and resumes.
 
 File format (see ``docs/campaigns.md`` for the full reference)::
 
@@ -25,23 +25,25 @@ File format (see ``docs/campaigns.md`` for the full reference)::
       "pins": {"work": 167, "effort": 551}
     }
 
-Every axis is optional; a missing axis keeps the base scenario's value.
-``seeds`` accepts either an explicit list or the ``{"start", "count"}``
-range form (a :math:`10^5`-seed grid should not need a :math:`10^5`-element
-list).  ``pins`` are optional campaign-level regression pins over the
-merged worst-case reduction (same measures as suite pins).
+``axes`` is read by :func:`repro.api.parse_axes`, the sweep's own axis
+parser: every axis but ``seeds`` is optional and a missing one keeps the
+base scenario's value; ``seeds`` takes an explicit list or the
+``{"start", "count"}`` range form.  ``pins`` are optional campaign-level
+regression pins over the merged worst-case reduction (checked like
+suite pins, by :func:`repro.suites.check_pins`).
 
-**Grid order is the contract.**  Scenarios enumerate in document order
-with seeds fastest::
+**Grid order is the contract.**  :class:`~repro.api.Sweep` owns it:
+scenarios enumerate with seeds fastest::
 
     for protocol: for adversary: for n: for t: for seed
 
 and chunk ``i`` is rows ``[i*chunk_size, (i+1)*chunk_size)`` of that
-enumeration.  The order is what makes the chunk ledger meaningful across
-interrupted sessions and shards: every planner on every machine derives
-the identical chunk list, and :meth:`CampaignSpec.digest` (SHA-256 of
-the canonical grid definition) is recorded in the ledger header so a
-drifted spec is rejected instead of silently mis-merged.
+enumeration, addressed by :meth:`Sweep.scenario_at`.  The order is what
+makes the chunk ledger meaningful across interrupted sessions and
+shards: every planner on every machine derives the identical chunk
+list, and :meth:`CampaignSpec.digest` (SHA-256 of the canonical grid
+definition) is recorded in the ledger header so a drifted spec is
+rejected instead of silently mis-merged.
 
 A *cell* is one ``(protocol, adversary, n, t)`` grid point - the unit
 the report reduces over seeds (per-cell worst/mean, matching the
@@ -50,6 +52,7 @@ paper's worst-case reading).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -57,46 +60,18 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.api import Scenario, check_axis, is_int
+from repro.api import Scenario, Sweep, parse_axes
 from repro.errors import ConfigurationError
 from repro.sim.adversary import normalize_adversary_spec
-from repro.sim.metrics import MEASURES as PIN_MEASURES
+from repro.suites import check_pins
 
 #: The campaign file format version this loader understands.
 CAMPAIGN_FORMAT_VERSION = 1
-
-#: Axis names the ``axes`` table accepts, in grid-nesting order
-#: (seeds vary fastest).
-GRID_AXES = ("protocols", "adversaries", "n", "t", "seeds")
 
 _SPEC_FIELDS = {"campaign", "version", "description", "base", "axes",
                 "chunk_size", "pins"}
 
 DEFAULT_CHUNK_SIZE = 100
-
-
-def _seed_list(raw: Any, *, where: str) -> List[int]:
-    """Materialize the ``seeds`` axis: explicit list or range form."""
-    if isinstance(raw, dict):
-        unknown = set(raw) - {"start", "count"}
-        if unknown:
-            raise ConfigurationError(
-                f"unknown field(s) {sorted(unknown)} in the range form of "
-                f"{where}; accepted: start, count"
-            )
-        start = raw.get("start", 0)
-        count = raw.get("count")
-        for label, value in (("start", start), ("count", count)):
-            if not is_int(value):
-                raise ConfigurationError(
-                    f"'{label}' of {where} must be an integer, got {value!r}"
-                )
-        if count < 1:
-            raise ConfigurationError(
-                f"'count' of {where} must be at least 1, got {count!r}"
-            )
-        return list(range(start, start + count))
-    return check_axis(raw, where, entry=is_int, expected="integers")
 
 
 def adversary_label(spec: Any) -> str:
@@ -128,15 +103,15 @@ class CampaignChunk:
 
 @dataclass
 class CampaignSpec:
-    """A validated campaign grid: base scenario, axes, chunking, pins."""
+    """A validated campaign: its grid, chunking, labels and pins.
+
+    ``grid`` must give a ``seeds`` axis.  Its base scenario is kept
+    unnamed (a given name is dropped): a label is not part of the grid,
+    yet every run echoes its scenario into the results a ledger records.
+    """
 
     name: str
-    base: Scenario
-    seeds: List[int]
-    protocols: Optional[List[str]] = None
-    adversaries: Optional[List[Any]] = None
-    n_values: Optional[List[int]] = None
-    t_values: Optional[List[int]] = None
+    grid: Sweep
     chunk_size: int = DEFAULT_CHUNK_SIZE
     description: str = ""
     pins: Dict[str, float] = field(default_factory=dict)
@@ -147,20 +122,6 @@ class CampaignSpec:
             raise ConfigurationError(
                 "a campaign needs a non-empty 'campaign' name"
             )
-        if not isinstance(self.base, Scenario):
-            raise ConfigurationError(
-                f"campaign 'base' must be a Scenario, got "
-                f"{type(self.base).__name__}"
-            )
-        # The grid must be serializable end to end: chunks ship to
-        # worker pools / remote servers as dicts and the ledger records
-        # content addresses, so a live adversary object cannot campaign.
-        try:
-            self.base.cache_key()
-        except ConfigurationError as exc:
-            raise ConfigurationError(
-                f"campaign base scenario does not serialize: {exc}"
-            ) from exc
         if (
             isinstance(self.chunk_size, bool)
             or not isinstance(self.chunk_size, int)
@@ -170,61 +131,31 @@ class CampaignSpec:
                 f"'chunk_size' must be a positive integer, got "
                 f"{self.chunk_size!r}"
             )
-        if not self.seeds:
-            raise ConfigurationError("the 'seeds' axis must be non-empty")
-        if self.protocols is not None and not self.protocols:
-            raise ConfigurationError("'protocols' axis must be non-empty")
-        if self.adversaries is not None:
-            if not self.adversaries:
-                raise ConfigurationError("'adversaries' axis must be non-empty")
-            # Canonicalise eagerly so spelling variants digest equal and
-            # bad specs fail at load, not mid-campaign.
-            self.adversaries = [
-                normalize_adversary_spec(spec) for spec in self.adversaries
-            ]
-        unknown_pins = set(self.pins) - set(PIN_MEASURES)
-        if unknown_pins:
+        if self.grid.seeds is None:
             raise ConfigurationError(
-                f"unknown pin measure(s) {sorted(unknown_pins)}; accepted: "
-                + ", ".join(PIN_MEASURES)
+                "a campaign grid requires a 'seeds' axis (explicit list "
+                "or {'start', 'count'} range)"
             )
-        for measure, value in self.pins.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigurationError(
-                    f"campaign pin {measure!r} must be a number, got {value!r}"
-                )
-
-    # ---- axis views --------------------------------------------------
-
-    @property
-    def protocol_axis(self) -> List[str]:
-        return list(self.protocols) if self.protocols is not None else [self.base.protocol]
-
-    @property
-    def adversary_axis(self) -> List[Any]:
-        if self.adversaries is not None:
-            return list(self.adversaries)
-        return [self.base.adversary]
-
-    @property
-    def n_axis(self) -> List[int]:
-        return list(self.n_values) if self.n_values is not None else [self.base.n]
-
-    @property
-    def t_axis(self) -> List[int]:
-        return list(self.t_values) if self.t_values is not None else [self.base.t]
+        if self.grid.base.name is not None:
+            self.grid = dataclasses.replace(
+                self.grid, base=self.grid.base.replace(name=None)
+            )
+        # The grid must be serializable end to end: chunks ship to
+        # worker pools / remote servers as dicts and the ledger records
+        # content addresses, so a live adversary object cannot campaign.
+        try:
+            self.grid_dict()
+        except ConfigurationError as exc:
+            raise ConfigurationError(
+                f"campaign grid does not serialize: {exc}"
+            ) from exc
+        self.pins = check_pins(self.pins, "campaign")
 
     # ---- grid arithmetic ---------------------------------------------
 
     @property
     def total_runs(self) -> int:
-        return (
-            len(self.protocol_axis)
-            * len(self.adversary_axis)
-            * len(self.n_axis)
-            * len(self.t_axis)
-            * len(self.seeds)
-        )
+        return len(self.grid)
 
     @property
     def total_chunks(self) -> int:
@@ -232,7 +163,7 @@ class CampaignSpec:
 
     @property
     def total_cells(self) -> int:
-        return self.total_runs // len(self.seeds)
+        return self.total_runs // len(self.grid.seeds)
 
     def chunk_length(self, index: int) -> int:
         if not 0 <= index < self.total_chunks:
@@ -244,39 +175,12 @@ class CampaignSpec:
         return min(self.chunk_size, self.total_runs - start)
 
     def scenario_at(self, offset: int) -> Scenario:
-        """Row ``offset`` of the grid enumeration (seeds fastest).
-
-        Mixed-radix decoding makes any chunk addressable in O(size)
-        without enumerating the grid prefix - resuming chunk 900 of
-        1000 does not rebuild 90k scenarios.
-        """
-        if not 0 <= offset < self.total_runs:
-            raise ConfigurationError(
-                f"grid offset {offset} out of range; this campaign has "
-                f"{self.total_runs} runs"
-            )
-        seeds = self.seeds
-        t_axis = self.t_axis
-        n_axis = self.n_axis
-        adversaries = self.adversary_axis
-        protocols = self.protocol_axis
-        offset, seed_i = divmod(offset, len(seeds))
-        offset, t_i = divmod(offset, len(t_axis))
-        offset, n_i = divmod(offset, len(n_axis))
-        proto_i, adv_i = divmod(offset, len(adversaries))
-        return self.base.replace(
-            protocol=protocols[proto_i],
-            adversary=adversaries[adv_i],
-            n=n_axis[n_i],
-            t=t_axis[t_i],
-            seed=seeds[seed_i],
-            name=None,
-        )
+        """Row ``offset`` of the grid enumeration (seeds fastest)."""
+        return self.grid.scenario_at(offset)
 
     def scenarios(self) -> Iterator[Scenario]:
         """The full grid in enumeration order."""
-        for offset in range(self.total_runs):
-            yield self.scenario_at(offset)
+        return self.grid.scenarios()
 
     def chunk(self, index: int) -> CampaignChunk:
         """Planned chunk ``index``: its scenarios, materialized."""
@@ -286,7 +190,7 @@ class CampaignSpec:
             index=index,
             start=start,
             scenarios=tuple(
-                self.scenario_at(start + row) for row in range(length)
+                self.grid.scenario_at(start + row) for row in range(length)
             ),
         )
 
@@ -308,18 +212,14 @@ class CampaignSpec:
     def grid_dict(self) -> Dict[str, Any]:
         """The canonical grid definition - everything that determines
         the planned chunk list, and nothing else (labels and pins are
-        excluded, so renaming a campaign keeps its ledgers valid)."""
-        base = self.base.to_dict()
-        base.pop("name", None)
+        excluded, so renaming a campaign keeps its ledgers valid).
+
+        Every axis is spelled out, a missing one as the base's value;
+        ``grid.to_dict()`` normalizes the given ones and raises on a
+        live adversary."""
         return {
-            "base": base,
-            "protocols": self.protocol_axis,
-            "adversaries": [
-                normalize_adversary_spec(spec) for spec in self.adversary_axis
-            ],
-            "n": self.n_axis,
-            "t": self.t_axis,
-            "seeds": self.seeds,
+            **self.grid.axes(),
+            **self.grid.to_dict(),
             "chunk_size": self.chunk_size,
         }
 
@@ -343,19 +243,8 @@ class CampaignSpec:
         }
         if self.description:
             data["description"] = self.description
-        data["base"] = self.base.to_dict()
-        axes: Dict[str, Any] = {}
-        if self.protocols is not None:
-            axes["protocols"] = list(self.protocols)
-        if self.adversaries is not None:
-            axes["adversaries"] = [
-                normalize_adversary_spec(spec) for spec in self.adversaries
-            ]
-        if self.n_values is not None:
-            axes["n"] = list(self.n_values)
-        if self.t_values is not None:
-            axes["t"] = list(self.t_values)
-        axes["seeds"] = list(self.seeds)
+        axes = self.grid.to_dict()
+        data["base"] = axes.pop("base")
         data["axes"] = axes
         data["chunk_size"] = self.chunk_size
         if self.pins:
@@ -395,48 +284,15 @@ class CampaignSpec:
             raise ConfigurationError(
                 f"'axes' of {where} must be a dict, got {type(axes).__name__}"
             )
-        unknown_axes = set(axes) - set(GRID_AXES)
-        if unknown_axes:
-            raise ConfigurationError(
-                f"unknown axis(es) {sorted(unknown_axes)} in {where}; "
-                f"accepted: {', '.join(GRID_AXES)}"
-            )
-        if "seeds" not in axes:
-            raise ConfigurationError(
-                f"'axes' of {where} requires a 'seeds' axis (explicit list "
-                "or {'start', 'count'} range)"
-            )
-        protocols = check_axis(
-            axes.get("protocols"),
-            f"'protocols' axis of {where}",
-            entry=lambda value: isinstance(value, str),
-            expected="protocol names",
-        )
-        adversaries = check_axis(axes.get("adversaries"), f"'adversaries' axis of {where}")
-        positive = dict(
-            entry=lambda value: is_int(value) and value >= 1,
-            expected="positive integers",
-        )
-        n_values = check_axis(axes.get("n"), f"'n' axis of {where}", **positive)
-        t_values = check_axis(axes.get("t"), f"'t' axis of {where}", **positive)
-        pins_raw = data.get("pins", {})
-        if not isinstance(pins_raw, dict):
-            raise ConfigurationError(
-                f"'pins' of {where} must be a dict, got "
-                f"{type(pins_raw).__name__}"
-            )
         try:
             return cls(
                 name=data["campaign"],
-                base=Scenario.from_dict(data["base"]),
-                seeds=_seed_list(axes["seeds"], where=f"'seeds' axis of {where}"),
-                protocols=protocols,
-                adversaries=adversaries,
-                n_values=n_values,
-                t_values=t_values,
+                grid=Sweep(
+                    Scenario.from_dict(data["base"]), **parse_axes(axes, "axes")
+                ),
                 chunk_size=data.get("chunk_size", DEFAULT_CHUNK_SIZE),
                 description=str(data.get("description", "")),
-                pins=dict(pins_raw),
+                pins=data.get("pins", {}),
                 path=path,
             )
         except ConfigurationError as exc:
@@ -475,6 +331,7 @@ class CampaignSpec:
 
     def plan_summary(self) -> Dict[str, Any]:
         """Grid arithmetic without materializing a single scenario."""
+        axes = self.grid.axes()
         return {
             "campaign": self.name,
             "digest": self.digest(),
@@ -483,13 +340,11 @@ class CampaignSpec:
             "chunk_size": self.chunk_size,
             "cells": self.total_cells,
             "axes": {
-                "protocols": self.protocol_axis,
-                "adversaries": [
-                    adversary_label(spec) for spec in self.adversary_axis
-                ],
-                "n": self.n_axis,
-                "t": self.t_axis,
-                "seeds": len(self.seeds),
+                "protocols": list(axes["protocols"]),
+                "adversaries": [adversary_label(spec) for spec in axes["adversaries"]],
+                "n": list(axes["n"]),
+                "t": list(axes["t"]),
+                "seeds": len(axes["seeds"]),
             },
             "pinned": bool(self.pins),
         }
@@ -503,7 +358,6 @@ def load_campaign(path) -> CampaignSpec:
 __all__ = [
     "CAMPAIGN_FORMAT_VERSION",
     "DEFAULT_CHUNK_SIZE",
-    "GRID_AXES",
     "CampaignChunk",
     "CampaignSpec",
     "adversary_label",

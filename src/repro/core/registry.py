@@ -220,6 +220,13 @@ def run_protocol(
 def _register_builtins() -> None:
     from repro.core.baselines import build_naive_checkpoint, build_replicate
     from repro.core.protocol_a import build_protocol_a
+    from repro.core.protocol_a_async import build_async_protocol_a
+    from repro.core.protocol_b import build_protocol_b
+    from repro.core.protocol_c import build_protocol_c, build_protocol_c_batched
+    from repro.core.protocol_c_naive import build_naive_spreading
+    from repro.core.protocol_d import build_protocol_d
+    from repro.core.protocol_d_dynamic import build_dynamic_protocol_d_from_spec
+    from repro.core.protocol_d_recovery import build_protocol_d_recovery
 
     register("A", build_protocol_a, description="checkpointing, effort O(n + t^1.5)")
     register("replicate", build_replicate, description="every process does everything")
@@ -228,80 +235,43 @@ def _register_builtins() -> None:
         build_naive_checkpoint,
         description="single worker, checkpoint-all every k units",
     )
-    try:
-        from repro.core.protocol_c_naive import build_naive_spreading
-
-        register(
-            "C-naive",
-            build_naive_spreading,
-            description="knowledge spreading without fault detection",
-        )
-    except ImportError:  # pragma: no cover
-        pass
-    try:
-        from repro.core.protocol_b import build_protocol_b
-
-        register(
-            "B", build_protocol_b, description="A + go-ahead polling, time O(n + t)"
-        )
-    except ImportError:  # pragma: no cover - during incremental development
-        pass
-    try:
-        from repro.core.protocol_c import build_protocol_c, build_protocol_c_batched
-
-        register(
-            "C",
-            build_protocol_c,
-            description="recursive fault detection, O(n + t log t) msgs",
-        )
-        register(
-            "C-batched",
-            build_protocol_c_batched,
-            description="C reporting every n/t units, O(t log t) msgs",
-        )
-    except ImportError:  # pragma: no cover
-        pass
-    try:
-        from repro.core.protocol_d import build_protocol_d
-
-        register(
-            "D",
-            build_protocol_d,
-            description="parallel work + agreement phases, time-optimal",
-        )
-    except ImportError:  # pragma: no cover
-        pass
-    try:
-        from repro.core.protocol_d_recovery import build_protocol_d_recovery
-
-        register(
-            "D-recovery",
-            build_protocol_d_recovery,
-            description="D with per-phase checkpoints + crash-recover faults",
-        )
-    except ImportError:  # pragma: no cover
-        pass
-    try:
-        from repro.core.protocol_d_dynamic import build_dynamic_protocol_d_from_spec
-
-        register(
-            "D-dynamic",
-            build_dynamic_protocol_d_from_spec,
-            description="D with dynamic work arrivals (schedule spec)",
-        )
-    except ImportError:  # pragma: no cover
-        pass
-    try:
-        from repro.core.protocol_a_async import build_async_protocol_a
-
-        register(
-            "A-async",
-            build_async_protocol_a,
-            engine="async",
-            description="Protocol A under a failure detector, no rounds",
-        )
-    except ImportError:  # pragma: no cover
-        pass
+    register(
+        "C-naive",
+        build_naive_spreading,
+        description="knowledge spreading without fault detection",
+    )
+    register("B", build_protocol_b, description="A + go-ahead polling, time O(n + t)")
+    register(
+        "C",
+        build_protocol_c,
+        description="recursive fault detection, O(n + t log t) msgs",
+    )
+    register(
+        "C-batched",
+        build_protocol_c_batched,
+        description="C reporting every n/t units, O(t log t) msgs",
+    )
+    register(
+        "D",
+        build_protocol_d,
+        description="parallel work + agreement phases, time-optimal",
+    )
+    register(
+        "D-recovery",
+        build_protocol_d_recovery,
+        description="D with per-phase checkpoints + crash-recover faults",
+    )
+    register(
+        "D-dynamic",
+        build_dynamic_protocol_d_from_spec,
+        description="D with dynamic work arrivals (schedule spec)",
+    )
+    register(
+        "A-async",
+        build_async_protocol_a,
+        engine="async",
+        description="Protocol A under a failure detector, no rounds",
+    )
 
 
 _register_builtins()

@@ -84,6 +84,28 @@ _ENTRY_FIELDS = {"name", "scenario", "sweep", "pins", "workers"}
 # =====================================================================
 
 
+def check_pins(pins: Any, where: str) -> Dict[str, float]:
+    """Validate a pins table - known measure names mapped to numbers -
+    and return a copy.  Suite entries and campaigns both pin this way;
+    errors are :class:`ConfigurationError` naming ``where``."""
+    if not isinstance(pins, dict):
+        raise ConfigurationError(
+            f"'pins' of {where} must be a dict, got {type(pins).__name__}"
+        )
+    unknown = set(pins) - set(PIN_MEASURES)
+    if unknown:
+        raise ConfigurationError(
+            f"unknown pin measure(s) {sorted(unknown)} in {where}; "
+            f"accepted: {', '.join(PIN_MEASURES)}"
+        )
+    for measure, value in pins.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigurationError(
+                f"pin {measure!r} of {where} must be a number, got {value!r}"
+            )
+    return dict(pins)
+
+
 @dataclass(frozen=True)
 class SuiteEntry:
     """One named workload of a suite: a scenario or a sweep, plus pins.
@@ -131,26 +153,7 @@ class SuiteEntry:
                 f"{where} ({name!r}) must hold exactly one of 'scenario' or "
                 "'sweep'"
             )
-        pins_raw = data.get("pins", {})
-        if not isinstance(pins_raw, dict):
-            raise ConfigurationError(
-                f"'pins' of {where} ({name!r}) must be a dict, got "
-                f"{type(pins_raw).__name__}"
-            )
-        unknown_pins = set(pins_raw) - set(PIN_MEASURES)
-        if unknown_pins:
-            raise ConfigurationError(
-                f"unknown pin measure(s) {sorted(unknown_pins)} in {where} "
-                f"({name!r}); accepted: {', '.join(PIN_MEASURES)}"
-            )
-        pins: Dict[str, float] = {}
-        for measure, value in pins_raw.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigurationError(
-                    f"pin {measure!r} of {where} ({name!r}) must be a number, "
-                    f"got {value!r}"
-                )
-            pins[measure] = value
+        pins = check_pins(data.get("pins", {}), f"{where} ({name!r})")
         workers = data.get("workers")
         if workers is not None:
             if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
@@ -789,6 +792,7 @@ __all__ = [
     "SuiteDiff",
     "SuiteEntry",
     "SuiteReport",
+    "check_pins",
     "diff_reports",
     "discover_suites",
     "load_suite",

@@ -305,17 +305,29 @@ def test_sweep_over_protocols_renders_table():
 
 
 def test_sweep_serialization_round_trip():
-    sweep = Sweep(
-        base=Scenario(protocol="B", n=16, t=4),
-        seeds=[0, 1],
-        adversaries=["random:1"],
-        protocols=["a", "b"],
-    )
-    revived = Sweep.from_json(sweep.to_json())
-    assert revived.to_dict() == sweep.to_dict()
-    assert [s.to_dict() for s in revived.scenarios()] == [
-        s.to_dict() for s in sweep.scenarios()
+    sweeps = [
+        Sweep(
+            base=Scenario(protocol="B", n=16, t=4),
+            seeds=[0, 1],
+            adversaries=["random:1"],
+            protocols=["a", "b"],
+        ),
+        Sweep.from_dict(
+            {
+                "base": {"protocol": "B", "n": 16, "t": 4},
+                "seeds": {"start": 3, "count": 2},
+                "n": [12, 16],
+                "t": [2, 4],
+            }
+        ),
     ]
+    assert sweeps[1].to_dict()["seeds"] == [3, 4]
+    for sweep in sweeps:
+        revived = Sweep.from_json(sweep.to_json())
+        assert revived.to_dict() == sweep.to_dict()
+        assert [s.to_dict() for s in revived.scenarios()] == [
+            s.to_dict() for s in sweep.scenarios()
+        ]
 
 
 @pytest.mark.parametrize(
@@ -331,11 +343,51 @@ def test_sweep_serialization_round_trip():
         ({"protocols": ["a", 7]}, "protocols"),
         ({"adversaries": "random:1"}, "adversaries"),
         ({"adversaries": []}, "adversaries"),
+        ({"n": [8, 0]}, "n"),
+        ({"t": []}, "t"),
+        ({"seeds": {"start": 0, "count": 0}}, "seeds"),
+        ({"seeds": {"begin": 0, "count": 2}}, "seeds"),
     ],
 )
 def test_sweep_from_dict_rejects_malformed_axes(axes, field):
     with pytest.raises(ConfigurationError, match=f"sweep '{field}'"):
         Sweep.from_dict({"base": {"protocol": "a", "n": 8, "t": 2}, **axes})
+
+
+@pytest.mark.parametrize("field", ["seeds", "adversaries", "protocols", "n", "t"])
+def test_sweep_rejects_an_empty_axis_at_construction(field):
+    # Not only from documents: an empty grid would otherwise fail much
+    # later, in worst(), with "cannot reduce an empty ResultSet".
+    with pytest.raises(ConfigurationError, match=f"sweep '{field}'"):
+        Sweep(Scenario(protocol="A", n=8, t=2), **{field: []})
+
+
+def test_sweep_grid_order_and_addressing():
+    sweep = Sweep(
+        base=Scenario(protocol="A", n=8, t=2, name="grid"),
+        seeds=[5, 6],
+        adversaries=[None, "random:1"],
+        protocols=["A", "B"],
+        n=[6, 8],
+        t=[2, 4],
+    )
+    rows = list(sweep.scenarios())
+    assert len(sweep) == len(rows) == 2 * 2 * 2 * 2 * 2
+    assert [sweep.scenario_at(i) for i in range(len(sweep))] == rows
+    # protocol -> adversary -> n -> t -> seed, seeds fastest.
+    assert [
+        (s.protocol, s.adversary is not None, s.n, s.t, s.seed) for s in rows
+    ] == [
+        (protocol, adversary, n, t, seed)
+        for protocol in ["A", "B"]
+        for adversary in [False, True]
+        for n in [6, 8]
+        for t in [2, 4]
+        for seed in [5, 6]
+    ]
+    assert {s.name for s in rows} == {"grid"}
+    with pytest.raises(ConfigurationError, match="out of range"):
+        sweep.scenario_at(len(sweep))
 
 
 def test_package_exports_scenario_surface():

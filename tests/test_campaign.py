@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.api import ResultSet, Scenario, run_scenarios
+from repro.api import ResultSet, Scenario, Sweep, run_scenarios
 from repro.campaign import (
     CampaignLedger,
     CampaignSpec,
@@ -23,18 +23,19 @@ from repro.errors import ConfigurationError
 
 def _spec(tmp_path=None, **overrides) -> CampaignSpec:
     """A small, fast grid: 2 protocols x 2 adversaries x 2 n x 5 seeds
-    = 40 runs in 5 chunks of 8."""
-    fields = dict(
-        name="unit-grid",
+    = 40 runs in 5 chunks of 8.  ``overrides`` may name grid fields
+    (``base`` and the axes) or spec fields."""
+    grid = dict(
         base=Scenario(protocol="A", n=8, t=2, seed=0),
         seeds=list(range(5)),
         protocols=["A", "D"],
         adversaries=[None, "random:1,max_action_index=5"],
-        n_values=[6, 8],
-        chunk_size=8,
+        n=[6, 8],
     )
-    fields.update(overrides)
-    return CampaignSpec(**fields)
+    fields = dict(name="unit-grid", chunk_size=8)
+    for key, value in overrides.items():
+        (grid if key in grid else fields)[key] = value
+    return CampaignSpec(grid=Sweep(**grid), **fields)
 
 
 def _results_section(report):
@@ -77,12 +78,12 @@ def test_uneven_final_chunk():
 def test_missing_axes_fall_back_to_base():
     spec = CampaignSpec(
         name="tiny",
-        base=Scenario(protocol="B", n=12, t=3, seed=0),
-        seeds=[0, 1],
+        grid=Sweep(base=Scenario(protocol="B", n=12, t=3, seed=0), seeds=[0, 1]),
     )
-    assert spec.protocol_axis == ["B"]
-    assert spec.n_axis == [12]
-    assert spec.t_axis == [3]
+    axes = spec.grid.axes()
+    assert axes["protocols"] == ["B"]
+    assert axes["n"] == [12]
+    assert axes["t"] == [3]
     assert spec.total_runs == 2
 
 
@@ -155,7 +156,7 @@ def test_digest_ignores_adversary_spelling_variants():
     [
         {"seeds": [0, 1, 2, 3, 4, 5]},
         {"protocols": ["A"]},
-        {"n_values": [6, 10]},
+        {"n": [6, 10]},
         {"chunk_size": 10},
         {"base": Scenario(protocol="A", n=8, t=3, seed=0)},
     ],
@@ -441,6 +442,11 @@ def test_report_table_and_json_shapes(tmp_path):
 
 def test_shipped_paper_grid_plans_cleanly():
     spec = load_campaign("campaigns/paper_grid.json")
+    # Every ledger written against the shipped grid records this digest;
+    # a drift in grid order or canonical form would orphan them.
+    assert spec.digest() == (
+        "3a1a9ee70ad19760eb810a47e05e53238925bee87bd97bada7e6f9a155d858f9"
+    )
     assert spec.total_runs == 200
     assert spec.total_chunks == 10
     assert set(spec.pins) == {
@@ -455,10 +461,12 @@ def test_ten_thousand_run_campaign_interrupted_resumed_bit_identical(tmp_path):
     # 2 protocols x 2 n x 2500 seeds = 10_000 tiny runs in 100 chunks.
     spec = CampaignSpec(
         name="acceptance",
-        base=Scenario(protocol="A", n=2, t=1, seed=0),
-        seeds=list(range(2500)),
-        protocols=["A", "B"],
-        n_values=[2, 3],
+        grid=Sweep(
+            base=Scenario(protocol="A", n=2, t=1, seed=0),
+            seeds=list(range(2500)),
+            protocols=["A", "B"],
+            n=[2, 3],
+        ),
         chunk_size=100,
     )
     assert spec.total_runs == 10_000

@@ -25,7 +25,7 @@ import urllib.request
 
 import pytest
 
-from repro.api import Scenario
+from repro.api import Scenario, Sweep
 from repro.cache import ResultCache
 from repro.campaign import CampaignSpec, CampaignState, run_campaign
 from repro.campaign.ledger import CampaignLedger
@@ -423,8 +423,7 @@ def test_graceful_shutdown_drains_journals_and_releases_long_polls(tmp_path):
 def _campaign_spec():
     return CampaignSpec(
         name="chaos-grid",
-        base=Scenario(protocol="A", n=8, t=2, seed=0),
-        seeds=list(range(6)),
+        grid=Sweep(base=Scenario(protocol="A", n=8, t=2, seed=0), seeds=list(range(6))),
         chunk_size=2,
     )
 
