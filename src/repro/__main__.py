@@ -62,9 +62,12 @@ Subcommands:
 * ``cache`` - maintain content-addressed result-cache journals::
 
       python -m repro cache compact cache.jsonl
+      python -m repro cache verify cache.jsonl
 
   ``compact`` rewrites an append-only journal to its live entries
-  (atomically), dropping dead lines left by re-stores and evictions.
+  (atomically), dropping dead lines left by re-stores and evictions;
+  ``verify`` audits a journal's checksums without loading it and exits
+  1 on corrupt lines.
 
 * ``suite`` - versioned, regression-pinned scenario suites (see
   ``docs/suites.md``)::

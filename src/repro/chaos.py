@@ -55,6 +55,7 @@ from collections import Counter
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
+from repro.sim.specs import integer, number
 
 #: The named places the service stack consults the injector.
 INJECTION_POINTS = (
@@ -198,19 +199,8 @@ class ChaosInjector:
 ChaosSpec = Union[None, str, Dict[str, Any], ChaosInjector]
 
 
-def _rate_value(value, *, point: str) -> float:
-    try:
-        rate = float(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(
-            f"chaos rate for {point!r} must be a number in [0, 1], "
-            f"got {value!r}"
-        )
-    if not 0.0 <= rate <= 1.0:
-        raise ConfigurationError(
-            f"chaos rate for {point!r} must be in [0, 1], got {rate!r}"
-        )
-    return rate
+_RATE = number(0, 1)
+_SEED = integer()
 
 
 def _parse_chaos_string(text: str) -> Dict[str, Any]:
@@ -267,19 +257,7 @@ def normalize_chaos_spec(spec: ChaosSpec) -> Optional[Dict[str, Any]]:
                 f"{sorted(overlap)}; use one form"
             )
         params.update(raw_rates)
-    seed = 0
-    if "seed" in params:
-        raw_seed = params.pop("seed")
-        try:
-            seed = int(raw_seed)
-            if isinstance(raw_seed, float) and raw_seed != seed:
-                raise ValueError
-            if isinstance(raw_seed, bool):
-                raise ValueError
-        except (TypeError, ValueError):
-            raise ConfigurationError(
-                f"chaos 'seed' must be an integer, got {raw_seed!r}"
-            )
+    seed = _SEED(params.pop("seed", 0), what="chaos 'seed'")
     unknown = set(params) - set(INJECTION_POINTS)
     if unknown:
         raise ConfigurationError(
@@ -287,7 +265,7 @@ def normalize_chaos_spec(spec: ChaosSpec) -> Optional[Dict[str, Any]]:
             "points: " + ", ".join(INJECTION_POINTS)
         )
     rates = {
-        point: _rate_value(value, point=point)
+        point: _RATE(value, what=f"chaos rate for {point!r}")
         for point, value in params.items()
     }
     rates = {point: rate for point, rate in sorted(rates.items()) if rate > 0.0}

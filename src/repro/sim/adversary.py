@@ -12,23 +12,25 @@ Declarative specs
 Every adversary is also constructible from a *spec* - a string or a
 JSON-compatible dict - via :func:`adversary_from_spec`, which is what
 the :class:`repro.api.Scenario` layer, the CLI's ``--adversary`` flag
-and the sweep batteries use.  The string grammar is::
+and the sweep batteries use::
 
     KIND                      e.g.  "kill-active"
     KIND:ARG,ARG,...          e.g.  "random:5,max_action_index=25"
+    {"kind": KIND, <param>: ...}
 
-where each ``ARG`` is positional or ``name=value``; values may be ints,
-floats, ``true``/``false``, ``a..b`` inclusive int ranges, ``a+b+c``
-lists, and ``PIDxUNITS`` pairs (for ``staggered``).  The dict form is
-``{"kind": ..., <param>: ...}`` and covers everything the constructors
-do (``fixed-schedule`` directives, ``compose`` parts).  See
-``docs/api.md`` for the full grammar table.
+The kind table below (:data:`ADVERSARY`) declares each kind's
+parameters and their coercers; the grammar itself - tokenizer,
+coercion, canonical form - is :mod:`repro.sim.specs`.  The dict form
+covers everything the constructors do (``fixed-schedule`` directives,
+``compose`` parts), and the constructors accept the canonical values
+(crash phases as their string values).  See ``docs/api.md`` for the
+grammar table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.sim.actions import Action, iter_dsts
@@ -40,7 +42,20 @@ from repro.sim.crashes import (
     normalize_repair_spec,
 )
 from repro.sim.engine import Adversary, Engine
-from repro.sim.specs import bind_positionals, split_spec_string, to_int, to_number
+from repro.sim.specs import (
+    SpecFamily,
+    SpecKind,
+    boolean,
+    choice,
+    integer,
+    list_of,
+    many,
+    number,
+    pid_groups,
+    pids,
+    record,
+    tuples,
+)
 
 
 class NoFailures(Adversary):
@@ -91,7 +106,7 @@ class RandomCrashes(Adversary):
             raise ConfigurationError(f"crash count must be non-negative, got {count!r}")
         self.count = count
         self.max_action_index = max(1, max_action_index)
-        self.phases = tuple(phases)
+        self.phases = tuple(CrashPhase(phase) for phase in phases)
         self.explicit_victims = list(victims) if victims is not None else None
         self._countdown: Dict[int, int] = {}
         self._armed = False
@@ -149,7 +164,7 @@ class KillActive(Adversary):
     ):
         self.budget = budget
         self.actions_before_kill = max(1, actions_before_kill)
-        self.phase = phase
+        self.phase = CrashPhase(phase)
         self._current_victim: Optional[int] = None
         self._seen_actions = 0
 
@@ -289,8 +304,8 @@ class StaggeredWorkKills(Adversary):
         self._done: Dict[int, int] = {}
 
     @classmethod
-    def plan(cls, pairs: Iterable[Sequence[int]]) -> "StaggeredWorkKills":
-        return cls(_StaggeredKill(pid, units) for pid, units in pairs)
+    def plan(cls, kills: Iterable[Sequence[int]]) -> "StaggeredWorkKills":
+        return cls(_StaggeredKill(pid, units) for pid, units in kills)
 
     def decide(
         self, round_number: int, actions: Dict[int, Action], engine: Engine
@@ -386,7 +401,7 @@ class RecoveringCrashes(Adversary):
             repair_delay, what="'repair_delay' for adversary 'crash-recover'"
         )
         self.max_action_index = max(1, max_action_index)
-        self.phases = tuple(phases)
+        self.phases = tuple(CrashPhase(phase) for phase in phases)
         self.explicit_victims = list(victims) if victims is not None else None
         self.repeat = repeat
         self._countdown: Dict[int, int] = {}
@@ -477,7 +492,7 @@ class RackFailures(Adversary):
             [list(group) for group in groups] if groups is not None else None
         )
         self.max_trigger = max(1, max_trigger)
-        self.phase = phase
+        self.phase = CrashPhase(phase)
         self.recover_after = recover_after
         self._triggers: List[Tuple[int, List[int]]] = []  # (threshold, members)
         self._seen_actions = 0
@@ -572,7 +587,7 @@ class NeighbourCascade(Adversary):
         self.p = p
         self.hop_delay = hop_delay
         self.budget = budget
-        self.phase = phase
+        self.phase = CrashPhase(phase)
         self.recover_after = recover_after
         self._pending: Dict[int, int] = {}  # pid -> crash round
         self._infected: set = set()
@@ -654,483 +669,185 @@ def compose(*adversaries: Adversary) -> Adversary:
 #: grammar string, a JSON-compatible dict, or an already-built instance.
 AdversarySpec = Union[None, str, Dict[str, object], Adversary]
 
-_NONE_KINDS = {"none", "no-failures", "nofailures"}
+_COUNT = integer(minimum=0)
+_PHASE = choice(CrashPhase)
+_PHASES = many(_PHASE)
+
+_DIRECTIVE = record(
+    {
+        "pid": integer(),
+        "at_round": integer(),
+        "phase": _PHASE,
+        "keep": pids,
+        "recover_after": integer(minimum=1),
+    },
+    required=("pid",),
+    label="fixed-schedule directive",
+)
 
 
-def _coerce_phase(value) -> CrashPhase:
-    if isinstance(value, CrashPhase):
-        return value
-    name = str(value).strip().lower().replace("-", "_")
-    for phase in CrashPhase:
-        if phase.value == name or phase.name.lower() == name:
-            return phase
-    raise ConfigurationError(
-        f"unknown crash phase {value!r}; known phases: "
-        + ", ".join(p.value for p in CrashPhase)
+def _fixed_schedule(directives) -> FixedSchedule:
+    return FixedSchedule(
+        CrashDirective(
+            pid=directive["pid"],
+            at_round=directive.get("at_round", 0),
+            phase=CrashPhase(directive.get("phase", CrashPhase.BEFORE_ACTION)),
+            keep=frozenset(directive["keep"]) if "keep" in directive else None,
+            recover_after=directive.get("recover_after"),
+        )
+        for directive in directives
     )
 
 
-def _coerce_value(text: str):
-    """Parse one string-grammar value: scalar, ``a..b`` range, ``a+b``
-    list, or ``AxB`` pair."""
-    text = text.strip()
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        try:
-            return list(range(int(lo), int(hi) + 1))
-        except ValueError:
-            raise ConfigurationError(f"bad range value {text!r}; expected INT..INT")
-    if "+" in text:
-        return [_coerce_value(part) for part in text.split("+")]
-    if "x" in text:
-        head, _, tail = text.partition("x")
-        if head.strip().isdigit() and tail.strip().isdigit():
-            return [int(head), int(tail)]
-    lowered = text.lower()
-    if lowered in ("true", "yes"):
-        return True
-    if lowered in ("false", "no"):
-        return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text
+def _compose(parts) -> Adversary:
+    live = [adversary_from_spec(part) for part in parts if part is not None]
+    return compose(*live) if live else NoFailures()
 
 
-def _pid_list(value, *, what: str) -> List[int]:
-    if isinstance(value, int):
-        return [value]
-    if isinstance(value, (list, tuple)):
-        return [to_int(v, what=f"each pid in {what}") for v in value]
-    raise ConfigurationError(f"{what} must be an int or a list of ints, got {value!r}")
-
-
-def _int_param(params, name: str, kind: str, *, minimum: Optional[int] = None) -> int:
-    return to_int(
-        params[name], what=f"{name!r} for adversary {kind!r}", minimum=minimum
-    )
-
-
-def _build_random(params) -> Adversary:
-    kwargs = {}
-    if "max_action_index" in params:
-        kwargs["max_action_index"] = _int_param(params, "max_action_index", "random")
-    if params.get("victims") is not None:
-        kwargs["victims"] = _pid_list(params["victims"], what="'victims'")
-    if params.get("phases") is not None:
-        phases = params["phases"]
-        if not isinstance(phases, (list, tuple)):
-            phases = [phases]
-        kwargs["phases"] = tuple(_coerce_phase(p) for p in phases)
-    return RandomCrashes(_int_param(params, "count", "random"), **kwargs)
-
-
-def _build_crash_recover(params) -> Adversary:
-    kind = "crash-recover"
-    kwargs = {}
-    if "repair_delay" in params:
-        kwargs["repair_delay"] = params["repair_delay"]  # ctor normalizes
-    if "max_action_index" in params:
-        kwargs["max_action_index"] = _int_param(params, "max_action_index", kind)
-    if params.get("victims") is not None:
-        kwargs["victims"] = _pid_list(params["victims"], what="'victims'")
-    if params.get("phases") is not None:
-        phases = params["phases"]
-        if not isinstance(phases, (list, tuple)):
-            phases = [phases]
-        kwargs["phases"] = tuple(_coerce_phase(p) for p in phases)
-    if "repeat" in params:
-        kwargs["repeat"] = bool(params["repeat"])
-    return RecoveringCrashes(_int_param(params, "count", kind), **kwargs)
-
-
-def _build_rack(params) -> Adversary:
-    kind = "rack"
-    kwargs = {}
-    if "group_size" in params:
-        kwargs["group_size"] = _int_param(params, "group_size", kind, minimum=1)
-    if params.get("groups") is not None:
-        groups = params["groups"]
-        if not isinstance(groups, (list, tuple)) or not groups:
-            raise ConfigurationError(
-                "'groups' for adversary 'rack' must be a non-empty list of "
-                f"pid lists, got {groups!r}"
-            )
-        # The string grammar parses "0+1+2" as one flat pid list - treat
-        # that as a single group.
-        if all(isinstance(v, int) for v in groups):
-            groups = [groups]
-        kwargs["groups"] = [
-            _pid_list(group, what="each group in 'groups'") for group in groups
-        ]
-    if "max_trigger" in params:
-        kwargs["max_trigger"] = _int_param(params, "max_trigger", kind, minimum=1)
-    if "phase" in params:
-        kwargs["phase"] = _coerce_phase(params["phase"])
-    if params.get("recover_after") is not None:
-        kwargs["recover_after"] = params["recover_after"]  # ctor normalizes
-    return RackFailures(_int_param(params, "racks", kind), **kwargs)
-
-
-def _build_cascade_neighbours(params) -> Adversary:
-    kind = "cascade-neighbours"
-    kwargs = {}
-    if "p" in params:
-        kwargs["p"] = to_number(params["p"], what=f"'p' for adversary {kind!r}")
-    if "hop_delay" in params:
-        kwargs["hop_delay"] = _int_param(params, "hop_delay", kind, minimum=1)
-    if params.get("budget") is not None:
-        kwargs["budget"] = _int_param(params, "budget", kind)
-    if "phase" in params:
-        kwargs["phase"] = _coerce_phase(params["phase"])
-    if params.get("recover_after") is not None:
-        kwargs["recover_after"] = params["recover_after"]  # ctor normalizes
-    return NeighbourCascade(
-        _pid_list(params["origins"], what="'origins'"), **kwargs
-    )
-
-
-def _build_kill_active(params) -> Adversary:
-    kwargs = {}
-    if "actions_before_kill" in params:
-        kwargs["actions_before_kill"] = _int_param(
-            params, "actions_before_kill", "kill-active"
-        )
-    if "phase" in params:
-        kwargs["phase"] = _coerce_phase(params["phase"])
-    return KillActive(_int_param(params, "budget", "kill-active"), **kwargs)
-
-
-def _build_kill_before_checkpoint(params) -> Adversary:
-    return KillBeforeCheckpoint(_int_param(params, "budget", "kill-before-checkpoint"))
-
-
-def _build_cascade(params) -> Adversary:
-    kwargs = {}
-    if "redo_units" in params:
-        kwargs["redo_units"] = _int_param(params, "redo_units", "cascade")
-    if params.get("initial_dead") is not None:
-        kwargs["initial_dead"] = _pid_list(params["initial_dead"], what="'initial_dead'")
-    if params.get("budget") is not None:
-        kwargs["budget"] = _int_param(params, "budget", "cascade")
-    return Cascade(lead_units=_int_param(params, "lead_units", "cascade"), **kwargs)
-
-
-def _build_staggered(params) -> Adversary:
-    kills = params["kills"]
-    if (
-        isinstance(kills, (list, tuple))
-        and len(kills) == 2
-        and all(isinstance(v, int) for v in kills)
-    ):
-        kills = [kills]  # a single PIDxUNITS pair parses as one flat [pid, units]
-    pairs = []
-    for pair in kills:
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ConfigurationError(
-                "'kills' for the 'staggered' adversary must be [pid, units] "
-                f"pairs (string form: 0x2+3x1), got {pair!r}"
-            )
-        pairs.append(
-            (
-                to_int(pair[0], what="each kill pid for adversary 'staggered'"),
-                to_int(pair[1], what="each kill unit count for adversary 'staggered'"),
-            )
-        )
-    return StaggeredWorkKills.plan(pairs)
-
-
-def _build_crash_mid_broadcast(params) -> Adversary:
-    kwargs = {}
-    if "min_batch" in params:
-        kwargs["min_batch"] = _int_param(params, "min_batch", "crash-mid-broadcast")
-    return CrashMidBroadcast(_pid_list(params["victims"], what="'victims'"), **kwargs)
-
-
-def _build_fixed_schedule(params) -> Adversary:
-    directives = []
-    raw = params["directives"]
-    if not isinstance(raw, (list, tuple)):
-        raise ConfigurationError(
-            "'directives' for the 'fixed-schedule' adversary must be a list "
-            f"of {{pid, at_round, phase?, keep?, recover_after?}} dicts, "
-            f"got {raw!r}"
-        )
-    for item in raw:
-        if not isinstance(item, dict):
-            raise ConfigurationError(
-                f"each fixed-schedule directive must be a dict, got {item!r}"
-            )
-        unknown = set(item) - {"pid", "at_round", "phase", "keep", "recover_after"}
-        if unknown:
-            raise ConfigurationError(
-                f"unknown directive field(s) {sorted(unknown)}; "
-                "accepted: pid, at_round, phase, keep, recover_after"
-            )
-        kwargs = {
-            "pid": to_int(item["pid"], what="directive 'pid'"),
-            "at_round": to_int(item.get("at_round", 0), what="directive 'at_round'"),
-        }
-        if "phase" in item:
-            kwargs["phase"] = _coerce_phase(item["phase"])
-        if item.get("keep") is not None:
-            kwargs["keep"] = frozenset(_pid_list(item["keep"], what="'keep'"))
-        if item.get("recover_after") is not None:
-            kwargs["recover_after"] = to_int(
-                item["recover_after"], what="directive 'recover_after'", minimum=1
-            )
-        directives.append(CrashDirective(**kwargs))
-    return FixedSchedule(directives)
-
-
-def _build_compose(params) -> Adversary:
-    parts = params["parts"]
-    if not isinstance(parts, (list, tuple)) or not parts:
-        raise ConfigurationError(
-            "'parts' for the 'compose' adversary must be a non-empty list of specs"
-        )
-    built = [adversary_from_spec(part) for part in parts]
-    live = [adv for adv in built if adv is not None]
-    if not live:
-        return NoFailures()
-    return compose(*live)
-
-
-@dataclass(frozen=True)
-class _SpecKind:
-    """One entry of the spec grammar: the params it accepts, which of
-    them map from positional string-grammar args, and its factory."""
-
-    name: str
-    positional: Sequence[str]
-    required: Sequence[str]
-    optional: Sequence[str]
-    factory: Callable[[Dict[str, object]], Adversary]
-    summary: str = ""
-
-    @property
-    def accepted(self) -> List[str]:
-        return list(self.required) + list(self.optional)
-
-
-_SPEC_KINDS: Dict[str, _SpecKind] = {}
-
-
-def _register_kind(name, positional, required, optional, factory, summary="") -> None:
-    _SPEC_KINDS[name] = _SpecKind(
-        name, positional, required, optional, factory, summary
-    )
-
-
-_register_kind(
-    "random", ("count",), ("count",),
-    ("max_action_index", "victims", "phases"), _build_random,
-    "crash N random victims at random action opportunities",
-)
-_register_kind(
-    "crash-recover", ("count",), ("count",),
-    ("repair_delay", "max_action_index", "victims", "phases", "repeat"),
-    _build_crash_recover,
-    "random victims crash, then rejoin from their checkpoint after "
-    "repair_delay rounds (needs a recovery-aware protocol)",
-)
-_register_kind(
-    "rack", ("racks",), ("racks",),
-    ("group_size", "groups", "max_trigger", "phase", "recover_after"),
-    _build_rack,
-    "correlated failures: kill whole pid groups at once; optional "
-    "recover_after rejoins the rack",
-)
-_register_kind(
-    "cascade-neighbours", ("origins",), ("origins",),
-    ("p", "hop_delay", "budget", "phase", "recover_after"),
-    _build_cascade_neighbours,
-    "crashes spread to ring neighbours with per-hop probability p",
-)
-_register_kind(
-    "kill-active", ("budget",), ("budget",),
-    ("actions_before_kill", "phase"), _build_kill_active,
-    "crash each active process after a few actions (Theorem 2.3 redo bound)",
-)
-_register_kind(
-    "kill-before-checkpoint", ("budget",), ("budget",), (),
-    _build_kill_before_checkpoint,
-    "crash the active process the moment it attempts a broadcast",
-)
-_register_kind(
-    "cascade", ("lead_units",), ("lead_units",),
-    ("redo_units", "initial_dead", "budget"), _build_cascade,
-    "the Section 3 lower-bound schedule for naive knowledge spreading",
-)
-_register_kind(
-    "staggered", ("kills",), ("kills",), (), _build_staggered,
-    "crash given victims after per-victim work quotas (0x2+3x1)",
-)
-_register_kind(
-    "crash-mid-broadcast", ("victims",), ("victims",),
-    ("min_batch",), _build_crash_mid_broadcast,
-    "crash victims mid-broadcast, delivering a random subset",
-)
-_register_kind(
-    "fixed-schedule", (), ("directives",), (), _build_fixed_schedule,
-    "crash exactly the given {pid, at_round, phase?, keep?, recover_after?} "
-    "directives",
-)
-_register_kind(
-    "compose", (), ("parts",), (), _build_compose,
-    "run several adversary specs side by side",
+ADVERSARY = SpecFamily(
+    "adversary",
+    (
+        SpecKind(
+            "random",
+            ("count",),
+            {"count": _COUNT, "max_action_index": integer(), "victims": pids, "phases": _PHASES},
+            required=("count",),
+            factory=RandomCrashes,
+            summary="crash N random victims at random action opportunities",
+        ),
+        SpecKind(
+            "crash-recover",
+            ("count",),
+            {
+                "count": _COUNT,
+                "repair_delay": normalize_repair_spec,
+                "max_action_index": integer(),
+                "victims": pids,
+                "phases": _PHASES,
+                "repeat": boolean,
+            },
+            required=("count",),
+            factory=RecoveringCrashes,
+            summary="random victims crash, then rejoin from their checkpoint after "
+            "repair_delay rounds (needs a recovery-aware protocol)",
+        ),
+        SpecKind(
+            "rack",
+            ("racks",),
+            {
+                "racks": _COUNT,
+                "group_size": integer(minimum=1),
+                "groups": pid_groups,
+                "max_trigger": integer(minimum=1),
+                "phase": _PHASE,
+                "recover_after": normalize_repair_spec,
+            },
+            required=("racks",),
+            factory=RackFailures,
+            summary="correlated failures: kill whole pid groups at once; optional "
+            "recover_after rejoins the rack",
+        ),
+        SpecKind(
+            "cascade-neighbours",
+            ("origins",),
+            {
+                "origins": pids,
+                "p": number(0, 1),
+                "hop_delay": integer(minimum=1),
+                "budget": integer(),
+                "phase": _PHASE,
+                "recover_after": normalize_repair_spec,
+            },
+            required=("origins",),
+            factory=NeighbourCascade,
+            summary="crashes spread to ring neighbours with per-hop probability p",
+        ),
+        SpecKind(
+            "kill-active",
+            ("budget",),
+            {"budget": integer(), "actions_before_kill": integer(), "phase": _PHASE},
+            required=("budget",),
+            factory=KillActive,
+            summary="crash each active process after a few actions (Theorem 2.3 redo bound)",
+        ),
+        SpecKind(
+            "kill-before-checkpoint",
+            ("budget",),
+            {"budget": integer()},
+            required=("budget",),
+            factory=KillBeforeCheckpoint,
+            summary="crash the active process the moment it attempts a broadcast",
+        ),
+        SpecKind(
+            "cascade",
+            ("lead_units",),
+            {
+                "lead_units": integer(),
+                "redo_units": integer(),
+                "initial_dead": pids,
+                "budget": integer(),
+            },
+            required=("lead_units",),
+            factory=Cascade,
+            summary="the Section 3 lower-bound schedule for naive knowledge spreading",
+        ),
+        SpecKind(
+            "staggered",
+            ("kills",),
+            {"kills": tuples(("pid", None), ("units", None))},
+            required=("kills",),
+            factory=StaggeredWorkKills.plan,
+            summary="crash given victims after per-victim work quotas (0x2+3x1)",
+        ),
+        SpecKind(
+            "crash-mid-broadcast",
+            ("victims",),
+            {"victims": pids, "min_batch": integer()},
+            required=("victims",),
+            factory=CrashMidBroadcast,
+            summary="crash victims mid-broadcast, delivering a random subset",
+        ),
+        SpecKind(
+            "fixed-schedule",
+            None,
+            {"directives": list_of(_DIRECTIVE)},
+            required=("directives",),
+            factory=_fixed_schedule,
+            summary="crash exactly the given {pid, at_round, phase?, keep?, "
+            "recover_after?} directives",
+        ),
+        SpecKind(
+            "compose",
+            None,
+            {
+                "parts": list_of(
+                    lambda part, *, what: normalize_adversary_spec(part, what=what),
+                    non_empty=True,
+                )
+            },
+            required=("parts",),
+            factory=_compose,
+            summary="run several adversary specs side by side",
+        ),
+    ),
+    none_aliases=("none", "no-failures", "nofailures"),
+    none_summary="the failure-free execution",
+    live=Adversary,
 )
 
+#: ``normalize_adversary_spec(spec)``: ``None`` or the canonical
+#: ``{"kind": ..., <param>: ...}`` dict; live instances are rejected
+#: (they cannot round-trip through JSON - pass a spec instead).
+normalize_adversary_spec = ADVERSARY.normalize
 
-def available_adversary_kinds() -> List[str]:
-    """Spec kinds accepted by :func:`adversary_from_spec` (plus ``none``)."""
-    return sorted(_SPEC_KINDS) + ["none"]
+#: ``adversary_from_spec(spec)``: a *new* adversary per call, so one
+#: spec can seed many runs; ``None`` and ``"none"`` build ``None`` (the
+#: failure-free run), and a live instance passes through unchanged.
+adversary_from_spec = ADVERSARY.build
 
+#: Spec kinds accepted by :func:`adversary_from_spec` (plus ``none``).
+available_adversary_kinds = ADVERSARY.known_kinds
 
-def adversary_kind_info() -> List[Dict[str, object]]:
-    """Machine-readable grammar table: one entry per spec kind, with its
-    required/optional parameters and which of them bind positionally in
-    the string grammar.  This is what ``repro adversaries`` prints."""
-    info: List[Dict[str, object]] = [
-        {
-            "kind": name,
-            "summary": spec_kind.summary,
-            "positional": list(spec_kind.positional),
-            "required": list(spec_kind.required),
-            "optional": list(spec_kind.optional),
-        }
-        for name, spec_kind in sorted(_SPEC_KINDS.items())
-    ]
-    info.append(
-        {
-            "kind": "none",
-            "summary": "the failure-free execution",
-            "positional": [],
-            "required": [],
-            "optional": [],
-        }
-    )
-    return info
-
-
-def _canonical_kind(kind: str) -> str:
-    key = kind.strip().lower().replace("_", "-")
-    if key in _NONE_KINDS:
-        return "none"
-    if key not in _SPEC_KINDS:
-        raise ConfigurationError(
-            f"unknown adversary kind {kind!r}; known kinds: "
-            + ", ".join(available_adversary_kinds())
-        )
-    return key
-
-
-def _parse_spec_string(text: str) -> Dict[str, object]:
-    kind_raw, positional, named = split_spec_string(text)
-    kind = _canonical_kind(kind_raw)
-    params: Dict[str, object] = {"kind": kind}
-    if kind == "none":
-        if positional or named:
-            raise ConfigurationError("the 'none' adversary takes no arguments")
-        return params
-    spec_kind = _SPEC_KINDS[kind]
-    bound = bind_positionals(
-        kind, tuple(spec_kind.positional), positional, what="adversary kind"
-    )
-    for name, value in {**bound, **named}.items():
-        params[name] = _coerce_value(value)
-    return params
-
-
-def normalize_adversary_spec(spec: AdversarySpec) -> Optional[Dict[str, object]]:
-    """Canonicalise ``spec`` to ``None`` or a validated, JSON-compatible
-    ``{"kind": ..., <param>: ...}`` dict.
-
-    Raises :class:`ConfigurationError` for unknown kinds or parameters,
-    and for live :class:`Adversary` instances (which cannot round-trip
-    through JSON - pass a spec instead).
-    """
-    if spec is None:
-        return None
-    if isinstance(spec, Adversary):
-        raise ConfigurationError(
-            f"a live {type(spec).__name__} instance is not serializable; "
-            "pass a string or dict adversary spec instead "
-            f"(known kinds: {', '.join(available_adversary_kinds())})"
-        )
-    if isinstance(spec, str):
-        params = _parse_spec_string(spec)
-    elif isinstance(spec, dict):
-        if "kind" not in spec:
-            raise ConfigurationError(
-                "adversary spec dicts need a 'kind' key; known kinds: "
-                + ", ".join(available_adversary_kinds())
-            )
-        params = {
-            (k if k == "kind" else str(k).replace("-", "_")): v
-            for k, v in spec.items()
-        }
-        params["kind"] = _canonical_kind(str(spec["kind"]))
-    else:
-        raise ConfigurationError(
-            f"adversary spec must be None, a string, or a dict, got {type(spec).__name__}"
-        )
-    kind = params["kind"]
-    if kind == "none":
-        extra = set(params) - {"kind"}
-        if extra:
-            raise ConfigurationError("the 'none' adversary takes no parameters")
-        return None
-    spec_kind = _SPEC_KINDS[kind]
-    unknown = set(params) - {"kind"} - set(spec_kind.accepted)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown parameter(s) {sorted(unknown)} for adversary kind "
-            f"{kind!r}; accepted: {', '.join(spec_kind.accepted)}"
-        )
-    missing = set(spec_kind.required) - set(params)
-    if missing:
-        raise ConfigurationError(
-            f"adversary kind {kind!r} requires parameter(s) "
-            f"{sorted(missing)}; accepted: {', '.join(spec_kind.accepted)}"
-        )
-    if kind == "compose":
-        if not isinstance(params["parts"], (list, tuple)) or not params["parts"]:
-            raise ConfigurationError(
-                "'parts' for the 'compose' adversary must be a non-empty list of specs"
-            )
-        params["parts"] = [normalize_adversary_spec(part) for part in params["parts"]]
-    # Canonicalise repair specs so spelling variants ("uniform:2,6" vs.
-    # "uniform:2-6" vs. the dict form) serialize - and content-address -
-    # identically, and so bad values fail here, naming the value.
-    if kind == "crash-recover" and "repair_delay" in params:
-        params["repair_delay"] = normalize_repair_spec(
-            params["repair_delay"],
-            what="'repair_delay' for adversary 'crash-recover'",
-        )
-    if kind in ("rack", "cascade-neighbours") and params.get("recover_after") is not None:
-        params["recover_after"] = normalize_repair_spec(
-            params["recover_after"], what=f"'recover_after' for adversary {kind!r}"
-        )
-    return params
-
-
-def adversary_from_spec(spec: AdversarySpec) -> Optional[Adversary]:
-    """Build a fresh adversary from a declarative spec.
-
-    ``None`` and the ``"none"`` kind yield ``None`` (failure-free run);
-    a live :class:`Adversary` instance passes through unchanged (but see
-    :func:`normalize_adversary_spec` about serializability).  Every call
-    returns a *new* instance, so one spec can seed many runs.
-    """
-    if isinstance(spec, Adversary):
-        return spec
-    params = normalize_adversary_spec(spec)
-    if params is None:
-        return None
-    return _SPEC_KINDS[params["kind"]].factory(params)
+#: The grammar table ``repro adversaries`` prints: per kind, its summary
+#: and its positional, required and optional parameters.
+adversary_kind_info = ADVERSARY.info

@@ -67,15 +67,16 @@ import itertools
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from collections.abc import Callable
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import BudgetExceeded, ConfigurationError, SimulationStalled
+from repro.errors import BudgetExceeded, SimulationStalled
 from repro.sim.actions import Broadcast, MessageKind, SendBatch
 from repro.sim.congestion import CongestionBudget
 from repro.sim.failure_detector import FailureDetector
 from repro.sim.metrics import Metrics, RunResult
 from repro.sim.rng import derive_rng, make_rng
-from repro.sim.specs import bind_positionals, split_spec_string, to_number
+from repro.sim.specs import SpecFamily, SpecKind, number, ordered
 from repro.work.tracker import WorkTracker
 
 DelayModel = Callable[[random.Random, int, int], float]
@@ -105,88 +106,46 @@ def fixed_delays(delay: float = 1.0) -> DelayModel:
 
 # ---- declarative delay-model specs ----------------------------------------
 #
-# Mirrors the adversary spec grammar of ``repro.sim.adversary``: strings
-# like ``"uniform:0.5,4.0"`` / ``"fixed:1.0"`` or dicts like
-# ``{"kind": "uniform", "low": 0.5, "high": 4.0}``.  This is what
-# :class:`repro.api.Scenario` serialises.
+# Strings like ``"uniform:0.5,4.0"`` / ``"fixed:1.0"`` or dicts like
+# ``{"kind": "uniform", "low": 0.5, "high": 4.0}`` (the grammar of
+# :mod:`repro.sim.specs`).  This is what :class:`repro.api.Scenario`
+# serialises.
 
 #: str spec, dict spec, a ready-made model callable, or None (default).
 DelaySpec = Any
 
-_DELAY_KINDS: Dict[str, Tuple[Tuple[str, ...], Callable[..., DelayModel]]] = {
-    "uniform": (("low", "high"), uniform_delays),
-    "fixed": (("delay",), fixed_delays),
-}
+_DELAY = number(minimum=0)
 
+DELAY = SpecFamily(
+    "delay model",
+    (
+        SpecKind(
+            "uniform",
+            ("low", "high"),
+            {"low": _DELAY, "high": _DELAY},
+            factory=uniform_delays,
+            summary="every delay uniform in [low, high] (default [0.5, 4.0])",
+            check=ordered("low", "high", defaults={"low": 0.5, "high": 4.0}),
+        ),
+        SpecKind(
+            "fixed",
+            ("delay",),
+            {"delay": _DELAY},
+            factory=fixed_delays,
+            summary="every delay exactly `delay` (default 1.0)",
+        ),
+    ),
+    live=Callable,
+)
 
-def _delay_params(spec) -> Dict[str, Any]:
-    if isinstance(spec, str):
-        kind, positional, named = split_spec_string(spec)
-        params: Dict[str, Any] = {"kind": kind}
-        raw: Dict[str, Any] = dict(named)
-        if kind in _DELAY_KINDS:
-            raw.update(
-                bind_positionals(
-                    kind, _DELAY_KINDS[kind][0], positional, what="delay model"
-                )
-            )
-    elif isinstance(spec, dict):
-        if "kind" not in spec:
-            raise ConfigurationError(
-                "delay model spec dicts need a 'kind' key; known kinds: "
-                + ", ".join(sorted(_DELAY_KINDS))
-            )
-        params = {"kind": str(spec["kind"]).strip().lower()}
-        raw = {k: v for k, v in spec.items() if k != "kind"}
-    else:
-        raise ConfigurationError(
-            f"delay model spec must be None, a string, a dict, or a callable, "
-            f"got {type(spec).__name__}"
-        )
-    kind = params["kind"]
-    if kind not in _DELAY_KINDS:
-        raise ConfigurationError(
-            f"unknown delay model {kind!r}; known kinds: "
-            + ", ".join(sorted(_DELAY_KINDS))
-        )
-    accepted = _DELAY_KINDS[kind][0]
-    unknown = set(raw) - set(accepted)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown parameter(s) {sorted(unknown)} for delay model "
-            f"{kind!r}; accepted: {', '.join(accepted)}"
-        )
-    for name, value in raw.items():
-        params[name] = to_number(
-            value, what=f"delay model {kind!r} parameter {name!r}"
-        )
-    return params
+#: ``normalize_delay_spec(spec)``: ``None`` or the canonical dict; a
+#: delay-model callable is not serializable.
+normalize_delay_spec = DELAY.normalize
 
-
-def normalize_delay_spec(spec: DelaySpec) -> Optional[Dict[str, Any]]:
-    """Canonicalise a delay spec to ``None`` or a JSON-compatible dict."""
-    if spec is None:
-        return None
-    if callable(spec):
-        raise ConfigurationError(
-            "a delay-model callable is not serializable; pass a string or "
-            "dict spec instead (known kinds: "
-            + ", ".join(sorted(_DELAY_KINDS))
-            + ")"
-        )
-    return _delay_params(spec)
-
-
-def delay_model_from_spec(spec: DelaySpec) -> DelayModel:
-    """Build a delay model from a spec; ``None`` yields the default
-    :func:`uniform_delays`, a callable passes through unchanged."""
-    if spec is None:
-        return uniform_delays()
-    if callable(spec):
-        return spec
-    params = _delay_params(spec)
-    names, factory = _DELAY_KINDS[params["kind"]]
-    return factory(**{name: params[name] for name in names if name in params})
+#: ``delay_model_from_spec(spec)``: a fresh delay model; a callable
+#: passes through, and ``None`` builds ``None``, which the engine reads
+#: as its default :func:`uniform_delays`.
+delay_model_from_spec = DELAY.build
 
 
 @dataclass(order=True, slots=True)

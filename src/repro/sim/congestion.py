@@ -35,13 +35,11 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
 from repro.errors import ConfigurationError
-from repro.sim.specs import bind_positionals, split_spec_string, to_int
+from repro.sim.specs import SpecFamily, SpecKind, integer
 
 #: What congestion-accepting entry points take: ``None`` (uncongested),
 #: a grammar string, a JSON-compatible dict, or the budget itself.
 CongestionSpec = Union[None, str, Dict[str, object], "CongestionBudget"]
-
-CONGESTION_KINDS = ("budget",)
 
 
 @dataclass(frozen=True)
@@ -60,62 +58,35 @@ class CongestionBudget:
         return spec
 
 
-def normalize_congestion_spec(spec: CongestionSpec) -> Optional[Dict[str, object]]:
-    """Canonicalise ``spec`` to ``{"kind": "budget", ...}`` or ``None``.
-
-    Raises :class:`ConfigurationError` naming the offending parameter and
-    value for malformed specs.
-    """
-    if spec is None:
-        return None
-    if isinstance(spec, CongestionBudget):
-        spec = spec.to_spec()
-    if isinstance(spec, str):
-        kind, positional, named = split_spec_string(spec)
-        bound = bind_positionals(kind, ("send",), positional, what="congestion kind")
-        spec = {"kind": kind, **bound, **named}
-    if not isinstance(spec, dict):
-        raise ConfigurationError(
-            f"congestion spec must be None, a string, or a dict, got "
-            f"{type(spec).__name__}: {spec!r}"
-        )
-    if "kind" not in spec:
-        raise ConfigurationError(
-            "congestion spec dicts need a 'kind' key; known kinds: "
-            + ", ".join(CONGESTION_KINDS)
-        )
-    kind = str(spec["kind"]).strip().lower()
-    if kind not in CONGESTION_KINDS:
-        raise ConfigurationError(
-            f"unknown congestion kind {spec['kind']!r}; known kinds: "
-            + ", ".join(CONGESTION_KINDS)
-        )
-    params = {str(k).replace("-", "_"): v for k, v in spec.items() if k != "kind"}
-    unknown = set(params) - {"send", "receive"}
-    if unknown:
-        raise ConfigurationError(
-            f"unknown parameter(s) {sorted(unknown)} for congestion kind "
-            "'budget'; accepted: send, receive"
-        )
+def _some_budget(params: Dict[str, object], label: str) -> None:
     if not params:
         raise ConfigurationError(
-            "congestion kind 'budget' needs at least one of 'send'/'receive' "
+            f"{label} needs at least one of 'send'/'receive' "
             "(e.g. 'budget:send=4,receive=8')"
         )
-    result: Dict[str, object] = {"kind": "budget"}
-    for name in ("send", "receive"):
-        if name in params:
-            result[name] = to_int(
-                params[name], what=f"{name!r} for congestion 'budget'", minimum=1
-            )
-    return result
 
 
-def congestion_from_spec(spec: CongestionSpec) -> Optional[CongestionBudget]:
-    """Materialise the budget both engines consume (``None`` = uncongested)."""
-    if isinstance(spec, CongestionBudget):
-        return spec
-    params = normalize_congestion_spec(spec)
-    if params is None:
-        return None
-    return CongestionBudget(send=params.get("send"), receive=params.get("receive"))
+_BUDGET = integer(minimum=1)
+
+CONGESTION = SpecFamily(
+    "congestion",
+    (
+        SpecKind(
+            "budget",
+            ("send",),
+            {"send": _BUDGET, "receive": _BUDGET},
+            factory=CongestionBudget,
+            summary="per-process per-round send/receive caps",
+            check=_some_budget,
+        ),
+    ),
+    live=CongestionBudget,
+)
+
+#: ``normalize_congestion_spec(spec)``: ``{"kind": "budget", ...}`` or
+#: ``None``; a live budget serializes through its ``to_spec()``.
+normalize_congestion_spec = CONGESTION.normalize
+
+#: ``congestion_from_spec(spec)``: the budget both engines consume
+#: (``None`` = uncongested); a live budget passes through.
+congestion_from_spec = CONGESTION.build

@@ -60,108 +60,42 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, FrozenSet, Optional, Union
 
-from repro.errors import ConfigurationError
 from repro.sim.actions import Action, Broadcast, SendBatch
 from repro.sim.rng import choose_subset
-from repro.sim.specs import to_int, to_number
+from repro.sim.specs import SpecFamily, SpecKind, integer, number, ordered
 
 #: What repair-delay parameters accept: a fixed round count, a
 #: distribution grammar string, or a canonical distribution dict.
 RepairSpec = Union[int, str, Dict[str, object]]
 
-#: Normalised form: a fixed int, or one of these distribution kinds.
-REPAIR_KINDS = ("uniform", "exp")
+_BOUND = integer(minimum=1)
 
+REPAIR = SpecFamily(
+    "repair",
+    (
+        SpecKind(
+            "uniform",
+            ("low", "high"),
+            {"low": _BOUND, "high": _BOUND},
+            required=("low", "high"),
+            summary="a uniform integer delay in [LO, HI], spelled 'uniform:LO,HI' "
+            "(or LO-HI / LO..HI inside an adversary string spec)",
+            check=ordered("low", "high"),
+        ),
+        SpecKind(
+            "exp",
+            ("mean",),
+            {"mean": number(positive=True)},
+            required=("mean",),
+            summary="exponential with the given mean, rounded, floored at 1: 'exp:mean=M'",
+        ),
+    ),
+    scalar=_BOUND,
+)
 
-def _parse_repair_string(text: str, *, what: str):
-    head, sep, rest = text.partition(":")
-    kind = head.strip().lower()
-    if not sep:
-        return to_int(text, what=what, minimum=1)
-    if kind == "uniform":
-        for bounds_sep in (",", "..", "-"):
-            if bounds_sep in rest:
-                low_text, _, high_text = rest.partition(bounds_sep)
-                break
-        else:
-            raise ConfigurationError(
-                f"{what} uniform bounds are spelled 'uniform:LO,HI' "
-                f"(or LO-HI / LO..HI inside an adversary string spec), "
-                f"got {text!r}"
-            )
-        return {
-            "kind": "uniform",
-            "low": to_int(low_text, what=f"{what} uniform low bound", minimum=1),
-            "high": to_int(high_text, what=f"{what} uniform high bound", minimum=1),
-        }
-    if kind == "exp":
-        rest = rest.strip()
-        if rest.lower().startswith("mean="):
-            rest = rest[5:]
-        return {"kind": "exp", "mean": to_number(rest, what=f"{what} exp mean")}
-    raise ConfigurationError(
-        f"{what} must be an integer, 'uniform:LO,HI' or 'exp:mean=M', "
-        f"got {text!r}"
-    )
-
-
-def normalize_repair_spec(value: RepairSpec, *, what: str):
-    """Canonicalise a repair spec to an int or a validated
-    ``{"kind": ..., <param>: ...}`` dict.
-
-    Raises :class:`ConfigurationError` naming the offending value for
-    unknown kinds, non-integer bounds, inverted ranges, and non-positive
-    means.
-    """
-    if isinstance(value, str):
-        value = _parse_repair_string(value, what=what)
-    if isinstance(value, bool):
-        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
-    if isinstance(value, (int, float)):
-        return to_int(value, what=what, minimum=1)
-    if not isinstance(value, dict):
-        raise ConfigurationError(
-            f"{what} must be an integer, a 'uniform:LO,HI' / 'exp:mean=M' "
-            f"string, or a distribution dict, got {value!r}"
-        )
-    kind = str(value.get("kind", "")).strip().lower()
-    if kind not in REPAIR_KINDS:
-        raise ConfigurationError(
-            f"unknown repair distribution kind {value.get('kind')!r} in "
-            f"{what}; known kinds: " + ", ".join(REPAIR_KINDS)
-        )
-    if kind == "uniform":
-        unknown = set(value) - {"kind", "low", "high"}
-        if unknown:
-            raise ConfigurationError(
-                f"unknown parameter(s) {sorted(unknown)} for uniform "
-                f"{what}; accepted: low, high"
-            )
-        missing = {"low", "high"} - set(value)
-        if missing:
-            raise ConfigurationError(
-                f"uniform {what} requires parameter(s) {sorted(missing)}"
-            )
-        low = to_int(value["low"], what=f"{what} uniform low bound", minimum=1)
-        high = to_int(value["high"], what=f"{what} uniform high bound", minimum=1)
-        if high < low:
-            raise ConfigurationError(
-                f"{what} uniform bounds must satisfy low <= high, got "
-                f"[{low}, {high}]"
-            )
-        return {"kind": "uniform", "low": low, "high": high}
-    unknown = set(value) - {"kind", "mean"}
-    if unknown:
-        raise ConfigurationError(
-            f"unknown parameter(s) {sorted(unknown)} for exp {what}; "
-            "accepted: mean"
-        )
-    if "mean" not in value:
-        raise ConfigurationError(f"exp {what} requires parameter(s) ['mean']")
-    mean = to_number(value["mean"], what=f"{what} exp mean")
-    if mean <= 0:
-        raise ConfigurationError(f"{what} exp mean must be > 0, got {mean!r}")
-    return {"kind": "exp", "mean": float(mean)}
+#: ``normalize_repair_spec(spec, *, what=None)``: a fixed int or a
+#: validated distribution dict; errors name ``what`` and the value.
+normalize_repair_spec = REPAIR.normalize
 
 
 def draw_repair_delay(spec, rng: random.Random) -> int:

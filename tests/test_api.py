@@ -190,6 +190,18 @@ def test_delay_spec_errors_and_round_trip():
         delay_model_from_spec("uniform:abc")
     with pytest.raises(ConfigurationError, match="number"):
         delay_model_from_spec({"kind": "fixed", "delay": "soon"})
+    # Negative, non-finite and inverted delays fail at construction,
+    # naming the value.
+    for bad, fragment in [
+        ("fixed:-1", "got -1.0"),
+        ("fixed:nan", "got 'nan'"),
+        ({"kind": "fixed", "delay": float("inf")}, "got inf"),
+        ("uniform:4,1", "got [4.0, 1.0]"),
+        ("uniform:low=5", "got [5.0, 4.0]"),
+    ]:
+        with pytest.raises(ConfigurationError) as excinfo:
+            Scenario("A-async", 32, 4, engine="async", delay=bad)
+        assert fragment in str(excinfo.value)
 
 
 def test_unknown_scenario_field_is_rejected():

@@ -308,6 +308,7 @@ def test_cascade_neighbours_spec_builds_adversary():
         ("cascade-neighbours:1,p=high", "'high'"),
         ("cascade-neighbours:1,hop_delay=0", "0"),
         ({"kind": "cascade-neighbours"}, "origins"),
+        ({"kind": "random", "count": True}, "True"),
     ],
 )
 def test_malformed_recovery_specs_name_the_offending_value(spec, fragment):

@@ -153,6 +153,16 @@ def test_thousand_duplicate_submissions_execute_each_scenario_once():
 def test_malformed_scenario_names_field_and_value(client):
     with pytest.raises(ConfigurationError, match="'n'.*'lots'"):
         client.submit({"scenario": {"protocol": "A", "n": "lots", "t": 4}})
+    # Spec values are coerced at construction, so a bad one is a 400 at
+    # submission, not a job that fails later.
+    for adversary, pattern in [
+        ("random:abc", "'count'.*'abc'"),
+        ({"kind": "rack", "racks": "two"}, "'racks'.*'two'"),
+    ]:
+        with pytest.raises(ConfigurationError, match=pattern):
+            client.submit(
+                {"scenario": {"protocol": "D", "n": 32, "t": 4, "adversary": adversary}}
+            )
 
 
 def test_unknown_protocol_is_rejected_at_submission(client):
