@@ -27,25 +27,33 @@ an event index, mirroring the heap-based design of
 :mod:`repro.sim.async_engine`, so the total scheduling cost is
 ``O(actions * log t)``:
 
-* **Indexed min-heap with lazy invalidation.**  ``_heap`` holds
-  ``(due_round, pid)`` pairs and ``_due`` maps each pid to its currently
-  valid due round (the min of its earliest undelivered mail stamp + 1 and
-  its cached ``wake_round()``).  Entries whose due round no longer
-  matches ``_due`` are discarded when they surface.  The index is updated
-  incrementally - when mail is posted, when a process steps (its wake
-  round may have moved), and when a process retires - never by scanning
-  all ``t`` processes.
+* **A mail mask.**  Mail is only ever posted at the current processed
+  round and processed rounds strictly increase, so a non-empty mailbox
+  always means "due at the next processed round".  Posting mail is
+  therefore one ``|=`` of the recipients into ``_posted``, which merges
+  into the mail mask ``_mail`` when the next round starts.  The merge
+  comes *before* that round's deferred congestion flushes: they are
+  stamped with the round itself, so their recipients are due only from
+  the round after, and wait in ``_posted`` like any other post.  A
+  receive budget that leaves a backlog behind a step puts the pid back
+  in ``_posted`` (the one place the engine reads ``head_stamp``).
+* **A wake heap with lazy invalidation.**  ``_heap`` holds
+  ``(wake_round, pid)`` pairs and ``_wake`` each pid's cached
+  ``wake_round()``; entries that no longer match ``_wake`` are
+  discarded when they surface.  A step whose wake round did not move
+  pushes nothing, so the heap holds about one entry per process.
+* **The due set** of round ``r`` is the mail mask OR the popped,
+  still-valid wake entries; read low bit first it is already in
+  ascending pid order.  The index is updated incrementally - when mail
+  is posted, when a process steps (its wake round may have moved), and
+  when a process retires - never by scanning all ``t`` processes.
 * **One delivery store.**  Mail lives in a store with one surface
   (``post_p2p``/``post_broadcast``/``drain``/``head_stamp``/``clear``):
   :class:`~repro.sim.mailboxes.ListMailboxes` or, for large-``t``
   protocols with a columnar fold,
   :class:`~repro.sim.columnar.ColumnarMailboxes` (chosen once per run by
-  :func:`~repro.sim.columnar.resolve_fastpath`).  Posts happen at the
-  current processed round and processed rounds strictly increase, so
-  every mailbox is sorted by stamp: the head stamp needs no ``min()``
-  scan and delivery splits off a prefix.  Every post within one round
-  implies the same due round, so due-round notes are memoized per round
-  in one bitmask.
+  :func:`~repro.sim.columnar.resolve_fastpath`).  Every mailbox is
+  sorted by stamp, so delivery splits off a prefix.
 * **Live-set bookkeeping.**  ``_live``, ``_active`` and ``_crashed_pids``
   are maintained at retirement/activation events, so the main loop,
   strict-invariant check and crash guard never iterate over retired
@@ -169,8 +177,6 @@ class Engine:
         self.round = -1  # last processed round
         # The delivery store (see module docstring): same stamps, same
         # order, same budgets and bit-identical results either way.
-        # ``_noted_mask`` holds the pids whose due round was already
-        # lowered this round (see _note_mail).
         self.fastpath = fastpath
         store = (
             ColumnarMailboxes
@@ -178,10 +184,11 @@ class Engine:
             else ListMailboxes
         )
         self._store = store(self.t)
-        self._noted_mask: int = 0
         # Event index: see module docstring.
+        self._mail: int = 0
+        self._posted: int = 0
         self._heap: List[Tuple[int, int]] = []
-        self._due: Dict[int, Optional[int]] = {}
+        self._wake: List[Optional[int]] = [None] * self.t
         self._live: Set[int] = set()
         #: Packed mirror of ``_live`` (bit pid set iff not retired): lets
         #: the broadcast commit restrict its recipient bitset to live
@@ -247,18 +254,22 @@ class Engine:
     # ---- schedule computation -----------------------------------------
 
     def _refresh_schedule(self, pid: int) -> None:
-        """Recompute ``pid``'s due round and push it into the event index.
+        """Re-read ``pid``'s wake round into the event index.
 
-        Called after every event that can change the answer: a step, a
-        mail post, retirement, or an explicit ``notify_wake_changed``.
-        Retirement also updates the live/active/crashed bookkeeping, so a
+        Called after every event that can change the answer: a step,
+        retirement, or an explicit ``notify_wake_changed``.  A wake round
+        that did not move pushes nothing.  Retirement also updates the
+        live/active/crashed bookkeeping and drops the pid's mail, so a
         process retired through any path drops out of scheduling.
         """
         process = self.processes[pid]
+        bit = 1 << pid
         if process.retired:
-            self._due[pid] = None
+            self._wake[pid] = None
+            self._mail &= ~bit
+            self._posted &= ~bit
             self._live.discard(pid)
-            self._live_mask &= ~(1 << pid)
+            self._live_mask &= ~bit
             self._active.discard(pid)
             if process.crashed:
                 self._crashed_pids.add(pid)
@@ -273,51 +284,40 @@ class Engine:
             self._store.clear(pid)
             return
         self._live.add(pid)
-        self._live_mask |= 1 << pid
-        head = self._store.head_stamp(pid)
-        due = head + 1 if head is not None else None
+        self._live_mask |= bit
         wake = process.wake_round()
-        if wake is not None and (due is None or wake < due):
-            due = wake
-        if due != self._due.get(pid):
-            self._due[pid] = due
-            if due is not None:
-                heappush(self._heap, (due, pid))
+        if wake != self._wake[pid]:
+            self._wake[pid] = wake
+            if wake is not None:
+                heappush(self._heap, (wake, pid))
+        congestion = self.congestion
+        if congestion is not None and congestion.receive is not None:
+            # A receive budget can leave a backlog behind a step; like
+            # this round's posts, it is due next round.
+            if self._store.head_stamp(pid) is not None:
+                self._posted |= bit
 
     def _note_mail(self, recipients: int, sent_round: int) -> None:
-        """Lower the due round of every pid in the ``recipients`` mask
-        after mail stamped ``sent_round``, memoized per round.
+        """Mark every pid in the ``recipients`` mask as having mail.
 
-        Every post within one processed round implies the same due round
-        (``sent_round + 1``), and a note only ever *lowers* a cached due,
-        so once a pid has been noted this round further notes are no-ops
-        (typically every note after the round's first broadcast).  Pids
-        whose due entry was popped by ``_collect_due_pids`` (they stepped
-        this round) are refreshed unconditionally after commit, so
-        skipping them here is safe too.
+        Mail is only ever posted at the current processed round
+        (``sent_round == self.round``) and becomes deliverable at the
+        next one, so a post is one ``|=`` into ``_posted``.
         """
-        new = recipients & ~self._noted_mask
-        if not new:
-            return
-        self._noted_mask |= new
-        due_map = self._due
-        heap = self._heap
-        due = sent_round + 1
-        while new:
-            low = new & -new
-            new ^= low
-            dst = low.bit_length() - 1
-            cached = due_map.get(dst)
-            if cached is None or cached > due:
-                due_map[dst] = due
-                heappush(heap, (due, dst))
+        self._posted |= recipients
 
     def _next_due_round(self) -> Optional[int]:
-        heap, due_map = self._heap, self._due
+        # Due rounds may lie in the past ("act as soon as possible");
+        # clamp to the next unprocessed round.  Pending mail is always
+        # due there.
+        floor = self.round + 1
+        if self._mail or self._posted:
+            return floor
+        heap, wake = self._heap, self._wake
         best: Optional[int] = None
         while heap:
             due, pid = heap[0]
-            if due_map.get(pid) == due:
+            if wake[pid] == due:
                 best = due
                 break
             heappop(heap)
@@ -329,35 +329,40 @@ class Engine:
             best = self._recoveries[0][0]
         if best is None:
             return None
-        # Due rounds may lie in the past ("act as soon as possible");
-        # clamp to the next unprocessed round.
-        floor = self.round + 1
         return best if best > floor else floor
 
     def _collect_due_pids(self, round_number: int) -> List[int]:
-        """Pop every process due at ``round_number``, in pid order.
+        """Take every process due at ``round_number``, in pid order:
+        the mail mask plus each popped, still-valid wake entry.
 
-        Popped pids are cleared from the index; the caller re-inserts
-        survivors via :meth:`_refresh_schedule` after the round commits.
+        Taken pids leave the index; the caller re-inserts survivors via
+        :meth:`_refresh_schedule` after the round commits.
         """
-        heap, due_map = self._heap, self._due
-        due_pids: List[int] = []
+        due = self._mail
+        self._mail = 0
+        heap, wake = self._heap, self._wake
         while heap and heap[0][0] <= round_number:
-            due, pid = heappop(heap)
-            if due_map.get(pid) == due:
-                due_map[pid] = None
-                due_pids.append(pid)
-        due_pids.sort()
+            when, pid = heappop(heap)
+            if wake[pid] == when:
+                wake[pid] = None
+                due |= 1 << pid
+        due_pids: List[int] = []
+        while due:
+            low = due & -due
+            due ^= low
+            due_pids.append(low.bit_length() - 1)
         return due_pids
 
     # ---- one round -----------------------------------------------------
 
     def _process_round(self, round_number: int) -> None:
         self.round = round_number
-        self._noted_mask = 0
-        # Rejoins first (a rejoined process may act this very round and
-        # may receive this round's deferred flushes), then deferred
-        # congestion departures (stamped this round, visible next round).
+        # Last round's posts are deliverable now.  Rejoins come next (a
+        # rejoined process may act this very round and may receive this
+        # round's deferred flushes), then deferred congestion departures
+        # (stamped this round, so they wait in ``_posted`` for the next).
+        self._mail |= self._posted
+        self._posted = 0
         if self._recoveries:
             self._apply_recoveries(round_number)
         if self._deferred_heap:
@@ -393,8 +398,8 @@ class Engine:
 
         A receive budget absorbs at most ``receive`` envelopes this round;
         the rest stay queued (oldest first, stamp order intact) and the
-        post-round _refresh_schedule re-dues this process off the new
-        mailbox head, so the backlog drains on consecutive rounds.
+        post-round _refresh_schedule marks this process as having mail
+        again, so the backlog drains on consecutive rounds.
         """
         congestion = self.congestion
         receive = congestion.receive if congestion is not None else None

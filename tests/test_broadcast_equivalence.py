@@ -27,7 +27,6 @@ crash-mid-broadcast partial delivery) pins the rewrite the way
 ``test_bitset_equivalence.py`` pinned the bitsets.
 """
 
-from heapq import heappush
 from typing import Dict, List
 
 import pytest
@@ -121,16 +120,13 @@ class _ExpandedEngine(Engine):
                 trace.emit(
                     round_number, "send", src, (send.kind.value, send.dst, send.payload)
                 )
-        due = round_number + 1
         for send in sends:
             dst = send.dst
             if 0 <= dst < self.t and not self.processes[dst].retired:
                 self._store.post_p2p(src, dst, send.payload, send.kind, round_number)
-                # Unmemoized per-copy due note (the engine's is per round).
-                cached = self._due.get(dst)
-                if cached is None or cached > due:
-                    self._due[dst] = due
-                    heappush(self._heap, (due, dst))
+                # One mail note per copy (the engine notes a whole
+                # broadcast's recipient mask at once).
+                self._note_mail(1 << dst, round_number)
 
 
 def _build(protocol: str, n: int, t: int):

@@ -5,6 +5,7 @@ from typing import List, Optional
 
 import pytest
 
+from repro.core.registry import build_processes
 from repro.errors import (
     AdversaryError,
     BudgetExceeded,
@@ -210,3 +211,39 @@ def test_trace_records_events():
     kinds = {event.kind for event in trace}
     assert "work" in kinds and "halt" in kinds
     assert trace.first("work").pid == 0
+
+
+def test_wake_heap_holds_at_most_one_entry_per_process():
+    """Mail lives in a bitmask, so the wake heap only ever holds wake
+    rounds: a mail-only step whose wake round did not move pushes
+    nothing, and the heap stays within one entry per process.  The due
+    set comes off the masks low bit first, so it is already in pid order."""
+    n, t = 256, 64
+    heap_sizes: List[int] = []
+    due_sets: List[List[int]] = []
+
+    class Recording(Engine):
+        def _collect_due_pids(self, round_number):
+            due_pids = super()._collect_due_pids(round_number)
+            due_sets.append(due_pids)
+            return due_pids
+
+        def _process_round(self, round_number):
+            super()._process_round(round_number)
+            heap_sizes.append(len(self._heap))
+
+    crashes = FixedSchedule(
+        [CrashDirective(pid=pid, at_round=10) for pid in range(16)]
+    )
+    result = Recording(
+        build_processes("A", n, t),
+        tracker=WorkTracker(n),
+        adversary=crashes,
+        strict_invariants=True,
+    ).run()
+    assert result.completed and result.metrics.crashes == 16
+    assert max(heap_sizes) <= t
+    assert all(
+        all(a < b for a, b in zip(pids, pids[1:])) for pids in due_sets
+    )
+    assert any(len(pids) > 1 for pids in due_sets)

@@ -24,7 +24,9 @@ from repro.sim.adversary import (
     KillActive,
     KillBeforeCheckpoint,
     RandomCrashes,
+    RecoveringCrashes,
 )
+from repro.sim.congestion import CongestionBudget
 from repro.sim.crashes import CrashDirective, CrashPhase
 from repro.sim.engine import Engine
 from repro.sim.trace import Trace
@@ -69,6 +71,12 @@ class _ReferenceScheduler(Engine):
 
     def _next_due_round(self) -> Optional[int]:
         dues = [self._reference_due(p) for p in self.processes]
+        # Deferred congestion flushes and pending rejoins are events too.
+        floor = self.round + 1
+        if self._deferred_heap:
+            dues.append(max(self._deferred_heap[0], floor))
+        if self._recoveries:
+            dues.append(max(self._recoveries[0][0], floor))
         dues = [due for due in dues if due is not None]
         return min(dues) if dues else None
 
@@ -88,32 +96,50 @@ class _ReferenceScheduler(Engine):
 
     def _drain_mailbox(self, pid: int, round_number: int):
         # Seed behaviour: filter rather than prefix-split, so the oracle
-        # does not depend on the stamp-sortedness invariant either.
+        # does not depend on the stamp-sortedness invariant either.  A
+        # receive budget takes the first ``receive`` ready envelopes.
         boxes = self._store.boxes
         mailbox = boxes[pid]
         ready = [env for env in mailbox if env.sent_round < round_number]
+        congestion = self.congestion
+        if congestion is not None and congestion.receive is not None:
+            ready = ready[: congestion.receive]
         if ready:
-            boxes[pid] = [
-                env for env in mailbox if env.sent_round >= round_number
-            ]
+            taken = {id(env) for env in ready}
+            boxes[pid] = [env for env in mailbox if id(env) not in taken]
         return ready
 
 
-def _run(engine_cls, protocol, n, t, adversary_factory, seed, **options):
+def _run(
+    engine_cls, protocol, n, t, adversary_factory, seed, congestion=None, **options
+):
+    """Run one scenario; return its result and observable events: the
+    trace, then the due set of every processed round (a spurious step
+    with an empty inbox changes nothing a protocol emits, but shows
+    there)."""
+    due_sets = []
+
+    class Recording(engine_cls):
+        def _collect_due_pids(self, round_number):
+            due_pids = super()._collect_due_pids(round_number)
+            due_sets.append(("due", round_number, tuple(due_pids)))
+            return due_pids
+
     processes = build_processes(protocol, n, t, **options)
     trace = Trace(enabled=True)
-    engine = engine_cls(
+    engine = Recording(
         processes,
         tracker=WorkTracker(n),
         adversary=adversary_factory() if adversary_factory else None,
         seed=seed,
         strict_invariants=protocol.lower() in {"a", "b", "c", "naive"},
         trace=trace,
+        congestion=congestion,
         fastpath=UNDER_TEST_FASTPATH,
     )
     result = engine.run()
     events = [(e.round, e.kind, e.pid, e.detail) for e in trace]
-    return result, events
+    return result, events + due_sets
 
 
 # 7 protocol/adversary shapes x 3 seeds = 21 randomized combinations.
@@ -138,6 +164,63 @@ SEEDS = [0, 1, 2]
 def test_scheduler_matches_reference(protocol, n, t, adversary_factory, seed):
     fast, fast_events = _run(Engine, protocol, n, t, adversary_factory, seed)
     ref, ref_events = _run(_ReferenceScheduler, protocol, n, t, adversary_factory, seed)
+    assert fast.metrics.as_dict() == ref.metrics.as_dict()
+    assert fast_events == ref_events
+    assert (fast.completed, fast.survivors, fast.halted) == (
+        ref.completed,
+        ref.survivors,
+        ref.halted,
+    )
+
+
+# The event index's edge cases: receive backlogs (mail that stays due
+# after a step), deferred flushes (stamped at the top of a round, so due
+# only from the next) and rejoins.  4 shapes x 3 seeds.
+EDGE_COMBOS = [
+    ("A", 40, 8, None, CongestionBudget(send=2, receive=1)),
+    (
+        "D",
+        60,
+        8,
+        lambda: RandomCrashes(3, max_action_index=10),
+        CongestionBudget(receive=3),
+    ),
+    ("D", 60, 8, None, CongestionBudget(send=3, receive=2)),
+    (
+        "D-recovery",
+        60,
+        8,
+        lambda: RecoveringCrashes(3, repair_delay=3, max_action_index=10),
+        None,
+    ),
+]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize(
+    "protocol,n,t,adversary_factory,congestion",
+    EDGE_COMBOS,
+    ids=[
+        f"{c[0]}-n{c[1]}-t{c[2]}-{'adv' if c[3] else 'noadv'}"
+        f"-{'budget' if c[4] else 'nobudget'}"
+        for c in EDGE_COMBOS
+    ],
+)
+def test_scheduler_matches_reference_on_index_edge_cases(
+    protocol, n, t, adversary_factory, congestion, seed
+):
+    fast, fast_events = _run(
+        Engine, protocol, n, t, adversary_factory, seed, congestion=congestion
+    )
+    ref, ref_events = _run(
+        _ReferenceScheduler,
+        protocol,
+        n,
+        t,
+        adversary_factory,
+        seed,
+        congestion=congestion,
+    )
     assert fast.metrics.as_dict() == ref.metrics.as_dict()
     assert fast_events == ref_events
     assert (fast.completed, fast.survivors, fast.halted) == (
