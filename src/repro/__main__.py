@@ -319,10 +319,7 @@ def _cmd_submit(args) -> int:
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"document {path} is not valid JSON: {exc}")
         try:
-            snapshot = client.submit(document)
-            if snapshot["status"] != "done":
-                client.wait(snapshot["job"], timeout=args.timeout)
-            final = client.job(snapshot["job"])
+            final = client.settle(document, timeout=args.timeout)
         except ServerError as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return 2

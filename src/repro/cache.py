@@ -59,10 +59,27 @@ from repro.errors import ConfigurationError
 from repro.sim.metrics import RunResult
 
 
+def _canonical(key: str, payload: Dict[str, Any]) -> str:
+    """One journal record's canonical ``{"key", "result"}`` encoding."""
+    return json.dumps({"key": key, "result": payload}, sort_keys=True)
+
+
+def _crc(body: str) -> int:
+    return zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
+
+
 def journal_crc(key: str, payload: Dict[str, Any]) -> int:
     """CRC32 checksum of one journal record's canonical encoding."""
-    body = json.dumps({"key": key, "result": payload}, sort_keys=True)
-    return zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
+    return _crc(_canonical(key, payload))
+
+
+def _journal_line(key: str, payload: Dict[str, Any]) -> str:
+    """One journal line, encoding the record once.  ``"crc"`` sorts
+    before ``"key"``, so splicing it in front of the canonical body gives
+    the same bytes as ``json.dumps`` of the whole record with
+    ``sort_keys=True``."""
+    body = _canonical(key, payload)
+    return '{"crc": %d, ' % _crc(body) + body[1:] + "\n"
 
 
 def _classify_line(line: str):
@@ -135,9 +152,7 @@ class ResultCache:
     def _append_journal(self, key: str, payload: Dict[str, Any]) -> None:
         if self.path is None:
             return
-        record = {"key": key, "result": payload}
-        record["crc"] = journal_crc(key, payload)
-        line = json.dumps(record, sort_keys=True) + "\n"
+        line = _journal_line(key, payload)
         mode = self._chaos.fire("journal_write", key) if self._chaos else None
         try:
             with self.path.open("a") as handle:
@@ -246,9 +261,7 @@ class ResultCache:
             tmp = self.path.with_name(self.path.name + ".compact")
             with tmp.open("w") as handle:
                 for key, payload in self._entries.items():
-                    record = {"key": key, "result": payload}
-                    record["crc"] = journal_crc(key, payload)
-                    handle.write(json.dumps(record, sort_keys=True) + "\n")
+                    handle.write(_journal_line(key, payload))
             bytes_after = tmp.stat().st_size
             tmp.replace(self.path)
             return {

@@ -37,6 +37,7 @@ from repro.campaign.ledger import CampaignLedger, CampaignState
 from repro.campaign.report import CampaignReport, build_report
 from repro.campaign.spec import CampaignSpec
 from repro.errors import ConfigurationError
+from repro.sim.metrics import RunResult
 
 
 def parse_shard(text: str) -> Tuple[int, int]:
@@ -135,12 +136,7 @@ def _execute_remote(chunk, *, client, timeout):
     document = {
         "scenarios": [scenario.to_dict() for scenario in chunk.scenarios]
     }
-    snapshot = client.submit(document)
-    if snapshot["status"] != "done":
-        client.wait(snapshot["job"], timeout=timeout)
-        snapshot = client.job(snapshot["job"])
-    from repro.sim.metrics import RunResult
-
+    snapshot = client.settle(document, timeout=timeout)
     results = [RunResult.from_dict(item) for item in snapshot["results"]]
     sources = snapshot["sources"]
     return (

@@ -18,6 +18,15 @@ transport failures, timeouts and 5xx raise
 :class:`~repro.errors.ServerError`.  A job that *failed on the server*
 re-raises its recorded error type the same way.
 
+Round trips: :meth:`Client.settle` (and so :meth:`~Client.run`,
+:meth:`~Client.run_sweep`, remote campaign chunks and ``repro submit``)
+sends one ``POST /jobs?wait=`` that long-polls for the job to finish,
+so a job done within the poll costs that one request.  Otherwise, or
+against a server that ignores the query, ``GET /jobs/<id>?wait=``
+follows until it is.  Every long-poll asks for at most half the socket
+``timeout``, so a healthy server always answers before the socket
+gives up.
+
 Transport: each thread using a ``Client`` holds one persistent HTTP/1.1
 connection to the server and sends every request over it, so a
 closed-loop caller pays one TCP connect, not one per request.  A
@@ -99,6 +108,16 @@ def _wire_document(document: Document) -> Dict[str, Any]:
     if "base" in document:
         return {"sweep": document}
     return {"scenario": document}
+
+
+def _wait_query(wait: Optional[float]) -> str:
+    """The ``?wait=`` long-poll query for a job route ("" for none)."""
+    return "" if wait is None else f"?wait={wait:g}"
+
+
+def _results(snapshot: Dict[str, Any]) -> List[RunResult]:
+    """A done job snapshot's results, rehydrated in submission order."""
+    return [RunResult.from_dict(result) for result in snapshot["results"]]
 
 
 class _IdleConnection:
@@ -332,18 +351,60 @@ class Client:
 
     # ---- the job protocol --------------------------------------------
 
-    def submit(self, document: Document) -> Dict[str, Any]:
+    def submit(
+        self, document: Document, *, wait: Optional[float] = None
+    ) -> Dict[str, Any]:
         """POST one document; returns the server's job snapshot
         (``job``, ``status``, ``keys``, ``sources``, plus inlined
-        ``results`` when everything was already cached)."""
-        return self._request("/jobs", _wire_document(document))
+        ``results`` once the job is done).  ``wait`` long-polls
+        server-side for the job to finish, as in :meth:`job`."""
+        return self._request("/jobs" + _wait_query(wait), _wire_document(document))
 
     def job(self, job_id: str, *, wait: Optional[float] = None) -> Dict[str, Any]:
         """Poll one job; ``wait`` long-polls server-side."""
-        path = f"/jobs/{job_id}"
-        if wait is not None:
-            path += f"?wait={wait:g}"
-        return self._request(path)
+        return self._request(f"/jobs/{job_id}" + _wait_query(wait))
+
+    def _long_poll(self, remaining: float) -> float:
+        """Seconds one long-poll may ask the server for: at most
+        ``_LONG_POLL_SECONDS``, half the socket timeout (the answer must
+        arrive before the socket gives up) and what is left of the
+        caller's own timeout."""
+        return min(_LONG_POLL_SECONDS, self.timeout / 2, remaining)
+
+    def _settle_job(
+        self,
+        job_id: str,
+        snapshot: Optional[Dict[str, Any]],
+        *,
+        started: float,
+        timeout: float,
+        poll: float,
+    ) -> Dict[str, Any]:
+        """Long-poll ``job_id`` until it finishes, at most ``timeout``
+        seconds after ``started``, and return the done snapshot.
+        ``snapshot`` is an answer already in hand (``None`` polls at
+        once).  A failed job re-raises the server-side error
+        (``ConfigurationError`` stays a ``ConfigurationError``)."""
+        deadline = started + timeout
+        while snapshot is None or snapshot["status"] not in ("done", "failed"):
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise ServerError(
+                    f"timed out after {timeout:g}s waiting for job {job_id}"
+                )
+            snapshot = self.job(job_id, wait=self._long_poll(remaining))
+            if snapshot["status"] not in ("done", "failed"):
+                time.sleep(poll)  # the server answered before the job finished
+        if snapshot["status"] == "failed":
+            error = snapshot.get("error") or {}
+            message = error.get("message", "unknown server-side failure")
+            if error.get("type") == "ConfigurationError":
+                raise ConfigurationError(message)
+            raise ServerError(
+                f"job {job_id} failed on the server: "
+                f"{error.get('type', 'Error')}: {message}"
+            )
+        return snapshot
 
     def wait(
         self,
@@ -355,39 +416,27 @@ class Client:
         """Block until ``job_id`` finishes; rehydrated results in
         submission order.  A failed job re-raises the server-side error
         (``ConfigurationError`` stays a ``ConfigurationError``)."""
-        deadline = time.monotonic() + timeout
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise ServerError(
-                    f"timed out after {timeout:g}s waiting for job {job_id}"
-                )
-            snapshot = self.job(
-                job_id, wait=min(_LONG_POLL_SECONDS, max(poll, remaining))
+        return _results(
+            self._settle_job(
+                job_id, None, started=time.monotonic(), timeout=timeout, poll=poll
             )
-            status = snapshot["status"]
-            if status == "done":
-                return [
-                    RunResult.from_dict(result) for result in snapshot["results"]
-                ]
-            if status == "failed":
-                error = snapshot.get("error") or {}
-                message = error.get("message", "unknown server-side failure")
-                if error.get("type") == "ConfigurationError":
-                    raise ConfigurationError(message)
-                raise ServerError(
-                    f"job {job_id} failed on the server: "
-                    f"{error.get('type', 'Error')}: {message}"
-                )
-            time.sleep(poll)
+        )
 
-    def _submit_and_wait(
-        self, document: Document, timeout: float
-    ) -> List[RunResult]:
-        snapshot = self.submit(document)
-        if snapshot["status"] == "done":
-            return [RunResult.from_dict(result) for result in snapshot["results"]]
-        return self.wait(snapshot["job"], timeout=timeout)
+    def settle(self, document: Document, *, timeout: float = 300.0) -> Dict[str, Any]:
+        """Submit ``document`` and return its final job snapshot, with
+        ``results`` inlined.  A job that finishes within the long-poll
+        costs one ``POST /jobs?wait=``; otherwise ``GET /jobs/<id>?wait=``
+        follows until it does (so does a server that ignores the POST's
+        query).  A failed job raises as :meth:`wait` does."""
+        started = time.monotonic()
+        snapshot = self.submit(document, wait=self._long_poll(timeout))
+        return self._settle_job(
+            snapshot["job"],
+            snapshot,
+            started=started,
+            timeout=timeout,
+            poll=_DEFAULT_POLL_SECONDS,
+        )
 
     # ---- convenience surface -----------------------------------------
 
@@ -395,13 +444,13 @@ class Client:
         """Submit one scenario and block for its result - the remote
         equivalent of :meth:`Scenario.run`, bit-identical metrics and
         config echo included."""
-        return self._submit_and_wait(scenario, timeout)[0]
+        return _results(self.settle(scenario, timeout=timeout))[0]
 
     def run_sweep(self, sweep: Sweep, *, timeout: float = 300.0) -> ResultSet:
         """Submit a sweep and aggregate the served results into the same
         :class:`ResultSet` an in-process :meth:`Sweep.run` returns."""
         scenarios = list(sweep.scenarios())
-        results = self._submit_and_wait(sweep, timeout)
+        results = _results(self.settle(sweep, timeout=timeout))
         return ResultSet(list(zip(scenarios, results)))
 
     def result(self, key: str) -> RunResult:

@@ -5,11 +5,11 @@ full wire-format reference.  Endpoints:
 
 * ``POST /jobs`` - submit a job document (``{"scenario": ...}``,
   ``{"sweep": ...}``, ``{"suite": ...}`` or ``{"scenarios": [...]}``).
-  Returns the job snapshot; results are inlined when every slot was
-  already cached.
-* ``GET /jobs/<id>`` - poll one job (``?wait=SECONDS`` long-polls up to
-  :data:`MAX_WAIT_SECONDS`, further capped by the server's per-request
-  deadline).  Done jobs carry ``results`` in submission order.
+  Returns the job snapshot; results are inlined when the job is done.
+  ``?wait=SECONDS`` long-polls for the job to finish before answering,
+  so a job that finishes within the poll costs this one request.
+* ``GET /jobs/<id>`` - poll one job.  Done jobs carry ``results`` in
+  submission order.
 * ``GET /results/<key>`` - the cached result for one
   :meth:`~repro.api.Scenario.cache_key` content address.
 * ``GET /stats`` - job/cache counters (hits, misses, executions,
@@ -19,6 +19,10 @@ full wire-format reference.  Endpoints:
 * ``GET /readyz`` - readiness: 200 while accepting work, 503 once
   draining (load balancers stop routing before shutdown completes).
 * ``GET /`` - service manifest (version, protocols, endpoints).
+
+On both job routes ``?wait=`` is capped at :data:`MAX_WAIT_SECONDS` and
+further by the server's per-request deadline; a value that is not a
+number is a 400.
 
 Errors are JSON ``{"error": {"type", "message"}}``: configuration
 mistakes are HTTP 400 with the package's own
@@ -381,6 +385,8 @@ def _make_handler(store: JobStore, state: _ServerState):
                 if document is None:
                     return
                 try:
+                    # Checked before submitting, so a bad value makes no job.
+                    wait = self._wait_seconds(url.query)
                     kind, scenarios = scenarios_from_document(document)
                     job = store.submit(scenarios, kind=kind)
                 except ConfigurationError as exc:
@@ -389,9 +395,7 @@ def _make_handler(store: JobStore, state: _ServerState):
                 except ServerError as exc:
                     self._error(503, "ServerError", str(exc))
                     return
-                payload = job.as_dict()
-                payload["cache"] = store.cache.stats()
-                self._send(200, payload)
+                self._send_job(job, wait)
             except BrokenPipeError:
                 pass
             except Exception as exc:
@@ -403,21 +407,36 @@ def _make_handler(store: JobStore, state: _ServerState):
             if job is None:
                 self._error(404, "NotFound", f"no job {job_id!r}")
                 return
-            wait_values = parse_qs(query).get("wait")
-            if wait_values:
-                try:
-                    wait = float(wait_values[-1])
-                except ValueError:
-                    self._error(
-                        400, "ConfigurationError",
-                        f"'wait' must be a number of seconds, got "
-                        f"{wait_values[-1]!r}",
-                    )
-                    return
-                ceiling = MAX_WAIT_SECONDS
-                if state.request_deadline is not None:
-                    ceiling = min(ceiling, state.request_deadline)
-                job.wait(min(max(wait, 0.0), ceiling))
+            try:
+                wait = self._wait_seconds(query)
+            except ConfigurationError as exc:
+                self._error(400, "ConfigurationError", str(exc))
+                return
+            self._send_job(job, wait)
+
+        def _wait_seconds(self, query: str) -> Optional[float]:
+            """The ``?wait=`` long-poll of a request, capped at
+            :data:`MAX_WAIT_SECONDS` and the request deadline; ``None``
+            when the query has none."""
+            values = parse_qs(query).get("wait")
+            if not values:
+                return None
+            try:
+                wait = float(values[-1])
+            except ValueError:
+                raise ConfigurationError(
+                    f"'wait' must be a number of seconds, got {values[-1]!r}"
+                ) from None
+            ceiling = MAX_WAIT_SECONDS
+            if state.request_deadline is not None:
+                ceiling = min(ceiling, state.request_deadline)
+            return min(max(0.0, wait), ceiling)
+
+        def _send_job(self, job, wait: Optional[float]) -> None:
+            """Answer with ``job``'s snapshot, after long-polling up to
+            ``wait`` seconds for it to finish."""
+            if wait is not None:
+                job.wait(wait)
             payload = job.as_dict()
             payload["cache"] = store.cache.stats()
             self._send(200, payload)
@@ -435,7 +454,7 @@ def _make_handler(store: JobStore, state: _ServerState):
             "version": repro.__version__,
             "protocols": available_protocols(),
             "endpoints": [
-                "POST /jobs",
+                "POST /jobs[?wait=SECONDS]",
                 "GET /jobs/<id>[?wait=SECONDS]",
                 "GET /results/<cache-key>",
                 "GET /stats",

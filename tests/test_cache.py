@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.api import Scenario, Sweep, run_scenarios
-from repro.cache import ResultCache
+from repro.cache import ResultCache, journal_crc
 from repro.errors import ConfigurationError
 from repro.sim.adversary import KillActive
 from repro.suites import Suite
@@ -413,3 +413,58 @@ def test_compact_through_an_lru_drops_evicted_entries(tmp_path):
 def test_compact_requires_a_journal():
     with pytest.raises(ConfigurationError, match="journal"):
         ResultCache().compact()
+
+
+# ---- journal line encoding --------------------------------------------------
+
+
+def _record_line(key, payload):
+    """A journal line as ``json.dumps`` of the whole record spells it."""
+    record = {"key": key, "result": payload, "crc": journal_crc(key, payload)}
+    return json.dumps(record, sort_keys=True) + "\n"
+
+
+class _JournalFault:
+    """A chaos stand-in that injects ``mode`` into every journal append."""
+
+    def __init__(self, mode):
+        self.mode = mode
+
+    def fire(self, point, detail=""):
+        return self.mode if point == "journal_write" else None
+
+
+def test_put_and_compact_write_the_canonical_record_line(tmp_path):
+    from repro.cache import verify_journal
+
+    path = tmp_path / "cache.jsonl"
+    cache = ResultCache(path=path)
+    keys = ["plain-key", "ключ \"quoted\" é"]  # escapes must match too
+    stored = {}
+    for key, scenario in zip(keys, [_scenario(), _scenario(protocol="D", seed=8)]):
+        stored[key] = cache.put(key, scenario.run())
+    stored[keys[0]] = cache.put(keys[0], _scenario().run())  # a dead line
+    lines = [_record_line(key, stored[key]) for key in (keys[0], keys[1], keys[0])]
+    assert path.read_text() == "".join(lines)
+    cache.compact()  # live entries in LRU order
+    assert path.read_text() == "".join(_record_line(key, stored[key]) for key in keys[::-1])
+    audit = verify_journal(path)
+    assert audit["ok"] and audit["live"] == 2 and audit["unchecksummed"] == 0
+    replayed = ResultCache(path=path)
+    assert replayed.stats()["journal_corrupt"] == 0
+    assert all(replayed.peek(key) == stored[key] for key in keys)
+
+
+@pytest.mark.parametrize(
+    "mode, cut",
+    [
+        ("torn", lambda line: line[: max(1, len(line) // 2)]),
+        ("partial", lambda line: line[: max(1, len(line) // 3)] + "\n"),
+    ],
+)
+def test_chaos_journal_faults_cut_the_canonical_line(tmp_path, mode, cut):
+    path = tmp_path / "cache.jsonl"
+    cache = ResultCache(path=path, chaos=_JournalFault(mode))
+    key = _scenario().cache_key()
+    payload = cache.put(key, _scenario().run())
+    assert path.read_text() == cut(_record_line(key, payload))

@@ -14,6 +14,7 @@ from repro.client import Client, _wire_document
 from repro.core.registry import available_protocols
 from repro.errors import ConfigurationError, ServerError
 from repro.server import ReproServer, scenarios_from_document
+from repro.sim.metrics import RunResult
 from repro.suites import Suite
 
 
@@ -303,3 +304,154 @@ def test_cli_submit_unreachable_server_exits_2(tmp_path, capsys):
     code = main(["submit", str(document), "--server", "http://127.0.0.1:9"])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+# ---- long-polled submissions ------------------------------------------------
+
+
+@pytest.fixture
+def held_runs(monkeypatch):
+    """Hold every server-side execution until the test sets the
+    returned event (set again at teardown, so no server hangs)."""
+    import repro.server.jobs as jobs
+
+    gate = threading.Event()
+    real = jobs.run_scenarios
+
+    def held(*args, **kwargs):
+        gate.wait(60.0)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(jobs, "run_scenarios", held)
+    yield gate
+    gate.set()
+
+
+@pytest.fixture
+def requests_sent(monkeypatch):
+    """Every request any Client sends, as ``(method, path)``."""
+    sent = []
+    real = Client._exchange
+
+    def exchange(self, method, path, body, headers):
+        sent.append((method, path))
+        return real(self, method, path, body, headers)
+
+    monkeypatch.setattr(Client, "_exchange", exchange)
+    return sent
+
+
+def _long_polled_posts(sent, count):
+    """True when ``sent`` is exactly ``count`` long-polled submissions."""
+    return len(sent) == count and all(
+        method == "POST" and path.startswith("/jobs?wait=") for method, path in sent
+    )
+
+
+def test_post_long_poll_answers_done_with_results(client):
+    scenario = Scenario(protocol="D", n=32, t=4, adversary="random:2", seed=31)
+    snapshot = client.submit(scenario, wait=5)
+    assert snapshot["status"] == "done"
+    assert snapshot["sources"] == ["run"]  # cold: executed inside the poll
+    assert RunResult.from_dict(snapshot["results"][0]) == scenario.run()
+
+
+def test_bad_wait_is_a_400_and_creates_no_job(client):
+    document = {"scenario": {"protocol": "A", "n": 16, "t": 4, "seed": 32}}
+    before = client.stats()["jobs"]["submitted"]
+    with pytest.raises(ConfigurationError, match="'wait' must be a number of seconds"):
+        client._request("/jobs?wait=abc", document)
+    assert client.stats()["jobs"]["submitted"] == before
+    job_id = client.submit(document)["job"]
+    with pytest.raises(ConfigurationError, match="'wait' must be a number of seconds"):
+        client._request(f"/jobs/{job_id}?wait=abc")
+
+
+def test_request_deadline_caps_the_post_long_poll(held_runs):
+    scenario = Scenario(protocol="B", n=32, t=4, seed=33)
+    with ReproServer(port=0, request_deadline=0.001) as live:
+        try:
+            client = Client(live.url)
+            pending = client.submit(scenario, wait=5)
+            assert pending["status"] in ("submitted", "running")
+            assert "results" not in pending
+            answered = []
+            real = client._exchange
+
+            def exchange(method, path, body, headers):
+                answer = real(method, path, body, headers)
+                answered.append((method, path))
+                held_runs.set()  # the run finishes only after the POST answered
+                return answer
+
+            client._exchange = exchange
+            # The POST comes back pending; the GET fallback fetches the result.
+            assert client.run(scenario) == scenario.run()
+        finally:
+            held_runs.set()
+    assert answered[0][0] == "POST"
+    assert len(answered) >= 2 and all(method == "GET" for method, _ in answered[1:])
+
+
+def test_long_polls_stay_within_the_socket_timeout(held_runs):
+    # The run is released only after more answered requests than the
+    # client's retry budget, so a long-poll that outlived the socket
+    # timeout would exhaust the retries first.
+    scenario = Scenario(protocol="D", n=32, t=4, seed=34)
+    with ReproServer(port=0) as live:
+        try:
+            client = Client(live.url, timeout=0.4)
+            answered = []
+            real = client._exchange
+
+            def exchange(method, path, body, headers):
+                answer = real(method, path, body, headers)
+                answered.append(path)
+                if len(answered) > client.attempts:
+                    held_runs.set()
+                return answer
+
+            client._exchange = exchange
+            assert client.run(scenario) == scenario.run()
+        finally:
+            held_runs.set()
+    assert len(answered) > client.attempts
+    assert all(path.endswith("?wait=0.2") for path in answered)
+
+
+def test_cold_run_and_sweep_cost_one_request(client, requests_sent):
+    scenario = Scenario(protocol="A", n=32, t=4, adversary="random:2", seed=35)
+    assert client.run(scenario) == scenario.run()
+    assert _long_polled_posts(requests_sent, 1), requests_sent
+    requests_sent.clear()
+    sweep = Sweep(base=Scenario(protocol="B", n=32, t=4, seed=36), seeds=[36, 37])
+    assert client.run_sweep(sweep).entries == sweep.run().entries
+    assert _long_polled_posts(requests_sent, 1), requests_sent
+
+
+def test_remote_campaign_chunk_costs_one_request(client, tmp_path, requests_sent):
+    from repro.campaign import CampaignSpec, run_campaign
+
+    spec = CampaignSpec(
+        grid=Sweep(base=Scenario(protocol="A", n=8, t=2), seeds=list(range(40, 46))),
+        name="one-request",
+        chunk_size=2,
+    )
+    outcome = run_campaign(spec, tmp_path / "remote.ledger", server=client)
+    assert outcome.complete and outcome.chunks_executed == 3
+    assert _long_polled_posts(requests_sent, 3), requests_sent
+
+
+def test_cli_submit_costs_one_request_per_file(server, tmp_path, requests_sent, capsys):
+    from repro.__main__ import main
+
+    paths = []
+    for seed in (38, 39):
+        path = tmp_path / f"scenario-{seed}.json"
+        path.write_text(
+            json.dumps({"scenario": {"protocol": "B", "n": 32, "t": 4, "seed": seed}})
+        )
+        paths.append(str(path))
+    assert main(["submit", *paths, "--server", server.url]) == 0
+    capsys.readouterr()
+    assert _long_polled_posts(requests_sent, 2), requests_sent
