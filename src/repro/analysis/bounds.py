@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict
 
 
 @dataclass(frozen=True)
@@ -114,11 +113,6 @@ def protocol_d_reverted_work(n: int, t: int, f: int) -> Bound:
 def protocol_d_reverted_messages(n: int, t: int, f: int) -> Bound:
     extra = 9 * t * _sqrt(t) / (2 * math.sqrt(2))
     return Bound("(4f+2) t^2 + 9 t sqrt(t) / (2 sqrt 2)", (4 * f + 2) * t * t + extra)
-
-
-def protocol_d_failure_free() -> Dict[str, str]:
-    """Exact (not just bounded) failure-free behaviour asserted by §4."""
-    return {"work": "n", "rounds": "n/t + 2", "messages": "<= 2 t^2"}
 
 
 # ---- baselines (Section 1) --------------------------------------------------------

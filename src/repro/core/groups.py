@@ -63,10 +63,6 @@ class SqrtGroups:
         group = self.group_of(pid)
         return [member for member in self.members(group) if member < pid]
 
-    def is_last_group(self, group: int) -> bool:
-        self._check_group(group)
-        return group == self.num_groups
-
     def groups_after(self, group: int) -> List[int]:
         """Groups strictly after ``group`` in checkpoint order."""
         self._check_group(group)

@@ -139,11 +139,6 @@ def available_protocols(engine: Optional[str] = None) -> List[str]:
     return sorted(key for key, entry in _ENTRIES.items() if entry.engine == engine)
 
 
-def protocol_engine(name: str) -> str:
-    """The engine kind (``"sync"`` / ``"async"``) ``name`` runs on."""
-    return get_entry(name).engine
-
-
 def build_processes(name: str, n: int, t: int, **options) -> List[Process]:
     """Invoke ``name``'s builder, turning a builder-*signature* mismatch
     (e.g. a ``schedule`` option passed to a static protocol) into a

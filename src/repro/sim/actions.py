@@ -351,9 +351,6 @@ class Action:
             return cls(sends=sends, halt=True)
         return cls(sends=list(sends or ()), halt=True)
 
-    def is_idle(self) -> bool:
-        return self.work is None and not self.sends and not self.halt
-
 
 def broadcast(
     dsts: Union[_BitsetBase, Iterable[int]], payload: Any, kind: MessageKind

@@ -36,7 +36,8 @@ sends), groups the copies by due instant, and schedules **one**
 ``deliver_bcast`` heap event per distinct due time - O(distinct
 due_times) events instead of O(copies), with the payload and kind
 stored once per broadcast.  Metrics are recorded with one
-:meth:`Metrics.record_send_batch` call per broadcast.  Per-copy
+:meth:`Metrics.record_sends` call per broadcast (a per-copy send books
+its one copy through the same call).  Per-copy
 sequence numbers and the same yield-to-heap-head rule keep global
 dispatch order exactly the per-copy engine's
 (``tests/test_broadcast_equivalence.py`` pins this against an engine
@@ -254,7 +255,12 @@ class AsyncEngine:
         # dst -> (window, copies absorbed); see module docstring.
         self._send_windows: Dict[int, Tuple[int, int]] = {}
         self._recv_windows: Dict[int, Tuple[int, int]] = {}
-        self.metrics = Metrics()
+        # One ledger per run, and one booking call per executed unit
+        # (see :class:`repro.sim.engine.Engine`).
+        self.metrics = tracker.metrics if tracker is not None else Metrics()
+        self._book_work = (
+            tracker.record if tracker is not None else self.metrics.record_work
+        )
         self.now = 0.0
         self._heap: List[_Event] = []
         self._seq = itertools.count()
@@ -303,12 +309,7 @@ class AsyncEngine:
         return False
 
     def _send(self, src: int, dst: int, payload: Any, kind: MessageKind) -> None:
-        from repro.sim.actions import Envelope
-
-        envelope = Envelope(
-            src=src, dst=dst, payload=payload, kind=kind, sent_round=int(self.now)
-        )
-        self.metrics.record_send(envelope)
+        self.metrics.record_sends(src, kind, 1, int(self.now))
         delay = max(0.0, self.delay_model(self.delay_rng, src, dst))
         congestion = self.congestion
         if congestion is not None and congestion.send is not None:
@@ -334,7 +335,7 @@ class AsyncEngine:
         count = len(bcast)
         if count == 0:
             return
-        self.metrics.record_send_batch(src, {bcast.kind: count}, count, int(self.now))
+        self.metrics.record_sends(src, bcast.kind, count, int(self.now))
         delay_model = self.delay_model
         delay_rng = self.delay_rng
         now = self.now
@@ -365,9 +366,7 @@ class AsyncEngine:
             )
 
     def _perform(self, pid: int, unit: int) -> None:
-        if self.tracker is not None:
-            self.tracker.record(pid, unit, int(self.now))
-        self.metrics.record_work(pid, unit, int(self.now))
+        self._book_work(pid, unit, int(self.now))
 
     def _halt(self, pid: int) -> None:
         process = self.processes[pid]

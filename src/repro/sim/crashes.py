@@ -177,8 +177,3 @@ class CrashDirective:
             return []
         size = rng.randrange(len(sends) + 1)
         return choose_subset(rng, sends, size)
-
-
-def immediate_crash(pid: int, at_round: int) -> CrashDirective:
-    """Shorthand for a clean fail-stop before the victim's next action."""
-    return CrashDirective(pid=pid, at_round=at_round, phase=CrashPhase.BEFORE_ACTION)

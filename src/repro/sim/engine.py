@@ -60,7 +60,7 @@ an event index, mirroring the heap-based design of
   processes.
 * **Lazy broadcast fan-out.**  A packed :class:`Broadcast` batch is
   committed without ever materialising per-copy ``Send`` tuples: one
-  :meth:`Metrics.record_send_batch` call and one store post, restricted
+  :meth:`Metrics.record_sends` call and one store post, restricted
   to *live* recipients with one mask ``&``.  Legacy
   ``List[Send]`` batches are auto-packed when exactly equivalent
   (uniform payload/kind, ascending dsts) so out-of-tree protocols take
@@ -173,7 +173,13 @@ class Engine:
         self._deferred: Dict[int, List[Tuple[int, SendBatch]]] = {}
         self._deferred_heap: List[int] = []
         self._recoveries: List[Tuple[int, int]] = []
-        self.metrics = Metrics()
+        # One ledger per run: a tracker's completion queries read the
+        # same Metrics the result reports, and each executed unit is
+        # booked once, through the tracker's range check when there is one.
+        self.metrics = tracker.metrics if tracker is not None else Metrics()
+        self._book_work = (
+            tracker.record if tracker is not None else self.metrics.record_work
+        )
         self.round = -1  # last processed round
         # The delivery store (see module docstring): same stamps, same
         # order, same budgets and bit-identical results either way.
@@ -494,9 +500,7 @@ class Engine:
                 self.trace.emit(round_number, "halt", pid)
 
     def _record_work(self, pid: int, unit: int, round_number: int) -> None:
-        if self.tracker is not None:
-            self.tracker.record(pid, unit, round_number)
-        self.metrics.record_work(pid, unit, round_number)
+        self._book_work(pid, unit, round_number)
         if self.trace.enabled:
             self.trace.emit(round_number, "work", pid, unit)
         if self.unit_effect is not None:
@@ -571,7 +575,7 @@ class Engine:
         self._emit_send(src, send, round_number)
 
     def _emit_send(self, src: int, send: Send, round_number: int) -> None:
-        self.metrics.record_send_fast(src, send.kind, round_number)
+        self.metrics.record_sends(src, send.kind, 1, round_number)
         if self.trace.enabled:
             self.trace.emit(
                 round_number, "send", src, (send.kind.value, send.dst, send.payload)
@@ -626,7 +630,8 @@ class Engine:
         for send in sends:
             kind = send.kind
             kind_counts[kind] = kind_counts.get(kind, 0) + 1
-        self.metrics.record_send_batch(src, kind_counts, len(sends), round_number)
+        for kind, count in kind_counts.items():
+            self.metrics.record_sends(src, kind, count, round_number)
         trace = self.trace
         if trace.enabled:
             for send in sends:
@@ -647,8 +652,7 @@ class Engine:
         record for the whole batch."""
         kind = bcast.kind
         payload = bcast.payload
-        count = len(bcast)
-        self.metrics.record_send_batch(src, {kind: count}, count, round_number)
+        self.metrics.record_sends(src, kind, len(bcast), round_number)
         trace = self.trace
         if trace.enabled:
             kind_value = kind.value

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.errors import ConfigurationError
-from repro.sim.actions import Envelope, MessageKind
+from repro.sim.actions import MessageKind
 
 
 @dataclass
@@ -48,48 +48,19 @@ class Metrics:
         self.work_by_process[pid] += 1
         self.rounds = max(self.rounds, round_number)
 
-    def record_send(self, envelope: Envelope) -> None:
-        self.messages_total += 1
-        self.messages_by_kind[envelope.kind] += 1
-        self.messages_by_process[envelope.src] += 1
-        self.rounds = max(self.rounds, envelope.sent_round)
-
-    def record_send_fast(self, src: int, kind: MessageKind, round_number: int) -> None:
-        """Count one send without materialising an :class:`Envelope`.
-
-        Observationally identical to :meth:`record_send`; used by the
-        engine's hot path, where the envelope object is only built when a
-        live recipient actually stores it.
-        """
-        self.messages_total += 1
-        self.messages_by_kind[kind] += 1
-        self.messages_by_process[src] += 1
-        if round_number > self.rounds:
-            self.rounds = round_number
-
-    def record_send_batch(
-        self,
-        src: int,
-        kind_counts: Dict[MessageKind, int],
-        count: int,
-        round_number: int,
+    def record_sends(
+        self, src: int, kind: MessageKind, count: int, round_number: int
     ) -> None:
-        """Count one broadcast batch of ``count`` sends from ``src``.
+        """Book ``count`` point-to-point copies of ``kind`` sent by ``src``.
 
-        ``kind_counts`` maps each message kind in the batch to its
-        multiplicity (summing to ``count``).  Equivalent to ``count``
-        calls of :meth:`record_send_fast` but with per-batch instead of
-        per-copy bookkeeping overhead.  This is the single accounting
-        call both engines make per packed :class:`Broadcast` (a
-        one-entry ``kind_counts``), and what the legacy mixed-kind list
-        path aggregates into - the paper's measure still charges every
-        point-to-point copy, only the bookkeeping is batched.
+        The one send-accounting call: a single copy, a packed broadcast
+        and each kind of a mixed batch are all booked through it.  The
+        paper's measure charges every copy; only the bookkeeping is
+        batched.
         """
         self.messages_total += count
+        self.messages_by_kind[kind] += count
         self.messages_by_process[src] += count
-        by_kind = self.messages_by_kind
-        for kind, kind_count in kind_counts.items():
-            by_kind[kind] += kind_count
         if round_number > self.rounds:
             self.rounds = round_number
 
@@ -197,8 +168,9 @@ class Metrics:
         per-unit/per-process counters, so rehydrating it could not
         produce an object equal to the original.  Malformed payloads
         raise :class:`ConfigurationError` naming the offending field and
-        value; breakdown sums are checked against the stated totals
-        (content-addressed caches should notice corrupted payloads).
+        value.  Content-addressed caches should notice corrupted
+        payloads, so every breakdown must sum to its stated total, hold
+        non-negative counts only, and name no unit id below 1.
         """
         if not isinstance(data, dict):
             raise ConfigurationError(
@@ -228,10 +200,10 @@ class Metrics:
                 )
             rebuilt: Counter = Counter()
             for key, value in raw.items():
-                if isinstance(value, bool) or not isinstance(value, int):
+                if isinstance(value, bool) or not isinstance(value, int) or value < 0:
                     raise ConfigurationError(
-                        f"metrics field {name!r} entry {key!r} must map to an "
-                        f"integer, got {value!r}"
+                        f"metrics field {name!r} entry {key!r} must map to a "
+                        f"non-negative integer, got {value!r}"
                     )
                 try:
                     rebuilt[int(key)] = value
@@ -258,10 +230,10 @@ class Metrics:
                     f"kind {kind!r}; accepted: "
                     + ", ".join(k.value for k in MessageKind)
                 ) from None
-            if isinstance(count, bool) or not isinstance(count, int):
+            if isinstance(count, bool) or not isinstance(count, int) or count < 0:
                 raise ConfigurationError(
                     f"metrics field 'messages_by_kind' entry {kind!r} must map "
-                    f"to an integer, got {count!r}"
+                    f"to a non-negative integer, got {count!r}"
                 )
             messages_by_kind[resolved] = count
 
@@ -279,9 +251,16 @@ class Metrics:
             activations=scalar("activations"),
             available_processor_steps=scalar("available_processor_steps"),
         )
+        if metrics.work_by_unit and min(metrics.work_by_unit) < 1:
+            raise ConfigurationError(
+                f"metrics field 'work_by_unit' names unit "
+                f"{min(metrics.work_by_unit)}, but unit ids start at 1; the "
+                "payload is corrupt"
+            )
         for name, total, breakdown in (
             ("work_by_unit", metrics.work_total, metrics.work_by_unit),
             ("work_by_process", metrics.work_total, metrics.work_by_process),
+            ("messages_by_kind", metrics.messages_total, metrics.messages_by_kind),
             ("messages_by_process", metrics.messages_total, metrics.messages_by_process),
         ):
             observed = sum(breakdown.values())

@@ -1,11 +1,16 @@
-"""Completion tracking for the pool of work units.
+"""Completion view over a run's work ledger.
 
-The tracker is the simulation's ground truth about which of the ``n``
-idempotent units have been performed, how often, by whom and when.  It is
-deliberately separate from any process state: the protocols' *knowledge*
-of completed work lives inside the processes, while the tracker records
-what physically happened - the gap between the two is exactly the
-redundant work the paper's theorems bound.
+The tracker answers the simulation's ground-truth questions about the
+``n`` idempotent units - which have been performed, how often, by whom
+first and when - by reading the run's :class:`~repro.sim.metrics.Metrics`,
+the one ledger in which every execution is booked exactly once.  An
+engine given a tracker adopts ``tracker.metrics`` as its own, so the
+completion queries and the reported work measures can never disagree.
+The tracker adds only what the ledger does not hold: the ``1..n`` range
+check and each unit's first execution.  The protocols' *knowledge* of
+completed work lives inside the processes; the gap between that
+knowledge and this view is exactly the redundant work the paper's
+theorems bound.
 """
 
 from __future__ import annotations
@@ -13,16 +18,17 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
+from repro.sim.metrics import Metrics
 
 
 class WorkTracker:
-    """Records executions of units ``1..n``."""
+    """Books executions of units ``1..n`` into :attr:`metrics`."""
 
     def __init__(self, n: int):
         if n < 0:
             raise ConfigurationError(f"cannot track a negative number of units: {n}")
         self.n = n
-        self._count: Dict[int, int] = {}
+        self.metrics = Metrics()
         self._first: Dict[int, Tuple[int, int]] = {}  # unit -> (round, pid)
 
     # ---- recording ---------------------------------------------------
@@ -32,25 +38,26 @@ class WorkTracker:
             raise ConfigurationError(
                 f"process {pid} performed unit {unit}, outside 1..{self.n}"
             )
-        self._count[unit] = self._count.get(unit, 0) + 1
+        self.metrics.record_work(pid, unit, round_number)
         self._first.setdefault(unit, (round_number, pid))
 
     # ---- queries -----------------------------------------------------
 
     def times_done(self, unit: int) -> int:
-        return self._count.get(unit, 0)
+        return self.metrics.work_by_unit.get(unit, 0)
 
     def all_done(self) -> bool:
-        return len(self._count) == self.n
+        return len(self.metrics.work_by_unit) == self.n
 
     def missing_units(self) -> List[int]:
-        return [unit for unit in range(1, self.n + 1) if unit not in self._count]
+        done = self.metrics.work_by_unit
+        return [unit for unit in range(1, self.n + 1) if unit not in done]
 
     def total_executions(self) -> int:
-        return sum(self._count.values())
+        return self.metrics.work_total
 
     def redundant_executions(self) -> int:
-        return sum(count - 1 for count in self._count.values())
+        return self.metrics.redundant_work()
 
     def first_execution(self, unit: int) -> Optional[Tuple[int, int]]:
         """(round, pid) of the first execution of ``unit``, if any."""
@@ -65,4 +72,4 @@ class WorkTracker:
         )
 
     def max_multiplicity(self) -> int:
-        return max(self._count.values(), default=0)
+        return max(self.metrics.work_by_unit.values(), default=0)

@@ -16,7 +16,7 @@ import heapq
 import pytest
 
 from repro.core.protocol_a_async import build_async_protocol_a
-from repro.sim.actions import Envelope, MessageKind
+from repro.sim.actions import MessageKind
 from repro.sim.async_engine import (
     AsyncEngine,
     AsyncProcess,
@@ -32,10 +32,7 @@ class _ReferencePerCopyEngine(AsyncEngine):
     """The seed scheduling: one ``deliver`` heap event per message copy."""
 
     def _send(self, src, dst, payload, kind):
-        envelope = Envelope(
-            src=src, dst=dst, payload=payload, kind=kind, sent_round=int(self.now)
-        )
-        self.metrics.record_send(envelope)
+        self.metrics.record_sends(src, kind, 1, int(self.now))
         delay = max(0.0, self.delay_model(self.delay_rng, src, dst))
         heapq.heappush(
             self._heap,

@@ -113,7 +113,8 @@ class _ExpandedEngine(Engine):
         for send in sends:
             kind = send.kind
             kind_counts[kind] = kind_counts.get(kind, 0) + 1
-        self.metrics.record_send_batch(src, kind_counts, len(sends), round_number)
+        for kind, count in kind_counts.items():
+            self.metrics.record_sends(src, kind, count, round_number)
         trace = self.trace
         if trace.enabled:
             for send in sends:

@@ -170,6 +170,19 @@ def _random_config(rng: random.Random, sizes: str = "small") -> dict:
     return config
 
 
+def _assert_ledger_consistent(scenario: Scenario, result) -> None:
+    """The run's work ledger agrees with its completion verdict."""
+    done = result.metrics.work_by_unit
+    assert all(1 <= unit <= scenario.n for unit in done), (
+        f"units outside 1..{scenario.n} booked: {sorted(done)}"
+    )
+    assert result.completed == (len(done) == scenario.n)
+    # A survivor finishes the pool, except under D-dynamic, whose
+    # arrivals at crashed sites are legitimately lost.
+    if result.survivors >= 1 and scenario.protocol.lower() != "d-dynamic":
+        assert result.completed, f"incomplete run with {result.survivors} survivors"
+
+
 def _run(scenario: Scenario, fastpath: str):
     """One run's full observable state (or the error it raised)."""
     variant = dataclasses.replace(scenario, fastpath=fastpath)
@@ -178,6 +191,7 @@ def _run(scenario: Scenario, fastpath: str):
         result = variant.run(trace=trace)
     except Exception as error:  # noqa: BLE001 - compared across paths
         return {"error": type(error).__name__, "message": str(error)}
+    _assert_ledger_consistent(variant, result)
     return {
         "metrics": result.metrics.as_dict(full=True),
         "trace": list(trace.events),

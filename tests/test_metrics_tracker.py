@@ -1,26 +1,29 @@
 """Tests for the metrics tally and the work tracker."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.protocol_a_async import build_async_protocol_a
+from repro.core.registry import build_processes
 from repro.errors import ConfigurationError
-from repro.sim.actions import Envelope, MessageKind
+from repro.sim.actions import MessageKind
+from repro.sim.adversary import KillActive
+from repro.sim.async_engine import AsyncEngine
+from repro.sim.engine import Engine
 from repro.sim.metrics import Metrics
 from repro.work.tracker import WorkTracker
 
 # ---- Metrics ---------------------------------------------------------
 
 
-def _env(src=0, dst=1, kind=MessageKind.CONTROL, rnd=3):
-    return Envelope(src=src, dst=dst, payload=(), kind=kind, sent_round=rnd)
-
-
 def test_effort_is_work_plus_messages():
     metrics = Metrics()
     metrics.record_work(0, 1, 1)
     metrics.record_work(1, 1, 2)
-    metrics.record_send(_env())
+    metrics.record_sends(0, MessageKind.CONTROL, 1, 3)
     assert metrics.work_total == 2
     assert metrics.messages_total == 1
     assert metrics.effort == 3
@@ -37,9 +40,9 @@ def test_redundant_work_counts_repeats_only():
 
 def test_messages_by_kind():
     metrics = Metrics()
-    metrics.record_send(_env(kind=MessageKind.POLL))
-    metrics.record_send(_env(kind=MessageKind.POLL))
-    metrics.record_send(_env(kind=MessageKind.ORDINARY))
+    metrics.record_sends(0, MessageKind.POLL, 1, 3)
+    metrics.record_sends(0, MessageKind.POLL, 1, 3)
+    metrics.record_sends(0, MessageKind.ORDINARY, 1, 3)
     assert metrics.messages_of(MessageKind.POLL) == 2
     assert metrics.messages_of(MessageKind.ORDINARY) == 1
     assert metrics.messages_of(MessageKind.GO_AHEAD) == 0
@@ -48,7 +51,7 @@ def test_messages_by_kind():
 def test_as_dict_round_trips_scalars():
     metrics = Metrics()
     metrics.record_work(0, 1, 5)
-    metrics.record_send(_env(rnd=9))
+    metrics.record_sends(0, MessageKind.CONTROL, 1, 9)
     data = metrics.as_dict()
     assert data["work"] == 1
     assert data["messages"] == 1
@@ -106,3 +109,32 @@ def test_tracker_totals_are_consistent(units):
     assert tracker.total_executions() == len(units)
     assert tracker.total_executions() - tracker.redundant_executions() == len(set(units))
     assert tracker.all_done() == (len(set(units)) == 20)
+    assert tracker.metrics.work_by_unit == Counter(units)
+
+
+# ---- one ledger -------------------------------------------------------------
+
+
+def _sync_run(tracker):
+    processes = build_processes("A", tracker.n, 8)
+    engine = Engine(processes, tracker=tracker, adversary=KillActive(3), seed=5)
+    return engine.run()
+
+
+def _async_run(tracker):
+    processes = build_async_protocol_a(tracker.n, 8)
+    engine = AsyncEngine(
+        processes, tracker=tracker, seed=5, crash_times={0: 3.0, 1: 11.0}
+    )
+    return engine.run()
+
+
+@pytest.mark.parametrize("run", [_sync_run, _async_run], ids=["sync", "async"])
+def test_engine_and_tracker_share_one_ledger(run):
+    tracker = WorkTracker(32)
+    result = run(tracker)
+    assert tracker.metrics is result.metrics
+    assert tracker.total_executions() == result.metrics.work_total
+    assert result.metrics.redundant_work() > 0  # crashes forced repeats
+    for unit in range(1, tracker.n + 1):
+        assert tracker.times_done(unit) == result.metrics.work_by_unit[unit]

@@ -9,6 +9,7 @@ import pytest
 from repro.api import ResultSet, Scenario, Sweep
 from repro.core.registry import available_protocols
 from repro.errors import ConfigurationError
+from repro.sim.actions import MessageKind
 from repro.sim.metrics import Metrics, RunResult
 
 
@@ -86,11 +87,49 @@ def test_malformed_payloads_name_field_and_value(mutate, match):
         RunResult.from_dict(payload)
 
 
-def test_corrupted_breakdown_totals_are_detected():
+def _bump_first(breakdown, by):
+    key = next(iter(breakdown))
+    breakdown[key] += by
+
+
+def _unit_zero(metrics):
+    metrics["work_by_unit"] = {"0": metrics["work"]}
+
+
+def _negative_unit_count(metrics):
+    # Sums still match: one unit +1, a fresh valid unit id -1.
+    _bump_first(metrics["work_by_unit"], 1)
+    metrics["work_by_unit"][str(10**6)] = -1
+
+
+def _negative_kind_count(metrics):
+    kinds = metrics["messages_by_kind"]
+    unused = next(kind.value for kind in MessageKind if kind.value not in kinds)
+    _bump_first(kinds, 1)
+    kinds[unused] = -1
+
+
+@pytest.mark.parametrize(
+    "corrupt, match",
+    [
+        (lambda m: _bump_first(m["work_by_unit"], 1), "corrupt"),
+        (lambda m: _bump_first(m["messages_by_kind"], 5), "corrupt"),
+        (_unit_zero, "unit ids start at 1"),
+        (_negative_unit_count, "non-negative"),
+        (_negative_kind_count, "non-negative"),
+    ],
+    ids=[
+        "work_by_unit_sum",
+        "messages_by_kind_sum",
+        "unit_id_zero",
+        "negative_unit_count",
+        "negative_kind_count",
+    ],
+)
+def test_corrupted_breakdown_totals_are_detected(corrupt, match):
     payload = _scenario_for("a").run().to_dict(full=True)
-    unit, count = next(iter(payload["metrics"]["work_by_unit"].items()))
-    payload["metrics"]["work_by_unit"][unit] = count + 1
-    with pytest.raises(ConfigurationError, match="corrupt"):
+    corrupt(payload["metrics"])
+    with pytest.raises(ConfigurationError, match=match):
         RunResult.from_dict(payload)
 
 
