@@ -107,7 +107,6 @@ from repro.analysis.tables import render_table
 from repro.api import ENGINE_CHOICES, Scenario
 from repro.core.registry import available_protocols, get_entry
 from repro.errors import ConfigurationError
-from repro.sim.columnar import FASTPATH_CHOICES
 from repro.sim.metrics import MEASURES
 
 
@@ -153,7 +152,6 @@ def _scenario_from_args(args, protocol: str) -> Scenario:
         adversary=_adversary_spec(args),
         delay=getattr(args, "delay", None),
         congestion=getattr(args, "congestion", None),
-        fastpath=getattr(args, "fastpath", "auto"),
         options=options,
     )
 
@@ -685,15 +683,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="SPEC",
             help="arrival-schedule spec for dynamic-workload protocols "
             "(D-dynamic), e.g. 'arrivals:0x8,3x4' or 'uniform:every=2'",
-        )
-        p.add_argument(
-            "--fastpath",
-            choices=list(FASTPATH_CHOICES),
-            default="auto",
-            help="delivery store of the sync engine: auto picks the columnar "
-            "numpy store for the D family at t >= 64 when numpy is "
-            "importable, on forces it, off forces the pure-python list "
-            "store (bit-identical either way)",
         )
         p.add_argument(
             "--crashes",

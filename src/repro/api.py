@@ -70,13 +70,17 @@ from repro.sim.congestion import (
     congestion_from_spec,
     normalize_congestion_spec,
 )
-from repro.sim.columnar import FASTPATH_CHOICES
 from repro.sim.failure_detector import FailureDetector
 from repro.sim.specs import normalize_schedule_spec
 from repro.sim.metrics import RunResult
 from repro.work.tracker import WorkTracker
 
 ENGINE_CHOICES = ("auto", "sync", "async")
+
+#: Values the ``fastpath`` field accepts.  The sync engine has one
+#: delivery store, so every value runs the same; the field stays so
+#: stored documents that carry it keep loading.
+FASTPATH_CHOICES = ("auto", "on", "off")
 
 DEFAULT_MAX_STEPS = 5_000_000
 DEFAULT_MAX_EVENTS = 2_000_000
@@ -118,13 +122,11 @@ class Scenario:
         allow_total_failure: tolerate all-crashed executions (sync).
         max_steps / max_rounds: sync engine budgets.
         max_events: async engine budget.
-        fastpath: delivery store of the sync engine - ``"auto"`` (the
-            default: the columnar numpy store for the D family at
-            ``t >= 64`` when numpy is installed, else the list store),
-            ``"on"`` (columnar; errors when the ``repro[fast]`` extra
-            is missing) or ``"off"`` (the list store).  Results are
-            bit-identical either way, so the field is excluded from
-            :meth:`canonical_dict` / :meth:`cache_key`.
+        fastpath: accepted and ignored - ``"auto"`` (the default),
+            ``"on"`` or ``"off"``, sync scenarios only.  The sync engine
+            has one delivery store, so it selects nothing; stored
+            documents carry it, so it is validated and round-trips, but
+            is excluded from :meth:`canonical_dict` / :meth:`cache_key`.
         options: extra keyword arguments for the protocol builder
             (e.g. ``interval`` for ``naive``, ``revert_threshold`` for
             ``D``, ``step_delay`` for ``A-async``).
@@ -265,10 +267,8 @@ class Scenario:
         """
         data = self.to_dict()
         data.pop("name", None)
-        # The columnar fast path is bit-identical by contract (the
-        # differential fuzz harness pins it), so it is not part of the
-        # scenario's semantic identity: a fastpath-on run must hit a
-        # fastpath-off cache entry and vice versa.
+        # fastpath selects nothing, so it is not part of the scenario's
+        # semantic identity: every spelling hits one cache entry.
         data.pop("fastpath", None)
         data["engine"] = self.resolved_engine
         return data
@@ -336,7 +336,6 @@ class Scenario:
                 trace=trace,
                 unit_effect=unit_effect,
                 congestion=self.congestion,
-                fastpath=self.fastpath,
                 **self.options,
             )
         else:

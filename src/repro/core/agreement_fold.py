@@ -15,56 +15,51 @@ receiving process
 6. decides once its live-set estimate is stable across two rounds.
 
 :class:`AgreementLayout` says where a protocol's payload keeps the key,
-the flag and the view fields.  One python-int fold (:func:`_fold_pairs`)
-applies these rules to the ``(src, payload)`` pairs of a recipient's
-mail, fed by one of two backends with one result:
-
-* :func:`_fold_ints` walks envelope inboxes.  It serves the list store
-  and is the only backend on platforms without numpy;
-* :func:`_fold_columnar` serves the columnar store.  It reads the
-  store's columns and a per-run :class:`DecodedPayloads` cache of keys
-  and flags, so no envelope is materialised.
+the flag and the view fields.  One python-int fold (:func:`_fold_messages`)
+applies these rules to a recipient's mail, in delivery order.
 
 In a synchronous round almost every recipient folds the same *window*
-of broadcasts - the rows stamped ``s`` - minus its own row.  So the
-columnar backend folds a round once (:class:`SharedWindows`): for each
-(stamp, phase key) it checks the window once, and for each admitted set
-it builds, once, per view field the prefix and suffix folds over the
-admitted senders' views.  A recipient's fold is then leave-one-out,
-``prefix[i] op suffix[i + 1]``: one bitwise op per field instead of a
-fold over ``t`` rows.  It applies only when all of these hold; any other
-inbox goes to :func:`_fold_pairs`:
+of broadcasts - the rows of the delivery store's segment stamped ``s``
+(see :mod:`repro.sim.columnar`) - minus its own row.  So the round is
+folded once (:class:`SharedWindows`): for each (stamp, phase key) the
+window is checked once, and for each admitted set it builds, once, per
+view field the prefix and suffix folds over the admitted senders'
+views.  A recipient's fold is then leave-one-out, ``prefix[i] op
+suffix[i + 1]``: one bitwise op per field instead of a fold over ``t``
+rows.  It applies only when all of these hold; any other inbox goes to
+:func:`_fold_messages` over its envelopes:
 
-1. no buffered inbox but the last has a row with the phase key (the
-   older ones hold, at most, the previous phase's decided broadcasts),
-   and all rows of the last share one stamp ``s``;
-2. every row stamped ``s`` (a contiguous range, as stamps never
-   decrease) is an unflagged AGREEMENT broadcast with this phase key,
-   and their senders strictly ascend, so each sender has one row;
-3. the recipient's rows miss at most one row of that window (the
-   missing row id is the difference of the two row-id sums), so its
+1. no buffered inbox but the last holds an AGREEMENT message with the
+   phase key (the older ones hold, at most, the previous phase's
+   decided broadcasts), and the last is one :class:`Span` of rows of
+   one segment, with no lane mail;
+2. every row of that segment is an unflagged AGREEMENT broadcast with
+   this phase key, and their senders strictly ascend, so each sender
+   has one row;
+3. the recipient's span misses at most one row of the segment, so its
    heard mask is the window's minus that row's sender;
 4. of the window's rows from the admitted set plus the recipient, at
    most one is left out: the missing row or the recipient's own.
 
-Rounds with crashes during agreement break rules 3 and 4 for many
+Rounds with crashes during agreement break rules 1, 3 and 4 for many
 recipients (their snapshots diverge, and a crash-censored broadcast
-leaves rows missing); those folds take :func:`_fold_pairs`.
+leaves rows missing or lands in lanes); those folds take
+:func:`_fold_messages`.
 
-``tests/test_agreement_fold.py`` pins the two backends to each other fold
-by fold; ``tests/test_differential_fuzz.py`` pins whole runs of the two
-stores to each other.
+``tests/test_agreement_fold.py`` pins the shared window to
+:func:`_fold_messages` fold by fold; ``tests/test_differential_fuzz.py``
+pins whole runs to a list-per-recipient reference store.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, chain
 from operator import and_, or_
-from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.sim.actions import Action, MessageKind
 from repro.sim.bitset import IntBitset
-from repro.sim.columnar import KIND_CODES, ColumnarInbox, np
+from repro.sim.columnar import RowInbox, Span
 from repro.sim.process import Process
 
 _AGREEMENT = MessageKind.AGREEMENT
@@ -79,12 +74,8 @@ class AgreementLayout(NamedTuple):
     name: intersected when ``intersect``, unioned otherwise.
     """
 
-    #: Name of the decoded-payload cache on the columnar store.
+    #: Name of the round-shared windows' cache on the delivery store.
     cache_name: str
-    #: numpy dtype of the decoded key column.  Fixed-width ints keep the
-    #: per-inbox key compare vectorized; ``object`` admits keys that may
-    #: outgrow int64 (round numbers).
-    key_dtype: Any
     flag: int
     fields: Tuple[Tuple[int, str, bool], ...]
 
@@ -98,7 +89,6 @@ class AgreementProcess(Process):
     sends)``.
     """
 
-    columnar_fold = True
     layout: AgreementLayout
 
     def _agree_round(self, round_number: int, inboxes: List, key) -> Action:
@@ -107,13 +97,7 @@ class AgreementProcess(Process):
         snapshot = self._u_snapshot.to_int()
         admitted_from = snapshot & ~(1 << self.pid)
         views = [getattr(self, attribute).to_int() for _, attribute, _ in layout.fields]
-        # Columnar inboxes carry their store; every inbox of a run comes
-        # from the same store.
-        store = getattr(inboxes[0], "store", None) if inboxes else None
-        if store is None:
-            heard, adopted = _fold_ints(inboxes, key, layout, admitted_from, views)
-        else:
-            heard, adopted = _fold_columnar(store, inboxes, key, self, admitted_from, views)
+        heard, adopted = _fold(inboxes, key, self.pid, layout, admitted_from, views)
         if adopted is not None:
             for index, attribute, _ in layout.fields:
                 setattr(self, attribute, adopted[index].thaw())
@@ -136,32 +120,42 @@ class AgreementProcess(Process):
         return Action(sends=self._agree_broadcast(False))
 
 
-# ---- the python-int fold and its envelope backend -------------------------
+# ---- the fold ---------------------------------------------------------------
 
 
-def _fold_ints(
-    inboxes: List, key, layout: AgreementLayout, admitted_from: int, views: List[int]
+def _records(inbox: Iterable) -> Iterable:
+    """An inbox's messages in delivery order, without materialising a
+    row inbox's views."""
+    return inbox.records() if type(inbox) is RowInbox else inbox
+
+
+def _fold(
+    inboxes: List, key, pid: int, layout: AgreementLayout, admitted_from: int,
+    views: List[int],
 ) -> Tuple[int, Optional[tuple]]:
-    """:func:`_fold_pairs` over envelope inboxes.  Inboxes are
-    stamp-sorted and successive drains continue each other, so iteration
-    order is stamp order."""
-    return _fold_pairs(
-        (
-            (envelope.src, envelope.payload)
-            for inbox in inboxes
-            for envelope in inbox
-            if envelope.kind is _AGREEMENT and envelope.payload[0] == key
-        ),
-        layout, admitted_from, views,
+    """:func:`_fold_messages` over ``inboxes``, by leave-one-out over a
+    round-shared window when its four rules hold.  Folds over inboxes
+    that took rows are counted on the store's :class:`SharedWindows`."""
+    store = next((inbox.store for inbox in inboxes if type(inbox) is RowInbox), None)
+    if store is not None:
+        windows = store.cache(layout.cache_name, SharedWindows)
+        shared = windows.fold(store, inboxes, key, pid, layout, admitted_from, views)
+        if shared is not None:
+            windows.shared += 1
+            return shared
+        windows.fallback += 1
+    return _fold_messages(
+        chain.from_iterable(map(_records, inboxes)), key, layout, admitted_from, views
     )
 
 
-def _fold_pairs(
-    pairs: Iterable[Tuple[int, tuple]], layout: AgreementLayout, admitted_from: int,
+def _fold_messages(
+    messages: Iterable, key, layout: AgreementLayout, admitted_from: int,
     views: List[int],
 ) -> Tuple[int, Optional[tuple]]:
-    """Fold the ``(src, payload)`` pairs of phase ``key``'s AGREEMENT
-    messages, in stamp order, into ``views`` (in place).
+    """Fold phase ``key``'s AGREEMENT messages among ``messages`` (in
+    delivery order; anything with ``src``, ``kind`` and ``payload``)
+    into ``views`` (in place).
 
     Returns ``(heard, adopted)``: the mask of senders heard from in the
     phase and the adopted flagged payload, if any (``views`` is then left
@@ -169,7 +163,13 @@ def _fold_pairs(
     """
     flag = layout.flag
     received = {}
-    for src, payload in pairs:
+    for message in messages:
+        if message.kind is not _AGREEMENT:
+            continue
+        payload = message.payload
+        if payload[0] != key:
+            continue
+        src = message.src
         previous = received.get(src)
         if previous is None or payload[flag] or not previous[flag]:
             received[src] = payload
@@ -196,83 +196,6 @@ def _fold_pairs(
                     bits |= payload[index]._bits
             views[position] = bits
     return heard, adopted
-
-
-# ---- columnar backend -----------------------------------------------------
-
-
-class DecodedPayloads:
-    """Per-run decoded keys and flags of agreement payloads, one entry
-    per payload id, plus the run's :class:`SharedWindows`.
-
-    One instance lives on the columnar store (shared by all processes of
-    a run), so each payload is decoded once - not once per recipient.
-    Non-AGREEMENT payload ids keep the key ``-1``, which equals no phase
-    key (keys are non-negative).
-    """
-
-    __slots__ = ("layout", "filled", "key", "flag", "windows")
-
-    def __init__(self, layout: AgreementLayout):
-        self.layout = layout
-        self.windows = SharedWindows()
-        self.filled = 0
-        capacity = 256
-        self.key = np.full(capacity, -1, dtype=layout.key_dtype)
-        self.flag = np.zeros(capacity, dtype=bool)
-
-    def ensure(self, store) -> None:
-        """Decode every payload interned since the last call."""
-        total = store.payload_count()
-        filled = self.filled
-        if filled >= total:
-            return
-        if total > len(self.key):
-            capacity = len(self.key)
-            while capacity < total:
-                capacity *= 2
-            self.key = _grown(self.key, capacity, filled, -1)
-            self.flag = _grown(self.flag, capacity, filled, False)
-        code = KIND_CODES[_AGREEMENT]
-        flag = self.layout.flag
-        for payload_id in range(filled, total):
-            if store.payload_kind_code(payload_id) == code:
-                payload = store.payload(payload_id)
-                self.key[payload_id] = payload[0]
-                self.flag[payload_id] = payload[flag]
-        self.filled = total
-
-
-def _grown(array, capacity: int, filled: int, fill):
-    grown = np.full(capacity, fill, dtype=array.dtype)
-    grown[:filled] = array[:filled]
-    return grown
-
-
-def _fold_columnar(
-    store, inboxes: List, key, process: AgreementProcess, admitted_from: int,
-    views: List[int],
-) -> Tuple[int, Optional[tuple]]:
-    """:func:`_fold_pairs` for columnar inboxes: by leave-one-out over a
-    round-shared window when its four rules hold, else over the inboxes'
-    columns."""
-    layout = process.layout
-    cache = store.cache(layout.cache_name, lambda: DecodedPayloads(layout))
-    cache.ensure(store)
-    windows = cache.windows
-    shared = windows.fold(store, cache, inboxes, key, process.pid, admitted_from, views)
-    if shared is not None:
-        windows.shared += 1
-        return shared
-    windows.fallback += 1
-    # The python-int fold over the inboxes' columns; the key filter
-    # doubles as the kind filter (non-AGREEMENT ids: -1).
-    pairs = []
-    for inbox in inboxes:
-        ids = inbox.payload_ids()
-        keep = cache.key[ids] == key
-        pairs.append(zip(inbox.srcs()[keep].tolist(), map(store.payload, ids[keep].tolist())))
-    return _fold_pairs(chain.from_iterable(pairs), layout, admitted_from, views)
 
 
 # ---- round-shared windows --------------------------------------------------
@@ -309,10 +232,10 @@ class _Window(NamedTuple):
 class SharedWindows:
     """Round-shared agreement folds for one store and one layout.
 
-    A window is keyed by the first row of its stamp and the phase key;
+    A window is keyed by the first row of its segment and the phase key;
     its folds by the admitted set plus the recipient
     (``admitted_from | 1 << pid``), so every recipient with the same
-    snapshot shares one.  A window of a newer stamp drops every older
+    snapshot shares one.  A window of a newer segment drops every older
     one, so memory holds one round.  ``shared`` and ``fallback`` count
     the folds that took this path and those that did not.
     """
@@ -327,33 +250,38 @@ class SharedWindows:
         self.fallback = 0
 
     def fold(
-        self, store, cache: DecodedPayloads, inboxes: List, key, pid: int,
+        self, store, inboxes: List, key, pid: int, layout: AgreementLayout,
         admitted_from: int, views: List[int],
     ) -> Optional[Tuple[int, None]]:
-        """:func:`_fold_columnar` by leave-one-out, or ``None`` (nothing
-        folded) when one of the four rules fails."""
-        # Rule 1; the last inbox's keys are checked with its window.
+        """:func:`_fold` by leave-one-out, or ``None`` (nothing folded)
+        when one of the four rules fails."""
+        # Rule 1.
+        last = inboxes[-1]
+        if type(last) is not RowInbox or len(last.items) != 1:
+            return None
+        rows = last.items[0]
+        if type(rows) is not Span:
+            return None
         for inbox in inboxes[:-1]:
-            if (cache.key[inbox.payload_ids()] == key).any():
-                return None
-        rows = inboxes[-1].rows
-        first = int(rows[0])
+            for record in _records(inbox):
+                if record.kind is _AGREEMENT and record.payload[0] == key:
+                    return None
+        lo, hi, skip = rows
         span = self.span
-        if not span.start <= first < span.stop:
-            span = self.span = store.stamp_window(first)
+        if not span.start <= lo < span.stop:
+            span = self.span = store.segment(lo)
             if span.start > self.newest:
                 self.newest = span.start
                 self.windows.clear()
-        # Rule 3: the drained rows ascend, so they lie in the window
-        # when the last one does.
-        absent = len(span) - len(rows)
-        if int(rows[-1]) >= span.stop or absent > 1:
+        # Rule 3.
+        absent = len(span) - (hi - lo) + (skip >= 0)
+        if hi > span.stop or absent > 1:
             return None
         window_key = (span.start, key)
         if window_key in self.windows:
             window = self.windows[window_key]
         else:
-            window = self.windows[window_key] = _window(store, cache, span, key)
+            window = self.windows[window_key] = _window(store, span, key, layout.flag)
         if window is None:
             return None
         # Rule 4: the rows left out of the fold are the recipient's own
@@ -363,7 +291,7 @@ class SharedWindows:
         heard = window.heard
         left_out = {pid} if (heard >> pid) & 1 else set()
         if absent:
-            row = (span.start + span.stop - 1) * len(span) // 2 - int(rows.sum())
+            row = span.start if lo > span.start else span.stop - 1 if hi < span.stop else skip
             missing = window.srcs[row - span.start]
             heard &= ~(1 << missing)
             if (members >> missing) & 1:
@@ -372,10 +300,10 @@ class SharedWindows:
             return None
         folds = window.folds.get(members)
         if folds is None:
-            folds = window.folds[members] = _folds(window, members, cache.layout)
+            folds = window.folds[members] = _folds(window, members, layout)
         cut = folds.index[left_out.pop()] if left_out else len(folds.index)
         for position, ((_, _, intersect), prefix, suffix) in enumerate(
-            zip(cache.layout.fields, folds.prefix, folds.suffix)
+            zip(layout.fields, folds.prefix, folds.suffix)
         ):
             if intersect:
                 views[position] &= prefix[cut] & suffix[cut + 1]
@@ -384,20 +312,26 @@ class SharedWindows:
         return heard, None
 
 
-def _window(store, cache: DecodedPayloads, span: range, key) -> Optional[_Window]:
+def _window(store, span: range, key, flag: int) -> Optional[_Window]:
     """The rows ``span`` as a window of phase ``key``, or ``None`` when
     rule 2 fails for them."""
-    # Addressed to no one (dst -1): read through its columns only.
-    rows = ColumnarInbox(store, -1, np.arange(span.start, span.stop))
-    srcs, ids = rows.srcs(), rows.payload_ids()
-    if not (cache.key[ids] == key).all() or cache.flag[ids].any():
-        return None
-    if not (srcs[1:] > srcs[:-1]).all():
-        return None
-    src_list = srcs.tolist()
+    records = store.shared[span.start:span.stop]
+    src_list = []
+    payloads = []
+    previous = -1
+    for record in records:
+        payload = record.payload
+        src = record.src
+        if (
+            record.kind is not _AGREEMENT or payload[0] != key or payload[flag]
+            or src <= previous
+        ):
+            return None
+        src_list.append(src)
+        payloads.append(payload)
+        previous = src
     # The senders are distinct, so their bits sum to the heard mask.
     heard = sum(1 << src for src in src_list)
-    payloads = [store.payload(payload_id) for payload_id in ids.tolist()]
     return _Window(heard, src_list, payloads, {})
 
 

@@ -52,9 +52,7 @@ class ProtocolDProcess(AgreementProcess):
     """One process of Protocol D."""
 
     #: Units still outstanding are intersected, known-correct sets unioned.
-    layout = AgreementLayout(
-        "protocol-d", "int64", 3, ((1, "S", True), (2, "T", False))
-    )
+    layout = AgreementLayout("protocol-d", 3, ((1, "S", True), (2, "T", False)))
 
     def __init__(
         self,

@@ -69,11 +69,9 @@ class DynamicProtocolDProcess(AgreementProcess):
     """One site of the dynamic-workload variant."""
 
     #: Payload ``(cycle_start, known, done, live, flag)``: every view is
-    #: unioned (new arrivals and completions propagate).  Cycle starts are
-    #: round numbers, so the key column is ``object``.
+    #: unioned (new arrivals and completions propagate).
     layout = AgreementLayout(
         "protocol-d-dynamic",
-        object,
         4,
         ((1, "known", False), (2, "done", False), (3, "live", False)),
     )

@@ -173,7 +173,6 @@ def run_protocol(
     trace: Optional[Trace] = None,
     unit_effect=None,
     congestion=None,
-    fastpath: str = "auto",
     **options,
 ) -> RunResult:
     """Build, run and account one *synchronous* execution of ``name`` on
@@ -207,7 +206,6 @@ def run_protocol(
         trace=trace,
         unit_effect=unit_effect,
         congestion=congestion_from_spec(congestion),
-        fastpath=fastpath,
     )
     return engine.run()
 

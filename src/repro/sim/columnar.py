@@ -1,374 +1,395 @@
-"""Columnar (numpy) delivery store for the sync engine.
+"""The sync engine's delivery store: per-recipient lanes plus a shared row log.
 
 The synchronous workloads of this paper are *bulk-synchronous*: in an
 agreement round every live Protocol D process broadcasts one payload to
-Theta(t) recipients, so the list store's per-copy representation - one
-``EnvelopeView`` object appended per (broadcast, live recipient) pair -
-allocates and later re-inspects Theta(t^2) Python objects per round.
-This module stores the same delivery state as *columns*: one row per
-committed batch holding parallel numpy arrays (sent-round / source-pid /
-payload-id / kind-code) plus a packed recipient bitmask per row, and a
-payload intern table mapping payload ids back to the shared payload
-objects.  Commit is one row append regardless of fan-out; per-recipient
-delivery state is a single integer cursor into the row log.
+Theta(t) recipients.  One envelope per copy would allocate and later
+re-inspect Theta(t^2) objects per round, so this store keeps two kinds
+of mail:
 
-Equivalence contract: with this store, every run produces bit-identical
-metrics, traces and RNG draw sequences to the list store
-(:class:`repro.sim.mailboxes.ListMailboxes`).  Both stores share one
-surface and the engine keeps metrics/trace/censoring in one place, so
-only *storage* differs:
+* **Rows.**  A broadcast reaching at least ``min(WIDE_FANOUT, t // 2)``
+  live recipients is stored once, as a row ``(SharedEnvelope, mask)`` of
+  one run-wide row log; each recipient keeps a cursor into the log.
+  Rows are appended at non-decreasing stamps, so the rows of one stamp
+  form a contiguous *segment*.  Each segment keeps ``common``, the AND
+  over its rows of ``mask | 1 << src``, and the rows whose sender is not
+  in its own mask, keyed by sender: a recipient in ``common`` takes the
+  whole segment minus its own row as one :class:`Span`, without reading
+  a mask.  Any other recipient scans the segment row by row.
+* **Lanes.**  Point-to-point mail and narrower broadcasts go to the
+  recipient's lane, one ``Envelope``/``EnvelopeView`` per copy.  Posts
+  happen at the current processed round and processed rounds strictly
+  increase, so a lane is sorted by stamp and delivery splits off a
+  prefix.
 
-* ``post_broadcast`` appends one row whose recipient mask is already
-  restricted to live pids (the engine's ``& live_mask``), mirroring the
-  list store's "only live recipients get a view" rule;
-* ``head_stamp``/``drain`` reproduce the stamp-sorted mailbox semantics:
-  rows are appended at strictly non-decreasing processed rounds, so each
-  recipient's undelivered mail is exactly the rows at index >= its
-  cursor whose mask includes it, in stamp order; delivery is a
-  vectorized prefix split (``searchsorted``) with the same
-  receive-budget cap;
-* ``clear`` (retirement) advances the cursor past every existing row;
-  rows appended later never address a retired pid (the live-mask
-  restriction), so crash-recover rejoins see an empty mailbox followed
-  by only post-recovery mail - byte-for-byte the list store's behaviour.
+The threshold is a constant of the input, not an option: a lower one
+leaves idle recipients' cursors lagging behind narrow group broadcasts,
+and ``t // 2`` alone splits crash-censored broadcasts between lanes and
+rows (see "One delivery store" in docs/perf.md).
 
-A drain returns a :class:`ColumnarInbox`: a sequence that materialises
-``Envelope``/``EnvelopeView`` objects *lazily* (memoized), so protocols
-that iterate their inbox behave identically while protocols that
-understand columns (the agreement fold of :mod:`repro.core.agreement_fold`)
-read the arrays directly and never allocate a view at all.
+Order between the two kinds is post order, as if every copy had been
+appended to one list per recipient.  A lane entry posted after a row of
+its own stamp records the row count at that moment (``marks``, keyed by
+``id`` of the entry until it is taken); any other entry precedes every
+row of its stamp.  A drain holding both kinds merges them by that
+position, lane entry first on a tie, lanes in their own order.
 
-numpy is an optional dependency (the ``repro[fast]`` extra).  This
-module always imports; :func:`resolve_fastpath` picks each engine's
-store from its ``fastpath`` knob.
+A drain that takes rows returns a :class:`RowInbox`: a sequence that
+materialises the envelopes lazily, in that order, while the agreement
+fold of :mod:`repro.core.agreement_fold` reads its spans and rows
+directly and allocates no view at all.  A drain of lane mail alone
+returns a plain list, exactly as a list of envelopes per recipient
+would.  ``tests/reference_store.py`` keeps that list-per-recipient store
+as the oracle every equivalence test compares this one to.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence
+from bisect import bisect_left, bisect_right
+from typing import Any, Dict, List, NamedTuple, Optional
 
-from repro.errors import ConfigurationError
 from repro.sim.actions import Envelope, EnvelopeView, MessageKind, SharedEnvelope
 
-try:  # pragma: no cover - exercised by the no-numpy CI leg
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    np = None
-    HAVE_NUMPY = False
-
-#: The engine-level switch values (also the Scenario field's domain).
-FASTPATH_CHOICES = ("auto", "on", "off")
-
-#: Stable small-int codes for the kind column (enum definition order).
-KIND_CODES = {kind: code for code, kind in enumerate(MessageKind)}
-KIND_BY_CODE = tuple(MessageKind)
-
-#: Smallest ``t`` for which ``"auto"`` picks the columnar store.  Below
-#: it the per-row numpy calls cost more than the list store's per-copy
-#: appends (see "Store selection" in docs/perf.md).
-COLUMNAR_MIN_T = 64
+#: A broadcast reaching at least ``min(WIDE_FANOUT, t // 2)`` live
+#: recipients is stored as one row; narrower mail goes to lanes.
+WIDE_FANOUT = 64
 
 
-def resolve_fastpath(mode: str, processes: Sequence) -> bool:
-    """Decide whether an engine over ``processes`` runs columnar.
+class Span(NamedTuple):
+    """Rows ``lo .. hi - 1`` of the row log, except row ``skip``.
 
-    ``"off"`` never does and ``"on"`` always does - raising a
-    :class:`ConfigurationError` that names the ``repro[fast]`` extra when
-    numpy is missing, so a run that was promised the columnar store fails
-    loudly instead of silently slowing down.  ``"auto"`` picks it only
-    where it wins: numpy is importable, there are at least
-    :data:`COLUMNAR_MIN_T` processes, and every process class declares a
-    columnar fold (``Process.columnar_fold``) that reads the store's
-    columns instead of materialising envelopes.
+    ``skip`` is ``-1`` (none) or lies strictly inside the span, so a
+    span of ``k`` rows with a skip holds ``k - 1`` of them.
     """
-    if mode == "off":
-        return False
-    if mode == "auto":
-        return (
-            HAVE_NUMPY
-            and len(processes) >= COLUMNAR_MIN_T
-            and all(process.columnar_fold for process in processes)
-        )
-    if mode == "on":
-        if not HAVE_NUMPY:
-            raise ConfigurationError(
-                "fastpath 'on' requires numpy (install the 'repro[fast]' "
-                "extra); use fastpath='auto' to fall back to pure python"
-            )
-        return True
-    raise ConfigurationError(
-        f"unknown fastpath {mode!r}; choices: " + ", ".join(FASTPATH_CHOICES)
-    )
+
+    lo: int
+    hi: int
+    skip: int
 
 
-# ---- the columnar store -------------------------------------------------
+def _items(stream) -> list:
+    """Ascending ``(lo, hi)`` runs of rows, with lane entries between
+    them, as inbox items: lane entries as they are, runs joined into
+    :class:`Span` items, two runs one row apart bridged by a skip."""
+    items: list = []
+    for item in stream:
+        if type(item) is tuple:
+            lo, hi = item
+            last = items[-1] if items else None
+            if type(last) is Span:
+                if last.hi == lo:
+                    items[-1] = Span(last.lo, hi, last.skip)
+                    continue
+                if last.hi + 1 == lo and last.skip < 0:
+                    items[-1] = Span(last.lo, hi, last.hi)
+                    continue
+            items.append(Span(lo, hi, -1))
+        else:
+            items.append(item)
+    return items
 
 
 class ColumnarMailboxes:
-    """Row-per-batch delivery log with per-recipient cursors.
+    """Per-recipient lanes plus one shared row log, indexed by pid.
 
-    Columns (parallel arrays, capacity-doubling):
-
-    * ``sent`` - the stamp round (non-decreasing in row order);
-    * ``src`` - sender pid;
-    * ``payload_id`` - index into the payload intern table;
-    * ``kind`` - :data:`KIND_CODES` code;
-    * ``p2p_dst`` - destination pid for point-to-point rows, ``-1`` for
-      broadcast rows (decides ``Envelope`` vs ``EnvelopeView``
-      materialisation);
-    * ``recips`` - uint64 recipient bitmask matrix, ``(t + 63) // 64``
-      words wide.
-
-    ``cursor[pid]`` is the first row this recipient has not yet
-    consumed; it only moves forward.  ``caches`` hosts protocol-owned
-    per-payload decoded-field caches (see :meth:`cache`), filled once
-    per payload id no matter how many recipients read it.
+    ``cursor[pid]`` is the first row ``pid`` has neither taken nor
+    skipped; it only moves forward, and under a receive budget stops at
+    the first row a drain did not take.  Segment ``k`` starts at
+    row ``seg_start[k]``, holds the rows stamped ``seg_stamp[k]`` and
+    carries ``seg_common[k]`` and ``seg_own[k]`` (see the module
+    docstring).  ``caches`` hosts protocol-owned per-run state (see
+    :meth:`cache`).
     """
 
     __slots__ = (
-        "t",
-        "words",
-        "_cap",
-        "_count",
-        "_sent",
-        "_src",
-        "_payload_id",
-        "_kind",
-        "_p2p_dst",
-        "_recips",
-        "_table",
-        "_table_kind",
-        "_shared",
-        "_cursor",
+        "wide",
+        "lanes",
+        "shared",
+        "masks",
+        "cursor",
+        "marks",
+        "seg_start",
+        "seg_stamp",
+        "seg_common",
+        "seg_own",
         "_caches",
     )
 
-    def __init__(self, t: int, *, capacity: int = 1024):
-        self.t = t
-        self.words = max(1, (t + 63) >> 6)
-        self._cap = max(16, capacity)
-        self._count = 0
-        # Stamps are *object* dtype: quiescence fast-forward means round
-        # numbers reach Theta(2^(n+t)) for Protocol C's timeouts, far
-        # past int64.  The column is only ever read element-wise or via
-        # a log-time ``searchsorted``, so nothing vectorized is lost.
-        self._sent = np.empty(self._cap, dtype=object)
-        self._src = np.empty(self._cap, dtype=np.int32)
-        self._payload_id = np.empty(self._cap, dtype=np.int32)
-        self._kind = np.empty(self._cap, dtype=np.int8)
-        self._p2p_dst = np.empty(self._cap, dtype=np.int32)
-        self._recips = np.zeros((self._cap, self.words), dtype=np.uint64)
-        self._table: List[Any] = []       # payload intern table
-        self._table_kind: List[int] = []  # kind code per table entry
-        self._shared: List[Optional[SharedEnvelope]] = []  # per row, lazy
-        self._cursor = [0] * t
-        self._caches = {}
+    def __init__(self, t: int):
+        self.wide = min(WIDE_FANOUT, t // 2)
+        self.lanes: List[list] = [[] for _ in range(t)]
+        self.shared: List[SharedEnvelope] = []
+        self.masks: List[int] = []
+        self.cursor = [0] * t
+        self.marks: Dict[int, int] = {}
+        self.seg_start: List[int] = []
+        self.seg_stamp: List[int] = []
+        self.seg_common: List[int] = []
+        self.seg_own: List[Dict[int, int]] = []
+        self._caches: Dict[str, Any] = {}
 
-    # ---- appends -----------------------------------------------------
-
-    def _grow(self) -> None:
-        cap = self._cap * 2
-        count = self._count
-        for name in ("_sent", "_src", "_payload_id", "_kind", "_p2p_dst"):
-            old = getattr(self, name)
-            new = np.empty(cap, dtype=old.dtype)
-            new[:count] = old[:count]
-            setattr(self, name, new)
-        recips = np.zeros((cap, self.words), dtype=np.uint64)
-        recips[:count] = self._recips[:count]
-        self._recips = recips
-        self._cap = cap
-
-    def _intern(self, payload: Any, kind_code: int) -> int:
-        # One table entry per committed batch; consecutive posts of the
-        # identical payload object (a congestion-split broadcast's
-        # segments) share one id so decoded-field caches fill once.
-        table = self._table
-        if table and table[-1] is payload:
-            return len(table) - 1
-        table.append(payload)
-        self._table_kind.append(kind_code)
-        return len(table) - 1
-
-    def _append(
-        self, sent_round: int, src: int, kind_code: int, p2p_dst: int,
-        mask: int, payload: Any,
-    ) -> None:
-        row = self._count
-        if row == self._cap:
-            self._grow()
-        self._sent[row] = sent_round
-        self._src[row] = src
-        self._kind[row] = kind_code
-        self._p2p_dst[row] = p2p_dst
-        self._payload_id[row] = self._intern(payload, kind_code)
-        self._recips[row] = np.frombuffer(
-            mask.to_bytes(self.words * 8, "little"), dtype="<u8"
-        )
-        self._shared.append(None)
-        self._count = row + 1
-
-    def post_broadcast(
-        self, src: int, payload: Any, kind: MessageKind, sent_round: int, mask: int
-    ) -> None:
-        """Commit one broadcast row; ``mask`` is already live-restricted
-        (and therefore non-zero and < 2**t)."""
-        self._append(sent_round, src, KIND_CODES[kind], -1, mask, payload)
+    # ---- posts -------------------------------------------------------
 
     def post_p2p(
         self, src: int, dst: int, payload: Any, kind: MessageKind, sent_round: int
     ) -> None:
-        """Commit one point-to-point row (legacy/mixed batches, unit
-        effects); the engine has already checked ``dst`` is live."""
-        self._append(sent_round, src, KIND_CODES[kind], dst, 1 << dst, payload)
+        """Append one envelope to ``dst``'s lane; the engine has already
+        checked ``dst`` is live."""
+        envelope = Envelope(src, dst, payload, kind, sent_round)
+        self.lanes[dst].append(envelope)
+        if self.seg_stamp and self.seg_stamp[-1] == sent_round:
+            self.marks[id(envelope)] = len(self.masks)
+
+    def post_broadcast(
+        self, src: int, payload: Any, kind: MessageKind, sent_round: int, mask: int
+    ) -> None:
+        """One row, or one view per set bit of ``mask`` (already
+        live-restricted, so non-zero and < 2**t)."""
+        shared = SharedEnvelope(src, payload, kind, sent_round)
+        seg_stamp = self.seg_stamp
+        if mask.bit_count() >= self.wide:
+            row = len(self.masks)
+            if not seg_stamp or seg_stamp[-1] != sent_round:
+                self.seg_start.append(row)
+                seg_stamp.append(sent_round)
+                self.seg_common.append(-1)
+                self.seg_own.append({})
+            self.shared.append(shared)
+            self.masks.append(mask)
+            bit = 1 << src
+            common = self.seg_common[-1] & (mask | bit)
+            if not mask & bit:
+                own = self.seg_own[-1]
+                if src in own:
+                    # A second row without its sender: that recipient
+                    # scans the segment instead.
+                    common &= ~bit
+                else:
+                    own[src] = row
+            self.seg_common[-1] = common
+            return
+        lanes = self.lanes
+        marks = self.marks if seg_stamp and seg_stamp[-1] == sent_round else None
+        row = len(self.masks)
+        # Inlined low-bit extraction: the recipient walk runs once per
+        # copy, so the bitset generator's frame switches would show.
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            dst = low.bit_length() - 1
+            view = EnvelopeView(shared, dst)
+            lanes[dst].append(view)
+            if marks is not None:
+                marks[id(view)] = row
 
     # ---- per-recipient queries ---------------------------------------
 
-    def head_stamp(self, pid: int) -> Optional[int]:
-        """Stamp of ``pid``'s earliest undelivered mail (or ``None``).
+    def segment(self, row: int) -> range:
+        """The rows stamped like ``row``, whoever they address."""
+        seg_start = self.seg_start
+        k = bisect_right(seg_start, row) - 1
+        stop = seg_start[k + 1] if k + 1 < len(seg_start) else len(self.masks)
+        return range(seg_start[k], stop)
 
-        Equivalent to the list store's ``box[0].sent_round``: rows
-        are stamp-sorted, so the first row at or after the cursor whose
-        mask includes ``pid`` is the mailbox head.  The cursor advances
-        past leading non-addressed rows so repeated queries stay cheap.
-        """
-        start = self._cursor[pid]
-        count = self._count
-        if start >= count:
-            return None
-        lane = self._recips[start:count, pid >> 6]
-        hits = np.nonzero((lane >> np.uint64(pid & 63)) & np.uint64(1))[0]
-        if hits.size == 0:
-            self._cursor[pid] = count
-            return None
-        first = start + int(hits[0])
-        self._cursor[pid] = first
-        return int(self._sent[first])
+    def head_stamp(self, pid: int) -> Optional[int]:
+        """Stamp of ``pid``'s earliest undelivered mail (or ``None``):
+        the earlier of its lane head and its first addressed row.  The
+        cursor advances to that row."""
+        lane = self.lanes[pid]
+        head = lane[0].sent_round if lane else None
+        run = next(self._runs(pid, self.cursor[pid]), None)
+        if run is None:
+            self.cursor[pid] = len(self.masks)
+            return head
+        self.cursor[pid] = run[0]
+        stamp = self.shared[run[0]].sent_round
+        return stamp if head is None or stamp < head else head
 
     def drain(self, pid: int, round_number: int, receive: Optional[int]):
-        """All mail for ``pid`` stamped before ``round_number``, capped
-        by the ``receive`` congestion budget; consumed rows are skipped
-        by future queries.  Returns ``[]`` or a :class:`ColumnarInbox`.
-        """
-        start = self._cursor[pid]
-        count = self._count
-        if start >= count:
-            return []
-        lane = self._recips[start:count, pid >> 6]
-        hits = np.nonzero((lane >> np.uint64(pid & 63)) & np.uint64(1))[0]
-        if hits.size == 0:
-            self._cursor[pid] = count
-            return []
-        rows = hits.astype(np.int64)
-        rows += start
-        split = int(np.searchsorted(self._sent[rows], round_number, side="left"))
-        if split == 0:
-            # Head not yet visible; still skip the non-addressed prefix.
-            self._cursor[pid] = int(rows[0])
-            return []
-        if receive is not None and split > receive:
-            split = receive
-        taken = rows[:split]
-        self._cursor[pid] = int(taken[-1]) + 1
-        return ColumnarInbox(self, pid, taken)
+        """All mail for ``pid`` stamped before ``round_number``, at most
+        ``receive`` items; the rest stay queued, oldest first.  Returns
+        a list of lane envelopes or a :class:`RowInbox`."""
+        lane = self.lanes[pid]
+        start = self.cursor[pid]
+        rows = None
+        if start < len(self.masks):
+            rows = _items(self._runs(pid, start, round_number))
+            self.cursor[pid] = max(start, self._rows_before(round_number))
+        if not rows:
+            # Lane mail alone: a prefix split.
+            if not lane or lane[0].sent_round >= round_number:
+                return []
+            split = len(lane)
+            for index, envelope in enumerate(lane):
+                if envelope.sent_round >= round_number:
+                    split = index
+                    break
+            if receive is not None and split > receive:
+                split = receive
+            ready = lane[:split]
+            del lane[:split]
+            if self.marks:
+                self._unmark(ready)
+            return ready
+        ready = 0
+        for envelope in lane:
+            if envelope.sent_round >= round_number:
+                break
+            ready += 1
+        inbox = RowInbox(self, pid, rows)
+        if not ready and (receive is None or len(inbox) <= receive):
+            return inbox
+        row_ids = [row for lo, hi, skip in rows for row in range(lo, hi) if row != skip]
+        merged = self._merge(row_ids, lane[:ready])
+        if receive is not None and len(merged) > receive:
+            # The cursor goes back to the first row not taken.
+            rest = merged[receive:]
+            merged = merged[:receive]
+            self.cursor[pid] = next((row for row in rest if type(row) is int), self.cursor[pid])
+        taken = sum(1 for item in merged if type(item) is not int)
+        if self.marks:
+            self._unmark(lane[:taken])
+        del lane[:taken]
+        return RowInbox(
+            self, pid, _items((row, row + 1) if type(row) is int else row for row in merged)
+        )
 
     def clear(self, pid: int) -> None:
         """Retirement: drop everything currently queued for ``pid``."""
-        self._cursor[pid] = self._count
-
-    def stamp_window(self, row: int) -> range:
-        """Every row stamped like ``row``, whoever it addresses.
-
-        Rows are appended at non-decreasing stamps, so the rows of one
-        stamp are one contiguous range of row ids.
-        """
-        sent = self._sent[: self._count]
-        stamp = sent[row]
-        return range(
-            int(np.searchsorted(sent, stamp, side="left")),
-            int(np.searchsorted(sent, stamp, side="right")),
-        )
-
-    # ---- payloads and materialisation --------------------------------
-
-    def payload(self, payload_id: int) -> Any:
-        return self._table[payload_id]
-
-    def payload_count(self) -> int:
-        return len(self._table)
-
-    def payload_kind_code(self, payload_id: int) -> int:
-        return self._table_kind[payload_id]
-
-    def envelope(self, row: int, dst: int):
-        """The exact object the list store would have mailed for ``row``:
-        an ``Envelope`` tuple for point-to-point rows, a shared-envelope
-        ``EnvelopeView`` for broadcast rows (one ``SharedEnvelope`` per
-        row, shared by every recipient that materialises it)."""
-        payload = self._table[self._payload_id[row]]
-        kind = KIND_BY_CODE[self._kind[row]]
-        if self._p2p_dst[row] >= 0:
-            return Envelope(
-                int(self._src[row]), dst, payload, kind, int(self._sent[row])
-            )
-        shared = self._shared[row]
-        if shared is None:
-            shared = self._shared[row] = SharedEnvelope(
-                int(self._src[row]), payload, kind, int(self._sent[row])
-            )
-        return EnvelopeView(shared, dst)
+        self.cursor[pid] = len(self.masks)
+        lane = self.lanes[pid]
+        if self.marks:
+            self._unmark(lane)
+        lane.clear()
 
     def cache(self, name: str, factory):
-        """Fetch-or-create a protocol-owned decoded-payload cache.
+        """Fetch-or-create protocol-owned per-run state.
 
-        The store is shared by every process of a run, so fields decoded
-        into a cache (e.g. the agreement fold's per-payload key and flag)
-        are computed once per payload id instead of once per delivered
-        copy.
+        The store is shared by every process of a run, so state kept
+        here (e.g. the agreement fold's round-shared windows) is built
+        once per run instead of once per recipient.
         """
         cache = self._caches.get(name)
         if cache is None:
             cache = self._caches[name] = factory()
         return cache
 
+    # ---- drain helpers -----------------------------------------------
 
-class ColumnarInbox:
-    """One drain's worth of mail, as columns plus a lazy object view.
+    def _runs(self, pid: int, row: int, round_number: Optional[int] = None):
+        """Yield ``pid``'s rows from ``row`` on, stamped before
+        ``round_number`` (if given), as ascending ``(lo, hi)`` runs."""
+        if row >= len(self.masks):
+            return
+        seg_start, seg_stamp = self.seg_start, self.seg_stamp
+        segments = len(seg_start)
+        k = bisect_right(seg_start, row) - 1
+        while k < segments and (round_number is None or seg_stamp[k] < round_number):
+            end = seg_start[k + 1] if k + 1 < segments else len(self.masks)
+            if self.seg_common[k] >> pid & 1:
+                own = self.seg_own[k].get(pid, -1)
+                if row <= own:
+                    if row < own:
+                        yield row, own
+                    row = own + 1
+                if row < end:
+                    yield row, end
+            else:
+                masks = self.masks
+                lo = -1
+                for index in range(row, end):
+                    if masks[index] >> pid & 1:
+                        if lo < 0:
+                            lo = index
+                    elif lo >= 0:
+                        yield lo, index
+                        lo = -1
+                if lo >= 0:
+                    yield lo, end
+            row = end
+            k += 1
 
-    Sequence-compatible with the list store's ``List[Envelope]``: ``len``,
-    truthiness, iteration, indexing and slicing all materialise (and
-    memoize) the identical envelope objects in identical order.  Column
-    accessors hand protocols the underlying arrays so a vectorized
-    consumer never materialises anything.
+    def _rows_before(self, stamp: int) -> int:
+        """How many rows are stamped before ``stamp``: rows are appended
+        at non-decreasing stamps, so this is where ``stamp``'s begin."""
+        k = bisect_left(self.seg_stamp, stamp)
+        return self.seg_start[k] if k < len(self.seg_start) else len(self.masks)
+
+    def _merge(self, rows: list, entries: list) -> list:
+        """Row ids and lane entries in post order: an entry goes before
+        the first row posted after it."""
+        marks = self.marks
+        merged = []
+        index = 0
+        for entry in entries:
+            position = marks.get(id(entry))
+            if position is None:
+                position = self._rows_before(entry.sent_round)
+            while index < len(rows) and rows[index] < position:
+                merged.append(rows[index])
+                index += 1
+            merged.append(entry)
+        merged.extend(rows[index:])
+        return merged
+
+    def _unmark(self, entries) -> None:
+        marks = self.marks
+        for entry in entries:
+            marks.pop(id(entry), None)
+
+
+class RowInbox:
+    """One drain that took rows, as a sequence of envelopes.
+
+    ``items`` holds, in delivery order, :class:`Span` runs of rows and
+    lane envelopes.  ``len``, truthiness, iteration, indexing and
+    slicing behave as the list of envelopes a list-per-recipient store
+    would have returned: rows materialise (once, memoized) as
+    ``EnvelopeView`` objects onto the row's shared envelope.
+    :meth:`records` walks the same mail without materialising it.
     """
 
-    __slots__ = ("store", "dst", "rows", "_objects")
+    __slots__ = ("store", "dst", "items", "_objects")
 
-    def __init__(self, store: ColumnarMailboxes, dst: int, rows):
+    def __init__(self, store: ColumnarMailboxes, dst: int, items: list):
         self.store = store
         self.dst = dst
-        self.rows = rows
+        self.items = items
         self._objects: Optional[list] = None
 
-    # ---- sequence protocol (list-store compatibility) ----------------
+    def records(self):
+        """Each message's shared envelope (rows) or envelope (lane
+        entries): all carry ``src``, ``payload``, ``kind`` and
+        ``sent_round``."""
+        shared = self.store.shared
+        for item in self.items:
+            if type(item) is Span:
+                lo, hi, skip = item
+                if skip < 0:
+                    yield from shared[lo:hi]
+                else:
+                    yield from shared[lo:skip]
+                    yield from shared[skip + 1:hi]
+            else:
+                yield item
 
     def _materialize(self) -> list:
         objects = self._objects
         if objects is None:
-            store = self.store
             dst = self.dst
             objects = self._objects = [
-                store.envelope(row, dst) for row in self.rows.tolist()
+                record if type(record) is not SharedEnvelope else EnvelopeView(record, dst)
+                for record in self.records()
             ]
         return objects
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return sum(
+            item.hi - item.lo - (item.skip >= 0) if type(item) is Span else 1
+            for item in self.items
+        )
 
     def __bool__(self) -> bool:
-        return len(self.rows) > 0
+        return True  # a drain that takes nothing returns []
 
     def __iter__(self):
         return iter(self._materialize())
@@ -377,12 +398,4 @@ class ColumnarInbox:
         return self._materialize()[index]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ColumnarInbox(dst={self.dst}, rows={self.rows.tolist()})"
-
-    # ---- column accessors (the columnar agreement fold) --------------
-
-    def srcs(self):
-        return self.store._src[self.rows]
-
-    def payload_ids(self):
-        return self.store._payload_id[self.rows]
+        return f"RowInbox(dst={self.dst}, items={self.items})"

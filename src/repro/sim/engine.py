@@ -47,13 +47,12 @@ an event index, mirroring the heap-based design of
   ascending pid order.  The index is updated incrementally - when mail
   is posted, when a process steps (its wake round may have moved), and
   when a process retires - never by scanning all ``t`` processes.
-* **One delivery store.**  Mail lives in a store with one surface
+* **One delivery store.**  Mail lives in
+  :class:`~repro.sim.columnar.ColumnarMailboxes`
   (``post_p2p``/``post_broadcast``/``drain``/``head_stamp``/``clear``):
-  :class:`~repro.sim.mailboxes.ListMailboxes` or, for large-``t``
-  protocols with a columnar fold,
-  :class:`~repro.sim.columnar.ColumnarMailboxes` (chosen once per run by
-  :func:`~repro.sim.columnar.resolve_fastpath`).  Every mailbox is
-  sorted by stamp, so delivery splits off a prefix.
+  a wide broadcast is one row of a shared log, other mail one envelope
+  per copy in the recipient's lane.  Each recipient's mail is delivered
+  in stamp order, as a prefix.
 * **Live-set bookkeeping.**  ``_live``, ``_active`` and ``_crashed_pids``
   are maintained at retirement/activation events, so the main loop,
   strict-invariant check and crash guard never iterate over retired
@@ -121,10 +120,9 @@ from repro.sim.actions import (
     SendBatch,
     pack_sends,
 )
-from repro.sim.columnar import ColumnarMailboxes, resolve_fastpath
+from repro.sim.columnar import ColumnarMailboxes
 from repro.sim.congestion import CongestionBudget
 from repro.sim.crashes import CrashDirective
-from repro.sim.mailboxes import ListMailboxes
 from repro.sim.metrics import Metrics, RunResult
 from repro.sim.process import Process
 from repro.sim.rng import derive_rng, make_rng
@@ -151,7 +149,6 @@ class Engine:
         unit_effect: Optional[UnitEffectFn] = None,
         trace: Optional[Trace] = None,
         congestion: Optional[CongestionBudget] = None,
-        fastpath: str = "auto",
     ):
         self.processes: List[Process] = list(processes)
         self.t = len(self.processes)
@@ -181,15 +178,7 @@ class Engine:
             tracker.record if tracker is not None else self.metrics.record_work
         )
         self.round = -1  # last processed round
-        # The delivery store (see module docstring): same stamps, same
-        # order, same budgets and bit-identical results either way.
-        self.fastpath = fastpath
-        store = (
-            ColumnarMailboxes
-            if resolve_fastpath(fastpath, self.processes)
-            else ListMailboxes
-        )
-        self._store = store(self.t)
+        self._store = ColumnarMailboxes(self.t)
         # Event index: see module docstring.
         self._mail: int = 0
         self._posted: int = 0

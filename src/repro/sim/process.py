@@ -98,11 +98,6 @@ class Process(ABC):
     #: and override :meth:`on_recover`.
     supports_recovery = False
 
-    #: Whether this protocol folds columnar inboxes without materialising
-    #: envelopes; ``fastpath="auto"`` only picks the columnar store for
-    #: such protocols (see :func:`repro.sim.columnar.resolve_fastpath`).
-    columnar_fold = False
-
     def mark_recovered(self, round_number: int) -> None:
         """Rejoin after a ``recover_after`` crash (engine-driven).
 

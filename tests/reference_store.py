@@ -1,11 +1,12 @@
-"""Pure-python delivery store for the sync engine: one list per recipient.
+"""The reference delivery store of the equivalence tests.
 
-:class:`ListMailboxes` and :class:`repro.sim.columnar.ColumnarMailboxes`
-share one surface - ``post_p2p``, ``post_broadcast``, ``drain``,
-``head_stamp`` and ``clear`` - so the engine holds a single store and
-never branches on which one it has.  This is the store for small ``t``,
-for protocols without a columnar fold, and for platforms without numpy
-(see :func:`repro.sim.columnar.resolve_fastpath`).
+:class:`ListMailboxes` keeps one envelope list per recipient: a
+point-to-point post appends an ``Envelope`` tuple and a broadcast one
+``EnvelopeView`` per recipient onto a single shared envelope.  It is the
+plainest store with the engine's surface (``post_p2p``,
+``post_broadcast``, ``drain``, ``head_stamp``, ``clear``), so the
+oracles run the engine on it and compare with the row store
+(:class:`repro.sim.columnar.ColumnarMailboxes`) bit for bit.
 
 Each mailbox is sorted by stamp: posts happen at the current processed
 round and processed rounds strictly increase, so the head is
@@ -14,18 +15,17 @@ round and processed rounds strictly increase, so the head is
 
 from __future__ import annotations
 
+import contextlib
 from typing import Any, List, Optional
 
+import repro.core.registry as registry
 from repro.sim.actions import Envelope, EnvelopeView, MessageKind, SharedEnvelope
+from repro.sim.engine import Engine
 
 
 class ListMailboxes:
-    """Per-recipient envelope lists, indexed by pid.
-
-    Point-to-point posts append an ``Envelope`` tuple; a broadcast
-    appends one ``EnvelopeView`` per recipient onto a single shared
-    envelope.  ``boxes`` is public so reference engines can scan it.
-    """
+    """Per-recipient envelope lists, indexed by pid.  ``boxes`` is
+    public so reference engines can scan it."""
 
     __slots__ = ("boxes",)
 
@@ -41,16 +41,12 @@ class ListMailboxes:
         self, src: int, payload: Any, kind: MessageKind, sent_round: int, mask: int
     ) -> None:
         """One view per set bit of ``mask`` (already live-restricted)."""
-        boxes = self.boxes
         shared = SharedEnvelope(src, payload, kind, sent_round)
-        # Inlined low-bit extraction: the recipient walk runs Theta(t)
-        # times per broadcast, so the bitset generator's frame switches
-        # would be a measurable share of commit time.
         while mask:
             low = mask & -mask
             mask ^= low
             dst = low.bit_length() - 1
-            boxes[dst].append(EnvelopeView(shared, dst))
+            self.boxes[dst].append(EnvelopeView(shared, dst))
 
     def head_stamp(self, pid: int) -> Optional[int]:
         box = self.boxes[pid]
@@ -60,13 +56,9 @@ class ListMailboxes:
         """Split off all mail stamped before ``round_number``, at most
         ``receive`` envelopes; the rest stay queued, oldest first."""
         box = self.boxes[pid]
-        if not box or box[0].sent_round >= round_number:
-            return []
-        split = len(box)
-        for index, envelope in enumerate(box):
-            if envelope.sent_round >= round_number:
-                split = index
-                break
+        split = 0
+        while split < len(box) and box[split].sent_round < round_number:
+            split += 1
         if receive is not None and split > receive:
             split = receive
         ready = box[:split]
@@ -76,3 +68,22 @@ class ListMailboxes:
     def clear(self, pid: int) -> None:
         """Retirement: drop everything currently queued for ``pid``."""
         self.boxes[pid].clear()
+
+
+class ListStoreEngine(Engine):
+    """The sync engine on the reference store, everything else shared."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._store = ListMailboxes(self.t)
+
+
+@contextlib.contextmanager
+def reference_engine():
+    """Run every sync ``Scenario`` of the block on :class:`ListStoreEngine`."""
+    original = registry.Engine
+    registry.Engine = ListStoreEngine
+    try:
+        yield
+    finally:
+        registry.Engine = original

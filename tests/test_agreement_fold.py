@@ -1,17 +1,20 @@
-"""The agreement fold's backends agree, fold by fold.
+"""The agreement fold equals the python-int fold, fold by fold.
 
-Each case posts D or D-dynamic agreement payloads into a
-``ColumnarMailboxes``, drains recipients and asserts that the columnar
-fold (``_fold_columnar``) returns exactly what the python-int fold
-(``_fold_ints``) returns over the same inboxes: views, heard mask and
-adopted payload.  Every case also names the path the columnar fold must
-take - the round-shared window or the fallback to the python-int fold -
-read off the window cache's counters, so a shape meant for the shared
-path cannot quietly fall back (and a shape that breaks one of its rules
-cannot quietly take it).
+Each case posts D or D-dynamic agreement payloads into the delivery
+store, drains recipients and asserts that the fold (``_fold``) returns
+exactly what the python-int fold (``_fold_messages``) returns over the same
+inboxes' envelopes: views, heard mask and adopted payload.  With the
+fan-out threshold at 1 every broadcast of a case is a row, and every
+case names the path the fold must take - the round-shared window or the
+fallback to the python-int fold - read off the window cache's counters,
+so a shape meant for the shared path cannot quietly fall back (and a
+shape that breaks one of its rules cannot quietly take it).  At the
+store's own threshold the narrower broadcasts go to lanes, and only the
+results are compared.
 
-The engagement test runs a whole Protocol D execution both ways and
-checks that every fold of its failure-free phases was shared.
+The engagement test runs a whole Protocol D execution on the store and
+on the list-per-recipient reference store, and checks that every fold
+of its failure-free phases was shared.
 
 On a divergence the failing case is written to ``fuzz-reproducer.json``
 (the CI fuzz-smoke step uploads it).
@@ -27,21 +30,16 @@ from typing import List, NamedTuple, Optional, Tuple
 
 import pytest
 
-pytest.importorskip("numpy", reason="the columnar fold reads the columnar store")
-
-from repro.api import Scenario  # noqa: E402
-from repro.core.agreement_fold import (  # noqa: E402
-    AgreementLayout,
-    _fold_columnar,
-    _fold_ints,
-)
-from repro.core.protocol_d import ProtocolDProcess  # noqa: E402
-from repro.core.protocol_d_dynamic import DynamicProtocolDProcess  # noqa: E402
-from repro.sim import columnar  # noqa: E402
-from repro.sim.actions import MessageKind  # noqa: E402
-from repro.sim.bitset import IntBitset  # noqa: E402
-from repro.sim.columnar import ColumnarMailboxes  # noqa: E402
-from repro.sim.trace import Trace  # noqa: E402
+from repro.api import Scenario
+from repro.core.agreement_fold import SharedWindows, _fold, _fold_messages
+from repro.core.protocol_d import ProtocolDProcess
+from repro.core.protocol_d_dynamic import DynamicProtocolDProcess
+from repro.sim import columnar
+from repro.sim.actions import MessageKind
+from repro.sim.bitset import IntBitset
+from repro.sim.columnar import ColumnarMailboxes
+from repro.sim.trace import Trace
+from tests.reference_store import reference_engine
 
 REPRODUCER_PATH = Path("fuzz-reproducer.json")
 
@@ -49,13 +47,6 @@ LAYOUTS = {
     "D": ProtocolDProcess.layout,
     "D-dynamic": DynamicProtocolDProcess.layout,
 }
-
-
-class Recipient(NamedTuple):
-    """The slice of an agreement process that ``_fold_columnar`` reads."""
-
-    pid: int
-    layout: AgreementLayout
 
 
 class Post(NamedTuple):
@@ -83,7 +74,7 @@ class Case:
     #: The recipient's snapshot; ``None`` means every pid.
     snapshot: Optional[frozenset] = None
     #: Recipients still in another phase: they fold with ``key + 1``,
-    #: which matches no row, so they always take the python-int fold.
+    #: which matches no message, so they always take the python-int fold.
     lagging: frozenset = frozenset()
 
 
@@ -165,6 +156,12 @@ def _widths(layout, t, n):
     return (words_n,) * (len(layout.fields) - 1) + (words_t,)
 
 
+def _expected(inboxes, key, layout, admitted_from, views):
+    """The python-int fold over the inboxes' envelopes, in order."""
+    envelopes = [envelope for inbox in inboxes for envelope in inbox]
+    return _fold_messages(envelopes, key, layout, admitted_from, views)
+
+
 def _fold_case(case: Case, protocol: str, seed: int = 0):
     """Fold every recipient both ways; return ``(shared, fallback)``."""
     layout = LAYOUTS[protocol]
@@ -188,23 +185,22 @@ def _fold_case(case: Case, protocol: str, seed: int = 0):
         own = [rng.getrandbits(width * 64) for width in widths]
         expected_views, got_views = list(own), list(own)
         key = case.key + 1 if pid in case.lagging else case.key
-        expected = _fold_ints(inboxes, key, layout, admitted_from, expected_views)
-        got = _fold_columnar(
-            store, inboxes, key, Recipient(pid, layout), admitted_from, got_views
-        )
+        expected = _expected(inboxes, key, layout, admitted_from, expected_views)
+        got = _fold(inboxes, key, pid, layout, admitted_from, got_views)
         if (got, got_views) != (expected, expected_views):
             REPRODUCER_PATH.write_text(json.dumps(
                 {"case": case.name, "protocol": protocol, "seed": seed, "pid": pid},
                 indent=2, sort_keys=True,
             ))
             raise AssertionError(f"{case.name} ({protocol}): fold of pid {pid} diverged")
-    windows = store.cache(layout.cache_name, None).windows
+    windows = store.cache(layout.cache_name, SharedWindows)
     return windows.shared, windows.fallback
 
 
 @pytest.mark.parametrize("protocol", sorted(LAYOUTS))
 @pytest.mark.parametrize("case", CASES, ids=[case.name for case in CASES])
-def test_word_fold_equals_int_fold(case, protocol):
+def test_word_fold_equals_int_fold(case, protocol, monkeypatch):
+    monkeypatch.setattr(columnar, "WIDE_FANOUT", 1)
     folds = len(case.recipients) if case.recipients is not None else case.t
     lagging = len(case.lagging)
     for seed in range(3):
@@ -213,6 +209,13 @@ def test_word_fold_equals_int_fold(case, protocol):
             assert (shared, fallback) == (folds - lagging, lagging)
         else:
             assert (shared, fallback) == (0, folds)
+
+
+@pytest.mark.parametrize("protocol", sorted(LAYOUTS))
+@pytest.mark.parametrize("case", CASES, ids=[case.name for case in CASES])
+def test_fold_equals_int_fold_with_narrow_broadcasts_in_lanes(case, protocol):
+    for seed in range(3):
+        _fold_case(case, protocol, seed)
 
 
 # ---- a whole run: engagement and bit-identity ---------------------------
@@ -230,9 +233,9 @@ def _recording_stores(monkeypatch) -> list:
     return stores
 
 
-def _observed(scenario: Scenario, fastpath: str):
+def _observed(scenario: Scenario):
     trace = Trace(enabled=True)
-    result = dataclasses.replace(scenario, fastpath=fastpath).run(trace=trace)
+    result = scenario.run(trace=trace)
     return result.metrics.as_dict(full=True), list(trace.events)
 
 
@@ -246,13 +249,14 @@ def test_failure_free_phases_fold_through_the_shared_window(monkeypatch):
         },
     )
     stores = _recording_stores(monkeypatch)
-    on = _observed(scenario, "on")
-    assert columnar.HAVE_NUMPY and len(stores) == 1
-    windows = stores[0].cache(ProtocolDProcess.layout.cache_name, None).windows
-    off = _observed(scenario, "off")
-    if on != off:
+    rows = _observed(scenario)
+    assert len(stores) == 1
+    windows = stores[0].cache(ProtocolDProcess.layout.cache_name, SharedWindows)
+    with reference_engine():
+        reference = _observed(scenario)
+    if rows != reference:
         REPRODUCER_PATH.write_text(json.dumps(scenario.to_dict(), indent=2, sort_keys=True))
-        raise AssertionError("fastpath on and off diverged")
+        raise AssertionError("the row store and the reference store diverged")
     # The crashes land in the first work phase, so every agreement phase
     # is failure-free: each of its folds must take the shared window
     # (at least two rounds of the 240 survivors agree after the crashes).

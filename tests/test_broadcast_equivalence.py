@@ -14,8 +14,9 @@ Two oracles re-create the pre-PR behaviour exactly:
   expanded to legacy ``List[Send]`` *before* the adversary and the
   crash censor see them, and overrides ``_post_batch`` with the seed
   engine's per-copy commit (one ``Envelope`` tuple per live recipient,
-  per-copy kind counting) - so the packed classes never touch the
-  reference execution;
+  per-copy kind counting) on the list-per-recipient reference store
+  of ``tests/reference_store.py`` - so the packed classes and the row
+  store never touch the reference execution;
 * ``_ExpandedAsyncEngine`` overrides ``_broadcast`` to route every copy
   through the per-copy ``_send`` path (one delay draw and one
   per-(recipient, due) batch entry per copy), i.e. exactly what the
@@ -51,19 +52,13 @@ from repro.sim.adversary import (
     StaggeredWorkKills,
 )
 from repro.sim.async_engine import AsyncEngine, fixed_delays, uniform_delays
-from repro.sim.columnar import HAVE_NUMPY
 from repro.sim.crashes import CrashDirective, CrashPhase
 from repro.sim.engine import Engine
 from repro.sim.failure_detector import FailureDetector
 from repro.sim.process import Process
 from repro.sim.trace import Trace
 from repro.work.tracker import WorkTracker
-
-#: The store of the sync engine under test.  At these small t ``auto``
-#: would pick the list store the oracle runs on too, so the columnar
-#: store is forced to keep this a cross-store oracle; without numpy only
-#: the list store exists and the oracle checks the packed commit alone.
-UNDER_TEST_FASTPATH = "on" if HAVE_NUMPY else "off"
+from tests.reference_store import ListStoreEngine
 
 # =====================================================================
 # The synchronous oracle: pre-PR expanded path
@@ -97,16 +92,10 @@ class _ExpandingProcess(Process):
         return action
 
 
-class _ExpandedEngine(Engine):
+class _ExpandedEngine(ListStoreEngine):
     """The seed engine's per-copy batch commit, kept as an oracle: one
     kind-count bump and one :class:`Envelope` tuple per copy, no packing,
     no shared envelopes."""
-
-    def __init__(self, *args, **kwargs):
-        # The oracle commits one Envelope tuple per copy, the list
-        # store's per-copy representation.
-        kwargs["fastpath"] = "off"
-        super().__init__(*args, **kwargs)
 
     def _post_batch(self, src: int, sends: List[Send], round_number: int) -> None:
         kind_counts: Dict[MessageKind, int] = {}
@@ -150,7 +139,6 @@ def _run_sync(engine_cls, wrap, protocol, n, t, adversary_factory, seed):
         seed=seed,
         strict_invariants=protocol.lower() in {"a", "b", "c", "naive"},
         trace=trace,
-        fastpath=UNDER_TEST_FASTPATH,
     )
     result = engine.run()
     events = [(e.round, e.kind, e.pid, e.detail) for e in trace]

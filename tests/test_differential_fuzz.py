@@ -1,21 +1,27 @@
-"""Randomized differential fuzz harness: fastpath on == off, bitwise.
+"""Randomized differential fuzz harness: row store == list-store reference.
 
-The columnar engine path (``repro.sim.columnar``) claims *bit-identical*
-behaviour to the pure-python path - same full metrics payloads, same
-trace event streams, same RNG draw order - under every protocol and
-fault kind.  This harness is the pin for that claim: a seeded stdlib
-``random`` generator (no hypothesis) draws ~200 scenario configs across
-all registered sync protocols x adversary specs (crash-recover, rack,
-cascade-neighbours, congestion budgets included) and runs each twice,
-``fastpath="off"`` vs ``fastpath="on"``, asserting equality of
-``Metrics.as_dict(full=True)``, the trace stream and the run outcome.
+The sync engine's delivery store (``repro.sim.columnar``: a shared row
+log for wide broadcasts, per-recipient lanes for the rest) claims
+*bit-identical* behaviour to the plainest store, one envelope list per
+recipient (``tests/reference_store.py``) - same full metrics payloads,
+same trace event streams, same RNG draw order - under every protocol
+and fault kind.  This harness is the pin for that claim: a seeded
+stdlib ``random`` generator (no hypothesis) draws ~200 scenario configs
+across all registered sync protocols x adversary specs (crash-recover,
+rack, cascade-neighbours, congestion budgets included) and runs each
+twice, on the engine and on the engine over the reference store,
+asserting equality of ``Metrics.as_dict(full=True)``, the trace stream
+and the run outcome.
 
-A second, fixed slice draws D-family configs with ``t`` in 65..130: the
-sizes where ``fastpath="auto"`` picks the columnar store, and where
-recipient masks and decoded pid sets span more than one uint64 word.
-A third, fixed slice draws D and D-recovery configs with ``n`` in
-65..300 as well, so both of Protocol D's view fields (outstanding units
-and known-correct pids) span more than one word in the agreement fold.
+A second, fixed slice draws D-family configs with ``t`` in 65..130,
+where recipient masks and pid sets span more than one 64-bit word.  A
+third, fixed slice draws D and D-recovery configs with ``n`` in 65..300
+as well, so both of Protocol D's view fields (outstanding units and
+known-correct pids) span more than one word in the agreement fold.  A
+fourth slice lowers the fan-out threshold, so small runs put most
+broadcasts in rows and the rest in lanes under receive budgets: every
+drain that merges the two kinds, and every budget cut through a merge,
+is compared with the reference.
 
 On failure the reproducer ``Scenario`` JSON is printed in the assertion
 message and written to ``fuzz-reproducer.json`` (the CI fuzz-smoke step
@@ -29,7 +35,6 @@ Environment knobs (for CI pinning and local soak runs):
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import random
@@ -37,13 +42,10 @@ from pathlib import Path
 
 import pytest
 
-pytest.importorskip(
-    "numpy", reason="fastpath='on' needs numpy; without it only the "
-    "pure-python path exists, so there is nothing to differentiate"
-)
-
-from repro.api import Scenario  # noqa: E402
-from repro.sim.trace import Trace  # noqa: E402
+from repro.api import Scenario
+from repro.sim import columnar
+from repro.sim.trace import Trace
+from tests.reference_store import reference_engine
 
 SEED = int(os.environ.get("REPRO_FUZZ_SEED", "20260808"))
 COUNT = int(os.environ.get("REPRO_FUZZ_COUNT", "200"))
@@ -58,8 +60,13 @@ WIDE_COUNT = 12
 WIDE_VIEWS_SEED = 15
 WIDE_VIEWS_COUNT = 8
 
-#: Every sync protocol in the registry (the async engine has no
-#: fastpath; Scenario rejects the field there, which test_api covers).
+#: The merge slice: small runs with every config under a receive
+#: budget, at fan-out thresholds that put broadcasts in rows and lanes.
+MERGE_SEED = 21
+MERGE_COUNT = 60
+
+#: Every sync protocol in the registry (the async engine has its own
+#: delivery path).
 PROTOCOLS = (
     "A", "B", "C", "C-batched", "C-naive", "D", "D-dynamic", "D-recovery",
     "naive", "replicate",
@@ -183,15 +190,14 @@ def _assert_ledger_consistent(scenario: Scenario, result) -> None:
         assert result.completed, f"incomplete run with {result.survivors} survivors"
 
 
-def _run(scenario: Scenario, fastpath: str):
+def _run(scenario: Scenario):
     """One run's full observable state (or the error it raised)."""
-    variant = dataclasses.replace(scenario, fastpath=fastpath)
     trace = Trace(enabled=True)
     try:
-        result = variant.run(trace=trace)
-    except Exception as error:  # noqa: BLE001 - compared across paths
+        result = scenario.run(trace=trace)
+    except Exception as error:  # noqa: BLE001 - compared across stores
         return {"error": type(error).__name__, "message": str(error)}
-    _assert_ledger_consistent(variant, result)
+    _assert_ledger_consistent(scenario, result)
     return {
         "metrics": result.metrics.as_dict(full=True),
         "trace": list(trace.events),
@@ -201,14 +207,15 @@ def _run(scenario: Scenario, fastpath: str):
     }
 
 
-def _assert_paths_agree(seed: int, configs) -> int:
-    """Run every config off and on; return how many ran to completion."""
+def _assert_stores_agree(seed: int, configs) -> int:
+    """Run every config on both stores; return how many ran to completion."""
     exercised = 0
     for index, config in enumerate(configs):
         scenario = Scenario.from_dict(config)
-        off = _run(scenario, "off")
-        on = _run(scenario, "on")
-        if on != off:
+        rows = _run(scenario)
+        with reference_engine():
+            reference = _run(scenario)
+        if rows != reference:
             reproducer = json.dumps(config, sort_keys=True)
             REPRODUCER_PATH.write_text(
                 json.dumps(
@@ -218,17 +225,17 @@ def _assert_paths_agree(seed: int, configs) -> int:
                 )
             )
             raise AssertionError(
-                f"fastpath divergence at scenario {index} (seed {seed}); "
+                f"store divergence at scenario {index} (seed {seed}); "
                 f"reproducer Scenario JSON: {reproducer}"
             )
-        if "error" not in off:
+        if "error" not in reference:
             exercised += 1
     return exercised
 
 
-def test_differential_fuzz_fastpath_bit_identical():
+def test_differential_fuzz_row_store_bit_identical():
     rng = random.Random(SEED)
-    exercised = _assert_paths_agree(SEED, [_random_config(rng) for _ in range(COUNT)])
+    exercised = _assert_stores_agree(SEED, [_random_config(rng) for _ in range(COUNT)])
     # The generator must mostly produce *runnable* configs - a harness
     # where everything errors out symmetrically would prove nothing.
     assert exercised >= COUNT * 3 // 4, (
@@ -237,13 +244,27 @@ def test_differential_fuzz_fastpath_bit_identical():
     )
 
 
-def test_multi_word_masks_fastpath_bit_identical():
+def test_multi_word_masks_row_store_bit_identical():
     rng = random.Random(WIDE_SEED)
     configs = [_random_config(rng, "wide") for _ in range(WIDE_COUNT)]
-    assert _assert_paths_agree(WIDE_SEED, configs) == WIDE_COUNT
+    assert _assert_stores_agree(WIDE_SEED, configs) == WIDE_COUNT
 
 
-def test_multi_word_views_fastpath_bit_identical():
+def test_multi_word_views_row_store_bit_identical():
     rng = random.Random(WIDE_VIEWS_SEED)
     configs = [_random_config(rng, "wide_views") for _ in range(WIDE_VIEWS_COUNT)]
-    assert _assert_paths_agree(WIDE_VIEWS_SEED, configs) == WIDE_VIEWS_COUNT
+    assert _assert_stores_agree(WIDE_VIEWS_SEED, configs) == WIDE_VIEWS_COUNT
+
+
+@pytest.mark.parametrize("wide", [1, 2])
+def test_rows_lanes_and_receive_budgets_together_bit_identical(wide, monkeypatch):
+    monkeypatch.setattr(columnar, "WIDE_FANOUT", wide)
+    rng = random.Random(MERGE_SEED)
+    configs = []
+    for _ in range(MERGE_COUNT):
+        config = _random_config(rng)
+        config["congestion"] = (
+            f"budget:send={rng.randint(2, 6)},receive={rng.randint(1, 4)}"
+        )
+        configs.append(config)
+    assert _assert_stores_agree(MERGE_SEED, configs) >= MERGE_COUNT * 3 // 4

@@ -16,7 +16,6 @@ from repro.sim.adversary import (
     RecoveringCrashes,
     adversary_from_spec,
 )
-from repro.sim.columnar import HAVE_NUMPY
 from repro.sim.crashes import (
     CrashDirective,
     draw_repair_delay,
@@ -80,20 +79,16 @@ def test_repeated_crash_recover_cycles_still_terminate():
     assert result.metrics.recoveries == 3
 
 
-@pytest.mark.parametrize("fastpath", ["off", "on"])
-def test_rejoiner_outside_the_decided_view_reverts_solo(fastpath):
+def test_rejoiner_outside_the_decided_view_reverts_solo():
     # A rejoiner here adopts a decided view whose T excludes it, then
     # reverts: it must run Protocol A alone over its outstanding units
     # (redoing them) instead of failing to find itself among T.
-    if fastpath == "on" and not HAVE_NUMPY:
-        pytest.skip("fastpath 'on' needs numpy")
     result = Scenario(
         protocol="D-recovery",
         n=128,
         t=16,
         seed=606253417,
         adversary="crash-recover:5,repair_delay=3",
-        fastpath=fastpath,
     ).run()
     assert result.completed
     assert result.metrics.work_total >= 128

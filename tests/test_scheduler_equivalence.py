@@ -16,7 +16,6 @@ from typing import List, Optional
 import pytest
 
 from repro.core.registry import build_processes
-from repro.sim.columnar import HAVE_NUMPY
 from repro.sim.adversary import (
     Cascade,
     CrashMidBroadcast,
@@ -31,28 +30,19 @@ from repro.sim.crashes import CrashDirective, CrashPhase
 from repro.sim.engine import Engine
 from repro.sim.trace import Trace
 from repro.work.tracker import WorkTracker
-
-#: The store of the engine under test.  At these small t ``auto`` would
-#: pick the list store the reference runs on too, so the columnar store
-#: is forced to keep this a cross-store oracle; without numpy only the
-#: list store exists and the oracle checks the scheduler alone.
-UNDER_TEST_FASTPATH = "on" if HAVE_NUMPY else "off"
+from tests.reference_store import ListStoreEngine
 
 
-class _ReferenceScheduler(Engine):
+class _ReferenceScheduler(ListStoreEngine):
     """The seed engine's O(rounds * t) schedule computation, kept as an
     oracle: every query scans all processes and all mailbox stamps.
 
     Only the three schedule-computation hooks are overridden; crash
     handling, action commits and accounting are shared with the real
-    engine, so any divergence is attributable to scheduling.
+    engine, so any divergence is attributable to scheduling or to the
+    delivery store: the reference runs on the list-per-recipient store
+    of ``tests/reference_store.py``, whose boxes it scans.
     """
-
-    def __init__(self, *args, **kwargs):
-        # The reference scans the list store's boxes directly, so it must
-        # run on that store.
-        kwargs["fastpath"] = "off"
-        super().__init__(*args, **kwargs)
 
     def _reference_due(self, process) -> Optional[int]:
         if process.retired:
@@ -135,7 +125,6 @@ def _run(
         strict_invariants=protocol.lower() in {"a", "b", "c", "naive"},
         trace=trace,
         congestion=congestion,
-        fastpath=UNDER_TEST_FASTPATH,
     )
     result = engine.run()
     events = [(e.round, e.kind, e.pid, e.detail) for e in trace]
