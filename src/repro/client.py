@@ -1,7 +1,9 @@
 """Client API for the ``repro serve`` run server.
 
-Stdlib-only (``http.client``).  The client speaks the wire format documented
-in ``docs/serve.md`` and rehydrates every served result through
+Stdlib-only, but not built on ``http.client``: each connection is a
+plain socket that frames HTTP/1.1 itself (headers read by
+:mod:`repro.http11`).  The client speaks the wire format documented in
+``docs/serve.md`` and rehydrates every served result through
 :meth:`~repro.sim.metrics.RunResult.from_dict`, so remote callers get
 the *same objects* in-process callers do - bit-identical metrics, same
 ``config`` echo, same error taxonomy::
@@ -29,11 +31,13 @@ gives up.
 
 Transport: each thread using a ``Client`` holds one persistent HTTP/1.1
 connection to the server and sends every request over it, so a
-closed-loop caller pays one TCP connect, not one per request.  A
-request that fails on a *reused* connection before any response
-arrives (the server closed it while idle, or restarted) is re-sent once
-on a fresh connection, without sleeping and without spending an
-attempt.  Re-sending is safe: submissions are content-addressed and
+closed-loop caller pays one TCP connect, not one per request.  Each
+request is one ``sendall``; each answer is read through the
+connection's one buffered reader and must carry ``Content-Length`` or
+end with the connection.  A request that fails on a *reused*
+connection before any response arrives (the server closed it while
+idle, or restarted) is re-sent once on a fresh connection, without
+sleeping and without spending an attempt.  Re-sending is safe: submissions are content-addressed and
 coalesced, so a scenario still runs at most once.
 
 Transient *connection* failures (refused, reset, timeouts, DNS hiccups
@@ -61,6 +65,8 @@ from __future__ import annotations
 import http.client
 import json
 import random
+import socket
+import ssl
 import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -68,6 +74,7 @@ from urllib.parse import urlsplit
 
 from repro.api import ResultSet, Scenario, Sweep
 from repro.errors import ConfigurationError, ServerError
+from repro.http11 import Headers, read_headers, read_line
 from repro.sim.metrics import RunResult
 from repro.suites import Suite
 
@@ -118,6 +125,94 @@ def _wait_query(wait: Optional[float]) -> str:
 def _results(snapshot: Dict[str, Any]) -> List[RunResult]:
     """A done job snapshot's results, rehydrated in submission order."""
     return [RunResult.from_dict(result) for result in snapshot["results"]]
+
+
+class _Connection:
+    """One persistent HTTP/1.1 connection: a socket with ``TCP_NODELAY``
+    (wrapped by ``tls`` for https), opened on the first request, and one
+    buffered reader for every answer on it.  :meth:`getresponse` returns
+    the connection itself, holding the answer's ``status``, headers and
+    ``will_close`` until :meth:`read` takes its body."""
+
+    def __init__(self, host: str, port: int, netloc: str, timeout: float, tls):
+        self._address = (host, port)
+        self._netloc = netloc
+        self._timeout = timeout
+        self._tls = tls  # an ssl.SSLContext, or None for http
+        self._sock = None
+        self._reader = None
+        self.status = 0
+        self.will_close = False
+        self._headers = Headers()
+
+    def _open(self) -> None:
+        sock = socket.create_connection(self._address, self._timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tls is not None:
+                sock = self._tls.wrap_socket(sock, server_hostname=self._address[0])
+        except BaseException:
+            sock.close()
+            raise
+        self._sock, self._reader = sock, sock.makefile("rb")
+
+    def request(self, method: str, url: str, body: Optional[bytes] = None, headers=None):
+        """Send one request in one write."""
+        if self._sock is None:
+            self._open()
+        lines = [f"{method} {url} HTTP/1.1", f"Host: {self._netloc}"]
+        if body is not None:
+            lines.append(f"Content-Length: {len(body)}")
+        lines.extend(f"{name}: {value}" for name, value in (headers or {}).items())
+        lines.append("\r\n")
+        self._sock.sendall("\r\n".join(lines).encode("iso-8859-1") + (body or b""))
+
+    def getresponse(self) -> "_Connection":
+        """Read the status line and headers of the next answer.  End of
+        stream before a status line raises
+        :class:`http.client.RemoteDisconnected`."""
+        line = read_line(self._reader)
+        if not line:
+            raise http.client.RemoteDisconnected(
+                "remote end closed the connection without an answer"
+            )
+        parts = line.split(None, 2)
+        if not (
+            len(parts) >= 2
+            and parts[0].startswith(b"HTTP/")
+            and len(parts[1]) == 3
+            and parts[1].isdigit()
+        ):
+            raise http.client.BadStatusLine(line.decode("iso-8859-1"))
+        self.status = int(parts[1])
+        self._headers = read_headers(self._reader)
+        connection = self._headers.get("Connection", "").lower()
+        self.will_close = (
+            "close" in connection
+            or (parts[0] == b"HTTP/1.0" and "keep-alive" not in connection)
+            or self._headers.get("Content-Length") is None
+        )
+        return self
+
+    def getheader(self, name: str, default: Optional[str] = None) -> Optional[str]:
+        return self._headers.get(name, default)
+
+    def read(self) -> bytes:
+        """The body of the answer :meth:`getresponse` read."""
+        length = self._headers.get("Content-Length")
+        if length is None:
+            return self._reader.read()  # the body ends with the connection
+        length = int(length)
+        data = self._reader.read(length)
+        if len(data) < length:
+            raise http.client.IncompleteRead(data, length - len(data))
+        return data
+
+    def close(self) -> None:
+        sock, self._sock = self._sock, None
+        if sock is not None:
+            self._reader.close()
+            sock.close()
 
 
 class _IdleConnection:
@@ -177,15 +272,18 @@ class Client:
             )
         self.base_url = base_url.rstrip("/")
         split = urlsplit(self.base_url)
-        if split.scheme not in ("http", "https") or not split.netloc:
+        if split.scheme not in ("http", "https") or not split.hostname:
             raise ConfigurationError(
                 f"server URL must look like http://HOST:PORT, got {base_url!r}"
             )
-        self._connection_class = (
-            http.client.HTTPSConnection
-            if split.scheme == "https"
-            else http.client.HTTPConnection
-        )
+        try:
+            port = split.port or (443 if split.scheme == "https" else 80)
+        except ValueError:
+            raise ConfigurationError(
+                f"server URL must look like http://HOST:PORT, got {base_url!r}"
+            ) from None
+        self._address = (split.hostname, port)
+        self._tls = ssl.create_default_context() if split.scheme == "https" else None
         self._netloc = split.netloc
         self._prefix = split.path
         self._local = threading.local()  # .idle: this thread's _IdleConnection
@@ -212,10 +310,10 @@ class Client:
             return delay
         return delay * (1.0 + self.jitter * self._jitter_rng.random())
 
-    def _connect(self) -> http.client.HTTPConnection:
+    def _connect(self) -> _Connection:
         """A new connection to the server; it connects on its first
         request.  The transport seam: tests script it."""
-        return self._connection_class(self._netloc, timeout=self.timeout)
+        return _Connection(*self._address, self._netloc, self.timeout, self._tls)
 
     def _send_on(self, connection, method: str, path: str, body, headers):
         """Send one request on ``connection`` and read its status line

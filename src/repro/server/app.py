@@ -41,7 +41,10 @@ errors so long-polls return promptly - and returns the drain report.
 
 from __future__ import annotations
 
+import email.utils
+import http.client
 import json
+import re
 import socket
 import threading
 import time
@@ -54,6 +57,7 @@ from repro.cache import ResultCache
 from repro.chaos import chaos_from_spec
 from repro.core.registry import available_protocols
 from repro.errors import ConfigurationError, ServerError
+from repro.http11 import read_headers
 from repro.server.jobs import JobStore, scenarios_from_document
 
 #: Ceiling on ``?wait=`` long-polls, so a stuck client cannot pin a
@@ -154,6 +158,10 @@ class _ServerState:
         self.draining = False
 
 
+#: ``HTTP/major.minor`` as the standard library's server accepts it.
+_HTTP_VERSION = re.compile(r"HTTP/(\d{1,10})\.(\d{1,10})\Z", re.ASCII)
+
+
 class _ThreadingServer(ThreadingHTTPServer):
     """One handler thread per persistent connection, plus the
     bookkeeping :meth:`ReproServer.shutdown` needs to close the
@@ -206,14 +214,17 @@ def _make_handler(store: JobStore, state: _ServerState):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
         server_version = f"repro-serve/{repro.__version__}"
-        # Headers and body go out as two writes; without TCP_NODELAY a
-        # keep-alive peer waits out a delayed ACK (~40 ms) per request.
+        server_line = f"Server: {server_version} {BaseHTTPRequestHandler.sys_version}"
+        # An answer is one write, but one longer than a TCP segment ends
+        # in a short one that Nagle's algorithm holds back until the
+        # peer's delayed ACK (~40 ms) arrives.
         disable_nagle_algorithm = True
         timeout = IDLE_TIMEOUT_SECONDS
         # True while a POST body is still unread on the socket: a
         # response sent then closes the connection, or the body would
         # be parsed as the next request.
         body_pending = False
+        date = (0, "")  # (second, its Date header line), shared by handlers
 
         def log_message(self, format, *args):  # noqa: A002 - stdlib signature
             pass  # request logging is the CLI's choice, not the handler's
@@ -230,8 +241,56 @@ def _make_handler(store: JobStore, state: _ServerState):
                 self.server.unpark(self.connection)
 
         def parse_request(self) -> bool:
+            """Split ``METHOD TARGET HTTP/1.x``, read the headers and
+            settle whether the connection stays open.  A request that
+            cannot be framed is answered here and ``False`` returned."""
             self.server.unpark(self.connection)  # a request line arrived
-            return super().parse_request()
+            self.command = None
+            self.close_connection = True
+            self.requestline = self.raw_requestline.decode("iso-8859-1").rstrip("\r\n")
+            words = self.requestline.split()
+            if not words:
+                return False
+            if len(words) != 3:
+                self.send_error(400, f"bad request line {self.requestline[:80]!r}")
+                return False
+            command, path, version = words
+            match = _HTTP_VERSION.match(version)
+            if match is None:
+                self.send_error(400, f"bad HTTP version {version[:80]!r}")
+                return False
+            number = (int(match[1]), int(match[2]))
+            if number >= (2, 0):
+                self.send_error(505, f"HTTP version {version!r} is not supported")
+                return False
+            self.request_version = version
+            if path.startswith("//"):
+                path = "/" + path.lstrip("/")  # never a scheme-relative URL
+            self.command, self.path = command, path
+            try:
+                self.headers = read_headers(self.rfile)
+            except http.client.HTTPException as exc:  # a line or count limit
+                self.send_error(431, str(exc))
+                return False
+            except ValueError as exc:
+                self.send_error(400, str(exc))
+                return False
+            connection = self.headers.get("Connection", "").lower()
+            self.close_connection = connection == "close" or (
+                number < (1, 1) and connection != "keep-alive"
+            )
+            if (
+                number >= (1, 1)
+                and self.headers.get("Expect", "").lower() == "100-continue"
+            ):
+                self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+            return True
+
+        def send_error(self, code, message=None, explain=None) -> None:
+            # A request that cannot be framed, or an unknown method: the
+            # rest of the stream cannot be trusted either.
+            self.close_connection = True
+            self._error(code, "ProtocolError", message or self.responses[code][0])
 
         # ---- plumbing ------------------------------------------------
 
@@ -241,16 +300,31 @@ def _make_handler(store: JobStore, state: _ServerState):
             payload: Dict[str, Any],
             headers: Optional[Dict[str, str]] = None,
         ) -> None:
+            """Status line, headers and JSON body in one write."""
             body = json.dumps(payload, sort_keys=True).encode("utf-8")
-            self.send_response(code)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            for name, value in (headers or {}).items():
-                self.send_header(name, value)
-            if self.body_pending or self.close_connection:
-                self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.write(body)
+            if self.body_pending:
+                self.close_connection = True
+            lines = [
+                f"HTTP/1.1 {code} {self.responses[code][0]}",
+                self.server_line,
+                self._date_header(),
+                "Content-Type: application/json",
+                f"Content-Length: {len(body)}",
+            ]
+            lines.extend(f"{name}: {value}" for name, value in (headers or {}).items())
+            if self.close_connection:
+                lines.append("Connection: close")
+            lines.append("\r\n")
+            self.wfile.write("\r\n".join(lines).encode("iso-8859-1") + body)
+
+        def _date_header(self) -> str:
+            """The ``Date`` header, formatted once per second."""
+            second, line = Handler.date
+            now = int(time.time())
+            if now != second:
+                line = f"Date: {email.utils.formatdate(now, usegmt=True)}"
+                Handler.date = (now, line)
+            return line
 
         def _error(
             self,

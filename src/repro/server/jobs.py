@@ -315,14 +315,20 @@ class JobStore:
 
     def _evict_done_jobs(self) -> None:
         # Called under the lock.  Drop the oldest finished jobs beyond
-        # the cap; running jobs are never evicted.
-        if len(self._jobs) <= self.max_jobs:
+        # the cap; running jobs are never evicted.  The walk stops at the
+        # last job it drops, so a submit at the cap visits only the
+        # running jobs ahead of it, not the whole table.
+        excess = len(self._jobs) - self.max_jobs
+        if excess <= 0:
             return
-        for job_id in list(self._jobs):
-            if len(self._jobs) <= self.max_jobs:
-                break
-            if self._jobs[job_id].status in ("done", "failed"):
-                del self._jobs[job_id]
+        finished = []
+        for job in self._jobs.values():
+            if job.status in ("done", "failed"):
+                finished.append(job.id)
+                if len(finished) == excess:
+                    break
+        for job_id in finished:
+            del self._jobs[job_id]
 
     # ---- execution ---------------------------------------------------
 

@@ -5,6 +5,7 @@ the duplicate-submission single-execution guarantee."""
 import json
 import threading
 import urllib.error
+from collections import OrderedDict
 import urllib.request
 
 import pytest
@@ -14,6 +15,7 @@ from repro.client import Client, _wire_document
 from repro.core.registry import available_protocols
 from repro.errors import ConfigurationError, ServerError
 from repro.server import ReproServer, scenarios_from_document
+from repro.server.jobs import JobStore
 from repro.sim.metrics import RunResult
 from repro.suites import Suite
 
@@ -455,3 +457,46 @@ def test_cli_submit_costs_one_request_per_file(server, tmp_path, requests_sent, 
     assert main(["submit", *paths, "--server", server.url]) == 0
     capsys.readouterr()
     assert _long_polled_posts(requests_sent, 2), requests_sent
+
+
+# ---- job table eviction ---------------------------------------------------------
+
+
+class _CountingJobs(OrderedDict):
+    """A job table that counts the jobs any walk over it visits."""
+
+    visited = 0
+
+    def __iter__(self):
+        for job_id in super().__iter__():
+            self.visited += 1
+            yield job_id
+
+    def values(self):
+        for job_id in self:
+            yield self[job_id]
+
+
+def test_job_eviction_drops_the_oldest_finished_jobs_and_stops_early(held_runs):
+    store = JobStore(max_jobs=50, job_workers=1)
+    done = Scenario(protocol="A", n=8, t=2, seed=1)
+    store.cache.put(done.cache_key(), done.run())  # each submit of it is a done hit
+    # The oldest job runs until the test ends: it is never evicted.
+    running = store.submit([Scenario(protocol="A", n=8, t=2, seed=2)])
+    hits = [store.submit([done]) for _ in range(60)]
+    assert list(store._jobs) == [running.id] + [job.id for job in hits[-49:]]
+    assert store.get(hits[-50].id) is None
+
+    store._jobs = _CountingJobs(store._jobs)
+    newest = store.submit([done])
+    assert list(store._jobs) == (
+        [running.id] + [job.id for job in hits[-48:]] + [newest.id]
+    )
+    # At the cap a submit walks past the running job to the one it
+    # drops, and no further (a copy of the table visits all 51).
+    store._jobs.visited = 0
+    store.submit([done])
+    assert store._jobs.visited == 2
+    assert store.get(running.id) is running
+    held_runs.set()
+    store.drain()
