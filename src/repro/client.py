@@ -41,7 +41,9 @@ sleeping and without spending an attempt.  Re-sending is safe: submissions are c
 coalesced, so a scenario still runs at most once.
 
 Transient *connection* failures (refused, reset, timeouts, DNS hiccups
-- any ``OSError`` without an HTTP status) are retried with a bounded,
+- any ``OSError`` without an HTTP status) and answers that cannot be
+framed (a garbled status line or header, a truncated body - any
+``http.client.HTTPException``) are retried with a bounded,
 deterministic backoff schedule before
 :class:`~repro.errors.ServerError` is raised: ``attempts`` tries total,
 sleeping ``backoff * 2**i`` between them (default 4 tries: 0.05s, 0.1s,
@@ -170,7 +172,8 @@ class _Connection:
     def getresponse(self) -> "_Connection":
         """Read the status line and headers of the next answer.  End of
         stream before a status line raises
-        :class:`http.client.RemoteDisconnected`."""
+        :class:`http.client.RemoteDisconnected`; a garbled status or
+        header line, another :class:`http.client.HTTPException`."""
         line = read_line(self._reader)
         if not line:
             raise http.client.RemoteDisconnected(
@@ -185,7 +188,10 @@ class _Connection:
         ):
             raise http.client.BadStatusLine(line.decode("iso-8859-1"))
         self.status = int(parts[1])
-        self._headers = read_headers(self._reader)
+        try:
+            self._headers = read_headers(self._reader)
+        except ValueError as exc:  # a malformed header line
+            raise http.client.HTTPException(str(exc)) from None
         connection = self._headers.get("Connection", "").lower()
         self.will_close = (
             "close" in connection
@@ -198,14 +204,22 @@ class _Connection:
         return self._headers.get(name, default)
 
     def read(self) -> bytes:
-        """The body of the answer :meth:`getresponse` read."""
+        """The body of the answer :meth:`getresponse` read.  A bad
+        ``Content-Length`` or a short body raises
+        :class:`http.client.HTTPException`, which :meth:`Client._request`
+        retries like a connection failure."""
         length = self._headers.get("Content-Length")
         if length is None:
             return self._reader.read()  # the body ends with the connection
-        length = int(length)
-        data = self._reader.read(length)
-        if len(data) < length:
-            raise http.client.IncompleteRead(data, length - len(data))
+        try:
+            size = int(length)
+        except ValueError:
+            size = -1
+        if size < 0:
+            raise http.client.HTTPException(f"bad Content-Length {length!r}")
+        data = self._reader.read(size)
+        if len(data) < size:
+            raise http.client.IncompleteRead(data, size - len(data))
         return data
 
     def close(self) -> None:
@@ -400,7 +414,7 @@ class Client:
                     self._sleep(CHAOS_SLOW_SECONDS)
             try:
                 status, retry_after, data = self._exchange(method, path, body, headers)
-            except OSError as exc:
+            except (OSError, http.client.HTTPException) as exc:
                 last_reason = exc
                 continue
             if status in RETRYABLE_HTTP_STATUSES:

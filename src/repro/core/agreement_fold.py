@@ -41,6 +41,13 @@ rows.  It applies only when all of these hold; any other inbox goes to
 4. of the window's rows from the admitted set plus the recipient, at
    most one is left out: the missing row or the recipient's own.
 
+Rule 1 reads no older record it need not: :class:`SharedWindows` keeps,
+per closed segment, the set of phase keys of its AGREEMENT rows, built
+once per run.  A :class:`Span` of an older inbox is cleared by one set
+lookup per segment it covers; only a segment that holds the key is
+scanned, over the span's rows (its skip excluded), so the answer is
+exact.  Lane entries are checked one by one.
+
 Rounds with crashes during agreement break rules 1, 3 and 4 for many
 recipients (their snapshots diverge, and a crash-censored broadcast
 leaves rows missing or lands in lanes); those folds take
@@ -55,7 +62,7 @@ from __future__ import annotations
 
 from itertools import accumulate, chain
 from operator import and_, or_
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from repro.sim.actions import Action, MessageKind
 from repro.sim.bitset import IntBitset
@@ -236,16 +243,19 @@ class SharedWindows:
     its folds by the admitted set plus the recipient
     (``admitted_from | 1 << pid``), so every recipient with the same
     snapshot shares one.  A window of a newer segment drops every older
-    one, so memory holds one round.  ``shared`` and ``fallback`` count
-    the folds that took this path and those that did not.
+    one, so memory holds one round.  ``keys`` maps each closed segment's
+    first row to the phase keys of its AGREEMENT rows (rule 1).
+    ``shared`` and ``fallback`` count the folds that took this path and
+    those that did not.
     """
 
-    __slots__ = ("span", "newest", "windows", "shared", "fallback")
+    __slots__ = ("span", "newest", "windows", "keys", "shared", "fallback")
 
     def __init__(self):
         self.span = range(0)
         self.newest = -1
         self.windows: Dict[tuple, Optional[_Window]] = {}
+        self.keys: Dict[int, Set] = {}
         self.shared = 0
         self.fallback = 0
 
@@ -263,9 +273,8 @@ class SharedWindows:
         if type(rows) is not Span:
             return None
         for inbox in inboxes[:-1]:
-            for record in _records(inbox):
-                if record.kind is _AGREEMENT and record.payload[0] == key:
-                    return None
+            if self._holds(store, inbox, key):
+                return None
         lo, hi, skip = rows
         span = self.span
         if not span.start <= lo < span.stop:
@@ -310,6 +319,43 @@ class SharedWindows:
             else:
                 views[position] |= prefix[cut] | suffix[cut + 1]
         return heard, None
+
+    def _holds(self, store, inbox, key) -> bool:
+        """Whether the older ``inbox`` holds an AGREEMENT message of
+        phase ``key``.  A span is cleared by one set lookup per segment
+        it covers; only a segment holding the key is scanned, row by row
+        (the span's skip excluded)."""
+        if type(inbox) is not RowInbox:
+            return any(_keyed(record, key) for record in inbox)
+        shared = store.shared
+        for item in inbox.items:
+            if type(item) is not Span:
+                if _keyed(item, key):
+                    return True
+                continue
+            lo, hi, skip = item
+            while lo < hi:
+                segment = store.segment(lo)
+                keys = self.keys.get(segment.start)
+                if keys is None:
+                    # An older inbox was drained in an earlier round, so
+                    # no row joins its segments any more.
+                    keys = self.keys[segment.start] = {
+                        record.payload[0]
+                        for record in shared[segment.start:segment.stop]
+                        if record.kind is _AGREEMENT
+                    }
+                stop = min(hi, segment.stop)
+                if key in keys and any(
+                    _keyed(shared[row], key) for row in range(lo, stop) if row != skip
+                ):
+                    return True
+                lo = stop
+        return False
+
+
+def _keyed(record, key) -> bool:
+    return record.kind is _AGREEMENT and record.payload[0] == key
 
 
 def _window(store, span: range, key, flag: int) -> Optional[_Window]:

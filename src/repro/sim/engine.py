@@ -92,6 +92,12 @@ defaults (both are off unless configured):
   the mailbox (stamp order preserved, so the sortedness invariant
   holds) and arrive at the next round(s).
 
+Teardown: each process's wake listener is a bound method of the engine,
+so a running engine and its processes form a cycle.  ``run`` drops the
+listeners when it ends (returning or raising), and an adversary keeps
+only the RNG it derives from the engine, so a finished run - row log,
+payloads, bitsets - is freed by reference count, not by the cyclic GC.
+
 Wake rounds are cached, which is sound because ``wake_round()`` is a pure
 function of process state and that state only changes at engine-observed
 points (see the scheduling contract in :mod:`repro.sim.process`);
@@ -220,31 +226,38 @@ class Engine:
 
     def run(self) -> RunResult:
         """Run until every process retires; return the outcome."""
-        steps = 0
-        # A crashed process with a pending rejoin still counts as work to
-        # do: the run only ends once no process is live *and* no recovery
-        # is scheduled.
-        while self._live or self._recoveries:
-            next_round = self._next_due_round()
-            if next_round is None:
-                # Live processes remain but none will ever act again.
-                raise SimulationStalled(
-                    "live processes remain but nothing is scheduled: "
-                    + ", ".join(
-                        f"p{p.pid}({p.state_label()})"
-                        for p in self.processes
-                        if not p.retired
+        try:
+            steps = 0
+            # A crashed process with a pending rejoin still counts as work
+            # to do: the run only ends once no process is live *and* no
+            # recovery is scheduled.
+            while self._live or self._recoveries:
+                next_round = self._next_due_round()
+                if next_round is None:
+                    # Live processes remain but none will ever act again.
+                    raise SimulationStalled(
+                        "live processes remain but nothing is scheduled: "
+                        + ", ".join(
+                            f"p{p.pid}({p.state_label()})"
+                            for p in self.processes
+                            if not p.retired
+                        )
                     )
-                )
-            if self.max_rounds is not None and next_round > self.max_rounds:
-                raise BudgetExceeded(
-                    f"round {next_round} exceeds max_rounds={self.max_rounds}"
-                )
-            self._process_round(next_round)
-            steps += 1
-            if steps > self.max_steps:
-                raise BudgetExceeded(f"exceeded max_steps={self.max_steps}")
-        return self._result()
+                if self.max_rounds is not None and next_round > self.max_rounds:
+                    raise BudgetExceeded(
+                        f"round {next_round} exceeds max_rounds={self.max_rounds}"
+                    )
+                self._process_round(next_round)
+                steps += 1
+                if steps > self.max_steps:
+                    raise BudgetExceeded(f"exceeded max_steps={self.max_steps}")
+            return self._result()
+        finally:
+            # Each listener is a bound method of this engine: dropping
+            # them breaks the engine <-> process cycle, so a finished run
+            # is freed by reference count, not left to the cyclic GC.
+            for process in self.processes:
+                process._wake_listener = None
 
     # ---- schedule computation -----------------------------------------
 
@@ -694,7 +707,9 @@ class Adversary:
     """
 
     def bind(self, engine: Engine) -> None:
-        self.engine = engine
+        """Derive this adversary's RNG from the engine's.  The engine
+        reaches :meth:`decide` as an argument and is not kept, so a
+        finished run leaves no cycle through its adversary."""
         self.rng = derive_rng(engine.rng, type(self).__name__)
 
     def decide(

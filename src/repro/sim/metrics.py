@@ -17,6 +17,8 @@ from typing import Dict, Optional
 from repro.errors import ConfigurationError
 from repro.sim.actions import MessageKind
 
+_INT_TYPE = frozenset({int})
+
 
 @dataclass
 class Metrics:
@@ -198,6 +200,14 @@ class Metrics:
                 raise ConfigurationError(
                     f"metrics field {name!r} must be a mapping, got {raw!r}"
                 )
+            values = raw.values()
+            if {*map(type, values)} <= _INT_TYPE and min(values, default=0) >= 0:
+                # Every value is a non-negative int: only the keys can
+                # fail, and the loop below names the first bad one.
+                try:
+                    return Counter(dict(zip(map(int, raw), values)))
+                except (TypeError, ValueError):
+                    pass
             rebuilt: Counter = Counter()
             for key, value in raw.items():
                 if isinstance(value, bool) or not isinstance(value, int) or value < 0:

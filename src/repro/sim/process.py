@@ -26,7 +26,9 @@ follow for implementations:
   cached schedule entry.
 
 Every protocol in this repository satisfies the contract naturally: their
-deadlines and scripts advance only inside ``on_round``.
+deadlines and scripts advance only inside ``on_round``.  The engine
+attaches itself when it is built and detaches when ``run`` ends, so a
+finished run holds no reference cycle through its processes.
 
 Crash-recover lifecycle
 -----------------------
@@ -61,6 +63,7 @@ class Process(ABC):
         self.halt_round: Optional[int] = None
         #: Set by the engine: called with ``pid`` when this process's
         #: schedule entry must be recomputed (see module docstring).
+        #: ``Engine.run`` resets it to ``None`` when the run ends.
         self._wake_listener: Optional[Callable[[int], None]] = None
 
     # ---- lifecycle -------------------------------------------------
@@ -153,7 +156,7 @@ class Process(ABC):
         observes; any other mutation of wake-relevant state must be
         followed by a call to this method or the process may be stepped
         too late (never too early).  Safe to call when no engine is
-        attached, and idempotent.
+        attached (before a run, or after it ended), and idempotent.
         """
         listener = self._wake_listener
         if listener is not None:

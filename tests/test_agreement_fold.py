@@ -37,7 +37,7 @@ from repro.core.protocol_d_dynamic import DynamicProtocolDProcess
 from repro.sim import columnar
 from repro.sim.actions import MessageKind
 from repro.sim.bitset import IntBitset
-from repro.sim.columnar import ColumnarMailboxes
+from repro.sim.columnar import ColumnarMailboxes, RowInbox
 from repro.sim.trace import Trace
 from tests.reference_store import reference_engine
 
@@ -56,6 +56,8 @@ class Post(NamedTuple):
     flag: bool
     #: Recipient pids; ``None`` addresses everyone but the sender.
     to: Optional[frozenset] = None
+    #: Post one lane envelope per recipient instead of a broadcast.
+    lane: bool = False
 
 
 @dataclasses.dataclass
@@ -113,6 +115,10 @@ def _cases() -> List[Case]:
         Case("older inbox of another key", t, n,
              _round(2, everyone, key=0, flagged=everyone) + _round(5, everyone),
              [(3, None), (6, None)], 1, "shared"),
+        Case("older segment whose only same-key row is the recipient's own", t, n,
+             _round(2, everyone[:3], key=0, flagged=everyone) + _round(2, [3], flagged={3})
+             + _round(2, everyone[4:], key=0, flagged=everyone) + _round(5, everyone),
+             [(3, None), (6, None)], 1, "shared", recipients=[3]),
         # ---- every rule broken: the python-int fold -------------------
         Case("flagged row", t, n, _round(5, everyone, flagged={4}), late, 1, "fallback"),
         Case("duplicate src", t, n,
@@ -134,6 +140,15 @@ def _cases() -> List[Case]:
         Case("older inbox of the same key", t, n,
              _round(4, everyone) + _round(5, everyone), [(5, None), (6, None)], 1,
              "fallback"),
+        Case("older inbox with a same-key lane entry", t, n,
+             _round(2, everyone, key=0, flagged=everyone)
+             + [Post(2, 4, 1, False, frozenset(everyone) - {4}, lane=True)]
+             + _round(5, everyone),
+             [(3, None), (6, None)], 1, "fallback", recipients=[0, 3, 5, 7]),
+        Case("older span over two segments, the second of the same key", t, n,
+             _round(2, everyone, key=0, flagged=everyone) + _round(3, everyone)
+             + _round(5, everyone),
+             [(4, None), (6, None)], 1, "fallback"),
         Case("receive-budget split", t, n, _round(5, everyone), [(6, 3)], 1, "fallback"),
     ]
 
@@ -175,7 +190,11 @@ def _fold_case(case: Case, protocol: str, seed: int = 0):
         else:
             mask = sum(1 << pid for pid in post.to)
         payload = _payload(layout, post.key, post.flag, rng, widths)
-        store.post_broadcast(post.src, payload, MessageKind.AGREEMENT, post.stamp, mask)
+        if post.lane:
+            for dst in sorted(post.to):
+                store.post_p2p(post.src, dst, payload, MessageKind.AGREEMENT, post.stamp)
+        else:
+            store.post_broadcast(post.src, payload, MessageKind.AGREEMENT, post.stamp, mask)
     recipients = case.recipients if case.recipients is not None else range(case.t)
     for pid in recipients:
         inboxes = [store.drain(pid, rnd, budget) for rnd, budget in case.drains]
@@ -249,7 +268,16 @@ def test_failure_free_phases_fold_through_the_shared_window(monkeypatch):
         },
     )
     stores = _recording_stores(monkeypatch)
+    reads = []
+    records = RowInbox.records
+
+    def counted(self):
+        reads.append(self.dst)
+        return records(self)
+
+    monkeypatch.setattr(RowInbox, "records", counted)
     rows = _observed(scenario)
+    monkeypatch.setattr(RowInbox, "records", records)
     assert len(stores) == 1
     windows = stores[0].cache(ProtocolDProcess.layout.cache_name, SharedWindows)
     with reference_engine():
@@ -262,3 +290,6 @@ def test_failure_free_phases_fold_through_the_shared_window(monkeypatch):
     # (at least two rounds of the 240 survivors agree after the crashes).
     assert windows.fallback == 0
     assert windows.shared >= 2 * (256 - 16)
+    # Rule 1 clears the older inboxes by their segments' phase keys, so
+    # no fold reads a record.
+    assert reads == []

@@ -1,11 +1,13 @@
 """Tests of the synchronous engine: delivery semantics, fast-forward,
 crash phases, stall detection and invariant checking."""
 
+import gc
 from typing import List, Optional
 
 import pytest
 
-from repro.core.registry import build_processes
+from repro.api import Scenario
+from repro.core.registry import available_protocols, build_processes, get_entry
 from repro.errors import (
     AdversaryError,
     BudgetExceeded,
@@ -247,3 +249,31 @@ def test_wake_heap_holds_at_most_one_entry_per_process():
         all(a < b for a, b in zip(pids, pids[1:])) for pids in due_sets
     )
     assert any(len(pids) > 1 for pids in due_sets)
+
+
+def _teardown_cases():
+    cases = []
+    for protocol in available_protocols():
+        if get_entry(protocol).engine == "async":
+            failures = {"crash_times": {1: 2.0, 3: 5.0}}
+        else:
+            failures = {"adversary": "random:2,max_action_index=8"}
+        cases.append(pytest.param(protocol, {}, id=f"{protocol}-failure-free"))
+        cases.append(pytest.param(protocol, failures, id=f"{protocol}-crashes"))
+    return cases
+
+
+@pytest.mark.parametrize("protocol, failures", _teardown_cases())
+def test_a_finished_run_leaves_no_cyclic_garbage(protocol, failures):
+    """``Engine.run`` drops the processes' wake listeners (bound methods
+    of the engine) when it ends, and no adversary keeps the engine, so a
+    finished run is freed by reference count alone."""
+    scenario = Scenario(protocol=protocol, n=32, t=8, seed=1, **failures)
+    scenario.run()  # warm: first-use caches
+    gc.collect()
+    gc.disable()
+    try:
+        scenario.run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

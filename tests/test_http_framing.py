@@ -15,6 +15,7 @@ import pytest
 import repro.client
 from repro.api import Scenario
 from repro.client import Client
+from repro.errors import ServerError
 from repro.http11 import MAX_HEADERS, MAX_LINE
 from repro.server import ReproServer
 
@@ -237,7 +238,12 @@ class _Stub:
 
             def _answer(self, body):
                 stub.requests.append((self.command, self.path, dict(self.headers), body))
-                status, headers, payload, close = stub.answers.pop(0)
+                answer = stub.answers.pop(0)
+                if type(answer) is bytes:  # written as it is, then closed
+                    self.wfile.write(answer)
+                    self.close_connection = True
+                    return
+                status, headers, payload, close = answer
                 self.send_response(status)
                 headers = {"Content-Length": str(len(payload)), **headers}
                 for name, value in headers.items():
@@ -358,9 +364,33 @@ def test_a_live_idle_close_is_re_sent_once_for_free(stub_client):
     assert stub.connections == 2 and len(stub.requests) == 2
 
 
-def test_a_truncated_body_raises_incomplete_read(stub_client):
+def test_a_truncated_body_is_retried_then_raises_server_error(stub_client):
     short = (200, {"Content-Length": "100"}, b'{"n": 1}', True)
-    stub, client, sleeps = stub_client([short])
-    with pytest.raises(http.client.IncompleteRead):
+    stub, client, sleeps = stub_client([short] * 4)
+    with pytest.raises(ServerError, match="after 4 attempts: IncompleteRead"):
         client.about()
+    assert sleeps == [0.05, 0.1, 0.2]
+    assert stub.connections == 4
+    assert client._local.idle.connection is None
+
+
+def test_a_truncated_body_then_a_whole_one_succeeds(stub_client):
+    short = (200, {"Content-Length": "100"}, b'{"n": 1}', True)
+    stub, client, sleeps = stub_client([short, _ok({"n": 2})])
+    assert client.about() == {"n": 2}
+    assert sleeps == [0.05]
+
+
+@pytest.mark.parametrize("answer", [
+    b"HTTP/1.1 2OO OK\r\n\r\n",
+    b"HTTP/1.1 200 OK\r\nContent-Length 8\r\n\r\n{\"n\": 1}",
+    b"HTTP/1.1 200 OK\r\nContent-Length: eight\r\n\r\n{\"n\": 1}",
+    b"HTTP/1.1 200 OK\r\nContent-Length: -8\r\n\r\n{\"n\": 1}",
+], ids=["status line", "header line", "content length", "negative length"])
+def test_a_garbled_answer_is_retried_then_raises_server_error(stub_client, answer):
+    stub, client, sleeps = stub_client([answer] * 4)
+    with pytest.raises(ServerError, match="after 4 attempts"):
+        client.about()
+    assert sleeps == [0.05, 0.1, 0.2]
+    assert stub.connections == 4
     assert client._local.idle.connection is None

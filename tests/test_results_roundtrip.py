@@ -87,6 +87,26 @@ def test_malformed_payloads_name_field_and_value(mutate, match):
         RunResult.from_dict(payload)
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"7": True}, "entry '7' must map to a non-negative integer, got True"),
+        ({"7": 1.0}, "entry '7' must map to a non-negative integer, got 1.0"),
+        ({"7": -1}, "entry '7' must map to a non-negative integer, got -1"),
+        ({"x7": 1}, "key 'x7' is not an integer process/unit id"),
+    ],
+    ids=["bool", "float", "negative", "key"],
+)
+def test_a_bad_breakdown_entry_is_named(entry, message):
+    # Well-formed breakdowns take a bulk path; any bad entry falls back
+    # to the per-entry checks, which name it.
+    payload = _scenario_for("a").run().to_dict(full=True)
+    payload["metrics"]["work_by_process"].update(entry)
+    with pytest.raises(ConfigurationError) as raised:
+        RunResult.from_dict(payload)
+    assert str(raised.value) == f"metrics field 'work_by_process' {message}"
+
+
 def _bump_first(breakdown, by):
     key = next(iter(breakdown))
     breakdown[key] += by
