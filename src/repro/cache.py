@@ -10,13 +10,13 @@ one execution (see ``docs/serve.md``).
 :class:`ResultCache` is an in-memory LRU with optional append-only JSONL
 persistence:
 
-* ``get(key)`` / ``put(key, result)`` rehydrate/serialize through the
-  lossless :meth:`~repro.sim.metrics.RunResult.to_dict` (``full=True``)
-  form, so hits return fresh :class:`~repro.sim.metrics.RunResult`
-  objects equal to what a direct run produced.  The ``config`` echo is
-  deliberately stripped before storing: it names the *submitting*
-  scenario, not the content address, and callers re-attach their own
-  (see :func:`repro.api.run_scenarios`).
+* ``put(key, result)`` stores the result's canonical text
+  (:func:`repro.codec.encode`), ``get(key)`` decodes it into a fresh
+  :class:`~repro.sim.metrics.RunResult` equal to what a direct run
+  produced, and ``get_payload(key)`` / ``peek(key)`` return the stored
+  text itself, which the server splices into its answers.  The
+  ``config`` echo is left out: it names the *submitting* scenario, not
+  the content address, and callers re-attach their own.
 * ``hits`` / ``misses`` / ``stores`` / ``evictions`` counters are the
   observable proof of single-execution semantics - the server surfaces
   them in every response and the CI serve-smoke job asserts a repeat
@@ -33,9 +33,9 @@ persistence:
   that superset bloat.
 
 Degradation contract (see ``docs/chaos.md``): a journal line that does
-not parse, has the wrong shape, or fails its checksum is **skipped and
-counted** on replay (``journal_corrupt``) rather than poisoning the
-whole cache; pre-CRC lines without a ``crc`` field still load
+not parse, has the wrong shape, fails its checksum or does not decode is
+**skipped and counted** on replay (``journal_corrupt``), so its key runs
+again; pre-CRC lines without a ``crc`` field still load
 (``journal_unchecksummed``); a failed append (``OSError``) is counted
 (``journal_errors``) and the in-memory entry stays live, so a sick disk
 degrades persistence, never correctness.  :func:`verify_journal` (CLI:
@@ -51,57 +51,50 @@ from __future__ import annotations
 import json
 import threading
 import zlib
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from pathlib import Path
 from typing import Any, Dict, Optional
 
+from repro import codec
 from repro.errors import ConfigurationError
 from repro.sim.metrics import RunResult
 
 
-def _canonical(key: str, payload: Dict[str, Any]) -> str:
-    """One journal record's canonical ``{"key", "result"}`` encoding."""
-    return json.dumps({"key": key, "result": payload}, sort_keys=True)
+def journal_crc(key: str, text: str) -> int:
+    """CRC32 of a journal record's canonical ``{"key", "result"}`` text."""
+    return zlib.crc32(codec.splice({"key": key}, "result", text).encode()) & 0xFFFFFFFF
 
 
-def _crc(body: str) -> int:
-    return zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
+def _journal_line(key: str, text: str) -> str:
+    return codec.splice({"crc": journal_crc(key, text), "key": key}, "result", text) + "\n"
 
 
-def journal_crc(key: str, payload: Dict[str, Any]) -> int:
-    """CRC32 checksum of one journal record's canonical encoding."""
-    return _crc(_canonical(key, payload))
-
-
-def _journal_line(key: str, payload: Dict[str, Any]) -> str:
-    """One journal line, encoding the record once.  ``"crc"`` sorts
-    before ``"key"``, so splicing it in front of the canonical body gives
-    the same bytes as ``json.dumps`` of the whole record with
-    ``sort_keys=True``."""
-    body = _canonical(key, payload)
-    return '{"crc": %d, ' % _crc(body) + body[1:] + "\n"
-
-
-def _classify_line(line: str):
-    """``(status, key, payload)`` for one journal line; status is
-    ``"ok"``, ``"unchecksummed"`` or ``"corrupt"``."""
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError:
-        return "corrupt", None, None
-    if (
-        not isinstance(record, dict)
-        or not isinstance(record.get("key"), str)
-        or not isinstance(record.get("result"), dict)
-        or set(record) - {"key", "result", "crc"}
-    ):
-        return "corrupt", None, None
-    key, payload = record["key"], record["result"]
-    if "crc" not in record:
-        return "unchecksummed", key, payload
-    if record["crc"] != journal_crc(key, payload):
-        return "corrupt", None, None
-    return "ok", key, payload
+def _scan_journal(path: Path):
+    """``(status, key, text)`` per non-blank journal line: status is
+    ``"ok"``, ``"unchecksummed"`` or ``"corrupt"``, ``text`` the entry's
+    canonical result text."""
+    for line in path.read_text().splitlines():
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+            key, payload = record["key"], record["result"]
+            if (
+                not isinstance(key, str)
+                or not isinstance(payload, dict)
+                or set(record) - {"key", "result", "crc"}
+            ):
+                raise ValueError("wrong shape")
+            if "crc" in record and record["crc"] != journal_crc(
+                key, json.dumps(payload, sort_keys=True)
+            ):
+                raise ValueError("checksum mismatch")
+            # A checksum cannot vouch for the content: decode it too.
+            text = codec.encode(codec.decode(payload))
+        except (ConfigurationError, KeyError, TypeError, ValueError):
+            yield "corrupt", None, None
+            continue
+        yield ("ok" if "crc" in record else "unchecksummed"), key, text
 
 
 class ResultCache:
@@ -119,7 +112,7 @@ class ResultCache:
             )
         self.max_entries = max_entries
         self._lock = threading.RLock()
-        self._entries: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
+        self._entries: "OrderedDict[str, str]" = OrderedDict()  # key -> text
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -138,21 +131,18 @@ class ResultCache:
         # Corrupt lines (torn writes, bit rot, checksum mismatches) are
         # skipped and counted, never fatal: one bad line must not turn a
         # million-entry memo into a ConfigurationError at startup.
-        for line in self.path.read_text().splitlines():
-            if not line.strip():
-                continue
-            status, key, payload = _classify_line(line)
+        for status, key, text in _scan_journal(self.path):
             if status == "corrupt":
                 self.journal_corrupt += 1
                 continue
             if status == "unchecksummed":
                 self.journal_unchecksummed += 1
-            self._insert(key, payload)
+            self._insert(key, text)
 
-    def _append_journal(self, key: str, payload: Dict[str, Any]) -> None:
+    def _append_journal(self, key: str, text: str) -> None:
         if self.path is None:
             return
-        line = _journal_line(key, payload)
+        line = _journal_line(key, text)
         mode = self._chaos.fire("journal_write", key) if self._chaos else None
         try:
             with self.path.open("a") as handle:
@@ -171,8 +161,8 @@ class ResultCache:
 
     # ---- core map ----------------------------------------------------
 
-    def _insert(self, key: str, payload: Dict[str, Any]) -> None:
-        self._entries[key] = payload
+    def _insert(self, key: str, text: str) -> None:
+        self._entries[key] = text
         self._entries.move_to_end(key)
         if self.max_entries is not None:
             while len(self._entries) > self.max_entries:
@@ -183,44 +173,39 @@ class ResultCache:
         """The cached result for ``key`` as a fresh :class:`RunResult`
         (``config`` is ``None`` - attach the requester's echo), or
         ``None``.  Counts one hit or miss."""
-        payload = self.get_payload(key)
-        if payload is None:
-            return None
-        return RunResult.from_dict(payload)
+        text = self.get_payload(key)
+        return None if text is None else codec.decode(text)
 
-    def get_payload(self, key: str) -> Optional[Dict[str, Any]]:
-        """Like :meth:`get` but returns the stored wire dict (treat it
-        as read-only); this is what the server serializes back out
-        without a rehydrate/re-serialize round-trip."""
+    def get_payload(self, key: str) -> Optional[str]:
+        """Like :meth:`get` but returns the stored canonical text, which
+        the server splices into its answers as is."""
         with self._lock:
-            payload = self._entries.get(key)
-            if payload is None:
+            text = self._entries.get(key)
+            if text is None:
                 self.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            return payload
+            return text
 
-    def peek(self, key: str) -> Optional[Dict[str, Any]]:
-        """The stored wire dict without touching counters or LRU order
+    def peek(self, key: str) -> Optional[str]:
+        """The stored text without touching counters or LRU order
         (the ``GET /results/<key>`` endpoint, stats tooling)."""
         with self._lock:
             return self._entries.get(key)
 
-    def put(self, key: str, result: RunResult) -> Dict[str, Any]:
-        """Store ``result`` under ``key`` and return the stored payload
-        (lossless form, ``config`` stripped)."""
+    def put(self, key: str, result: RunResult) -> str:
+        """Store ``result`` under ``key`` and return its canonical text."""
         if not isinstance(key, str) or not key:
             raise ConfigurationError(
                 f"cache keys are Scenario.cache_key() strings, got {key!r}"
             )
-        payload = result.to_dict(full=True)
-        payload.pop("config", None)
+        text = codec.encode(result)
         with self._lock:
-            self._insert(key, payload)
+            self._insert(key, text)
             self.stores += 1
-            self._append_journal(key, payload)
-        return payload
+            self._append_journal(key, text)
+        return text
 
     def __len__(self) -> int:
         with self._lock:
@@ -252,23 +237,18 @@ class ResultCache:
                     "this cache has no journal to compact; construct it "
                     "with path=..."
                 )
-            lines_before = 0
-            bytes_before = 0
-            if self.path.exists():
-                text = self.path.read_text()
-                bytes_before = len(text.encode("utf-8"))
-                lines_before = sum(1 for line in text.splitlines() if line.strip())
+            before = self.path.read_bytes() if self.path.exists() else b""
             tmp = self.path.with_name(self.path.name + ".compact")
             with tmp.open("w") as handle:
-                for key, payload in self._entries.items():
-                    handle.write(_journal_line(key, payload))
+                for key, text in self._entries.items():
+                    handle.write(_journal_line(key, text))
             bytes_after = tmp.stat().st_size
             tmp.replace(self.path)
             return {
                 "entries": len(self._entries),
-                "lines_before": lines_before,
+                "lines_before": sum(1 for line in before.splitlines() if line.strip()),
                 "lines_after": len(self._entries),
-                "bytes_before": bytes_before,
+                "bytes_before": len(before),
                 "bytes_after": bytes_after,
             }
 
@@ -302,7 +282,7 @@ def verify_journal(path) -> Dict[str, Any]:
     ``live`` counts lines that are the *last* valid occurrence of their
     key (what a replay would keep), ``stale`` counts valid lines
     superseded by a later write of the same key, ``corrupt`` counts
-    unparsable / wrong-shape / checksum-failing lines, and
+    unparsable / wrong-shape / checksum-failing / undecodable lines, and
     ``unchecksummed`` counts valid pre-CRC lines (a subset of
     live+stale).  The CLI verb ``repro cache verify`` prints this and
     exits 1 when ``corrupt > 0``.
@@ -310,32 +290,21 @@ def verify_journal(path) -> Dict[str, Any]:
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"cache journal {path} does not exist")
-    lines = 0
-    corrupt = 0
-    unchecksummed = 0
-    valid = 0
-    last_for_key: Dict[str, int] = {}
-    for line in path.read_text().splitlines():
-        if not line.strip():
-            continue
-        lines += 1
-        status, key, _ = _classify_line(line)
-        if status == "corrupt":
-            corrupt += 1
-            continue
-        if status == "unchecksummed":
-            unchecksummed += 1
-        valid += 1
-        last_for_key[key] = valid  # later valid line supersedes
-    live = len(last_for_key)
+    counts: Counter = Counter()
+    keys = set()  # a key's last valid line is live, any earlier one stale
+    for status, key, _ in _scan_journal(path):
+        counts[status] += 1
+        if status != "corrupt":
+            keys.add(key)
+    valid = counts["ok"] + counts["unchecksummed"]
     return {
         "path": str(path),
-        "lines": lines,
-        "live": live,
-        "stale": valid - live,
-        "corrupt": corrupt,
-        "unchecksummed": unchecksummed,
-        "ok": corrupt == 0,
+        "lines": valid + counts["corrupt"],
+        "live": len(keys),
+        "stale": valid - len(keys),
+        "corrupt": counts["corrupt"],
+        "unchecksummed": counts["unchecksummed"],
+        "ok": counts["corrupt"] == 0,
     }
 
 

@@ -9,9 +9,8 @@ line checkpoints one *completed* chunk::
     {"chunk": 0, "keys": ["9f3c...", ...], "results": [{...}, ...]}
     {"chunk": 1, "keys": [...], "results": [...]}
 
-``results`` holds the chunk's run payloads in grid order as
-config-stripped lossless :meth:`~repro.sim.metrics.RunResult.to_dict`
-(``full=True``) dicts - the same wire form the content-addressed
+``results`` holds the chunk's run payloads in grid order, each the
+canonical text (:func:`repro.codec.encode`) the content-addressed
 :class:`~repro.cache.ResultCache` stores, keyed by the parallel ``keys``
 list of :meth:`~repro.api.Scenario.cache_key` content addresses.
 
@@ -58,6 +57,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro import codec
 from repro.campaign.spec import CampaignChunk, CampaignSpec
 from repro.errors import ConfigurationError
 
@@ -112,21 +112,16 @@ class CampaignLedger:
         with self.path.open("r+") as handle:
             handle.truncate(cut)
 
-    def append_chunk(
-        self, chunk: CampaignChunk, payloads: Sequence[Dict[str, Any]]
-    ) -> None:
-        """Checkpoint one completed chunk (single write + flush)."""
-        if len(payloads) != len(chunk):
+    def append_chunk(self, chunk: CampaignChunk, texts: Sequence[str]) -> None:
+        """Checkpoint one completed chunk's result texts (single write +
+        flush)."""
+        if len(texts) != len(chunk):
             raise ConfigurationError(
                 f"chunk {chunk.index} holds {len(chunk)} scenarios but "
-                f"{len(payloads)} results were supplied"
+                f"{len(texts)} results were supplied"
             )
-        record = {
-            "chunk": chunk.index,
-            "keys": chunk.keys(),
-            "results": list(payloads),
-        }
-        line = json.dumps(record, sort_keys=True) + "\n"
+        fields = {"chunk": chunk.index, "keys": chunk.keys()}
+        line = codec.splice(fields, "results", "[" + ", ".join(texts) + "]") + "\n"
         mode = (
             self.chaos.fire("ledger_append", f"chunk {chunk.index}")
             if self.chaos is not None

@@ -3,7 +3,7 @@
 The report is always built **from the ledger**, never from in-memory
 results - the ledger is the source of truth, and building through it
 proves the checkpoint round-trip: every payload rehydrates through
-:meth:`~repro.sim.metrics.RunResult.from_dict`, gets its requesting
+:func:`repro.codec.decode`, gets its requesting
 scenario's config echo re-attached (exactly what the result cache does),
 is integrity-checked against the grid (the recorded content address must
 equal the planned scenario's :meth:`~repro.api.Scenario.cache_key`), and
@@ -26,11 +26,11 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro import codec
 from repro.api import ResultSet
 from repro.campaign.ledger import CampaignState
 from repro.campaign.spec import CampaignSpec
 from repro.errors import ConfigurationError
-from repro.sim.metrics import RunResult
 from repro.suites import PIN_MEASURES
 
 Cell = Tuple[str, str, int, int]  # (protocol, adversary label, n, t)
@@ -217,7 +217,7 @@ def build_report(
                     "campaign's grid"
                 )
             try:
-                result = RunResult.from_dict(payload)
+                result = codec.decode(payload)
             except ConfigurationError as exc:
                 raise ConfigurationError(
                     f"ledger chunk {chunk.index} result for key "

@@ -32,12 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
+from repro import codec
 from repro.api import run_scenarios
 from repro.campaign.ledger import CampaignLedger, CampaignState
 from repro.campaign.report import CampaignReport, build_report
 from repro.campaign.spec import CampaignSpec
 from repro.errors import ConfigurationError
-from repro.sim.metrics import RunResult
 
 
 def parse_shard(text: str) -> Tuple[int, int]:
@@ -136,8 +136,10 @@ def _execute_remote(chunk, *, client, timeout):
     document = {
         "scenarios": [scenario.to_dict() for scenario in chunk.scenarios]
     }
+    from repro.client import served_results
+
     snapshot = client.settle(document, timeout=timeout)
-    results = [RunResult.from_dict(item) for item in snapshot["results"]]
+    results = served_results(snapshot["results"])
     sources = snapshot["sources"]
     return (
         results,
@@ -246,17 +248,10 @@ def run_campaign(
                 chunk, workers=workers, cache=cache
             )
             outcome.cache_hits += hits
-        payloads = []
-        for result in results:
-            payload = result.to_dict(full=True)
-            payload.pop("config", None)  # the ledger stores content, not echoes
-            payloads.append(payload)
-        ledger.append_chunk(chunk, payloads)
-        state.completed[chunk.index] = {
-            "chunk": chunk.index,
-            "keys": chunk.keys(),
-            "results": payloads,
-        }
+        texts = [codec.encode(result) for result in results]
+        ledger.append_chunk(chunk, texts)
+        record = {"chunk": chunk.index, "keys": chunk.keys(), "results": texts}
+        state.completed[chunk.index] = record
         outcome.chunks_executed += 1
         outcome.executed_runs += executed
         emit(

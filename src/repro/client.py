@@ -3,8 +3,8 @@
 Stdlib-only, but not built on ``http.client``: each connection is a
 plain socket that frames HTTP/1.1 itself (headers read by
 :mod:`repro.http11`).  The client speaks the wire format documented in
-``docs/serve.md`` and rehydrates every served result through
-:meth:`~repro.sim.metrics.RunResult.from_dict`, so remote callers get
+``docs/serve.md``, parses each answer once and rehydrates every served
+result through :func:`repro.codec.decode`, so remote callers get
 the *same objects* in-process callers do - bit-identical metrics, same
 ``config`` echo, same error taxonomy::
 
@@ -16,7 +16,8 @@ the *same objects* in-process callers do - bit-identical metrics, same
 
 Errors: HTTP 400 re-raises as :class:`~repro.errors.ConfigurationError`
 with the server's message (which names the offending field and value);
-transport failures, timeouts and 5xx raise
+transport failures, timeouts, 5xx and a 200 answer that is not JSON
+or holds a result that does not decode raise
 :class:`~repro.errors.ServerError`.  A job that *failed on the server*
 re-raises its recorded error type the same way.
 
@@ -74,6 +75,7 @@ import time
 from typing import Any, Dict, List, Optional, Tuple, Union
 from urllib.parse import urlsplit
 
+from repro import codec
 from repro.api import ResultSet, Scenario, Sweep
 from repro.errors import ConfigurationError, ServerError
 from repro.http11 import Headers, read_headers, read_line
@@ -124,9 +126,13 @@ def _wait_query(wait: Optional[float]) -> str:
     return "" if wait is None else f"?wait={wait:g}"
 
 
-def _results(snapshot: Dict[str, Any]) -> List[RunResult]:
-    """A done job snapshot's results, rehydrated in submission order."""
-    return [RunResult.from_dict(result) for result in snapshot["results"]]
+def served_results(payloads: List[Dict[str, Any]]) -> List[RunResult]:
+    """Served result payloads, rehydrated in order.  One that does not
+    decode is the server's fault, not the caller's: a ServerError."""
+    try:
+        return [codec.decode(payload) for payload in payloads]
+    except ConfigurationError as exc:
+        raise ServerError(f"repro server sent a result that does not decode: {exc}") from None
 
 
 class _Connection:
@@ -432,7 +438,7 @@ class Client:
                 # transport hiccup - never retried.
                 self._raise_http_error(status, data)
             try:
-                return json.loads(data.decode("utf-8"))
+                return json.loads(data)
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ServerError(
                     f"repro server at {self.base_url} sent a non-JSON response: {exc}"
@@ -453,7 +459,7 @@ class Client:
 
     def _raise_http_error(self, status: int, body: bytes) -> None:
         try:
-            error = json.loads(body.decode("utf-8")).get("error", {})
+            error = json.loads(body).get("error", {})
         except Exception:
             error = {}
         message = error.get("message") or f"HTTP {status}"
@@ -528,10 +534,10 @@ class Client:
         """Block until ``job_id`` finishes; rehydrated results in
         submission order.  A failed job re-raises the server-side error
         (``ConfigurationError`` stays a ``ConfigurationError``)."""
-        return _results(
+        return served_results(
             self._settle_job(
                 job_id, None, started=time.monotonic(), timeout=timeout, poll=poll
-            )
+            )["results"]
         )
 
     def settle(self, document: Document, *, timeout: float = 300.0) -> Dict[str, Any]:
@@ -556,20 +562,19 @@ class Client:
         """Submit one scenario and block for its result - the remote
         equivalent of :meth:`Scenario.run`, bit-identical metrics and
         config echo included."""
-        return _results(self.settle(scenario, timeout=timeout))[0]
+        return served_results(self.settle(scenario, timeout=timeout)["results"])[0]
 
     def run_sweep(self, sweep: Sweep, *, timeout: float = 300.0) -> ResultSet:
         """Submit a sweep and aggregate the served results into the same
         :class:`ResultSet` an in-process :meth:`Sweep.run` returns."""
         scenarios = list(sweep.scenarios())
-        results = _results(self.settle(sweep, timeout=timeout))
+        results = served_results(self.settle(sweep, timeout=timeout)["results"])
         return ResultSet(list(zip(scenarios, results)))
 
     def result(self, key: str) -> RunResult:
         """Fetch the cached result for one
         :meth:`~repro.api.Scenario.cache_key` content address."""
-        payload = self._request(f"/results/{key}")
-        return RunResult.from_dict(payload["result"])
+        return served_results([self._request(f"/results/{key}")["result"]])[0]
 
     def stats(self) -> Dict[str, Any]:
         """Server job/cache counters (hits, misses, executions, ...)."""
@@ -580,4 +585,4 @@ class Client:
         return self._request("/")
 
 
-__all__ = ["Client", "Document"]
+__all__ = ["Client", "Document", "served_results"]

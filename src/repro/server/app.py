@@ -49,10 +49,11 @@ import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Union
 from urllib.parse import parse_qs, urlsplit
 
 import repro
+from repro import codec
 from repro.cache import ResultCache
 from repro.chaos import chaos_from_spec
 from repro.core.registry import available_protocols
@@ -297,11 +298,14 @@ def _make_handler(store: JobStore, state: _ServerState):
         def _send(
             self,
             code: int,
-            payload: Dict[str, Any],
+            payload: Union[Dict[str, Any], str],
             headers: Optional[Dict[str, str]] = None,
         ) -> None:
-            """Status line, headers and JSON body in one write."""
-            body = json.dumps(payload, sort_keys=True).encode("utf-8")
+            """Status line, headers and JSON body (``payload``, or its
+            text) in one write."""
+            if not isinstance(payload, str):
+                payload = json.dumps(payload, sort_keys=True)
+            body = payload.encode("utf-8")
             if self.body_pending:
                 self.close_connection = True
             lines = [
@@ -511,16 +515,14 @@ def _make_handler(store: JobStore, state: _ServerState):
             ``wait`` seconds for it to finish."""
             if wait is not None:
                 job.wait(wait)
-            payload = job.as_dict()
-            payload["cache"] = store.cache.stats()
-            self._send(200, payload)
+            self._send(200, job.to_json(cache=store.cache.stats()))
 
         def _get_result(self, key: str) -> None:
-            payload = store.cache.peek(key)
-            if payload is None:
+            text = store.cache.peek(key)
+            if text is None:
                 self._error(404, "NotFound", f"no cached result for key {key!r}")
                 return
-            self._send(200, {"key": key, "result": payload})
+            self._send(200, codec.splice({"key": key}, "result", text))
 
     def _manifest() -> Dict[str, Any]:
         return {

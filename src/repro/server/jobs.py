@@ -19,7 +19,8 @@ Job states are ``submitted`` (queued, nothing started), ``running``,
 lossless :meth:`~repro.sim.metrics.RunResult.to_dict` (``full=True``)
 payloads with the *submitting* scenario echoed as ``config`` - so a
 served result is bit-identical to what ``Scenario.run()`` returns
-in-process, hit or miss.
+in-process, hit or miss.  Slots hold the cache's canonical result
+texts (:mod:`repro.codec`), which :meth:`Job.to_json` splices in.
 
 Failure handling (see ``docs/chaos.md``): an execution that dies on an
 *unexpected* exception (a worker crash, an injected
@@ -37,6 +38,7 @@ execution with a typed error so every waiter returns promptly.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from collections import Counter, OrderedDict
@@ -44,6 +46,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro import codec
 from repro.api import Scenario, Sweep, run_scenarios
 from repro.cache import ResultCache
 from repro.errors import ConfigurationError, ReproError, ServerError
@@ -115,7 +118,7 @@ class _Execution:
         self.scenario = scenario
         self.event = threading.Event()
         self.started = False
-        self.payload: Optional[Dict[str, Any]] = None
+        self.payload: Optional[str] = None  # the result's canonical text
         self.error_type: Optional[str] = None
         self.error: Optional[str] = None
 
@@ -127,15 +130,11 @@ class _Slot:
     scenario: Scenario
     key: str
     source: str  # "cache" | "run" | "coalesced"
-    payload: Optional[Dict[str, Any]] = None
+    payload: Optional[str] = None  # the result's canonical text
     execution: Optional[_Execution] = None
 
-    def result_payload(self) -> Optional[Dict[str, Any]]:
-        if self.payload is not None:
-            return self.payload
-        if self.execution is not None:
-            return self.execution.payload
-        return None
+    def result_payload(self) -> Optional[str]:
+        return self.payload if self.execution is None else self.execution.payload
 
 
 @dataclass
@@ -182,7 +181,8 @@ class Job:
                 return False
         return True
 
-    def as_dict(self, *, results: bool = True) -> Dict[str, Any]:
+    def as_dict(self) -> Dict[str, Any]:
+        """The job snapshot without its results (see :meth:`to_json`)."""
         status = self.status
         payload: Dict[str, Any] = {
             "job": self.id,
@@ -195,14 +195,18 @@ class Job:
         if status == "failed":
             error_type, message = self.error
             payload["error"] = {"type": error_type, "message": message}
-        if results and status == "done":
-            payload["results"] = [
-                # Hit or miss, the served result echoes the *submitting*
-                # scenario - exactly what Scenario.run() would have set.
-                {**slot.result_payload(), "config": slot.scenario.to_dict()}
-                for slot in self.slots
-            ]
         return payload
+
+    def to_json(self, **fields: Any) -> str:
+        """``json.dumps`` (``sort_keys=True``) of the snapshot plus
+        ``fields``, with ``results`` once done.  Hit or miss, each echoes
+        the *submitting* scenario, as Scenario.run() would have."""
+        snapshot = {**self.as_dict(), **fields}
+        if snapshot["status"] != "done":
+            return json.dumps(snapshot, sort_keys=True)
+        texts = [codec.with_config(slot.result_payload(), slot.scenario.to_dict())
+                 for slot in self.slots]
+        return codec.splice(snapshot, "results", "[" + ", ".join(texts) + "]")
 
 
 class JobStore:

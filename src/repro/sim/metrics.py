@@ -18,6 +18,7 @@ from repro.errors import ConfigurationError
 from repro.sim.actions import MessageKind
 
 _INT_TYPE = frozenset({int})
+_KIND_BY_VALUE = {kind.value: kind for kind in MessageKind}
 
 
 @dataclass
@@ -194,21 +195,23 @@ class Metrics:
                 )
             return value
 
-        def counter(name: str) -> Counter:
+        def counter(name: str, key_of=int, ids="an integer process/unit id") -> Counter:
             raw = data[name]
             if not isinstance(raw, dict):
                 raise ConfigurationError(
                     f"metrics field {name!r} must be a mapping, got {raw!r}"
                 )
             values = raw.values()
+            rebuilt: Counter = Counter()
             if {*map(type, values)} <= _INT_TYPE and min(values, default=0) >= 0:
                 # Every value is a non-negative int: only the keys can
-                # fail, and the loop below names the first bad one.
+                # fail, and the loop below names the first bad one.  The
+                # entries go straight into the Counter, in one pass.
                 try:
-                    return Counter(dict(zip(map(int, raw), values)))
-                except (TypeError, ValueError):
-                    pass
-            rebuilt: Counter = Counter()
+                    dict.update(rebuilt, zip(map(key_of, raw), values))
+                    return rebuilt
+                except (KeyError, TypeError, ValueError):
+                    rebuilt.clear()
             for key, value in raw.items():
                 if isinstance(value, bool) or not isinstance(value, int) or value < 0:
                     raise ConfigurationError(
@@ -216,43 +219,23 @@ class Metrics:
                         f"non-negative integer, got {value!r}"
                     )
                 try:
-                    rebuilt[int(key)] = value
-                except (TypeError, ValueError):
+                    rebuilt[key_of(key)] = value
+                except (KeyError, TypeError, ValueError):
                     raise ConfigurationError(
-                        f"metrics field {name!r} key {key!r} is not an integer "
-                        "process/unit id"
+                        f"metrics field {name!r} key {key!r} is not {ids}"
                     ) from None
             return rebuilt
-
-        kinds_raw = data["messages_by_kind"]
-        if not isinstance(kinds_raw, dict):
-            raise ConfigurationError(
-                f"metrics field 'messages_by_kind' must be a mapping, got "
-                f"{kinds_raw!r}"
-            )
-        messages_by_kind: Counter = Counter()
-        for kind, count in kinds_raw.items():
-            try:
-                resolved = MessageKind(kind)
-            except ValueError:
-                raise ConfigurationError(
-                    f"metrics field 'messages_by_kind' names unknown message "
-                    f"kind {kind!r}; accepted: "
-                    + ", ".join(k.value for k in MessageKind)
-                ) from None
-            if isinstance(count, bool) or not isinstance(count, int) or count < 0:
-                raise ConfigurationError(
-                    f"metrics field 'messages_by_kind' entry {kind!r} must map "
-                    f"to a non-negative integer, got {count!r}"
-                )
-            messages_by_kind[resolved] = count
 
         metrics = cls(
             work_total=scalar("work"),
             messages_total=scalar("messages"),
             work_by_unit=counter("work_by_unit"),
             work_by_process=counter("work_by_process"),
-            messages_by_kind=messages_by_kind,
+            messages_by_kind=counter(
+                "messages_by_kind",
+                _KIND_BY_VALUE.__getitem__,
+                "a message kind; accepted: " + ", ".join(_KIND_BY_VALUE),
+            ),
             messages_by_process=counter("messages_by_process"),
             crashes=scalar("crashes"),
             recoveries=scalar("recoveries"),
@@ -325,16 +308,10 @@ class RunResult:
         return data
 
     def to_dict(self, *, full: bool = False) -> Dict[str, object]:
-        """JSON-compatible report: completion, accounting, config echo.
-
-        This is what ``python -m repro run --json`` prints and what the
-        benchmark/CI tooling consumes instead of scraping tables.
-
-        ``full=True`` switches the embedded metrics to their lossless
-        form (see :meth:`Metrics.as_dict`), which is what
-        :meth:`from_dict` rehydrates and what the run server's result
-        cache stores - ``RunResult.from_dict(result.to_dict(full=True))
-        == result``.
+        """JSON-compatible report: completion, accounting, config echo
+        (what ``python -m repro run --json`` prints).  ``full=True`` gives
+        the lossless form :meth:`from_dict` rehydrates, which
+        :mod:`repro.codec` encodes for the cache, ledgers and the wire.
         """
         payload: Dict[str, object] = {
             "completed": self.completed,
@@ -349,29 +326,23 @@ class RunResult:
             payload["config"] = self.config
         return payload
 
+    _FIELDS = frozenset("completed survivors halted stalled metrics note config".split())
+
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "RunResult":
-        """Rebuild a :class:`RunResult` from ``to_dict(full=True)`` output.
-
-        This is how results served over the wire (``repro serve``, the
-        content-addressed cache) rehydrate into the same object an
-        in-process :meth:`repro.api.Scenario.run` caller gets.
-        Malformed payloads raise :class:`ConfigurationError` naming the
-        offending field and value.
-        """
+        """Rebuild a :class:`RunResult` from ``to_dict(full=True)`` output
+        (:func:`repro.codec.decode` is the way in from text).  Malformed
+        payloads raise :class:`ConfigurationError` naming the offending
+        field and value."""
         if not isinstance(data, dict):
             raise ConfigurationError(
                 f"a run-result payload must be a dict, got {type(data).__name__}"
             )
-        known = {
-            "completed", "survivors", "halted", "stalled",
-            "metrics", "note", "config",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - cls._FIELDS
         if unknown:
             raise ConfigurationError(
                 f"unknown run-result field(s) {sorted(unknown)}; accepted: "
-                + ", ".join(sorted(known))
+                + ", ".join(sorted(cls._FIELDS))
             )
         missing = {"completed", "survivors", "halted", "metrics"} - set(data)
         if missing:

@@ -414,9 +414,10 @@ def test_compact_requires_a_journal():
 # ---- journal line encoding --------------------------------------------------
 
 
-def _record_line(key, payload):
-    """A journal line as ``json.dumps`` of the whole record spells it."""
-    record = {"key": key, "result": payload, "crc": journal_crc(key, payload)}
+def _record_line(key, text):
+    """A journal line as ``json.dumps`` of the whole record spells it,
+    ``text`` being the stored canonical result text."""
+    record = {"key": key, "result": json.loads(text), "crc": journal_crc(key, text)}
     return json.dumps(record, sort_keys=True) + "\n"
 
 
@@ -464,3 +465,48 @@ def test_chaos_journal_faults_cut_the_canonical_line(tmp_path, mode, cut):
     key = _scenario().cache_key()
     payload = cache.put(key, _scenario().run())
     assert path.read_text() == cut(_record_line(key, payload))
+
+
+# ---- replay decodes every entry ---------------------------------------------
+
+
+def _rotted_work(text):
+    """``text`` with its stated work total one higher than the units sum."""
+    payload = json.loads(text)
+    payload["metrics"]["work"] += 1
+    return payload
+
+
+def test_replay_skips_a_checksummed_entry_that_does_not_decode(tmp_path):
+    # A valid CRC over bad content: the line parses and checks out, but
+    # its metrics no longer add up.  Serving it would make every request
+    # for the scenario fail to decode, so replay drops it and the key
+    # runs again.
+    path = tmp_path / "cache.jsonl"
+    scenario = _scenario()
+    key = scenario.cache_key()
+    text = ResultCache().put(key, scenario.run())
+    bad = json.dumps(_rotted_work(text), sort_keys=True)
+    path.write_text(_record_line(key, bad))
+    assert json.loads(path.read_text())["crc"] == journal_crc(key, bad)
+    revived = ResultCache(path=path)
+    assert len(revived) == 0
+    assert revived.stats()["journal_corrupt"] == 1
+    from repro.cache import verify_journal
+
+    assert verify_journal(path)["corrupt"] == 1
+    (result,) = run_scenarios([scenario], cache=revived)
+    assert result == scenario.run()
+    assert revived.stats()["stores"] == 1
+
+
+def test_replay_skips_a_pre_crc_entry_with_a_rotted_digit(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    scenario = _scenario()
+    key = scenario.cache_key()
+    text = ResultCache().put(key, scenario.run())
+    path.write_text(json.dumps({"key": key, "result": _rotted_work(text)}) + "\n")
+    revived = ResultCache(path=path)
+    assert len(revived) == 0
+    stats = revived.stats()
+    assert stats["journal_corrupt"] == 1 and stats["journal_unchecksummed"] == 0

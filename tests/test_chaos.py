@@ -25,6 +25,7 @@ import urllib.request
 
 import pytest
 
+from repro import codec
 from repro.api import Scenario, Sweep
 from repro.cache import ResultCache
 from repro.campaign import CampaignSpec, CampaignState, run_campaign
@@ -208,7 +209,7 @@ def test_worker_quarantine_surfaces_typed_error_and_never_caches():
     job2 = store.submit([scenario])
     assert job2.wait(30.0)
     assert job2.status == "done"
-    assert job2.as_dict()["results"][0] == {
+    assert json.loads(job2.to_json())["results"][0] == {
         **scenario.run().to_dict(full=True),
         "config": scenario.to_dict(),
     }
@@ -467,11 +468,7 @@ def test_chaos_interrupted_campaign_resumes_bit_identical(tmp_path):
 def test_ledger_fsync_failure_retries_transparently(tmp_path):
     spec = _campaign_spec()
     chunk = next(iter(spec.chunks()))
-    payloads = []
-    for scenario in chunk.scenarios:
-        payload = scenario.run().to_dict(full=True)
-        payload.pop("config", None)
-        payloads.append(payload)
+    payloads = [codec.encode(scenario.run()) for scenario in chunk.scenarios]
     path = tmp_path / "fsync.ledger"
     ledger = CampaignLedger(
         path, spec, chaos=_ScriptedChaos("ledger_append", ["fsync_fail"])
@@ -490,11 +487,7 @@ def test_torn_ledger_append_is_a_simulated_kill_that_resumes(tmp_path):
         path, spec, chaos=_ScriptedChaos("ledger_append", ["torn"])
     )
     chunk = next(iter(spec.chunks()))
-    payloads = []
-    for scenario in chunk.scenarios:
-        payload = scenario.run().to_dict(full=True)
-        payload.pop("config", None)
-        payloads.append(payload)
+    payloads = [codec.encode(scenario.run()) for scenario in chunk.scenarios]
     with pytest.raises(ChaosInterrupt, match="torn"):
         torn.append_chunk(chunk, payloads)
     # Exactly the shape replay tolerates: a torn final line, 0 chunks.

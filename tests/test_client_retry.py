@@ -217,3 +217,32 @@ def test_idle_connections_close_with_their_thread_and_client():
     del client
     gc.collect()
     assert transport.closed == 2
+
+
+def test_an_answer_whose_result_does_not_decode_is_a_server_error():
+    # HTTP 200 with a result whose metrics do not add up: the server is
+    # at fault, not the caller, so this is a ServerError (the client
+    # keeps ConfigurationError for HTTP 400), as a non-JSON body is.
+    from repro.api import Scenario
+
+    scenario = Scenario(protocol="A", n=8, t=2, seed=1)
+    result = scenario.run().to_dict(full=True)
+    result["metrics"]["work"] += 1
+    answers = {
+        "/jobs": {"job": "j-1", "status": "done", "sources": ["cache"], "results": [result]},
+        "/results/": {"key": "k", "result": result},
+    }
+    client = Client("http://127.0.0.1:9", attempts=1)
+
+    def exchange(method, path, body, headers):
+        route = next(prefix for prefix in answers if path.startswith(prefix))
+        return 200, None, json.dumps(answers[route]).encode("utf-8")
+
+    client._exchange = exchange
+    with pytest.raises(ServerError, match="does not decode"):
+        client.run(scenario)
+    with pytest.raises(ServerError, match="does not decode"):
+        client.result("k")
+    client._exchange = lambda method, path, body, headers: (200, None, b"not json")
+    with pytest.raises(ServerError, match="non-JSON"):
+        client.about()
