@@ -103,6 +103,7 @@ import json
 import sys
 from typing import List, Optional
 
+from repro import codec
 from repro.analysis.tables import render_table
 from repro.api import ENGINE_CHOICES, Scenario
 from repro.core.registry import available_protocols, get_entry
@@ -309,13 +310,7 @@ def _cmd_submit(args) -> int:
     rows = []
     failures = 0
     for path in args.files:
-        try:
-            with open(path) as handle:
-                document = json.load(handle)
-        except OSError as exc:
-            raise ConfigurationError(f"cannot read document {path}: {exc}")
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"document {path} is not valid JSON: {exc}")
+        document = codec.read(path, "document")
         try:
             final = client.settle(document, timeout=args.timeout)
         except ServerError as exc:
@@ -438,22 +433,12 @@ def _cmd_suite_check(args) -> int:
     return _run_suites(args, enforce_pins=True)
 
 
-def _load_report_artifact(path: str):
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read report artifact {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"report artifact {path} is not valid JSON: {exc}")
-
-
 def _cmd_suite_diff(args) -> int:
     from repro.suites import diff_reports
 
     diff = diff_reports(
-        _load_report_artifact(args.old),
-        _load_report_artifact(args.new),
+        codec.read(args.old, "report artifact"),
+        codec.read(args.new, "report artifact"),
         old_label=args.old,
         new_label=args.new,
     )

@@ -46,11 +46,13 @@ import inspect
 import json
 import math
 import multiprocessing
+import operator
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from repro import codec
 from repro.core import registry
 from repro.errors import ConfigurationError
 from repro.sim.adversary import (
@@ -86,6 +88,70 @@ DEFAULT_MAX_STEPS = 5_000_000
 DEFAULT_MAX_EVENTS = 2_000_000
 
 _FD_FIELDS = ("min_delay", "max_delay")
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+#: The plain :class:`Scenario` fields by the type their values must have
+#: (a bool is not an integer here), and those that may also be ``None``.
+#: ``engine`` and ``fastpath`` are checked against their choices instead.
+_FIELD_TYPES = (
+    (int, "an integer", ("n", "t", "seed", "max_steps", "max_rounds", "max_events")),
+    (str, "a string", ("protocol", "name")),
+    (bool, "a boolean", ("strict_invariants", "allow_total_failure")),
+    (dict, "a dict", ("options",)),
+)
+_OPTIONAL_FIELDS = frozenset({"max_rounds", "name", "strict_invariants"})
+
+
+def _check_field_types(scenario: "Scenario") -> None:
+    for kind, expected, names in _FIELD_TYPES:
+        for name in names:
+            value = getattr(scenario, name)
+            if value is None and name in _OPTIONAL_FIELDS:
+                continue
+            if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+                raise ConfigurationError(
+                    f"scenario field {name!r} must be {expected}, got {value!r}"
+                )
+
+
+def _canonical_crash_times(crash_times: Any, t: int) -> Dict[int, float]:
+    """``crash_times`` as ``{pid: time}`` ints to floats, sorted by pid,
+    every pid one of the ``t`` process ids."""
+    if not isinstance(crash_times, dict):
+        raise ConfigurationError(
+            f"'crash_times' must be a {{pid: time}} mapping, got {crash_times!r}"
+        )
+    converted: Dict[int, float] = {}
+    for pid, when in crash_times.items():
+        # JSON keys are strings; a float or bool pid is a mistake, not a
+        # process id to truncate.
+        try:
+            process = int(pid) if isinstance(pid, str) else operator.index(pid)
+        except (TypeError, ValueError):
+            process = None
+        if process is None or isinstance(pid, bool):
+            raise ConfigurationError(
+                f"crash_times pid {pid!r} must be an integer process id"
+            )
+        if not 0 <= process < t:
+            raise ConfigurationError(
+                f"crash_times pid {pid!r} is not a process id; with t={t} "
+                f"the ids are 0..{t - 1}"
+            )
+        if process in converted:
+            raise ConfigurationError(f"crash_times names pid {process} twice")
+        if not _is_number(when):
+            raise ConfigurationError(
+                f"crash_times entry for pid {pid!r} must be a numeric "
+                f"time, got {when!r}"
+            )
+        converted[process] = float(when)
+    return dict(sorted(converted.items()))
+
 
 #: Keywords of :func:`registry.run_protocol` itself: a builder option so
 #: named would bind to the run setting, not reach the builder.
@@ -154,6 +220,22 @@ class Scenario:
     name: Optional[str] = None
 
     def __post_init__(self) -> None:
+        # The one place a scenario is checked and made canonical, for the
+        # constructor and for documents alike, so to_dict() can read the
+        # fields as they are left.  Exact types pass at once (grids build
+        # scenarios in bulk); anything else goes to the table, which
+        # accepts subclasses and names the first mistyped field and value.
+        if not (
+            type(self.n) is type(self.t) is type(self.seed) is int
+            and type(self.max_steps) is type(self.max_events) is int
+            and (self.max_rounds is None or type(self.max_rounds) is int)
+            and type(self.protocol) is str
+            and (self.name is None or type(self.name) is str)
+            and (self.strict_invariants is None or type(self.strict_invariants) is bool)
+            and type(self.allow_total_failure) is bool
+            and type(self.options) is dict
+        ):
+            _check_field_types(self)
         if self.engine not in ENGINE_CHOICES:
             raise ConfigurationError(
                 f"unknown engine {self.engine!r}; choices: "
@@ -173,12 +255,13 @@ class Scenario:
         # construction, and two scenarios spelling one spec differently
         # ("random:2" vs {"kind": "random", "count": 2}) compare equal.
         # Live adversary instances / delay callables pass through (they
-        # run fine but block serialization).
-        if not isinstance(self.adversary, Adversary):
+        # run fine but block serialization).  None stays None.
+        if self.adversary is not None and not isinstance(self.adversary, Adversary):
             self.adversary = normalize_adversary_spec(self.adversary)
-        if not callable(self.delay):
+        if self.delay is not None and not callable(self.delay):
             self.delay = normalize_delay_spec(self.delay)
-        self.congestion = normalize_congestion_spec(self.congestion)
+        if self.congestion is not None:
+            self.congestion = normalize_congestion_spec(self.congestion)
         if "schedule" in self.options:
             # By convention the ``schedule`` builder option is a schedule
             # spec (dynamic-workload protocols); canonicalise it like the
@@ -188,13 +271,17 @@ class Scenario:
                 **self.options,
                 "schedule": normalize_schedule_spec(self.options["schedule"]),
             }
-        if self.failure_detector is not None:
-            unknown = set(self.failure_detector) - set(_FD_FIELDS)
-            if unknown:
-                raise ConfigurationError(
-                    f"unknown failure_detector field(s) {sorted(unknown)}; "
-                    f"accepted: {', '.join(_FD_FIELDS)}"
-                )
+        if self.crash_times is not None:
+            self.crash_times = _canonical_crash_times(self.crash_times, self.t)
+        detector = self.failure_detector
+        if detector is not None:
+            codec.check_fields(detector, "failure_detector", _FD_FIELDS)
+            for key, value in detector.items():
+                if not _is_number(value):
+                    raise ConfigurationError(
+                        f"failure_detector field {key!r} must be a number, got {value!r}"
+                    )
+            self.failure_detector = {key: float(value) for key, value in detector.items()}
 
     # ---- engine resolution -------------------------------------------
 
@@ -370,8 +457,11 @@ class Scenario:
     # ---- serialization -----------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        """Canonical JSON-compatible form; defaults are omitted so the
-        dict reads like the scenario was written by hand."""
+        """Canonical JSON-compatible form, read off the fields that
+        construction made canonical; defaults are omitted so the dict
+        reads like the scenario was written by hand.  Nested spec dicts
+        are the scenario's own.  A live adversary or delay callable does
+        not serialize: :class:`ConfigurationError`."""
         data: Dict[str, Any] = {
             "protocol": self.protocol,
             "n": self.n,
@@ -381,23 +471,21 @@ class Scenario:
         }
         if self.name is not None:
             data["name"] = self.name
-        adversary = normalize_adversary_spec(self.adversary)
+        adversary = self.adversary
+        if isinstance(adversary, Adversary):
+            adversary = normalize_adversary_spec(adversary)  # raises: not serializable
         if adversary is not None:
             data["adversary"] = adversary
-        delay = normalize_delay_spec(self.delay)
-        if delay is not None:
-            data["delay"] = delay
-        congestion = normalize_congestion_spec(self.congestion)
-        if congestion is not None:
-            data["congestion"] = congestion
+        if callable(self.delay):
+            normalize_delay_spec(self.delay)  # raises: not serializable
+        if self.delay is not None:
+            data["delay"] = self.delay
+        if self.congestion is not None:
+            data["congestion"] = self.congestion
         if self.crash_times:
-            data["crash_times"] = {
-                int(pid): float(when) for pid, when in sorted(self.crash_times.items())
-            }
+            data["crash_times"] = dict(self.crash_times)
         if self.failure_detector is not None:
-            data["failure_detector"] = {
-                key: float(value) for key, value in self.failure_detector.items()
-            }
+            data["failure_detector"] = dict(self.failure_detector)
         if self.strict_invariants is not None:
             data["strict_invariants"] = self.strict_invariants
         if self.allow_total_failure:
@@ -416,97 +504,16 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Scenario":
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"a scenario must be a dict, got {type(data).__name__}"
-            )
-        field_names = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - field_names
-        if unknown:
-            raise ConfigurationError(
-                f"unknown scenario field(s) {sorted(unknown)}; accepted: "
-                + ", ".join(sorted(field_names))
-            )
-        missing = {"protocol", "n", "t"} - set(data)
-        if missing:
-            raise ConfigurationError(
-                f"a scenario requires field(s) {sorted(missing)}"
-            )
-        # Documents arrive from files and the run server's wire format,
-        # so mistyped values must come back as named ConfigurationErrors
-        # (field + offending value), never raw TypeError tracebacks.
-        for name in ("n", "t", "seed", "max_steps", "max_rounds", "max_events"):
-            value = data.get(name)
-            if value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigurationError(
-                    f"scenario field {name!r} must be an integer, got {value!r}"
-                )
-        for name in ("protocol", "engine", "name", "fastpath"):
-            value = data.get(name)
-            if name in data and not isinstance(value, str):
-                raise ConfigurationError(
-                    f"scenario field {name!r} must be a string, got {value!r}"
-                )
-        for name in ("strict_invariants", "allow_total_failure"):
-            value = data.get(name)
-            if value is not None and not isinstance(value, bool):
-                raise ConfigurationError(
-                    f"scenario field {name!r} must be a boolean, got {value!r}"
-                )
-        if "options" in data and not isinstance(data["options"], dict):
-            raise ConfigurationError(
-                f"scenario field 'options' must be a dict, got {data['options']!r}"
-            )
-        detector = data.get("failure_detector")
-        if detector is not None:
-            if not isinstance(detector, dict):
-                raise ConfigurationError(
-                    "scenario field 'failure_detector' must be a dict, got "
-                    f"{detector!r}"
-                )
-            for key, value in detector.items():
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ConfigurationError(
-                        f"failure_detector field {key!r} must be a number, "
-                        f"got {value!r}"
-                    )
-        kwargs = dict(data)
-        if kwargs.get("crash_times") is not None:
-            crash_times = kwargs["crash_times"]
-            if not isinstance(crash_times, dict):
-                raise ConfigurationError(
-                    "'crash_times' must be a {pid: time} mapping, got "
-                    f"{crash_times!r}"
-                )
-            converted: Dict[int, float] = {}
-            for pid, when in crash_times.items():
-                try:
-                    pid_int = int(pid)
-                except (TypeError, ValueError):
-                    raise ConfigurationError(
-                        f"crash_times pid {pid!r} must be an integer process id"
-                    ) from None
-                if isinstance(when, bool) or not isinstance(when, (int, float)):
-                    raise ConfigurationError(
-                        f"crash_times entry for pid {pid!r} must be a numeric "
-                        f"time, got {when!r}"
-                    )
-                converted[pid_int] = float(when)
-            kwargs["crash_times"] = converted
-        return cls(**kwargs)
+        """The scenario a document dict describes; construction checks
+        every value, so this only checks the field names."""
+        return cls(**codec.check_fields(data, "scenario", _SCENARIO_FIELDS, _SCENARIO_REQUIRED))
 
     def to_json(self, *, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "Scenario":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"scenario JSON does not parse: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(codec.parse(text, "scenario document"))
 
     def save(self, path) -> Path:
         path = Path(path)
@@ -515,19 +522,18 @@ class Scenario:
 
     @classmethod
     def from_file(cls, path) -> "Scenario":
-        try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            raise ConfigurationError(
-                f"cannot read scenario file {path}: {exc}"
-            ) from exc
-        return cls.from_json(text)
+        return cls.from_dict(codec.read(path, "scenario file"))
 
     # ---- derived scenarios -------------------------------------------
 
     def replace(self, **changes) -> "Scenario":
         """A copy with ``changes`` applied (validation re-runs)."""
         return dataclasses.replace(self, **changes)
+
+
+#: The fields a scenario document may hold, and those it must.
+_SCENARIO_FIELDS = frozenset(f.name for f in dataclasses.fields(Scenario))
+_SCENARIO_REQUIRED = ("protocol", "n", "t")
 
 
 # =====================================================================
@@ -937,7 +943,11 @@ class Sweep:
             if values is None:
                 continue
             if name == "adversaries":
-                values = [normalize_adversary_spec(spec) for spec in values]
+                # Normalized at construction; a live instance raises.
+                values = [
+                    normalize_adversary_spec(spec) if isinstance(spec, Adversary) else spec
+                    for spec in values
+                ]
             data[name] = list(values)
         return data
 
@@ -953,11 +963,7 @@ class Sweep:
 
     @classmethod
     def from_json(cls, text: str) -> "Sweep":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"sweep JSON does not parse: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(codec.parse(text, "sweep document"))
 
 
 __all__ = [

@@ -60,6 +60,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro import codec
 from repro.api import Scenario, Sweep, parse_axes
 from repro.errors import ConfigurationError
 from repro.sim.adversary import normalize_adversary_spec
@@ -215,8 +216,7 @@ class CampaignSpec:
         excluded, so renaming a campaign keeps its ledgers valid).
 
         Every axis is spelled out, a missing one as the base's value;
-        ``grid.to_dict()`` normalizes the given ones and raises on a
-        live adversary."""
+        ``grid.to_dict()`` raises on a live adversary."""
         return {
             **self.grid.axes(),
             **self.grid.to_dict(),
@@ -254,31 +254,10 @@ class CampaignSpec:
     @classmethod
     def from_dict(cls, data: Any, *, path: Optional[Path] = None) -> "CampaignSpec":
         where = f"campaign file {path}" if path is not None else "campaign dict"
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"{where} must hold a dict, got {type(data).__name__}"
-            )
-        unknown = set(data) - _SPEC_FIELDS
-        if unknown:
-            raise ConfigurationError(
-                f"unknown field(s) {sorted(unknown)} in {where}; accepted: "
-                + ", ".join(sorted(_SPEC_FIELDS))
-            )
-        missing = {"campaign", "version", "base", "axes"} - set(data)
-        if missing:
-            raise ConfigurationError(
-                f"{where} requires field(s) {sorted(missing)}"
-            )
-        version = data["version"]
-        if isinstance(version, bool) or not isinstance(version, int):
-            raise ConfigurationError(
-                f"'version' of {where} must be an integer, got {version!r}"
-            )
-        if version != CAMPAIGN_FORMAT_VERSION:
-            raise ConfigurationError(
-                f"{where} uses format version {version}, but this loader "
-                f"understands version {CAMPAIGN_FORMAT_VERSION}"
-            )
+        codec.check_fields(
+            data, where, _SPEC_FIELDS, ("campaign", "version", "base", "axes"),
+            version=CAMPAIGN_FORMAT_VERSION,
+        )
         axes = data["axes"]
         if not isinstance(axes, dict):
             raise ConfigurationError(
@@ -300,20 +279,7 @@ class CampaignSpec:
 
     @classmethod
     def from_file(cls, path) -> "CampaignSpec":
-        path = Path(path)
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise ConfigurationError(
-                f"cannot read campaign file {path}: {exc}"
-            ) from exc
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"campaign file {path} is not valid JSON: {exc}"
-            ) from exc
-        return cls.from_dict(data, path=path)
+        return cls.from_dict(codec.read(path, "campaign file"), path=Path(path))
 
     def to_json(self, *, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True) + "\n"
@@ -351,7 +317,8 @@ class CampaignSpec:
 
 
 def load_campaign(path) -> CampaignSpec:
-    """Load and validate one campaign spec file (JSON)."""
+    """Load and validate one campaign spec file (JSON, or TOML when it
+    ends in ``.toml``)."""
     return CampaignSpec.from_file(path)
 
 

@@ -114,7 +114,7 @@ def _wire_document(document: Document) -> Dict[str, Any]:
     # nests the whole dict there instead - disambiguate by value type.
     if isinstance(document.get("suite"), str):
         return {"suite": document}
-    if any(key in document for key in ("scenario", "sweep", "suite", "scenarios")):
+    if any(key in document for key in codec.DOCUMENT_KINDS):
         return document
     if "base" in document:
         return {"sweep": document}

@@ -364,12 +364,9 @@ def _make_handler(store: JobStore, state: _ServerState):
             raw = self.rfile.read(length)
             self.body_pending = False
             try:
-                return json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                self._error(
-                    400, "ConfigurationError",
-                    f"job document does not parse as JSON: {exc}",
-                )
+                return codec.parse(raw, "job document")
+            except ConfigurationError as exc:
+                self._error(400, "ConfigurationError", str(exc))
                 return None
 
         def _chaos_handler_fault(self, path: str) -> bool:

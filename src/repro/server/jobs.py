@@ -49,6 +49,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro import codec
 from repro.api import Scenario, Sweep, run_scenarios
 from repro.cache import ResultCache
+from repro.codec import DOCUMENT_KINDS
 from repro.errors import ConfigurationError, ReproError, ServerError
 from repro.suites import Suite
 
@@ -57,9 +58,6 @@ from repro.suites import Suite
 CHAOS_WORKER_DELAY_SECONDS = 0.02
 
 JOB_STATES = ("submitted", "running", "done", "failed")
-
-#: Top-level keys a job document may use, exactly one per submission.
-DOCUMENT_KINDS = ("scenario", "sweep", "suite", "scenarios")
 
 
 def scenarios_from_document(document: Any) -> Tuple[str, List[Scenario]]:
@@ -73,10 +71,7 @@ def scenarios_from_document(document: Any) -> Tuple[str, List[Scenario]]:
     Malformed documents raise :class:`ConfigurationError` naming the
     offending field and value - the server maps that to HTTP 400.
     """
-    if not isinstance(document, dict):
-        raise ConfigurationError(
-            f"a job document must be a dict, got {type(document).__name__}"
-        )
+    codec.check_fields(document, "job document", DOCUMENT_KINDS)
     kinds = [kind for kind in DOCUMENT_KINDS if kind in document]
     if len(kinds) != 1:
         raise ConfigurationError(
@@ -85,11 +80,6 @@ def scenarios_from_document(document: Any) -> Tuple[str, List[Scenario]]:
             + (f"; got field(s) {sorted(document)}" if document else "; got an empty dict")
         )
     kind = kinds[0]
-    extra = set(document) - {kind}
-    if extra:
-        raise ConfigurationError(
-            f"unknown job document field(s) {sorted(extra)} alongside {kind!r}"
-        )
     if kind == "scenario":
         return kind, [Scenario.from_dict(document["scenario"])]
     if kind == "sweep":

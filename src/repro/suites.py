@@ -64,6 +64,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro import codec
 from repro.api import ResultSet, Scenario, Sweep, run_scenarios
 from repro.errors import ConfigurationError
 from repro.sim.metrics import MEASURES, RunResult
@@ -133,16 +134,7 @@ class SuiteEntry:
 
     @classmethod
     def from_dict(cls, data: Any, *, where: str) -> "SuiteEntry":
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"{where} must be a dict, got {type(data).__name__}"
-            )
-        unknown = set(data) - _ENTRY_FIELDS
-        if unknown:
-            raise ConfigurationError(
-                f"unknown field(s) {sorted(unknown)} in {where}; accepted: "
-                + ", ".join(sorted(_ENTRY_FIELDS))
-            )
+        codec.check_fields(data, where, _ENTRY_FIELDS)
         name = data.get("name")
         if not isinstance(name, str) or not name:
             raise ConfigurationError(f"{where} needs a non-empty 'name' string")
@@ -204,34 +196,13 @@ class Suite:
     @classmethod
     def from_dict(cls, data: Any, *, path: Optional[Path] = None) -> "Suite":
         where = f"suite file {path}" if path is not None else "suite dict"
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"{where} must hold a dict, got {type(data).__name__}"
-            )
-        unknown = set(data) - _SUITE_FIELDS
-        if unknown:
-            raise ConfigurationError(
-                f"unknown field(s) {sorted(unknown)} in {where}; accepted: "
-                + ", ".join(sorted(_SUITE_FIELDS))
-            )
-        missing = {"suite", "version", "entries"} - set(data)
-        if missing:
-            raise ConfigurationError(
-                f"{where} requires field(s) {sorted(missing)}"
-            )
+        codec.check_fields(
+            data, where, _SUITE_FIELDS, ("suite", "version", "entries"),
+            version=SUITE_FORMAT_VERSION,
+        )
         name = data["suite"]
         if not isinstance(name, str) or not name:
             raise ConfigurationError(f"'suite' of {where} must be a non-empty name")
-        version = data["version"]
-        if not isinstance(version, int) or isinstance(version, bool):
-            raise ConfigurationError(
-                f"'version' of {where} must be an integer, got {version!r}"
-            )
-        if version != SUITE_FORMAT_VERSION:
-            raise ConfigurationError(
-                f"{where} uses format version {version}, but this loader "
-                f"understands version {SUITE_FORMAT_VERSION}"
-            )
         raw_entries = data["entries"]
         if not isinstance(raw_entries, list) or not raw_entries:
             raise ConfigurationError(
@@ -251,7 +222,7 @@ class Suite:
             seen[entry.name] = index
         return cls(
             name=name,
-            version=version,
+            version=SUITE_FORMAT_VERSION,
             entries=entries,
             description=str(data.get("description", "")),
             path=path,
@@ -260,37 +231,11 @@ class Suite:
     @classmethod
     def from_file(cls, path) -> "Suite":
         path = Path(path)
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise ConfigurationError(f"cannot read suite file {path}: {exc}") from exc
-        suffix = path.suffix.lower()
-        if suffix == ".json":
-            try:
-                data = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(
-                    f"suite file {path} is not valid JSON: {exc}"
-                ) from exc
-        elif suffix == ".toml":
-            try:
-                import tomllib
-            except ImportError:  # Python < 3.11
-                raise ConfigurationError(
-                    f"suite file {path} is TOML, which needs Python 3.11+ "
-                    "(tomllib); use the JSON form on older interpreters"
-                )
-            try:
-                data = tomllib.loads(text)
-            except tomllib.TOMLDecodeError as exc:
-                raise ConfigurationError(
-                    f"suite file {path} is not valid TOML: {exc}"
-                ) from exc
-        else:
+        if path.suffix.lower() not in (".json", ".toml"):
             raise ConfigurationError(
                 f"suite file {path} must end in .json or .toml"
             )
-        return cls.from_dict(data, path=path)
+        return cls.from_dict(codec.read(path, "suite file"), path=path)
 
     def to_dict(self) -> Dict[str, Any]:
         data: Dict[str, Any] = {

@@ -6,6 +6,7 @@ import json
 import pytest
 
 import repro
+from repro import api
 from repro.api import ResultSet, Scenario, Sweep
 from repro.core.registry import available_protocols, get_entry, run_protocol
 from repro.errors import ConfigurationError
@@ -212,6 +213,54 @@ def test_unknown_scenario_field_is_rejected():
 def test_scenario_missing_required_fields():
     with pytest.raises(ConfigurationError, match="t"):
         Scenario.from_dict({"protocol": "a", "n": 8})
+
+
+@pytest.mark.parametrize(
+    "field, value, fragment",
+    [
+        ("n", "5", "scenario field 'n' must be an integer, got '5'"),
+        ("seed", True, "scenario field 'seed' must be an integer, got True"),
+        ("engine", 3, "unknown engine 3; choices: auto, sync, async"),
+        ("options", [1], "scenario field 'options' must be a dict, got [1]"),
+        (
+            "failure_detector",
+            {"min_delay": "x"},
+            "failure_detector field 'min_delay' must be a number, got 'x'",
+        ),
+        ("crash_times", {"x": 1.0}, "crash_times pid 'x' must be an integer"),
+        ("crash_times", {0: "soon"}, "pid 0 must be a numeric time, got 'soon'"),
+        ("crash_times", {1.9: 2.0}, "crash_times pid 1.9 must be an integer"),
+        ("crash_times", {True: 2.0}, "crash_times pid True must be an integer"),
+        ("crash_times", {"1": 2.0, 1: 3.0}, "crash_times names pid 1 twice"),
+    ],
+)
+def test_constructor_and_from_dict_share_one_validation_path(field, value, fragment):
+    fields = {"protocol": "A-async", "n": 16, "t": 4, field: value}
+    messages = []
+    for build in (lambda: Scenario(**fields), lambda: Scenario.from_dict(fields)):
+        with pytest.raises(ConfigurationError) as excinfo:
+            build()
+        messages.append(str(excinfo.value))
+    assert messages[0] == messages[1]
+    assert fragment in messages[0]
+
+
+@pytest.mark.parametrize("field", [name for _, _, names in api._FIELD_TYPES for name in names])
+def test_every_typed_field_is_checked(field):
+    # The constructor's exact-type fast path must cover every field of
+    # the table that names the error.
+    with pytest.raises(ConfigurationError, match=f"scenario field '{field}' must be"):
+        Scenario(**{"protocol": "A", "n": 16, "t": 4, field: b"x"})
+
+
+def test_crash_times_are_canonical_at_construction():
+    scenario = Scenario(
+        protocol="A-async", n=16, t=4, crash_times={3: 2, 1: 0.5},
+        failure_detector={"min_delay": 1, "max_delay": 3},
+    )
+    assert list(scenario.crash_times.items()) == [(1, 0.5), (3, 2.0)]
+    assert scenario.failure_detector == {"min_delay": 1.0, "max_delay": 3.0}
+    assert Scenario.from_json(scenario.to_json()) == scenario
 
 
 def test_unknown_fastpath_value_is_rejected_with_choices():

@@ -166,6 +166,18 @@ def test_malformed_scenario_names_field_and_value(client):
             client.submit(
                 {"scenario": {"protocol": "D", "n": 32, "t": 4, "adversary": adversary}}
             )
+    # A crash scheduled for a process the run does not have is a 400, not
+    # a job that fails in its worker, retries and is quarantined.
+    for pid in ("10", "-1"):
+        with pytest.raises(ConfigurationError, match=f"crash_times pid '{pid}'"):
+            client.submit(
+                {
+                    "scenario": {
+                        "protocol": "A-async", "n": 16, "t": 4,
+                        "crash_times": {pid: 2.0},
+                    }
+                }
+            )
 
 
 def test_unknown_protocol_is_rejected_at_submission(client):
