@@ -100,6 +100,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from typing import List, Optional
 
@@ -252,6 +253,10 @@ def _cmd_adversaries(args) -> int:
     return 0
 
 
+def _raise_interrupt(signum, frame):
+    raise KeyboardInterrupt
+
+
 def _cmd_serve(args) -> int:
     from repro.server import MAX_BODY_BYTES, ReproServer
 
@@ -264,7 +269,6 @@ def _cmd_serve(args) -> int:
         cache_entries=args.cache_size,
         cache_path=args.cache_file,
         job_workers=args.job_workers,
-        run_workers=args.run_workers,
         max_body_bytes=max_body,
         rate_limit=args.rate_limit,
         rate_burst=args.rate_burst,
@@ -274,23 +278,27 @@ def _cmd_serve(args) -> int:
         retry_backoff=args.retry_backoff,
         chaos=args.chaos,
     )
-    cache = server.store.cache
-    print(
-        f"repro serve listening on {server.url}  "
-        f"(job workers: {args.job_workers}, "
-        f"run workers: {args.run_workers or 'in-thread'}, "
-        f"cache: {len(cache)} entries"
-        + (f", journal {cache.path}" if cache.path else "")
-        + (f", rate limit {args.rate_limit}/s" if args.rate_limit else "")
-        + (", chaos ON" if args.chaos else "")
-        + ")",
-        file=sys.stderr,
-    )
+    # SIGTERM (docker stop, systemd) drains exactly as Ctrl-C does, from
+    # the moment the banner shows; a second signal during the drain gets
+    # the default disposition.
+    previous = signal.signal(signal.SIGTERM, _raise_interrupt)
     try:
+        cache = server.store.cache
+        print(
+            f"repro serve listening on {server.url}  "
+            f"(job workers: {args.job_workers}, "
+            f"cache: {len(cache)} entries"
+            + (f", journal {cache.path}" if cache.path else "")
+            + (f", rate limit {args.rate_limit}/s" if args.rate_limit else "")
+            + (", chaos ON" if args.chaos else "")
+            + ")",
+            file=sys.stderr,
+        )
         server.serve_forever()
     except KeyboardInterrupt:
         print("shutting down (draining in-flight jobs)", file=sys.stderr)
     finally:
+        signal.signal(signal.SIGTERM, previous)
         report = server.shutdown()
         print(
             f"drained: {report['drained_jobs']} jobs resolved, "
@@ -755,14 +763,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=4,
         help="threads executing submitted jobs concurrently",
-    )
-    serve_p.add_argument(
-        "--run-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="multiprocessing pool size per job batch (default: run "
-        "in-thread; metrics are bit-identical either way)",
     )
     serve_p.add_argument(
         "--cache-size",

@@ -77,7 +77,12 @@ DEFAULT_CHUNK_SIZE = 100
 
 def adversary_label(spec: Any) -> str:
     """Compact human label for one adversary axis value (cell naming)."""
-    normalized = normalize_adversary_spec(spec)
+    return _canonical_label(normalize_adversary_spec(spec))
+
+
+def _canonical_label(normalized: Optional[Dict[str, Any]]) -> str:
+    """:func:`adversary_label` of a spec already in canonical form (a
+    built :class:`Scenario`'s ``adversary``)."""
     if normalized is None:
         return "none"
     kind = normalized["kind"]
@@ -203,7 +208,7 @@ class CampaignSpec:
         """The ``(protocol, adversary label, n, t)`` cell of one run."""
         return (
             scenario.protocol,
-            adversary_label(scenario.adversary),
+            _canonical_label(scenario.adversary),
             scenario.n,
             scenario.t,
         )

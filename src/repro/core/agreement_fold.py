@@ -132,7 +132,7 @@ class AgreementProcess(Process):
 
 def _records(inbox: Iterable) -> Iterable:
     """An inbox's messages in delivery order, without materialising a
-    row inbox's views."""
+    row inbox's per-recipient envelopes."""
     return inbox.records() if type(inbox) is RowInbox else inbox
 
 

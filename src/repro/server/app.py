@@ -565,7 +565,6 @@ class ReproServer:
         cache_entries: Optional[int] = None,
         cache_path=None,
         job_workers: int = 4,
-        run_workers: Optional[int] = None,
         max_body_bytes: int = MAX_BODY_BYTES,
         rate_limit: Optional[float] = None,
         rate_burst: Optional[int] = None,
@@ -610,7 +609,6 @@ class ReproServer:
         self.store = JobStore(
             cache=cache,
             job_workers=job_workers,
-            run_workers=run_workers,
             retries=retries,
             retry_backoff=retry_backoff,
             chaos=self.chaos,

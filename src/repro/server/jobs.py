@@ -208,7 +208,6 @@ class JobStore:
         *,
         cache: Optional[ResultCache] = None,
         job_workers: int = 4,
-        run_workers: Optional[int] = None,
         max_jobs: int = 10_000,
         retries: int = 3,
         retry_backoff: float = 0.05,
@@ -217,14 +216,6 @@ class JobStore:
         if isinstance(job_workers, bool) or not isinstance(job_workers, int) or job_workers < 1:
             raise ConfigurationError(
                 f"job_workers must be a positive integer, got {job_workers!r}"
-            )
-        if run_workers is not None and (
-            isinstance(run_workers, bool)
-            or not isinstance(run_workers, int)
-            or run_workers < 1
-        ):
-            raise ConfigurationError(
-                f"run_workers must be a positive integer or None, got {run_workers!r}"
             )
         if isinstance(retries, bool) or not isinstance(retries, int) or retries < 1:
             raise ConfigurationError(
@@ -240,7 +231,6 @@ class JobStore:
                 f"retry_backoff must be a non-negative number, got {retry_backoff!r}"
             )
         self.cache = cache if cache is not None else ResultCache()
-        self.run_workers = run_workers
         self.max_jobs = max_jobs
         self.retries = retries
         self.retry_backoff = retry_backoff
@@ -357,9 +347,7 @@ class JobStore:
                     )
                 if mode == "delay":
                     self._sleep(CHAOS_WORKER_DELAY_SECONDS)
-                result = run_scenarios(
-                    [execution.scenario], workers=self.run_workers
-                )[0]
+                result = run_scenarios([execution.scenario])[0]
             except ReproError as exc:
                 # The package's own taxonomy is deterministic: the same
                 # scenario fails the same way every time, so retrying

@@ -13,16 +13,17 @@ Send batches come in two spellings:
 * :class:`Broadcast` - the packed form: one shared payload/kind plus a
   bitset of recipients.  This is what every protocol in the repository
   emits and what both engines keep *un-expanded* end to end (one metrics
-  record per batch, one shared envelope per broadcast, partial delivery
-  as a recipients-subset).  Protocol D's agreement phases send Theta(t)
-  identical copies per process per round, so not materialising the
-  copies is the hottest-path win of the whole simulator.
+  record per batch, one row of the sync store's row log per wide
+  broadcast, partial delivery as a recipients-subset).  Protocol D's
+  agreement phases send Theta(t) identical copies per process per round,
+  so not materialising the copies is the hottest-path win of the whole
+  simulator.
 * ``List[Send]`` - the legacy per-copy form, kept as the compatibility
   path for out-of-tree protocols and for batches that genuinely mix
   payloads or kinds (Protocol C's poll replies).  The engine auto-packs
   a uniform, ascending legacy list back into a :class:`Broadcast` at
-  commit time, so both spellings take the shared-envelope fast path and
-  render identically in metrics, traces and :func:`summarize_sends`.
+  commit time, so both spellings take the packed path and render
+  identically in metrics, traces and :func:`summarize_sends`.
 """
 
 from __future__ import annotations
@@ -70,9 +71,11 @@ class Envelope(NamedTuple):
     """A message in flight (or delivered).
 
     ``sent_round`` is the stamp round: the envelope is visible to the
-    recipient's decisions strictly after ``sent_round``.  Broadcast
-    deliveries use the structurally identical :class:`EnvelopeView`
-    (same five attributes, payload storage shared per broadcast).
+    recipient's decisions strictly after ``sent_round``.  Every message
+    a process receives is one of these, ``dst`` its own pid; the copies
+    of one broadcast share the payload object.  The sync store's row log
+    keeps one per wide broadcast with ``dst`` ``-1`` (it addresses a
+    recipient mask) and hands each recipient its own copy.
     """
 
     src: int
@@ -80,112 +83,6 @@ class Envelope(NamedTuple):
     payload: Any
     kind: MessageKind
     sent_round: int
-
-
-class SharedEnvelope:
-    """The per-broadcast shared half of a delivered broadcast message.
-
-    One instance exists per committed :class:`Broadcast`; every live
-    recipient's mailbox holds an :class:`EnvelopeView` onto it instead
-    of a fresh five-field tuple.
-    """
-
-    __slots__ = ("src", "payload", "kind", "sent_round")
-
-    def __init__(self, src: int, payload: Any, kind: MessageKind, sent_round: int):
-        self.src = src
-        self.payload = payload
-        self.kind = kind
-        self.sent_round = sent_round
-
-
-class EnvelopeView:
-    """A recipient's view onto a :class:`SharedEnvelope`.
-
-    Compatible with :class:`Envelope` beyond duck typing: the same five
-    read-only attributes (``src``, ``dst``, ``payload``, ``kind``,
-    ``sent_round``), plus the tuple protocol a ``NamedTuple`` envelope
-    supports - field-order iteration/unpacking, indexing, ``len``,
-    equality (including against :class:`Envelope` instances and plain
-    tuples), ordering and hashing all behave as if the view *were* the
-    corresponding five-tuple.  ``src``/``kind`` read through the shared
-    record; ``sent_round`` and ``payload`` are mirrored into slots
-    (references, not copies) because they are what every mailbox drain,
-    inbox sort and protocol fold touches repeatedly.
-    """
-
-    __slots__ = ("_shared", "dst", "payload", "sent_round")
-
-    def __init__(self, shared: SharedEnvelope, dst: int):
-        self._shared = shared
-        self.dst = dst
-        self.payload = shared.payload
-        self.sent_round = shared.sent_round
-
-    @property
-    def src(self) -> int:
-        return self._shared.src
-
-    @property
-    def kind(self) -> MessageKind:
-        return self._shared.kind
-
-    # ---- tuple protocol (Envelope compatibility) ---------------------
-
-    def _as_tuple(self) -> tuple:
-        shared = self._shared
-        return (shared.src, self.dst, self.payload, shared.kind, self.sent_round)
-
-    def __iter__(self):
-        return iter(self._as_tuple())
-
-    def __len__(self) -> int:
-        return 5
-
-    def __getitem__(self, index):
-        return self._as_tuple()[index]
-
-    def __hash__(self) -> int:
-        return hash(self._as_tuple())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, EnvelopeView):
-            return self._as_tuple() == other._as_tuple()
-        if isinstance(other, tuple):
-            return self._as_tuple() == other
-        return NotImplemented
-
-    def __ne__(self, other: object) -> bool:
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
-    def __lt__(self, other):
-        return self._as_tuple() < (
-            other._as_tuple() if isinstance(other, EnvelopeView) else other
-        )
-
-    def __le__(self, other):
-        return self._as_tuple() <= (
-            other._as_tuple() if isinstance(other, EnvelopeView) else other
-        )
-
-    def __gt__(self, other):
-        return self._as_tuple() > (
-            other._as_tuple() if isinstance(other, EnvelopeView) else other
-        )
-
-    def __ge__(self, other):
-        return self._as_tuple() >= (
-            other._as_tuple() if isinstance(other, EnvelopeView) else other
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        shared = self._shared
-        return (
-            f"EnvelopeView(src={shared.src}, dst={self.dst}, "
-            f"payload={shared.payload!r}, kind={shared.kind!r}, "
-            f"sent_round={shared.sent_round})"
-        )
 
 
 class Broadcast:

@@ -7,8 +7,9 @@ re-inspect Theta(t^2) objects per round, so this store keeps two kinds
 of mail:
 
 * **Rows.**  A broadcast reaching at least ``min(WIDE_FANOUT, t // 2)``
-  live recipients is stored once, as a row ``(SharedEnvelope, mask)`` of
-  one run-wide row log; each recipient keeps a cursor into the log.
+  live recipients is stored once, as a row ``(Envelope, mask)`` of one
+  run-wide row log, the envelope's ``dst`` ``-1`` because the row
+  addresses a mask; each recipient keeps a cursor into the log.
   Rows are appended at non-decreasing stamps, so the rows of one stamp
   form a contiguous *segment*.  Each segment keeps ``common``, the AND
   over its rows of ``mask | 1 << src``, and the rows whose sender is not
@@ -16,10 +17,9 @@ of mail:
   whole segment minus its own row as one :class:`Span`, without reading
   a mask.  Any other recipient scans the segment row by row.
 * **Lanes.**  Point-to-point mail and narrower broadcasts go to the
-  recipient's lane, one ``Envelope``/``EnvelopeView`` per copy.  Posts
-  happen at the current processed round and processed rounds strictly
-  increase, so a lane is sorted by stamp and delivery splits off a
-  prefix.
+  recipient's lane, one ``Envelope`` per copy.  Posts happen at the
+  current processed round and processed rounds strictly increase, so a
+  lane is sorted by stamp and delivery splits off a prefix.
 
 The threshold is a constant of the input, not an option: a lower one
 leaves idle recipients' cursors lagging behind narrow group broadcasts,
@@ -34,10 +34,10 @@ row of its stamp.  A drain holding both kinds merges them by that
 position, lane entry first on a tie, lanes in their own order.
 
 A drain that takes rows returns a :class:`RowInbox`: a sequence that
-materialises the envelopes lazily, in that order, while the agreement
-fold of :mod:`repro.core.agreement_fold` reads its spans and rows
-directly and allocates no view at all.  A drain of lane mail alone
-returns a plain list, exactly as a list of envelopes per recipient
+materialises the recipient's envelopes lazily, in that order, while the
+agreement fold of :mod:`repro.core.agreement_fold` reads its spans and
+rows directly and allocates no envelope at all.  A drain of lane mail
+alone returns a plain list, exactly as a list of envelopes per recipient
 would.  ``tests/reference_store.py`` keeps that list-per-recipient store
 as the oracle every equivalence test compares this one to.
 """
@@ -47,7 +47,12 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Any, Dict, List, NamedTuple, Optional
 
-from repro.sim.actions import Envelope, EnvelopeView, MessageKind, SharedEnvelope
+from repro.sim.actions import Envelope, MessageKind
+
+#: ``_new(Envelope, fields)`` builds an envelope from its five-field
+#: tuple without the NamedTuple's Python-level ``__new__``: the store
+#: builds one per row and one per delivered copy.
+_new = tuple.__new__
 
 #: A broadcast reaching at least ``min(WIDE_FANOUT, t // 2)`` live
 #: recipients is stored as one row; narrower mail goes to lanes.
@@ -117,7 +122,7 @@ class ColumnarMailboxes:
     def __init__(self, t: int):
         self.wide = min(WIDE_FANOUT, t // 2)
         self.lanes: List[list] = [[] for _ in range(t)]
-        self.shared: List[SharedEnvelope] = []
+        self.shared: List[Envelope] = []
         self.masks: List[int] = []
         self.cursor = [0] * t
         self.marks: Dict[int, int] = {}
@@ -142,9 +147,8 @@ class ColumnarMailboxes:
     def post_broadcast(
         self, src: int, payload: Any, kind: MessageKind, sent_round: int, mask: int
     ) -> None:
-        """One row, or one view per set bit of ``mask`` (already
+        """One row, or one envelope per set bit of ``mask`` (already
         live-restricted, so non-zero and < 2**t)."""
-        shared = SharedEnvelope(src, payload, kind, sent_round)
         seg_stamp = self.seg_stamp
         if mask.bit_count() >= self.wide:
             row = len(self.masks)
@@ -153,7 +157,7 @@ class ColumnarMailboxes:
                 seg_stamp.append(sent_round)
                 self.seg_common.append(-1)
                 self.seg_own.append({})
-            self.shared.append(shared)
+            self.shared.append(_new(Envelope, (src, -1, payload, kind, sent_round)))
             self.masks.append(mask)
             bit = 1 << src
             common = self.seg_common[-1] & (mask | bit)
@@ -170,16 +174,17 @@ class ColumnarMailboxes:
         lanes = self.lanes
         marks = self.marks if seg_stamp and seg_stamp[-1] == sent_round else None
         row = len(self.masks)
-        # Inlined low-bit extraction: the recipient walk runs once per
-        # copy, so the bitset generator's frame switches would show.
+        # Inlined low-bit extraction and ``Envelope`` construction: the
+        # recipient walk runs once per copy, so the bitset generator's
+        # frame switches and the NamedTuple's ``__new__`` would show.
         while mask:
             low = mask & -mask
             mask ^= low
             dst = low.bit_length() - 1
-            view = EnvelopeView(shared, dst)
-            lanes[dst].append(view)
+            envelope = _new(Envelope, (src, dst, payload, kind, sent_round))
+            lanes[dst].append(envelope)
             if marks is not None:
-                marks[id(view)] = row
+                marks[id(envelope)] = row
 
     # ---- per-recipient queries ---------------------------------------
 
@@ -343,8 +348,8 @@ class RowInbox:
     ``items`` holds, in delivery order, :class:`Span` runs of rows and
     lane envelopes.  ``len``, truthiness, iteration, indexing and
     slicing behave as the list of envelopes a list-per-recipient store
-    would have returned: rows materialise (once, memoized) as
-    ``EnvelopeView`` objects onto the row's shared envelope.
+    would have returned: rows materialise (once, memoized) as the
+    recipient's own ``Envelope`` copies of the row's envelope.
     :meth:`records` walks the same mail without materialising it.
     """
 
@@ -357,9 +362,9 @@ class RowInbox:
         self._objects: Optional[list] = None
 
     def records(self):
-        """Each message's shared envelope (rows) or envelope (lane
-        entries): all carry ``src``, ``payload``, ``kind`` and
-        ``sent_round``."""
+        """Each message's envelope as stored: a row's (``dst`` ``-1``)
+        or a lane entry's; read ``src``, ``payload``, ``kind`` and
+        ``sent_round``, not ``dst``."""
         shared = self.store.shared
         for item in self.items:
             if type(item) is Span:
@@ -377,7 +382,9 @@ class RowInbox:
         if objects is None:
             dst = self.dst
             objects = self._objects = [
-                record if type(record) is not SharedEnvelope else EnvelopeView(record, dst)
+                record if record.dst >= 0 else _new(
+                    Envelope, (record.src, dst, record.payload, record.kind, record.sent_round)
+                )
                 for record in self.records()
             ]
         return objects

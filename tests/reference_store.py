@@ -1,12 +1,11 @@
 """The reference delivery store of the equivalence tests.
 
 :class:`ListMailboxes` keeps one envelope list per recipient: a
-point-to-point post appends an ``Envelope`` tuple and a broadcast one
-``EnvelopeView`` per recipient onto a single shared envelope.  It is the
-plainest store with the engine's surface (``post_p2p``,
-``post_broadcast``, ``drain``, ``head_stamp``, ``clear``), so the
-oracles run the engine on it and compare with the row store
-(:class:`repro.sim.columnar.ColumnarMailboxes`) bit for bit.
+point-to-point post appends one ``Envelope`` and a broadcast one
+``Envelope`` per recipient.  It is the plainest store with the engine's
+surface (``post_p2p``, ``post_broadcast``, ``drain``, ``head_stamp``,
+``clear``), so the oracles run the engine on it and compare with the row
+store (:class:`repro.sim.columnar.ColumnarMailboxes`) bit for bit.
 
 Each mailbox is sorted by stamp: posts happen at the current processed
 round and processed rounds strictly increase, so the head is
@@ -19,7 +18,7 @@ import contextlib
 from typing import Any, List, Optional
 
 import repro.core.registry as registry
-from repro.sim.actions import Envelope, EnvelopeView, MessageKind, SharedEnvelope
+from repro.sim.actions import Envelope, MessageKind
 from repro.sim.engine import Engine
 
 
@@ -40,13 +39,12 @@ class ListMailboxes:
     def post_broadcast(
         self, src: int, payload: Any, kind: MessageKind, sent_round: int, mask: int
     ) -> None:
-        """One view per set bit of ``mask`` (already live-restricted)."""
-        shared = SharedEnvelope(src, payload, kind, sent_round)
+        """One envelope per set bit of ``mask`` (already live-restricted)."""
         while mask:
             low = mask & -mask
             mask ^= low
             dst = low.bit_length() - 1
-            self.boxes[dst].append(EnvelopeView(shared, dst))
+            self.boxes[dst].append(Envelope(src, dst, payload, kind, sent_round))
 
     def head_stamp(self, pid: int) -> Optional[int]:
         box = self.boxes[pid]

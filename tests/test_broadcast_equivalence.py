@@ -52,6 +52,8 @@ from repro.sim.adversary import (
     StaggeredWorkKills,
 )
 from repro.sim.async_engine import AsyncEngine, fixed_delays, uniform_delays
+from repro.sim.columnar import RowInbox, Span
+from repro.sim.congestion import CongestionBudget
 from repro.sim.crashes import CrashDirective, CrashPhase
 from repro.sim.engine import Engine
 from repro.sim.failure_detector import FailureDetector
@@ -282,34 +284,9 @@ def test_packed_and_legacy_spellings_render_identically():
     assert "send" in packed_trace
 
 
-def test_envelope_views_keep_tuple_semantics_for_legacy_emitters():
-    """A legacy uniform List[Send] auto-packs, so its recipients receive
-    EnvelopeView objects - which must honour the full tuple protocol an
-    Envelope NamedTuple gave out-of-tree protocols: unpacking, indexing,
-    sorting without a key, equality and hashing."""
-    from repro.sim.actions import EnvelopeView, SharedEnvelope
-
-    shared = SharedEnvelope(0, ("p",), MessageKind.CONTROL, 7)
-    view = EnvelopeView(shared, 2)
-    equivalent = Envelope(0, 2, ("p",), MessageKind.CONTROL, 7)
-    src, dst, payload, kind, stamp = view  # unpacks like the NamedTuple
-    assert (src, dst, payload, kind, stamp) == tuple(equivalent)
-    assert view[1] == 2 and len(view) == 5
-    assert view == equivalent and equivalent == view
-    assert hash(view) == hash(equivalent)
-    assert view in {equivalent}
-    later = EnvelopeView(SharedEnvelope(0, ("p",), MessageKind.CONTROL, 9), 1)
-    later_tuple = Envelope(0, 1, ("p",), MessageKind.CONTROL, 9)
-    # Key-less sorting follows exactly the NamedTuple's field order
-    # (src, dst, ... - so `later` sorts first on its smaller dst).
-    assert [tuple(e) for e in sorted([view, later])] == sorted(
-        [tuple(equivalent), tuple(later_tuple)]
-    )
-    assert later < view and view > later
-    assert (later < view) == (later_tuple < equivalent)
-
-    # End to end: a process that unpacks its inbox envelopes as tuples
-    # keeps working when its peer sends an auto-packable legacy batch.
+def test_legacy_emitters_receive_envelopes_that_unpack_as_tuples():
+    """A legacy uniform List[Send] auto-packs into a Broadcast; its
+    recipient still receives Envelope tuples it can unpack."""
     seen = []
 
     class _Unpacker(_Script):
@@ -329,6 +306,57 @@ def test_envelope_views_keep_tuple_semantics_for_legacy_emitters():
     receiver = _Unpacker(1, 2, [(3, Action.halting())])
     Engine([sender, receiver], seed=1).run()
     assert seen == [(0, 1, ("legacy",), MessageKind.CONTROL, 0)]
+
+
+def _inbox_shape(inbox) -> str:
+    """How the store answered a drain: a plain list of lane mail, or a
+    row inbox of rows only or of rows merged with lane mail."""
+    if type(inbox) is not RowInbox:
+        return "lanes"
+    return "rows" if all(type(item) is Span for item in inbox.items) else "merged"
+
+
+@pytest.mark.parametrize("receive", [None, 2])
+def test_every_delivered_message_is_the_recipients_own_envelope(receive):
+    """Lane mail, narrow broadcasts, row-only drains and drains merging
+    rows with lane mail all hand a process ``Envelope`` tuples addressed
+    to it.  Under the receive budget, pid 3's three messages (a row, a
+    point-to-point copy and a narrow broadcast) are a merge cut short."""
+    t = 8  # rows from a live fan-out of min(WIDE_FANOUT, t // 2) = 4
+    mixed = [
+        Send(0, ("p2p",), MessageKind.POLL_REPLY),  # mixed kinds: per copy
+        Send(3, ("p2p",), MessageKind.ORDINARY),
+    ]
+    scripts = {
+        0: [(0, Action(sends=broadcast(range(1, t), ("row",), MessageKind.CONTROL)))],
+        1: [(0, Action(sends=mixed))],
+        2: [(0, Action(sends=broadcast((0, 3), ("narrow",), MessageKind.CONTROL)))],
+        3: [(1, Action(sends=broadcast((4, 5, 6, 7), ("late row",), MessageKind.CONTROL)))],
+    }
+    shapes = set()
+    delivered = []
+
+    class _Checker(_Script):
+        def on_round(self, round_number, inbox):
+            if inbox:
+                shapes.add(_inbox_shape(inbox))
+            for envelope in inbox:
+                assert type(envelope) is Envelope
+                assert envelope.dst == self.pid
+                delivered.append(envelope)
+            return super().on_round(round_number, inbox)
+
+    processes = [
+        _Checker(pid, t, scripts.get(pid, []) + [(9, Action.halting())]) for pid in range(t)
+    ]
+    congestion = CongestionBudget(receive=receive) if receive is not None else None
+    Engine(processes, seed=3, congestion=congestion).run()
+    assert shapes == {"lanes", "rows", "merged"}
+    assert sorted((e.src, e.dst, e.payload[0], e.sent_round) for e in delivered) == sorted(
+        [(0, dst, "row", 0) for dst in range(1, t)]
+        + [(1, 0, "p2p", 0), (1, 3, "p2p", 0), (2, 0, "narrow", 0), (2, 3, "narrow", 0)]
+        + [(3, dst, "late row", 1) for dst in (4, 5, 6, 7)]
+    )
 
 
 def test_broadcast_slice_returns_send_list():

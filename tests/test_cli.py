@@ -1,10 +1,18 @@
 """The ``python -m repro`` command-line interface."""
 
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
+import urllib.request
+from pathlib import Path
 
 import pytest
 
-from repro.__main__ import main
+import repro
+from repro.__main__ import build_parser, main
 from repro.api import Scenario
 
 
@@ -343,3 +351,36 @@ def test_cache_verify_verb(tmp_path, capsys):
     assert audit["ok"] is False
 
     assert main(["cache", "verify", str(tmp_path / "absent.jsonl")]) == 2
+
+
+def test_serve_has_no_run_workers_option(capsys):
+    # Each job runs its scenarios one at a time in its job thread, so a
+    # per-job process pool would select nothing.
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["serve", "--run-workers", "2"])
+    assert exc.value.code == 2
+    assert "--run-workers" in capsys.readouterr().err
+
+
+def test_serve_drains_on_sigterm(tmp_path):
+    """SIGTERM (docker stop, systemd) takes the Ctrl-C path: the server
+    drains, prints its summary and exits 0 instead of dying at -15."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", "--job-workers", "1"],
+        cwd=tmp_path, env=env, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        banner = server.stderr.readline()
+        url = re.search(r"listening on (\S+)", banner).group(1)
+        with urllib.request.urlopen(url + "/healthz", timeout=30) as response:
+            assert response.status == 200
+        server.send_signal(signal.SIGTERM)
+        _, err = server.communicate(timeout=60)
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait()
+    assert server.returncode == 0, (banner, err)
+    assert "drained: 0 jobs resolved, 0 interrupted" in err, err

@@ -103,6 +103,31 @@ def test_serializing_a_built_scenario_normalizes_nothing(monkeypatch):
     assert "normalize_adversary_spec" in calls
 
 
+def test_labelling_campaign_cells_normalizes_nothing(tmp_path, monkeypatch):
+    # Every run of a campaign holds the canonical adversary construction
+    # made; only plan_summary's raw axis values are normalized.
+    from repro.campaign import CampaignState, build_report, run_campaign
+    from repro.campaign import spec as campaign_spec
+
+    spec = CampaignSpec.from_file(ROOT / "campaigns" / "paper_grid.json")
+    ledger = tmp_path / "paper_grid.ledger"
+    run_campaign(spec, ledger)
+    state = CampaignState.load(spec, ledger)
+    calls = []
+    original = campaign_spec.normalize_adversary_spec
+    monkeypatch.setattr(
+        campaign_spec,
+        "normalize_adversary_spec",
+        lambda *a, **k: calls.append(a) or original(*a, **k),
+    )
+    report = build_report(spec, state)
+    assert sum(cell["runs"] for cell in report.as_dict()["results"]["cells"]) == 200
+    assert calls == []
+    # The counter is live: the plan's axis labels do normalize.
+    spec.plan_summary()
+    assert len(calls) == 2
+
+
 def test_live_objects_still_do_not_serialize():
     # (A scenario's live adversary: tests/test_api.py.)
     from repro.sim.adversary import KillActive
