@@ -317,6 +317,10 @@ def _cmd_submit(args) -> int:
     payloads = []
     rows = []
     failures = 0
+    # This submission's slots: a cache hit, or a miss that ran (or
+    # joined a run already in flight); the server's counters are
+    # cumulative over every client.
+    hits = misses = 0
     for path in args.files:
         document = codec.read(path, "document")
         try:
@@ -326,6 +330,10 @@ def _cmd_submit(args) -> int:
             return 2
         payloads.append({"file": str(path), **final})
         for source, result in zip(final["sources"], final["results"]):
+            if source == "cache":
+                hits += 1
+            else:
+                misses += 1
             metrics = result["metrics"]
             completed = result["completed"]
             failures += 0 if completed else 1
@@ -344,10 +352,9 @@ def _cmd_submit(args) -> int:
         print(
             render_table(["file", "protocol", "source", *MEASURES, "completed"], rows)
         )
-        stats = payloads[-1]["cache"]
         print(
-            f"cache: {stats['hits']} hits, {stats['misses']} misses, "
-            f"{stats['size']} entries",
+            f"cache: {hits} hits, {misses} misses, "
+            f"{payloads[-1]['cache']['size']} entries",
             file=sys.stderr,
         )
     return 0 if failures == 0 else 1

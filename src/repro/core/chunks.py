@@ -15,25 +15,34 @@ even when ``t`` is not a multiple of the group size).
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import List
 
 from repro.errors import ConfigurationError
 
 
+@dataclass(frozen=True)
 class SubchunkPlan:
-    """Mapping between subchunk indices and unit ranges."""
+    """Mapping between subchunk indices and unit ranges.
 
-    def __init__(self, n: int, t: int, group_size: int):
-        if n < 0:
-            raise ConfigurationError(f"n must be non-negative, got {n}")
-        if t < 1:
-            raise ConfigurationError(f"t must be positive, got {t}")
-        if group_size < 1:
-            raise ConfigurationError(f"group size must be positive, got {group_size}")
-        self.n = n
-        self.t = t
-        self.group_size = group_size
-        self.num_subchunks = t
+    Frozen, so the processes of one shape can share one instance.
+    """
+
+    n: int
+    t: int
+    group_size: int
+    num_subchunks: int = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ConfigurationError(f"n must be non-negative, got {self.n}")
+        if self.t < 1:
+            raise ConfigurationError(f"t must be positive, got {self.t}")
+        if self.group_size < 1:
+            raise ConfigurationError(
+                f"group size must be positive, got {self.group_size}"
+            )
+        object.__setattr__(self, "num_subchunks", self.t)
 
     def units_of(self, subchunk: int) -> List[int]:
         """Units covered by 1-indexed ``subchunk`` (ascending, maybe empty)."""
@@ -76,6 +85,3 @@ class SubchunkPlan:
             raise ConfigurationError(
                 f"subchunk {subchunk} outside 0..{self.num_subchunks}"
             )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SubchunkPlan(n={self.n}, t={self.t}, group_size={self.group_size})"

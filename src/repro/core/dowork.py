@@ -22,7 +22,8 @@ beginning with group g+1".
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from functools import lru_cache
+from typing import Any, Iterator, Optional, Tuple
 
 from repro.core.chunks import SubchunkPlan
 from repro.core.groups import SqrtGroups
@@ -38,6 +39,15 @@ Step = Tuple[Optional[int], SendBatch]
 #:   ("full", c, g)      - full checkpoint: group ``g`` is (being) told
 PARTIAL = "partial"
 FULL = "full"
+
+
+@lru_cache(maxsize=64)
+def layout(n: int, t: int, slack: int, deadlines: type) -> Tuple[SqrtGroups, SubchunkPlan, Any]:
+    """The groups, subchunk plan and ``deadlines(n=n, t=t, slack=slack)``
+    of one shape.  All three are frozen, so every process of that shape,
+    in every run, shares one of each instead of building its own."""
+    groups = SqrtGroups(t)
+    return groups, SubchunkPlan(n, t, groups.group_size), deadlines(n=n, t=t, slack=slack)
 
 
 def fictitious_initial_message(pid: int, groups: SqrtGroups) -> Tuple[tuple, int, int]:

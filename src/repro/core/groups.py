@@ -10,22 +10,32 @@ Groups are 1-indexed to match the paper's ``g_i = ceil((i+1)/sqrt(t))``.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from typing import List
 
 from repro.errors import ConfigurationError
 
 
+@dataclass(frozen=True)
 class SqrtGroups:
-    """Partition of processes ``0..t-1`` into consecutive sqrt-size groups."""
+    """Partition of processes ``0..t-1`` into consecutive sqrt-size groups.
 
-    def __init__(self, t: int):
+    Frozen, so the processes of one shape can share one instance.
+    """
+
+    t: int
+    group_size: int = field(init=False)
+    num_groups: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        t = self.t
         if t < 1:
             raise ConfigurationError(f"need at least one process, got t={t}")
-        self.t = t
-        self.group_size = math.isqrt(t)
-        if self.group_size * self.group_size < t:
-            self.group_size += 1
-        self.num_groups = -(-t // self.group_size)  # ceil division
+        group_size = math.isqrt(t)
+        if group_size * group_size < t:
+            group_size += 1
+        object.__setattr__(self, "group_size", group_size)
+        object.__setattr__(self, "num_groups", -(-t // group_size))  # ceil division
 
     # ---- membership ----------------------------------------------------
 
@@ -79,9 +89,3 @@ class SqrtGroups:
             raise ConfigurationError(
                 f"group {group} outside 1..{self.num_groups}"
             )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SqrtGroups(t={self.t}, group_size={self.group_size}, "
-            f"num_groups={self.num_groups})"
-        )

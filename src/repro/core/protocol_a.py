@@ -17,15 +17,14 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Iterator, List, Optional
 
-from repro.core.chunks import SubchunkPlan
 from repro.core.deadlines import ProtocolADeadlines
 from repro.core.dowork import (
     Step,
     checkpoint_payload_subchunk,
     dowork_script,
     fictitious_initial_message,
+    layout,
 )
-from repro.core.groups import SqrtGroups
 from repro.errors import ConfigurationError
 from repro.sim.actions import Action, Envelope, MessageKind
 from repro.sim.process import Process
@@ -55,9 +54,8 @@ class ProtocolAProcess(Process):
             raise ConfigurationError(f"n must be non-negative, got {n}")
         self.n = n
         self.epoch = epoch
-        self.groups = SqrtGroups(t)
-        self.plan = SubchunkPlan(n, t, self.groups.group_size)
-        self.deadlines = ProtocolADeadlines(n=n, t=t, slack=slack)
+        self.groups, self.plan, self.deadlines = layout(n, t, slack, ProtocolADeadlines)
+        self._deadline = epoch + self.deadlines.DD(pid)
         self._script: Optional[Iterator[Step]] = None
         self._active = False
         # The paper's fictitious round-0 message from process 0.
@@ -73,7 +71,7 @@ class ProtocolAProcess(Process):
         return self._active and not self.retired
 
     def activation_deadline(self) -> int:
-        return self.epoch + self.deadlines.DD(self.pid)
+        return self._deadline
 
     # Scheduling contract (see repro.sim.process): the engine caches this
     # value between engine-observed events, which is sound because every
@@ -83,7 +81,7 @@ class ProtocolAProcess(Process):
             return None
         if self._active:
             return 0  # act every round; the engine clamps to "next round"
-        return self.activation_deadline()
+        return self._deadline
 
     # ---- round logic ------------------------------------------------------
 
@@ -92,7 +90,7 @@ class ProtocolAProcess(Process):
         if done_seen and not self._active:
             # Terminate before ever becoming active: the work is done.
             return Action.halting()
-        if not self._active and round_number >= self.activation_deadline():
+        if not self._active and round_number >= self._deadline:
             self._activate()
         if self._active:
             return self._step_script()

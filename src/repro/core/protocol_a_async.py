@@ -24,14 +24,14 @@ from __future__ import annotations
 
 from typing import Any, Iterator, List, Optional
 
-from repro.core.chunks import SubchunkPlan
+from repro.core.deadlines import DEFAULT_SLACK, ProtocolADeadlines
 from repro.core.dowork import (
     Step,
     checkpoint_payload_subchunk,
     dowork_script,
     fictitious_initial_message,
+    layout,
 )
-from repro.core.groups import SqrtGroups
 from repro.sim.actions import MessageKind
 from repro.sim.async_engine import AsyncContext, AsyncProcess
 from repro.sim.bitset import IntBitset
@@ -46,8 +46,7 @@ class AsyncProtocolAProcess(AsyncProcess):
         super().__init__(pid, t)
         self.n = n
         self.step_delay = step_delay
-        self.groups = SqrtGroups(t)
-        self.plan = SubchunkPlan(n, t, self.groups.group_size)
+        self.groups, self.plan, _ = layout(n, t, DEFAULT_SLACK, ProtocolADeadlines)
         self.suspected: IntBitset = IntBitset()
         self.active = False
         self._script: Optional[Iterator[Step]] = None

@@ -21,15 +21,14 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Iterator, List, Optional
 
-from repro.core.chunks import SubchunkPlan
 from repro.core.deadlines import ProtocolBDeadlines
 from repro.core.dowork import (
     Step,
     checkpoint_payload_subchunk,
     dowork_script,
     fictitious_initial_message,
+    layout,
 )
-from repro.core.groups import SqrtGroups
 from repro.errors import ConfigurationError
 from repro.sim.actions import Action, Envelope, MessageKind, Send
 from repro.sim.process import Process
@@ -58,9 +57,7 @@ class ProtocolBProcess(Process):
             raise ConfigurationError(f"n must be non-negative, got {n}")
         self.n = n
         self.epoch = epoch
-        self.groups = SqrtGroups(t)
-        self.plan = SubchunkPlan(n, t, self.groups.group_size)
-        self.deadlines = ProtocolBDeadlines(n=n, t=t, slack=slack)
+        self.groups, self.plan, self.deadlines = layout(n, t, slack, ProtocolBDeadlines)
         self.state = _INACTIVE
         self._script: Optional[Iterator[Step]] = None
         payload, sender, stamp = fictitious_initial_message(pid, self.groups)
@@ -70,6 +67,10 @@ class ProtocolBProcess(Process):
         # Preactive bookkeeping.
         self._next_tick: Optional[int] = None
         self._next_target: Optional[int] = None
+        # DDB(pid, sender) of the last sender it was asked for: every step
+        # re-reads the deadline, and the last sender rarely changes.
+        self._ddb_sender = -1
+        self._ddb = 0
 
     # ---- scheduling -----------------------------------------------------
 
@@ -80,7 +81,11 @@ class ProtocolBProcess(Process):
     def _inactive_deadline(self) -> int:
         if self.pid == 0:
             return self.epoch  # process 0 is active from round 0 by convention
-        return self.last_stamp + self.deadlines.DDB(self.pid, self.last_sender)
+        sender = self.last_sender
+        if sender != self._ddb_sender:
+            self._ddb = self.deadlines.DDB(self.pid, sender)
+            self._ddb_sender = sender
+        return self.last_stamp + self._ddb
 
     # Scheduling contract (see repro.sim.process): the engine caches this
     # value between engine-observed events, which is sound because every

@@ -67,9 +67,8 @@ import heapq
 import itertools
 import random
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
 from collections.abc import Callable
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import BudgetExceeded, SimulationStalled
 from repro.sim.actions import Broadcast, MessageKind, SendBatch
@@ -149,14 +148,22 @@ normalize_delay_spec = DELAY.normalize
 delay_model_from_spec = DELAY.build
 
 
-@dataclass(order=True, slots=True)
-class _Event:
+class _Event(NamedTuple):
+    """One queued event.  A tuple, so the heap orders events by C tuple
+    comparison: ``(time, seq)`` decides, because ``seq`` is unique, and
+    ``kind``, ``pid`` and ``payload`` are never compared."""
+
     time: float
     seq: int
-    # deliver_batch | deliver (oracle path) | wake | crash | suspect
-    kind: str = field(compare=False)
-    pid: int = field(compare=False)
-    payload: Any = field(compare=False, default=None)
+    # deliver_batch | deliver_bcast | deliver (oracle path) | wake | crash | suspect
+    kind: str
+    pid: int
+    payload: Any = None
+
+
+#: ``_new(_Event, fields)`` builds an event from its five fields without
+#: the NamedTuple's Python-level ``__new__``.
+_new = tuple.__new__
 
 
 class AsyncContext:
@@ -263,6 +270,8 @@ class AsyncEngine:
         )
         self.now = 0.0
         self._heap: List[_Event] = []
+        #: Every pid below this one has retired (see :meth:`_all_retired`).
+        self._first_live = 0
         self._seq = itertools.count()
         #: (dst, due_time) -> [(seq, src, payload, kind), ...] in send order.
         self._batches: Dict[Tuple[int, float], List[Tuple[int, int, Any, MessageKind]]] = {}
@@ -275,7 +284,7 @@ class AsyncEngine:
         self._schedule_abs(self.now + max(0.0, delay), kind, pid, payload)
 
     def _schedule_abs(self, time: float, kind: str, pid: int, payload: Any) -> None:
-        heapq.heappush(self._heap, _Event(time, next(self._seq), kind, pid, payload))
+        heapq.heappush(self._heap, _new(_Event, (time, next(self._seq), kind, pid, payload)))
 
     def _departure(self, src: int) -> float:
         """Send-budget departure instant for one copy from ``src``.
@@ -321,7 +330,7 @@ class AsyncEngine:
         seq = next(self._seq)
         if batch is None:
             self._batches[key] = [(seq, src, payload, kind)]
-            heapq.heappush(self._heap, _Event(due, seq, "deliver_batch", dst, None))
+            heapq.heappush(self._heap, _new(_Event, (due, seq, "deliver_batch", dst, None)))
         else:
             batch.append((seq, src, payload, kind))
 
@@ -362,7 +371,7 @@ class AsyncEngine:
             record = (src, payload, kind, copies)
             heapq.heappush(
                 self._heap,
-                _Event(due, first_seq, "deliver_bcast", first_dst, (record, 0)),
+                _new(_Event, (due, first_seq, "deliver_bcast", first_dst, (record, 0))),
             )
 
     def _perform(self, pid: int, unit: int) -> None:
@@ -387,7 +396,7 @@ class AsyncEngine:
             events += self._dispatch(event)
             if events > self.max_events:
                 raise BudgetExceeded(f"exceeded max_events={self.max_events}")
-        if not self._all_retired() and self._any_live():
+        if not self._all_retired():
             raise SimulationStalled(
                 "event queue drained with live asynchronous processes remaining"
             )
@@ -467,7 +476,7 @@ class AsyncEngine:
                 head = heap[0]
                 if head.time < time or (head.time == time and head.seq < seq):
                     heapq.heappush(
-                        heap, _Event(time, seq, "deliver_batch", event.pid, index)
+                        heap, _new(_Event, (time, seq, "deliver_batch", event.pid, index))
                     )
                     return max(delivered, 1)
             index += 1
@@ -507,7 +516,7 @@ class AsyncEngine:
                 head = heap[0]
                 if head.time < time or (head.time == time and head.seq < seq):
                     heapq.heappush(
-                        heap, _Event(time, seq, "deliver_bcast", dst, (record, index))
+                        heap, _new(_Event, (time, seq, "deliver_bcast", dst, (record, index)))
                     )
                     return max(delivered, 1)
             index += 1
@@ -525,10 +534,13 @@ class AsyncEngine:
     # ---- results ---------------------------------------------------------------------
 
     def _all_retired(self) -> bool:
-        return all(p.retired for p in self.processes)
-
-    def _any_live(self) -> bool:
-        return any(not p.retired for p in self.processes)
+        # Async processes never rejoin, so everything below the first
+        # live pid stays retired and the cursor only moves forward.
+        processes, first = self.processes, self._first_live
+        while first < self.t and processes[first].retired:
+            first += 1
+        self._first_live = first
+        return first == self.t
 
     def _result(self) -> RunResult:
         survivors = sum(1 for p in self.processes if not p.crashed)

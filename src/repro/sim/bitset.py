@@ -147,6 +147,12 @@ class _BitsetBase:
         bits = self._bits
         if count <= 0 or start >= bits.bit_count():
             return []
+        low = bits & -bits
+        if not bits & (bits + low):
+            # One run of consecutive members (D's first work phase, when
+            # nothing is done yet): the slice is a range.
+            first = low.bit_length() - 1 + start
+            return list(range(first, min(first + count, bits.bit_length())))
         if start > 0:
             # Smallest prefix width holding >= start members; at that
             # width it holds exactly start (counts grow one bit at a

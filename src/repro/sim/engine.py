@@ -45,8 +45,15 @@ an event index, mirroring the heap-based design of
 * **The due set** of round ``r`` is the mail mask OR the popped,
   still-valid wake entries; read low bit first it is already in
   ascending pid order.  The index is updated incrementally - when mail
-  is posted, when a process steps (its wake round may have moved), and
-  when a process retires - never by scanning all ``t`` processes.
+  is posted, when a process steps, and when a process retires or
+  rejoins - never by scanning all ``t`` processes.
+* **A step re-reads one number.**  After a round commits, each stepped
+  process that is still live only has its ``wake_round()`` re-read
+  (and, under a receive budget, its backlog checked).  Everything else
+  a step could change reaches the index through the wake listener
+  (:meth:`Engine._refresh_schedule`), which runs at construction, at
+  retirements and rejoins, and on ``notify_wake_changed`` - not once
+  per step.
 * **One delivery store.**  Mail lives in
   :class:`~repro.sim.columnar.ColumnarMailboxes`
   (``post_p2p``/``post_broadcast``/``drain``/``head_stamp``/``clear``):
@@ -56,7 +63,12 @@ an event index, mirroring the heap-based design of
 * **Live-set bookkeeping.**  ``_live``, ``_active`` and ``_crashed_pids``
   are maintained at retirement/activation events, so the main loop,
   strict-invariant check and crash guard never iterate over retired
-  processes.
+  processes; the round loop tests liveness as membership in ``_live``.
+  When no process class overrides ``Process.is_active`` (always False),
+  the loop reads no ``is_active`` at all.
+* **Commits in the round.**  ``_process_round`` commits the round's
+  actions itself; with no trace and no ``unit_effect`` attached a work
+  unit is one call into the run's ledger.
 * **Lazy broadcast fan-out.**  A packed :class:`Broadcast` batch is
   committed without ever materialising per-copy ``Send`` tuples: one
   :meth:`Metrics.record_sends` call and one store post, restricted
@@ -109,6 +121,7 @@ exactly that against a reference scheduler).
 
 from __future__ import annotations
 
+import random
 from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -131,7 +144,7 @@ from repro.sim.congestion import CongestionBudget
 from repro.sim.crashes import CrashDirective
 from repro.sim.metrics import Metrics, RunResult
 from repro.sim.process import Process
-from repro.sim.rng import derive_rng, make_rng
+from repro.sim.rng import child_rng, derive_rng, make_rng
 from repro.sim.trace import Trace
 from repro.work.tracker import WorkTracker
 
@@ -161,7 +174,11 @@ class Engine:
         self.tracker = tracker
         self.adversary = adversary
         self.rng = make_rng(seed)
-        self.crash_rng = derive_rng(self.rng, "crash-subsets")
+        # The crash-subset stream's 64 bits are drawn here, so every later
+        # draw from ``rng`` stays put; the ``Random`` itself is built only
+        # when a crash first censors a batch (see ``crash_rng``).
+        self._crash_bits = self.rng.getrandbits(64)
+        self._crash_rng: Optional[random.Random] = None
         self.max_steps = max_steps
         self.max_rounds = max_rounds
         self.strict_invariants = strict_invariants
@@ -197,6 +214,12 @@ class Engine:
         self._live_mask: int = 0
         self._active: Set[int] = set()
         self._crashed_pids: Set[int] = set()
+        #: Whether any process can hold the active role: a class that keeps
+        #: ``Process.is_active`` (always False) needs no per-step reads.
+        self._tracks_active = any(
+            type(process).is_active is not Process.is_active
+            for process in self.processes
+        )
         for process in self.processes:
             process._wake_listener = self._refresh_schedule
             self._refresh_schedule(process.pid)
@@ -204,7 +227,7 @@ class Engine:
                 self._active.add(process.pid)
         # Processes retired before the run started still bound the
         # execution's retire round (engine-driven retirements are
-        # recorded at event time in _apply_crashes/_commit_actions).
+        # recorded at event time in _apply_crashes/_process_round).
         for process in self.processes:
             if process.halt_round is not None:
                 self.metrics.record_retire(process.pid, process.halt_round)
@@ -214,6 +237,14 @@ class Engine:
             adversary.bind(self)
 
     # ---- public API --------------------------------------------------
+
+    @property
+    def crash_rng(self) -> random.Random:
+        """The stream that picks which copies of a crashing sender's
+        batch get through, derived from ``rng`` like any child stream."""
+        if self._crash_rng is None:
+            self._crash_rng = child_rng(self._crash_bits, "crash-subsets")
+        return self._crash_rng
 
     @property
     def crashed_count(self) -> int:
@@ -262,13 +293,15 @@ class Engine:
     # ---- schedule computation -----------------------------------------
 
     def _refresh_schedule(self, pid: int) -> None:
-        """Re-read ``pid``'s wake round into the event index.
+        """Re-enter ``pid`` into the event index, or take it out.
 
-        Called after every event that can change the answer: a step,
-        retirement, or an explicit ``notify_wake_changed``.  A wake round
-        that did not move pushes nothing.  Retirement also updates the
-        live/active/crashed bookkeeping and drops the pid's mail, so a
-        process retired through any path drops out of scheduling.
+        The wake listener: called at construction, at every retirement
+        and rejoin, and on an explicit ``notify_wake_changed``.  (A step
+        only re-reads the wake round, inside :meth:`_process_round`.)
+        A wake round that did not move pushes nothing.  Retirement also
+        updates the live/active/crashed bookkeeping and drops the pid's
+        mail, so a process retired through any path drops out of
+        scheduling.
         """
         process = self.processes[pid]
         bit = 1 << pid
@@ -343,8 +376,8 @@ class Engine:
         """Take every process due at ``round_number``, in pid order:
         the mail mask plus each popped, still-valid wake entry.
 
-        Taken pids leave the index; the caller re-inserts survivors via
-        :meth:`_refresh_schedule` after the round commits.
+        Taken pids leave the index; :meth:`_process_round` re-reads the
+        wake round of each survivor after the round commits.
         """
         due = self._mail
         self._mail = 0
@@ -376,50 +409,87 @@ class Engine:
         if self._deferred_heap:
             self._flush_deferred(round_number)
         due_pids = self._collect_due_pids(round_number)
-        stepped: Dict[int, Action] = {}
         processes = self.processes
-        for pid in due_pids:
-            process = processes[pid]
-            if process.retired:
-                continue
-            inbox = self._drain_mailbox(pid, round_number)
-            was_active = process.is_active
-            stepped[pid] = process.on_round(round_number, inbox)
-            if process.is_active:
-                if not was_active:
-                    self.metrics.record_activation(pid, round_number)
-                    self.trace.emit(round_number, "activate", pid)
-                    self._active.add(pid)
-            elif was_active:
-                self._active.discard(pid)
-
-        directives = self._collect_directives(round_number, stepped)
-        self._apply_crashes(round_number, stepped, directives)
-        self._commit_actions(round_number, stepped)
-        for pid in due_pids:
-            self._refresh_schedule(pid)
-        if self.strict_invariants:
-            self._check_single_active(round_number)
-
-    def _drain_mailbox(self, pid: int, round_number: int) -> Sequence:
-        """Split off (and return) all mail stamped before ``round_number``.
-
-        A receive budget absorbs at most ``receive`` envelopes this round;
-        the rest stay queued (oldest first, stamp order intact) and the
-        post-round _refresh_schedule marks this process as having mail
-        again, so the backlog drains on consecutive rounds.
-        """
+        # ``_live`` is exactly the set of pids not retired (the wake
+        # listener keeps it), and a set lookup is cheaper than the
+        # ``retired`` property.
+        live = self._live
+        # Each step takes all mail stamped before this round; a receive
+        # budget takes at most ``receive`` envelopes and leaves the rest
+        # queued, oldest first, for the re-read below to mark as due.
+        drain = self._store.drain
         congestion = self.congestion
         receive = congestion.receive if congestion is not None else None
-        return self._store.drain(pid, round_number, receive)
+        stepped: Dict[int, Action] = {}
+        if self._tracks_active:
+            for pid in due_pids:
+                if pid not in live:
+                    continue
+                process = processes[pid]
+                inbox = drain(pid, round_number, receive)
+                was_active = process.is_active
+                stepped[pid] = process.on_round(round_number, inbox)
+                if process.is_active:
+                    if not was_active:
+                        self.metrics.record_activation(pid, round_number)
+                        self.trace.emit(round_number, "activate", pid)
+                        self._active.add(pid)
+                elif was_active:
+                    self._active.discard(pid)
+        else:
+            for pid in due_pids:
+                if pid in live:
+                    inbox = drain(pid, round_number, receive)
+                    stepped[pid] = processes[pid].on_round(round_number, inbox)
+
+        if self.adversary is not None:
+            directives = self._collect_directives(round_number, stepped)
+            if directives:
+                self._apply_crashes(round_number, stepped, directives)
+
+        # Commit every surviving action.  Without a trace or a unit
+        # effect, booking a unit is one call into the ledger.
+        book = (
+            self._book_work
+            if self.unit_effect is None and not self.trace.enabled
+            else self._record_work
+        )
+        post_batch = self._post_batch
+        for pid, action in stepped.items():
+            work = action.work
+            if work is not None:
+                book(pid, work, round_number)
+            sends = action.sends
+            if sends:
+                post_batch(pid, sends, round_number)
+            if action.halt:
+                process = processes[pid]
+                if not process.crashed:
+                    process.mark_halted(round_number)
+                    self.metrics.record_retire(pid, round_number)
+                    self.trace.emit(round_number, "halt", pid)
+
+        # A step can only move its own process's wake round; retirements
+        # already left the index through the wake listener.
+        wake, heap = self._wake, self._heap
+        for pid in due_pids:
+            if pid not in live:
+                continue
+            due = processes[pid].wake_round()
+            if due != wake[pid]:
+                wake[pid] = due
+                if due is not None:
+                    heappush(heap, (due, pid))
+            if receive is not None and self._store.head_stamp(pid) is not None:
+                self._posted |= 1 << pid
+        if self.strict_invariants:
+            self._check_single_active(round_number)
 
     # ---- crashes ---------------------------------------------------------
 
     def _collect_directives(
         self, round_number: int, stepped: Dict[int, Action]
     ) -> List[CrashDirective]:
-        if self.adversary is None:
-            return []
         directives = list(self.adversary.decide(round_number, stepped, self))
         for directive in directives:
             if not 0 <= directive.pid < self.t:
@@ -488,18 +558,6 @@ class Engine:
             self.trace.emit(round_number, "recover", pid)
 
     # ---- committing actions ----------------------------------------------
-
-    def _commit_actions(self, round_number: int, stepped: Dict[int, Action]) -> None:
-        for pid, action in stepped.items():
-            process = self.processes[pid]
-            if action.work is not None:
-                self._record_work(pid, action.work, round_number)
-            if action.sends:
-                self._post_batch(pid, action.sends, round_number)
-            if action.halt and not process.crashed:
-                process.mark_halted(round_number)
-                self.metrics.record_retire(pid, round_number)
-                self.trace.emit(round_number, "halt", pid)
 
     def _record_work(self, pid: int, unit: int, round_number: int) -> None:
         self._book_work(pid, unit, round_number)
@@ -680,7 +738,7 @@ class Engine:
         survivors = sum(1 for p in self.processes if not p.crashed)
         halted = sum(1 for p in self.processes if p.halted)
         # Retire rounds were recorded when the retirements happened
-        # (_apply_crashes / _commit_actions / __init__ for pre-retired
+        # (_apply_crashes / _process_round / __init__ for pre-retired
         # processes); only the availability measure needs a final pass.
         for process in self.processes:
             lifetime = process.crash_round if process.crashed else process.halt_round

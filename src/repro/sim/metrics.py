@@ -46,10 +46,15 @@ class Metrics:
     # ---- recording -------------------------------------------------
 
     def record_work(self, pid: int, unit: int, round_number: int) -> None:
+        # ``get`` rather than ``+=``: a first count would go through
+        # ``Counter.__missing__``, a Python-level call, once per unit.
         self.work_total += 1
-        self.work_by_unit[unit] += 1
-        self.work_by_process[pid] += 1
-        self.rounds = max(self.rounds, round_number)
+        by_unit = self.work_by_unit
+        by_unit[unit] = by_unit.get(unit, 0) + 1
+        by_process = self.work_by_process
+        by_process[pid] = by_process.get(pid, 0) + 1
+        if round_number > self.rounds:
+            self.rounds = round_number
 
     def record_sends(
         self, src: int, kind: MessageKind, count: int, round_number: int
@@ -62,8 +67,10 @@ class Metrics:
         batched.
         """
         self.messages_total += count
-        self.messages_by_kind[kind] += count
-        self.messages_by_process[src] += count
+        by_kind = self.messages_by_kind
+        by_kind[kind] = by_kind.get(kind, 0) + count
+        by_process = self.messages_by_process
+        by_process[src] = by_process.get(src, 0) + count
         if round_number > self.rounds:
             self.rounds = round_number
 

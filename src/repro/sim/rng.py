@@ -32,7 +32,13 @@ def derive_rng(rng: random.Random, *labels: object) -> random.Random:
     detector) its own stream so that adding a draw in one subsystem does
     not perturb another.
     """
-    material = "|".join([str(rng.getrandbits(64))] + [str(label) for label in labels])
+    return child_rng(rng.getrandbits(64), *labels)
+
+
+def child_rng(bits: int, *labels: object) -> random.Random:
+    """The child RNG :func:`derive_rng` builds from 64 ``bits`` already
+    drawn from the parent, so the draw and the build can happen apart."""
+    material = "|".join([str(bits)] + [str(label) for label in labels])
     digest = hashlib.sha256(material.encode("utf-8")).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 

@@ -39,7 +39,9 @@ class WorkTracker:
                 f"process {pid} performed unit {unit}, outside 1..{self.n}"
             )
         self.metrics.record_work(pid, unit, round_number)
-        self._first.setdefault(unit, (round_number, pid))
+        first = self._first
+        if unit not in first:
+            first[unit] = (round_number, pid)
 
     # ---- queries -----------------------------------------------------
 

@@ -69,11 +69,14 @@ class ListMailboxes:
 
 
 class ListStoreEngine(Engine):
-    """The sync engine on the reference store, everything else shared."""
+    """The sync engine on the reference store, everything else shared.
+    A subclass can swap the store through :attr:`store_class`."""
+
+    store_class = ListMailboxes
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._store = ListMailboxes(self.t)
+        self._store = self.store_class(self.t)
 
 
 @contextlib.contextmanager

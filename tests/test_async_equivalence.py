@@ -246,3 +246,108 @@ def test_zero_delay_self_feedback_delivers_in_order():
     procs = [Sender(0, 2), Echo(1, 2)]
     AsyncEngine(procs, seed=1, delay_model=fixed_delays(0.0)).run()
     assert delivered == ["first", "second", "reflex"]
+
+
+# ---- event ordering --------------------------------------------------------
+
+
+class _Incomparable:
+    """A payload that refuses every comparison."""
+
+    def _refuse(self, other):
+        raise AssertionError("an event payload was compared")
+
+    __lt__ = __le__ = __gt__ = __ge__ = __eq__ = __ne__ = _refuse
+    __hash__ = object.__hash__
+
+
+def test_equal_times_pop_in_seq_order():
+    """The heap orders events by (time, seq): at one instant the kind,
+    pid and payload never decide."""
+    kinds = ["wake", "crash", "suspect", "deliver_batch", "deliver"]
+    events = [
+        _Event(2.0 if seq % 3 else 1.5, seq, kinds[seq % 5], (7 * seq) % 11, payload)
+        for seq, payload in enumerate([_Incomparable() for _ in range(40)])
+    ]
+    heap = []
+    for event in reversed(events):
+        heapq.heappush(heap, event)
+    popped = [heapq.heappop(heap) for _ in range(len(events))]
+    assert [(e.time, e.seq) for e in popped] == sorted((e.time, e.seq) for e in events)
+
+
+def test_engine_dispatches_same_instant_events_in_schedule_order():
+    """At one instant events run in the order they were queued: five
+    wakes, then a crash (the kind strings would sort it first), then a
+    wake the crash pre-empts; messages whose payloads refuse comparison
+    travel through the queue untouched."""
+    log = []
+
+    class Waker(AsyncProcess):
+        def on_start(self, ctx):
+            for _ in range(3):
+                ctx.send(1, _Incomparable(), MessageKind.CONTROL)
+
+        def on_message(self, ctx, src, payload, kind):
+            pass
+
+        def on_wake(self, ctx, tag):
+            log.append(("wake", tag))
+
+    class Sink(AsyncProcess):
+        def on_message(self, ctx, src, payload, kind):
+            log.append(("msg", type(payload).__name__))
+            if len(log) == 8:
+                ctx.halt()
+
+    engine = AsyncEngine(
+        [Waker(0, 2), Sink(1, 2)], seed=3, delay_model=fixed_delays(1.0)
+    )
+    for tag in range(5):
+        engine._schedule_abs(1.0, "wake", 0, tag)
+    engine._schedule_abs(1.0, "crash", 0, None)
+    engine._schedule_abs(1.0, "wake", 0, "after the crash")
+    result = engine.run()
+    # The sends were queued by on_start, after everything above.
+    assert log == [("wake", tag) for tag in range(5)] + [("msg", "_Incomparable")] * 3
+    assert (result.metrics.crashes, result.halted) == (1, 1)
+
+
+def test_all_retired_follows_retirements_out_of_pid_order():
+    """The first-live cursor only moves forward, and only past retired
+    pids: retiring 2, 0, 3, 1 reads all-retired only at the end."""
+
+    class Idle(AsyncProcess):
+        def on_message(self, ctx, src, payload, kind):
+            pass
+
+    processes = [Idle(pid, 4) for pid in range(4)]
+    engine = AsyncEngine(processes)
+    answers = []
+    for pid, how in [(2, "halted"), (0, "crashed"), (3, "halted"), (1, "crashed")]:
+        setattr(processes[pid], how, True)
+        answers.append(engine._all_retired())
+    assert answers == [False, False, False, True]
+
+
+def test_run_ends_when_the_last_process_retires_out_of_pid_order():
+    """Processes halting from the highest pid down end the run at the
+    last halt; the later timer left in the queue never fires."""
+    fired = []
+
+    class Timed(AsyncProcess):
+        def on_start(self, ctx):
+            ctx.wake_in(float(self.t - self.pid), "halt")
+            ctx.wake_in(100.0, "late")
+
+        def on_message(self, ctx, src, payload, kind):
+            pass
+
+        def on_wake(self, ctx, tag):
+            fired.append((self.pid, tag))
+            if tag == "halt":
+                ctx.halt()
+
+    result = AsyncEngine([Timed(pid, 5) for pid in range(5)]).run()
+    assert fired == [(pid, "halt") for pid in (4, 3, 2, 1, 0)]
+    assert result.halted == 5

@@ -264,3 +264,18 @@ def test_randomized_operations_match_set_reference():
                 bound = rng.randrange(301)
                 assert bits.count_below(bound) == sum(1 for m in ref if m < bound)
         assert bits == ref
+
+
+def test_select_matches_a_slice_of_the_sorted_members():
+    """``select(start, count)`` is ``sorted(self)[start:start + count]``,
+    on scattered sets and on the contiguous runs it answers as a range."""
+    rng = random.Random(7)
+    cases = [set(), {0}, {5}, set(range(3, 40)), set(range(0, 130)), {1, 2, 4}]
+    cases += [set(rng.sample(range(200), rng.randrange(1, 60))) for _ in range(30)]
+    cases += [set(range(lo, lo + rng.randrange(1, 80))) for lo in rng.sample(range(100), 10)]
+    for members in cases:
+        bitset = IntBitset.from_iterable(members)
+        ordered = sorted(members)
+        for start in range(0, len(ordered) + 3, 3):
+            for count in (0, 1, 2, 7, len(ordered) + 1):
+                assert bitset.select(start, count) == ordered[start : start + count]

@@ -207,6 +207,22 @@ def test_packed_broadcasts_match_expanded_reference(
     _assert_sync_equivalent(fast, fast_events, ref, ref_events)
 
 
+def test_expanded_reference_commits_through_its_hook():
+    """The oracle replaces ``_post_batch``; if the engine stopped calling
+    it, the comparison above would pit the engine against itself."""
+    calls = []
+
+    class Counting(_ExpandedEngine):
+        def _post_batch(self, src, sends, round_number):
+            calls.append(src)
+            super()._post_batch(src, sends, round_number)
+
+    for protocol, n, t, adversary_factory in SYNC_COMBOS:
+        calls.clear()
+        _run_sync(Counting, True, protocol, n, t, adversary_factory, 0)
+        assert calls, protocol
+
+
 # =====================================================================
 # Crash-mid-broadcast stays a recipients subset (never re-expanded)
 # =====================================================================

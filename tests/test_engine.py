@@ -277,3 +277,35 @@ def test_a_finished_run_leaves_no_cyclic_garbage(protocol, failures):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_a_step_does_not_go_through_the_wake_listener():
+    """A step re-reads only its process's wake round: in a failure-free
+    Protocol A run ``_refresh_schedule`` runs once per process at
+    construction and once per retirement, never per step."""
+    n, t = 64, 16
+    calls = []
+
+    class Counting(Engine):
+        def _refresh_schedule(self, pid):
+            calls.append(pid)
+            super()._refresh_schedule(pid)
+
+    engine = Counting(build_processes("A", n, t), tracker=WorkTracker(n))
+    assert sorted(calls) == list(range(t))
+    result = engine.run()
+    assert result.completed and result.halted == t
+    assert len(calls) <= 2 * t
+    assert sorted(calls) == sorted(list(range(t)) * 2)
+
+
+@pytest.mark.parametrize("protocol", ["A", "B", "A-async"])
+def test_processes_of_one_shape_share_their_layout(protocol):
+    """Groups, subchunk plan and deadlines depend on (n, t, slack) alone
+    and are frozen, so a run builds one of each, not one per process."""
+    processes = build_processes(protocol, 96, 16)
+    fields = ("groups", "plan") + (("deadlines",) if protocol != "A-async" else ())
+    for name in fields:
+        assert len({id(getattr(process, name)) for process in processes}) == 1, name
+        with pytest.raises(AttributeError):
+            getattr(processes[0], name).t = 1

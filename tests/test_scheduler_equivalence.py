@@ -11,6 +11,7 @@ randomized seeds x protocols x adversaries and diffing the observable
 outputs pins the scheduler rewrite down.
 """
 
+from collections import Counter
 from typing import List, Optional
 
 import pytest
@@ -30,19 +31,38 @@ from repro.sim.crashes import CrashDirective, CrashPhase
 from repro.sim.engine import Engine
 from repro.sim.trace import Trace
 from repro.work.tracker import WorkTracker
-from tests.reference_store import ListStoreEngine
+from tests.reference_store import ListMailboxes, ListStoreEngine
+
+
+class _FilterMailboxes(ListMailboxes):
+    """The seed drain: filter rather than prefix-split, so the oracle
+    does not depend on the stamp-sortedness invariant either.  A
+    receive budget takes the first ``receive`` ready envelopes."""
+
+    def drain(self, pid: int, round_number: int, receive: Optional[int]) -> list:
+        mailbox = self.boxes[pid]
+        ready = [env for env in mailbox if env.sent_round < round_number]
+        if receive is not None:
+            ready = ready[:receive]
+        if ready:
+            taken = {id(env) for env in ready}
+            self.boxes[pid] = [env for env in mailbox if id(env) not in taken]
+        return ready
 
 
 class _ReferenceScheduler(ListStoreEngine):
     """The seed engine's O(rounds * t) schedule computation, kept as an
     oracle: every query scans all processes and all mailbox stamps.
 
-    Only the three schedule-computation hooks are overridden; crash
-    handling, action commits and accounting are shared with the real
-    engine, so any divergence is attributable to scheduling or to the
-    delivery store: the reference runs on the list-per-recipient store
-    of ``tests/reference_store.py``, whose boxes it scans.
+    Only the schedule-computation hooks are overridden, plus the
+    store's drain (:class:`_FilterMailboxes`); crash handling, action
+    commits and accounting are shared with the real engine, so any
+    divergence is attributable to scheduling or to the delivery store:
+    the reference runs on the list-per-recipient store of
+    ``tests/reference_store.py``, whose boxes it scans.
     """
+
+    store_class = _FilterMailboxes
 
     def _reference_due(self, process) -> Optional[int]:
         if process.retired:
@@ -84,29 +104,22 @@ class _ReferenceScheduler(ListStoreEngine):
                 due_pids.append(process.pid)
         return due_pids
 
-    def _drain_mailbox(self, pid: int, round_number: int):
-        # Seed behaviour: filter rather than prefix-split, so the oracle
-        # does not depend on the stamp-sortedness invariant either.  A
-        # receive budget takes the first ``receive`` ready envelopes.
-        boxes = self._store.boxes
-        mailbox = boxes[pid]
-        ready = [env for env in mailbox if env.sent_round < round_number]
-        congestion = self.congestion
-        if congestion is not None and congestion.receive is not None:
-            ready = ready[: congestion.receive]
-        if ready:
-            taken = {id(env) for env in ready}
-            boxes[pid] = [env for env in mailbox if id(env) not in taken]
-        return ready
-
 
 def _run(
-    engine_cls, protocol, n, t, adversary_factory, seed, congestion=None, **options
+    engine_cls,
+    protocol,
+    n,
+    t,
+    adversary_factory,
+    seed,
+    congestion=None,
+    traced=True,
+    **options,
 ):
     """Run one scenario; return its result and observable events: the
-    trace, then the due set of every processed round (a spurious step
-    with an empty inbox changes nothing a protocol emits, but shows
-    there)."""
+    trace (empty when ``traced`` is false), then the due set of every
+    processed round (a spurious step with an empty inbox changes nothing
+    a protocol emits, but shows there)."""
     due_sets = []
 
     class Recording(engine_cls):
@@ -116,7 +129,7 @@ def _run(
             return due_pids
 
     processes = build_processes(protocol, n, t, **options)
-    trace = Trace(enabled=True)
+    trace = Trace(enabled=traced)
     engine = Recording(
         processes,
         tracker=WorkTracker(n),
@@ -160,6 +173,49 @@ def test_scheduler_matches_reference(protocol, n, t, adversary_factory, seed):
         ref.survivors,
         ref.halted,
     )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize(
+    "protocol,n,t,adversary_factory",
+    COMBOS,
+    ids=[f"{c[0]}-n{c[1]}-t{c[2]}-{'adv' if c[3] else 'noadv'}" for c in COMBOS],
+)
+def test_untraced_run_matches_traced_reference(protocol, n, t, adversary_factory, seed):
+    """Without a trace or a unit effect the engine commits through a
+    shorter path (one ledger call per unit); its full result and due
+    sets must still equal the traced reference run's."""
+    fast, fast_events = _run(
+        Engine, protocol, n, t, adversary_factory, seed, traced=False
+    )
+    ref, ref_events = _run(_ReferenceScheduler, protocol, n, t, adversary_factory, seed)
+    assert fast.to_dict(full=True) == ref.to_dict(full=True)
+    assert fast_events == [event for event in ref_events if event[0] == "due"]
+
+
+def _overrides(cls, base) -> List[str]:
+    """The methods ``cls`` itself defines that ``base`` also has: the
+    hooks an oracle replaces."""
+    return sorted(
+        name
+        for name, value in vars(cls).items()
+        if callable(value) and not name.startswith("__") and hasattr(base, name)
+    )
+
+
+def _counting(cls, names, calls: Counter):
+    """A subclass of ``cls`` whose methods ``names`` count their calls."""
+
+    def counted(name):
+        original = getattr(cls, name)
+
+        def method(self, *args):
+            calls[name] += 1
+            return original(self, *args)
+
+        return method
+
+    return type(cls.__name__, (cls,), {name: counted(name) for name in names})
 
 
 # The event index's edge cases: receive backlogs (mail that stays due
@@ -258,3 +314,23 @@ def test_retire_round_single_source_of_truth():
             if process.crash_round is not None:
                 result.metrics.record_retire(process.pid, process.crash_round)
         assert result.metrics.retire_round == before
+
+
+@pytest.mark.parametrize(
+    "protocol,n,t,adversary_factory,congestion",
+    [(*combo, None) for combo in COMBOS] + EDGE_COMBOS,
+    ids=[f"{c[0]}-n{c[1]}-t{c[2]}-{i}" for i, c in enumerate(COMBOS + EDGE_COMBOS)],
+)
+def test_every_reference_hook_is_called(protocol, n, t, adversary_factory, congestion):
+    """An override the engine no longer calls would leave the oracle
+    comparing the engine with itself: each hook of the reference
+    scheduler and of its store must run at least once per combo."""
+    engine_hooks = _overrides(_ReferenceScheduler, Engine)
+    store_hooks = _overrides(_FilterMailboxes, ListMailboxes)
+    assert engine_hooks == ["_collect_due_pids", "_next_due_round"]
+    assert store_hooks == ["drain"]
+    calls: Counter = Counter()
+    engine_cls = _counting(_ReferenceScheduler, engine_hooks, calls)
+    engine_cls.store_class = _counting(_FilterMailboxes, store_hooks, calls)
+    _run(engine_cls, protocol, n, t, adversary_factory, 0, congestion=congestion)
+    assert all(calls[name] > 0 for name in engine_hooks + store_hooks), calls

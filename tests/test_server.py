@@ -302,6 +302,13 @@ def test_cli_submit_round_trips_through_a_live_server(server, tmp_path, capsys):
     assert code == 0
     assert "B" in out and "completed" in out
 
+    # The summary counts this submission's slots, not the server's
+    # cumulative counters: the repeat is one hit and executes nothing.
+    code = main(["submit", str(document), "--server", server.url])
+    err = capsys.readouterr().err
+    assert code == 0
+    assert "cache: 1 hits, 0 misses," in err
+
     code = main(["submit", str(document), "--server", server.url, "--json"])
     captured = capsys.readouterr()
     assert code == 0
