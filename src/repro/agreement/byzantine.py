@@ -32,7 +32,7 @@ from repro.core.protocol_a import ProtocolAProcess
 from repro.core.protocol_b import ProtocolBProcess
 from repro.core.protocol_c import ProtocolCProcess
 from repro.errors import ConfigurationError
-from repro.sim.actions import Action, Envelope, MessageKind, Send, broadcast
+from repro.sim.actions import Action, Broadcast, Envelope, MessageKind
 from repro.sim.engine import Adversary, Engine
 from repro.sim.metrics import Metrics
 from repro.sim.process import Process
@@ -86,7 +86,7 @@ class SenderProcess(Process):
             self._general_pending = False
             recipients = [pid for pid in range(self.num_senders) if pid != self.pid]
             return Action(
-                sends=broadcast(
+                sends=Broadcast(
                     recipients, ("general", self.value), MessageKind.VALUE
                 )
             )
@@ -213,12 +213,12 @@ class ByzantineAgreement:
             processes.append(ReceiverProcess(pid, self.n_system, decide))
         senders[0].set_value(general_value)
 
-        def inform(pid: int, unit: int, round_number: int) -> List[Send]:
+        def inform(pid: int, unit: int, round_number: int) -> Optional[Broadcast]:
             target = unit - 1
             if target == pid:
-                return []
+                return None
             value = senders[pid].value
-            return [Send(target, ("inform", value), MessageKind.VALUE)]
+            return Broadcast((target,), ("inform", value), MessageKind.VALUE)
 
         tracker = WorkTracker(self.n_system)
         engine = Engine(

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.sim.actions import Action, Envelope, MessageKind, SendBatch, broadcast
+from repro.sim.actions import Action, Broadcast, Envelope, MessageKind
 from repro.sim.process import Process
 
 
@@ -67,7 +67,7 @@ class NaiveCheckpointProcess(Process):
         self._budget = n + checkpoints + slack
         self._last_heard_unit = 0
         self._active = False
-        self._script: Optional[Iterator[Tuple[Optional[int], SendBatch]]] = None
+        self._script: Optional[Iterator[Tuple[Optional[int], Optional[Broadcast]]]] = None
 
     # ---- scheduling ----------------------------------------------------
 
@@ -105,20 +105,20 @@ class NaiveCheckpointProcess(Process):
             return Action(work=work, sends=sends)
         return Action.idle()
 
-    def _worker_script(self) -> Iterator[Tuple[Optional[int], SendBatch]]:
+    def _worker_script(self) -> Iterator[Tuple[Optional[int], Optional[Broadcast]]]:
         others = [pid for pid in range(self.t) if pid != self.pid]
         start = self._last_heard_unit + 1
         if self.n == 0 or start > self.n:
             # Nothing left (or nothing at all): announce completion so the
             # others can retire without taking over.
             if others:
-                yield None, broadcast(others, ("ckpt", self.n), MessageKind.CONTROL)
+                yield None, Broadcast(others, ("ckpt", self.n), MessageKind.CONTROL)
             return
         for unit in range(start, self.n + 1):
-            yield unit, []
+            yield unit, None
             if unit % self.interval == 0 or unit == self.n:
                 if others:
-                    yield None, broadcast(others, ("ckpt", unit), MessageKind.CONTROL)
+                    yield None, Broadcast(others, ("ckpt", unit), MessageKind.CONTROL)
 
 
 def build_replicate(n: int, t: int) -> List[ReplicateProcess]:

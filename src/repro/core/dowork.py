@@ -27,12 +27,10 @@ from typing import Any, Iterator, Optional, Tuple
 
 from repro.core.chunks import SubchunkPlan
 from repro.core.groups import SqrtGroups
-from repro.sim.actions import MessageKind, SendBatch, broadcast
+from repro.sim.actions import Broadcast, MessageKind
 
-#: One active-process round: (work unit or None, send batch).  Batches
-#: are packed Broadcast objects (broadcast() packs them); both engines
-#: keep them un-expanded end to end.
-Step = Tuple[Optional[int], SendBatch]
+#: One active-process round: (work unit or None, broadcast or None).
+Step = Tuple[Optional[int], Optional[Broadcast]]
 
 #: Payload forms (all carry the subchunk index ``c``):
 #:   ("partial", c)      - partial checkpoint to the sender's own group
@@ -82,7 +80,7 @@ def _partial_checkpoint(
     """
     recipients = groups.higher_members(pid)
     if recipients:
-        yield None, broadcast(recipients, (PARTIAL, c), MessageKind.PARTIAL_CHECKPOINT)
+        yield None, Broadcast(recipients, (PARTIAL, c), MessageKind.PARTIAL_CHECKPOINT)
 
 
 def _full_checkpoint(
@@ -97,9 +95,9 @@ def _full_checkpoint(
         members = groups.members(g)
         payload = (FULL, c, g)
         if members:
-            yield None, broadcast(members, payload, MessageKind.FULL_CHECKPOINT)
+            yield None, Broadcast(members, payload, MessageKind.FULL_CHECKPOINT)
         if own:
-            yield None, broadcast(own, payload, MessageKind.FULL_CHECKPOINT)
+            yield None, Broadcast(own, payload, MessageKind.FULL_CHECKPOINT)
 
 
 def dowork_script(
@@ -125,7 +123,7 @@ def dowork_script(
             # (= j's) group; finish the echo, then resume after group g.
             own = groups.higher_members(pid)
             if own:
-                yield None, broadcast(own, (FULL, c, g), MessageKind.FULL_CHECKPOINT)
+                yield None, Broadcast(own, (FULL, c, g), MessageKind.FULL_CHECKPOINT)
             yield from _full_checkpoint(pid, groups, c, g + 1)
     else:
         # Partial checkpoint of c was in flight: complete it, and if c
@@ -136,7 +134,7 @@ def dowork_script(
 
     for subchunk in range(c + 1, plan.num_subchunks + 1):
         for unit in plan.units_of(subchunk):
-            yield unit, []
+            yield unit, None
         yield from _partial_checkpoint(pid, groups, subchunk)
         if plan.is_chunk_boundary(subchunk):
             yield from _full_checkpoint(pid, groups, subchunk, gj + 1)

@@ -14,7 +14,6 @@ retires by round ``nt + 3t^2``.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Iterator, List, Optional
 
 from repro.core.deadlines import ProtocolADeadlines
@@ -100,7 +99,7 @@ class ProtocolAProcess(Process):
         """Fold the inbox into ``last_*``; return whether a terminal
         checkpoint (subchunk ``t``) was seen."""
         done = False
-        for envelope in sorted(inbox, key=attrgetter("sent_round")):
+        for envelope in inbox:
             if envelope.kind not in _ORDINARY_KINDS:
                 continue
             self.last_payload = envelope.payload

@@ -101,9 +101,10 @@ class AsyncProtocolAProcess(AsyncProcess):
             return
         if work is not None:
             ctx.perform(work)
-        # DoWork steps carry packed Broadcast batches; send_batch keeps
-        # them un-expanded (one heap event per distinct due instant).
-        ctx.send_batch(sends)
+        # A DoWork step's broadcast stays un-expanded (one heap event per
+        # distinct due instant).
+        if sends is not None:
+            ctx.broadcast(sends)
         ctx.wake_in(self.step_delay, "step")
 
 

@@ -18,7 +18,6 @@ retires by round ``3n + 8t``.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Iterator, List, Optional
 
 from repro.core.deadlines import ProtocolBDeadlines
@@ -30,7 +29,7 @@ from repro.core.dowork import (
     layout,
 )
 from repro.errors import ConfigurationError
-from repro.sim.actions import Action, Envelope, MessageKind, Send
+from repro.sim.actions import Action, Broadcast, Envelope, MessageKind
 from repro.sim.process import Process
 
 _ORDINARY_KINDS = (MessageKind.PARTIAL_CHECKPOINT, MessageKind.FULL_CHECKPOINT)
@@ -131,7 +130,7 @@ class ProtocolBProcess(Process):
         got_ordinary = False
         got_go_ahead = False
         done_seen = False
-        for envelope in sorted(inbox, key=attrgetter("sent_round")):
+        for envelope in inbox:
             if envelope.kind in _ORDINARY_KINDS:
                 got_ordinary = True
                 self.last_payload = envelope.payload
@@ -167,9 +166,7 @@ class ProtocolBProcess(Process):
         target = self._next_target
         self._next_target = target + 1
         self._next_tick = round_number + self.deadlines.PTO
-        return Action(
-            sends=[Send(target, ("go_ahead",), MessageKind.GO_AHEAD)]
-        )
+        return Action(sends=Broadcast((target,), ("go_ahead",), MessageKind.GO_AHEAD))
 
     # ---- active phase -----------------------------------------------------------
 

@@ -25,14 +25,13 @@ Theorem 3.8: at most ``n + 2t`` units of real work, at most
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.core.deadlines import ProtocolCDeadlines
 from repro.core.levels import GroupKey, LevelStructure, cyclic_successor
 from repro.core.views import View
-from repro.errors import ConfigurationError
-from repro.sim.actions import Action, Envelope, MessageKind, Send, as_send_list
+from repro.errors import ConfigurationError, InvariantViolation
+from repro.sim.actions import Action, Broadcast, Envelope, MessageKind
 from repro.sim.process import Process
 
 #: Script step kinds yielded by the active-process generator.  The
@@ -108,31 +107,31 @@ class ProtocolCProcess(Process):
     # ---- round logic ------------------------------------------------------
 
     def on_round(self, round_number: int, inbox: List[Envelope]) -> Action:
-        reply_sends = self._absorb(inbox, round_number)
-        if self._active:
-            if round_number >= self._resume_round:
-                action = self._step_script(round_number)
-                if reply_sends:
-                    # Poll replies ride along with the script's own sends;
-                    # the mixed batch needs the legacy per-copy spelling.
-                    action.sends = reply_sends + as_send_list(action.sends)
-                return action
-            return Action(sends=reply_sends)
-        if round_number >= self._deadline:
-            self._activate()
-            action = self._step_script(round_number)
-            if reply_sends:
-                action.sends = reply_sends + as_send_list(action.sends)
-            return action
-        return Action(sends=reply_sends)
-
-    def _absorb(self, inbox: List[Envelope], round_number: int) -> List[Send]:
-        replies: List[Send] = []
-        for envelope in sorted(inbox, key=attrgetter("sent_round")):
-            if envelope.kind is MessageKind.POLL:
-                replies.append(
-                    Send(envelope.src, ("alive", self.pid), MessageKind.POLL_REPLY)
+        pollers = self._absorb(inbox, round_number)
+        due = self._resume_round if self._active else self._deadline
+        if round_number < due:
+            if pollers:
+                return Action(
+                    sends=Broadcast(pollers, ("alive", self.pid), MessageKind.POLL_REPLY)
                 )
+            return Action.idle()
+        if pollers:
+            # Only an active process polls, so a poll reaching a process
+            # whose own step is due means two active processes.
+            raise InvariantViolation(
+                f"round {round_number}: p{self.pid} is polled by {pollers} in a "
+                "round it steps, but Lemma 3.4 allows one active process at a time"
+            )
+        if not self._active:
+            self._activate()
+        return self._step_script(round_number)
+
+    def _absorb(self, inbox: List[Envelope], round_number: int) -> List[int]:
+        """Fold the inbox into the view; return the pids that polled."""
+        pollers: List[int] = []
+        for envelope in inbox:
+            if envelope.kind is MessageKind.POLL:
+                pollers.append(envelope.src)
             elif envelope.kind is MessageKind.POLL_REPLY:
                 if (
                     self._awaiting_target is not None
@@ -149,7 +148,7 @@ class ProtocolCProcess(Process):
                     self._deadline = envelope.sent_round + self.deadlines.D(
                         self.pid, m
                     )
-        return replies
+        return pollers
 
     # ---- the active script ----------------------------------------------------
 
@@ -181,14 +180,14 @@ class ProtocolCProcess(Process):
             self._reply_seen = False
             self._resume_round = round_number + 2  # send, wait one round
             return Action(
-                sends=[Send(target, ("are_you_alive", self.pid), MessageKind.POLL)]
+                sends=Broadcast((target,), ("are_you_alive", self.pid), MessageKind.POLL)
             )
         # _REPORT: ordinary message carrying the full view.
         key, target = step[1], step[2]
         self.view.record_report(key, target, round_number)
         payload = ("view", self.view.copy(), self.attachment)
         self._resume_round = round_number + 1
-        return Action(sends=[Send(target, payload, MessageKind.ORDINARY)])
+        return Action(sends=Broadcast((target,), payload, MessageKind.ORDINARY))
 
     def _report_target(self, key: GroupKey) -> Optional[int]:
         members = self.levels.members(key)

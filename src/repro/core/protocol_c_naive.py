@@ -26,12 +26,11 @@ know-nothing state, where the paper wants the highest pid to move first
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Iterator, List, Optional, Tuple
 
 from repro.core.deadlines import ProtocolCDeadlines
 from repro.errors import ConfigurationError
-from repro.sim.actions import Action, Envelope, MessageKind, SendBatch, broadcast
+from repro.sim.actions import Action, Broadcast, Envelope, MessageKind
 from repro.sim.process import Process
 
 
@@ -48,7 +47,7 @@ class NaiveSpreadingProcess(Process):
         self.work_next = 1          # next unit not known to be done
         self.last_informed = pid    # cyclic report pointer (own view)
         self._active = False
-        self._script: Optional[Iterator[Tuple[Optional[int], SendBatch]]] = None
+        self._script: Optional[Iterator[Tuple[Optional[int], Optional[Broadcast]]]] = None
         self._deadline = epoch if pid == 0 else epoch + self._delay(0)
 
     # ---- deadlines -------------------------------------------------------
@@ -84,7 +83,7 @@ class NaiveSpreadingProcess(Process):
     # ---- rounds ----------------------------------------------------------------
 
     def on_round(self, round_number: int, inbox: List[Envelope]) -> Action:
-        for envelope in sorted(inbox, key=attrgetter("sent_round")):
+        for envelope in inbox:
             if envelope.kind is not MessageKind.ORDINARY:
                 continue
             _, work_next, last_informed = envelope.payload
@@ -106,10 +105,10 @@ class NaiveSpreadingProcess(Process):
             return Action(work=work, sends=sends)
         return Action.idle()
 
-    def _active_script(self) -> Iterator[Tuple[Optional[int], SendBatch]]:
+    def _active_script(self) -> Iterator[Tuple[Optional[int], Optional[Broadcast]]]:
         while self.work_next <= self.n:
             unit = self.work_next
-            yield unit, []
+            yield unit, None
             self.work_next = unit + 1
             # Report to the cyclically next process - alive or not: the
             # naive algorithm has no notion of detected failures.
@@ -119,7 +118,7 @@ class NaiveSpreadingProcess(Process):
             self.last_informed = target
             if self.t > 1:
                 payload = ("naive", self.work_next, self.last_informed)
-                yield None, broadcast((target,), payload, MessageKind.ORDINARY)
+                yield None, Broadcast((target,), payload, MessageKind.ORDINARY)
 
 
 def build_naive_spreading(

@@ -32,7 +32,7 @@ from typing import List, Optional, Tuple
 from repro.core.agreement_fold import AgreementLayout, AgreementProcess
 from repro.core.protocol_a import ProtocolAProcess
 from repro.errors import ConfigurationError
-from repro.sim.actions import Action, Broadcast, Envelope, MessageKind, Send
+from repro.sim.actions import Action, Broadcast, Envelope, MessageKind
 from repro.sim.bitset import FrozenIntBitset, IntBitset
 
 _WORK = "work"
@@ -186,7 +186,7 @@ class ProtocolDProcess(AgreementProcess):
             done,
         )
         # One packed broadcast: Theta(t) recipients share one payload
-        # object; the engine never materialises per-copy Send tuples.
+        # object; the engine never materialises per-copy messages.
         recipients = self._U.copy()
         recipients.discard(self.pid)
         return Broadcast(recipients, payload, MessageKind.AGREEMENT)
@@ -243,15 +243,8 @@ class ProtocolDProcess(AgreementProcess):
             self._revert_units[action.work - 1] if action.work is not None else None
         )
         sends = action.sends
-        if isinstance(sends, Broadcast):
-            # Rank-to-pid translation is monotonic (members ascend), so
-            # the remapped broadcast stays packed.
+        if sends is not None:
             sends = sends.remap(self._revert_members)
-        else:
-            sends = [
-                Send(self._revert_members[send.dst], send.payload, send.kind)
-                for send in sends
-            ]
         return Action(work=work, sends=sends, halt=action.halt)
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
-from repro.sim.actions import Action, iter_dsts
+from repro.sim.actions import Action
 from repro.sim.crashes import (
     CrashDirective,
     CrashPhase,
@@ -344,19 +344,14 @@ class CrashMidBroadcast(Adversary):
     ) -> List[CrashDirective]:
         directives = []
         for pid, action in actions.items():
-            if pid in self.victims and len(action.sends) >= self.min_batch:
+            sends = action.sends
+            dsts = sends.recipients if sends is not None else ()
+            if pid in self.victims and len(dsts) >= self.min_batch:
                 if engine.crashed_count >= engine.t - 1:
                     continue
                 self.victims.discard(pid)
-                # iter_dsts walks packed and legacy batches in the same
-                # (committed) order, so RNG draws per destination match
-                # across the two spellings - without expanding a packed
-                # Broadcast into per-copy Send objects.
-                keep = frozenset(
-                    dst
-                    for dst in iter_dsts(action.sends)
-                    if self.rng.random() < 0.5
-                )
+                # One draw per recipient, in ascending pid order.
+                keep = frozenset(dst for dst in dsts if self.rng.random() < 0.5)
                 directives.append(
                     CrashDirective(
                         pid=pid,

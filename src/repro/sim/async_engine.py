@@ -29,8 +29,7 @@ Lazy broadcast fan-out
 ----------------------
 
 A packed :class:`~repro.sim.actions.Broadcast` submitted through
-:meth:`AsyncContext.broadcast` (or :meth:`AsyncContext.send_batch`)
-extends that batching across recipients: the engine draws each copy's
+:meth:`AsyncContext.broadcast` extends that batching across recipients: the engine draws each copy's
 delay in ascending-recipient order (the same RNG stream as per-copy
 sends), groups the copies by due instant, and schedules **one**
 ``deliver_bcast`` heap event per distinct due time - O(distinct
@@ -71,7 +70,7 @@ from collections.abc import Callable
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import BudgetExceeded, SimulationStalled
-from repro.sim.actions import Broadcast, MessageKind, SendBatch
+from repro.sim.actions import Broadcast, MessageKind
 from repro.sim.congestion import CongestionBudget
 from repro.sim.failure_detector import FailureDetector
 from repro.sim.metrics import Metrics, RunResult
@@ -183,16 +182,6 @@ class AsyncContext:
     def broadcast(self, bcast: Broadcast) -> None:
         """Submit one packed broadcast (kept un-expanded by the engine)."""
         self._engine._broadcast(self._pid, bcast)
-
-    def send_batch(self, batch: SendBatch) -> None:
-        """Submit a send batch in either spelling: a packed
-        :class:`Broadcast` stays packed, a legacy ``List[Send]`` goes
-        through the per-copy path."""
-        if isinstance(batch, Broadcast):
-            self._engine._broadcast(self._pid, batch)
-        else:
-            for send in batch:
-                self._engine._send(self._pid, send.dst, send.payload, send.kind)
 
     def perform(self, unit: int) -> None:
         self._engine._perform(self._pid, unit)

@@ -14,7 +14,7 @@ and the phase within the round:
   of work, before reporting that unit to any other process", the scenario
   behind the paper's `n + t - 1` work lower bound.
 * ``DURING_SEND`` - work counts and an adversary-chosen subset of the
-  round's send batch is delivered.
+  round's broadcast is delivered.
 * ``AFTER_ACTION`` - the whole round takes effect, then the process dies.
 
 Crash-recover extension
@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, FrozenSet, Optional, Union
 
-from repro.sim.actions import Action, Broadcast, SendBatch
+from repro.sim.actions import Action, Broadcast
 from repro.sim.rng import choose_subset
 from repro.sim.specs import SpecFamily, SpecKind, integer, number, ordered
 
@@ -157,23 +157,17 @@ class CrashDirective:
         # the halt moot - the process retires either way).
         return action
 
-    def _surviving_sends(self, sends: SendBatch, rng: random.Random) -> SendBatch:
-        if isinstance(sends, Broadcast):
-            # Partial delivery of a packed broadcast is *subset selection*
-            # on the recipients bitset - the shared payload is never
-            # re-allocated per copy.  RNG draws match the legacy path
-            # exactly: one randrange over the batch size, one sample of
-            # positions (recipients ascend, like the expanded list).
-            if self.keep is not None:
-                return sends.restrict(self.keep)
-            if not sends:
-                return sends
-            dsts = sends.dsts()
-            size = rng.randrange(len(dsts) + 1)
-            return sends.restrict(choose_subset(rng, dsts, size))
-        if self.keep is not None:
-            return [send for send in sends if send.dst in self.keep]
+    def _surviving_sends(
+        self, sends: Optional[Broadcast], rng: random.Random
+    ) -> Optional[Broadcast]:
+        # Partial delivery is *subset selection* on the recipients bitset:
+        # the shared payload is never re-allocated per copy.  A random
+        # subset costs one randrange over the broadcast's size and one
+        # sample of its (ascending) recipients.
         if not sends:
-            return []
-        size = rng.randrange(len(sends) + 1)
-        return choose_subset(rng, sends, size)
+            return sends
+        if self.keep is not None:
+            return sends.restrict(self.keep)
+        dsts = sends.dsts()
+        size = rng.randrange(len(dsts) + 1)
+        return sends.restrict(choose_subset(rng, dsts, size))

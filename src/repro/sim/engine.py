@@ -69,14 +69,12 @@ an event index, mirroring the heap-based design of
 * **Commits in the round.**  ``_process_round`` commits the round's
   actions itself; with no trace and no ``unit_effect`` attached a work
   unit is one call into the run's ledger.
-* **Lazy broadcast fan-out.**  A packed :class:`Broadcast` batch is
-  committed without ever materialising per-copy ``Send`` tuples: one
-  :meth:`Metrics.record_sends` call and one store post, restricted
-  to *live* recipients with one mask ``&``.  Legacy
-  ``List[Send]`` batches are auto-packed when exactly equivalent
-  (uniform payload/kind, ascending dsts) so out-of-tree protocols take
-  the same path; genuinely mixed batches keep the per-copy commit.
-  Trace emission is skipped entirely when tracing is disabled.
+* **Lazy broadcast fan-out.**  Every send - an action's batch or a
+  ``unit_effect``'s - is one :class:`Broadcast`, committed through
+  :meth:`Engine._post_batch` without ever materialising per-copy
+  messages: one :meth:`Metrics.record_sends` call and one store post,
+  restricted to *live* recipients with one mask ``&``.  Trace emission
+  is skipped entirely when tracing is disabled.
 
 Crash-recover and congestion
 ----------------------------
@@ -95,14 +93,14 @@ defaults (both are off unless configured):
   same round.
 * **Congestion budgets.**  A :class:`CongestionBudget` caps each
   process's per-round sends and/or receives.  Excess sends are split off
-  deterministically (ascending recipient order for broadcasts, list
-  order otherwise) and parked in a per-round deferral map; they depart -
-  metrics and trace charged at the departure round - at the top of their
-  round, surviving the sender's crash in between (they were already in
-  the network), though copies to by-then-retired recipients are dropped
-  like any other send.  Excess *receives* stay queued at the front of
-  the mailbox (stamp order preserved, so the sortedness invariant
-  holds) and arrive at the next round(s).
+  deterministically (in ascending recipient order) and parked in a
+  per-round deferral map; they depart - metrics and trace charged at the
+  departure round - at the top of their round, surviving the sender's
+  crash in between (they were already in the network), though copies to
+  by-then-retired recipients are dropped like any other send.  Excess
+  *receives* stay queued at the front of the mailbox (stamp order
+  preserved, so the sortedness invariant holds) and arrive at the next
+  round(s).
 
 Teardown: each process's wake listener is a bound method of the engine,
 so a running engine and its processes form a cycle.  ``run`` drops the
@@ -131,14 +129,7 @@ from repro.errors import (
     InvariantViolation,
     SimulationStalled,
 )
-from repro.sim.actions import (
-    Action,
-    Broadcast,
-    MessageKind,
-    Send,
-    SendBatch,
-    pack_sends,
-)
+from repro.sim.actions import Action, Broadcast
 from repro.sim.columnar import ColumnarMailboxes
 from repro.sim.congestion import CongestionBudget
 from repro.sim.crashes import CrashDirective
@@ -148,7 +139,7 @@ from repro.sim.rng import child_rng, derive_rng, make_rng
 from repro.sim.trace import Trace
 from repro.work.tracker import WorkTracker
 
-UnitEffectFn = Callable[[int, int, int], List[Send]]
+UnitEffectFn = Callable[[int, int, int], Optional[Broadcast]]
 
 
 class Engine:
@@ -190,7 +181,7 @@ class Engine:
         # the per-round deferral map + its round min-heap (see module
         # docstring).  Crash-recover: pending ``(rejoin_round, pid)`` heap.
         self._send_slots: Dict[int, Tuple[int, int]] = {}
-        self._deferred: Dict[int, List[Tuple[int, SendBatch]]] = {}
+        self._deferred: Dict[int, List[Tuple[int, Broadcast]]] = {}
         self._deferred_heap: List[int] = []
         self._recoveries: List[Tuple[int, int]] = []
         # One ledger per run: a tracker's completion queries read the
@@ -564,8 +555,9 @@ class Engine:
         if self.trace.enabled:
             self.trace.emit(round_number, "work", pid, unit)
         if self.unit_effect is not None:
-            for send in self.unit_effect(pid, unit, round_number):
-                self._post(pid, send, round_number)
+            sends = self.unit_effect(pid, unit, round_number)
+            if sends:
+                self._post_batch(pid, sends, round_number)
 
     # ---- congestion (send budget) ----------------------------------------
 
@@ -597,7 +589,7 @@ class Engine:
         self._send_slots[src] = (slot_round, used)
         return segments
 
-    def _defer(self, send_round: int, src: int, batch: SendBatch) -> None:
+    def _defer(self, send_round: int, src: int, batch: Broadcast) -> None:
         """Park ``batch`` (already in the network) until ``send_round``."""
         bucket = self._deferred.get(send_round)
         if bucket is None:
@@ -617,95 +609,32 @@ class Engine:
         heap = self._deferred_heap
         while heap and heap[0] <= round_number:
             for src, batch in self._deferred.pop(heappop(heap)):
-                if isinstance(batch, Broadcast):
-                    self._post_broadcast(src, batch, round_number)
-                else:
-                    self._emit_send_list(src, batch, round_number)
+                self._post_broadcast(src, batch, round_number)
 
     # ---- posting sends ---------------------------------------------------
 
-    def _post(self, src: int, send: Send, round_number: int) -> None:
-        """Post one send (the non-batched path, used by unit effects)."""
-        congestion = self.congestion
-        if congestion is not None and congestion.send is not None:
-            ((send_round, _),) = self._allocate_send_rounds(src, 1, round_number)
-            if send_round != round_number:
-                self._defer(send_round, src, [send])
-                return
-        self._emit_send(src, send, round_number)
+    def _post_batch(self, src: int, sends: Broadcast, round_number: int) -> None:
+        """Post one round's broadcast from ``src``.
 
-    def _emit_send(self, src: int, send: Send, round_number: int) -> None:
-        self.metrics.record_sends(src, send.kind, 1, round_number)
-        if self.trace.enabled:
-            self.trace.emit(
-                round_number, "send", src, (send.kind.value, send.dst, send.payload)
-            )
-        dst = send.dst
-        if 0 <= dst < self.t and not self.processes[dst].retired:
-            self._store.post_p2p(src, dst, send.payload, send.kind, round_number)
-            self._note_mail(1 << dst, round_number)
-
-    def _post_batch(self, src: int, sends: SendBatch, round_number: int) -> None:
-        """Post one round's send batch from ``src``.
-
-        A packed :class:`Broadcast` (or a legacy list that packs into
-        one - see :func:`repro.sim.actions.pack_sends`) takes the
-        shared-envelope fast path; a genuinely mixed legacy batch falls
-        back to the per-copy commit.  Both spellings of one broadcast
-        produce identical metrics, trace events and mailbox payloads.
-        Under a send budget the batch is first split into per-round
-        segments (ascending recipients / list order); only the current
-        round's segment departs now, the rest are deferred.
+        Under a send budget the broadcast is first split into per-round
+        segments (ascending recipients); only the current round's
+        segment departs now, the rest are deferred.
         """
-        packed = pack_sends(sends)
         congestion = self.congestion
         if congestion is not None and congestion.send is not None:
-            total = len(packed) if packed is not None else len(sends)
+            total = len(sends)
             segments = self._allocate_send_rounds(src, total, round_number)
-            dsts = packed.dsts() if packed is not None and len(segments) > 1 else None
+            dsts = sends.dsts() if len(segments) > 1 else None
             offset = 0
             for send_round, take in segments:
-                if take == total:
-                    segment: SendBatch = packed if packed is not None else sends
-                elif packed is not None:
-                    segment = packed.restrict(dsts[offset : offset + take])
-                else:
-                    segment = sends[offset : offset + take]
+                segment = sends if take == total else sends.restrict(dsts[offset : offset + take])
                 offset += take
                 if send_round != round_number:
                     self._defer(send_round, src, segment)
-                elif packed is not None:
-                    self._post_broadcast(src, segment, round_number)
                 else:
-                    self._emit_send_list(src, segment, round_number)
+                    self._post_broadcast(src, segment, round_number)
             return
-        if packed is not None:
-            self._post_broadcast(src, packed, round_number)
-            return
-        self._emit_send_list(src, sends, round_number)
-
-    def _emit_send_list(self, src: int, sends: List[Send], round_number: int) -> None:
-        """Commit a genuinely mixed legacy batch, one copy at a time."""
-        kind_counts: Dict[MessageKind, int] = {}
-        for send in sends:
-            kind = send.kind
-            kind_counts[kind] = kind_counts.get(kind, 0) + 1
-        for kind, count in kind_counts.items():
-            self.metrics.record_sends(src, kind, count, round_number)
-        trace = self.trace
-        if trace.enabled:
-            for send in sends:
-                trace.emit(
-                    round_number, "send", src, (send.kind.value, send.dst, send.payload)
-                )
-        t = self.t
-        processes = self.processes
-        post = self._store.post_p2p
-        for send in sends:
-            dst = send.dst
-            if 0 <= dst < t and not processes[dst].retired:
-                post(src, dst, send.payload, send.kind, round_number)
-                self._note_mail(1 << dst, round_number)
+        self._post_broadcast(src, sends, round_number)
 
     def _post_broadcast(self, src: int, bcast: Broadcast, round_number: int) -> None:
         """Commit one packed broadcast: one store post and one metrics

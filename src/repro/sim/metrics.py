@@ -61,10 +61,9 @@ class Metrics:
     ) -> None:
         """Book ``count`` point-to-point copies of ``kind`` sent by ``src``.
 
-        The one send-accounting call: a single copy, a packed broadcast
-        and each kind of a mixed batch are all booked through it.  The
-        paper's measure charges every copy; only the bookkeeping is
-        batched.
+        The one send-accounting call: each broadcast (on the async
+        engine, also a single copy) is booked through it.  The paper's
+        measure charges every copy; only the bookkeeping is batched.
         """
         self.messages_total += count
         by_kind = self.messages_by_kind

@@ -10,12 +10,11 @@ so a disabled trace costs one attribute read per batch rather than a
 tuple allocation per message.  :meth:`emit` still guards internally for
 the rare event kinds (crash/halt/activate) that skip the pre-check.
 
-Send events stay *per copy* even for packed ``Broadcast`` batches: an
-enabled trace emits one ``("send", src, (kind, dst, payload))`` event
-per recipient in ascending pid order, which is exactly the expanded
-legacy batch's emission - so traces of a packed run diff cleanly
-against expanded-path oracles and render identically for both batch
-spellings (``tests/test_broadcast_equivalence.py``).
+Send events stay *per copy* although a ``Broadcast`` is committed
+un-expanded: an enabled trace emits one ``("send", src, (kind, dst,
+payload))`` event per recipient in ascending pid order, so traces diff
+cleanly against per-copy oracles
+(``tests/test_broadcast_equivalence.py``).
 """
 
 from __future__ import annotations

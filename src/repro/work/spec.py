@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from repro.errors import ConfigurationError
-from repro.sim.actions import Send
+from repro.sim.actions import Broadcast
 
-UnitEffect = Callable[[int, int, int], List[Send]]
-"""(pid, unit, round) -> extra messages generated by performing the unit."""
+UnitEffect = Callable[[int, int, int], Optional[Broadcast]]
+"""(pid, unit, round) -> the broadcast performing the unit sends, if any."""
 
 
 @dataclass

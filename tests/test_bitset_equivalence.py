@@ -18,7 +18,7 @@ import pytest
 from repro.core.protocol_a import ProtocolAProcess
 from repro.core.protocol_d import build_protocol_d
 from repro.core.protocol_d_dynamic import build_dynamic_protocol_d, uniform_arrivals
-from repro.sim.actions import Action, Envelope, MessageKind, Send, broadcast
+from repro.sim.actions import Action, Broadcast, Envelope, MessageKind
 from repro.sim.adversary import (
     CrashMidBroadcast,
     FixedSchedule,
@@ -132,7 +132,7 @@ class _ReferenceProtocolD(Process):
     def _agree_broadcast(self, done):
         payload = (self.phase_index, frozenset(self.S), frozenset(self.T), done)
         recipients = [pid for pid in sorted(self._U) if pid != self.pid]
-        return broadcast(recipients, payload, MessageKind.AGREEMENT)
+        return Broadcast(recipients, payload, MessageKind.AGREEMENT)
 
     def _agree_round(self, round_number):
         received: Dict[int, tuple] = {}
@@ -214,10 +214,13 @@ class _ReferenceProtocolD(Process):
         work = (
             self._revert_units[action.work - 1] if action.work is not None else None
         )
-        sends = [
-            Send(self._revert_members[send.dst], send.payload, send.kind)
-            for send in action.sends
-        ]
+        sends = action.sends
+        if sends is not None:
+            sends = Broadcast(
+                [self._revert_members[dst] for dst in sends.recipients],
+                sends.payload,
+                sends.kind,
+            )
         return Action(work=work, sends=sends, halt=action.halt)
 
 
@@ -290,7 +293,7 @@ class _ReferenceDynamicD(Process):
 
     def _agree_broadcast(self, done_flag):
         recipients = [pid for pid in sorted(self._U) if pid != self.pid]
-        return broadcast(recipients, self._payload(done_flag), MessageKind.AGREEMENT)
+        return Broadcast(recipients, self._payload(done_flag), MessageKind.AGREEMENT)
 
     def _agree_round(self, round_number, inbox):
         if self._broadcast_pending:

@@ -1,26 +1,23 @@
-"""Packed Broadcast fan-out must be observationally identical to the
-pre-broadcast-object expanded path, on both engines.
+"""Packed Broadcast fan-out must be observationally identical to
+committing every copy on its own, on both engines.
 
-The tentpole claim of the lazy-broadcast work: a protocol that emits one
-shared-payload :class:`Broadcast` behaves *bit-identically* to the same
-protocol whose batches are pre-expanded into per-copy ``Send`` lists and
-committed copy by copy (the pre-PR path) - same metrics, same
-payload-level traces, same RNG draws (adversary victim picks,
-crash-mid-broadcast subset draws, async delay draws), same outcome.
+A protocol's one shared-payload :class:`Broadcast` per round must
+behave *bit-identically* to the same broadcast expanded into per-copy
+sends and committed copy by copy - same metrics, same payload-level
+traces, same RNG draws (adversary victim picks, crash-mid-broadcast
+subset draws, async delay draws), same outcome.
 
-Two oracles re-create the pre-PR behaviour exactly:
+Two oracles commit copy by copy:
 
-* ``_ExpandedEngine`` (sync) wraps every process so its actions are
-  expanded to legacy ``List[Send]`` *before* the adversary and the
-  crash censor see them, and overrides ``_post_batch`` with the seed
-  engine's per-copy commit (one ``Envelope`` tuple per live recipient,
-  per-copy kind counting) on the list-per-recipient reference store
-  of ``tests/reference_store.py`` - so the packed classes and the row
-  store never touch the reference execution;
+* ``_ExpandedEngine`` (sync) overrides ``_post_batch`` with a per-copy
+  commit: it expands each committed broadcast into local ``Send``
+  copies (one kind-count bump and one ``Envelope`` per live recipient)
+  on the list-per-recipient reference store of
+  ``tests/reference_store.py`` - so the row store and the one-post
+  broadcast commit never touch the reference execution;
 * ``_ExpandedAsyncEngine`` overrides ``_broadcast`` to route every copy
   through the per-copy ``_send`` path (one delay draw and one
-  per-(recipient, due) batch entry per copy), i.e. exactly what the
-  engine did before broadcasts stayed packed.
+  per-(recipient, due) batch entry per copy).
 
 Running fast vs oracle over seeds x protocols x adversaries (including
 crash-mid-broadcast partial delivery) pins the rewrite the way
@@ -28,21 +25,12 @@ crash-mid-broadcast partial delivery) pins the rewrite the way
 ``test_bitset_equivalence.py`` pinned the bitsets.
 """
 
-from typing import Dict, List
+from typing import Any, Dict, NamedTuple
 
 import pytest
 
 from repro.core.registry import build_processes
-from repro.sim.actions import (
-    Action,
-    Broadcast,
-    Envelope,
-    MessageKind,
-    Send,
-    as_send_list,
-    broadcast,
-    summarize_sends,
-)
+from repro.sim.actions import Action, Broadcast, Envelope, MessageKind
 from repro.sim.adversary import (
     Cascade,
     CrashMidBroadcast,
@@ -63,43 +51,25 @@ from repro.work.tracker import WorkTracker
 from tests.reference_store import ListStoreEngine
 
 # =====================================================================
-# The synchronous oracle: pre-PR expanded path
+# The synchronous oracle: a per-copy commit
 # =====================================================================
 
 
-class _ExpandingProcess(Process):
-    """Wraps a process so every emitted batch is the legacy expanded
-    ``List[Send]`` - upstream of the adversary, the censor and the
-    commit, exactly as pre-PR protocols behaved."""
+class Send(NamedTuple):
+    """One point-to-point copy of a broadcast, as the oracle commits it."""
 
-    def __init__(self, inner: Process):
-        super().__init__(inner.pid, inner.t)
-        self.inner = inner
-
-    @property
-    def is_active(self) -> bool:
-        return (not self.retired) and self.inner.is_active
-
-    def wake_round(self):
-        if self.retired:
-            return None
-        return self.inner.wake_round()
-
-    def on_round(self, round_number: int, inbox) -> Action:
-        action = self.inner.on_round(round_number, inbox)
-        if isinstance(action.sends, Broadcast):
-            return Action(
-                work=action.work, sends=as_send_list(action.sends), halt=action.halt
-            )
-        return action
+    dst: int
+    payload: Any
+    kind: MessageKind
 
 
 class _ExpandedEngine(ListStoreEngine):
-    """The seed engine's per-copy batch commit, kept as an oracle: one
-    kind-count bump and one :class:`Envelope` tuple per copy, no packing,
-    no shared envelopes."""
+    """A per-copy commit, kept as an oracle: each broadcast is expanded
+    into ascending ``Send`` copies, then one kind-count bump and one
+    :class:`Envelope` tuple per copy, no rows, no shared envelopes."""
 
-    def _post_batch(self, src: int, sends: List[Send], round_number: int) -> None:
+    def _post_batch(self, src: int, bcast: Broadcast, round_number: int) -> None:
+        sends = [Send(dst, bcast.payload, bcast.kind) for dst in bcast.recipients]
         kind_counts: Dict[MessageKind, int] = {}
         for send in sends:
             kind = send.kind
@@ -129,10 +99,8 @@ def _build(protocol: str, n: int, t: int):
     return build_processes(protocol, n, t)
 
 
-def _run_sync(engine_cls, wrap, protocol, n, t, adversary_factory, seed):
+def _run_sync(engine_cls, protocol, n, t, adversary_factory, seed):
     processes = _build(protocol, n, t)
-    if wrap:
-        processes = [_ExpandingProcess(p) for p in processes]
     trace = Trace(enabled=True)
     engine = engine_cls(
         processes,
@@ -198,12 +166,8 @@ SEEDS = [0, 1, 2]
 def test_packed_broadcasts_match_expanded_reference(
     protocol, n, t, adversary_factory, seed
 ):
-    fast, fast_events = _run_sync(
-        Engine, False, protocol, n, t, adversary_factory, seed
-    )
-    ref, ref_events = _run_sync(
-        _ExpandedEngine, True, protocol, n, t, adversary_factory, seed
-    )
+    fast, fast_events = _run_sync(Engine, protocol, n, t, adversary_factory, seed)
+    ref, ref_events = _run_sync(_ExpandedEngine, protocol, n, t, adversary_factory, seed)
     _assert_sync_equivalent(fast, fast_events, ref, ref_events)
 
 
@@ -219,7 +183,7 @@ def test_expanded_reference_commits_through_its_hook():
 
     for protocol, n, t, adversary_factory in SYNC_COMBOS:
         calls.clear()
-        _run_sync(Counting, True, protocol, n, t, adversary_factory, 0)
+        _run_sync(Counting, protocol, n, t, adversary_factory, 0)
         assert calls, protocol
 
 
@@ -229,7 +193,7 @@ def test_expanded_reference_commits_through_its_hook():
 
 
 def test_censored_broadcast_stays_packed_subset():
-    bcast = broadcast(range(1, 7), ("payload",), MessageKind.AGREEMENT)
+    bcast = Broadcast(range(1, 7), ("payload",), MessageKind.AGREEMENT)
     directive = CrashDirective(
         pid=0, at_round=0, phase=CrashPhase.DURING_SEND, keep=frozenset({2, 4, 9})
     )
@@ -239,26 +203,11 @@ def test_censored_broadcast_stays_packed_subset():
     assert survived.work == 3
     assert isinstance(survived.sends, Broadcast)
     assert survived.sends.payload is bcast.payload  # shared, not re-allocated
-    assert summarize_sends(survived.sends) == (2, 4)
-
-
-def test_censored_broadcast_random_subset_matches_legacy_draws():
-    """The random-subset censor must consume RNG identically for the
-    packed and the legacy spelling of one broadcast."""
-    import random
-
-    legacy = [Send(dst, ("p",), MessageKind.CONTROL) for dst in range(5)]
-    packed = broadcast(range(5), ("p",), MessageKind.CONTROL)
-    directive = CrashDirective(pid=0, at_round=0, phase=CrashPhase.DURING_SEND)
-    for seed in range(20):
-        ref = directive.censor(Action(sends=list(legacy)), random.Random(seed))
-        fast = directive.censor(Action(sends=packed), random.Random(seed))
-        assert isinstance(fast.sends, Broadcast)
-        assert summarize_sends(fast.sends) == summarize_sends(ref.sends)
+    assert survived.sends.dsts() == (2, 4)
 
 
 # =====================================================================
-# Both spellings of one batch render identically (packed vs legacy)
+# What a recipient is handed
 # =====================================================================
 
 
@@ -280,29 +229,9 @@ class _Script(Process):
         return Action.idle()
 
 
-def _render_run(batch):
-    sender = _Script(0, 4, [(0, Action(sends=batch)), (1, Action.halting())])
-    peers = [_Script(pid, 4, [(3, Action.halting())]) for pid in (1, 2, 3)]
-    trace = Trace(enabled=True)
-    result = Engine([sender] + peers, seed=5, trace=trace).run()
-    return result.metrics.as_dict(), trace.render()
-
-
-def test_packed_and_legacy_spellings_render_identically():
-    payload = ("ckpt", 7)
-    packed = broadcast((1, 2, 3), payload, MessageKind.CONTROL)
-    legacy = [Send(dst, payload, MessageKind.CONTROL) for dst in (1, 2, 3)]
-    assert summarize_sends(packed) == summarize_sends(legacy) == (1, 2, 3)
-    packed_metrics, packed_trace = _render_run(packed)
-    legacy_metrics, legacy_trace = _render_run(legacy)
-    assert packed_metrics == legacy_metrics
-    assert packed_trace == legacy_trace
-    assert "send" in packed_trace
-
-
-def test_legacy_emitters_receive_envelopes_that_unpack_as_tuples():
-    """A legacy uniform List[Send] auto-packs into a Broadcast; its
-    recipient still receives Envelope tuples it can unpack."""
+def test_delivered_envelopes_unpack_as_tuples():
+    """A one-recipient broadcast's recipient receives an Envelope tuple
+    it can unpack."""
     seen = []
 
     class _Unpacker(_Script):
@@ -315,13 +244,13 @@ def test_legacy_emitters_receive_envelopes_that_unpack_as_tuples():
         0,
         2,
         [
-            (0, Action(sends=[Send(1, ("legacy",), MessageKind.CONTROL)])),
+            (0, Action(sends=Broadcast((1,), ("p2p",), MessageKind.CONTROL))),
             (1, Action.halting()),
         ],
     )
     receiver = _Unpacker(1, 2, [(3, Action.halting())])
     Engine([sender, receiver], seed=1).run()
-    assert seen == [(0, 1, ("legacy",), MessageKind.CONTROL, 0)]
+    assert seen == [(0, 1, ("p2p",), MessageKind.CONTROL, 0)]
 
 
 def _inbox_shape(inbox) -> str:
@@ -334,20 +263,16 @@ def _inbox_shape(inbox) -> str:
 
 @pytest.mark.parametrize("receive", [None, 2])
 def test_every_delivered_message_is_the_recipients_own_envelope(receive):
-    """Lane mail, narrow broadcasts, row-only drains and drains merging
-    rows with lane mail all hand a process ``Envelope`` tuples addressed
-    to it.  Under the receive budget, pid 3's three messages (a row, a
-    point-to-point copy and a narrow broadcast) are a merge cut short."""
+    """Lane mail, row-only drains and drains merging rows with lane mail
+    all hand a process ``Envelope`` tuples addressed to it.  Under the
+    receive budget, pid 3's three messages (a row and two narrow
+    broadcasts' lane copies) are a merge cut short."""
     t = 8  # rows from a live fan-out of min(WIDE_FANOUT, t // 2) = 4
-    mixed = [
-        Send(0, ("p2p",), MessageKind.POLL_REPLY),  # mixed kinds: per copy
-        Send(3, ("p2p",), MessageKind.ORDINARY),
-    ]
     scripts = {
-        0: [(0, Action(sends=broadcast(range(1, t), ("row",), MessageKind.CONTROL)))],
-        1: [(0, Action(sends=mixed))],
-        2: [(0, Action(sends=broadcast((0, 3), ("narrow",), MessageKind.CONTROL)))],
-        3: [(1, Action(sends=broadcast((4, 5, 6, 7), ("late row",), MessageKind.CONTROL)))],
+        0: [(0, Action(sends=Broadcast(range(1, t), ("row",), MessageKind.CONTROL)))],
+        1: [(0, Action(sends=Broadcast((0, 3), ("p2p",), MessageKind.ORDINARY)))],
+        2: [(0, Action(sends=Broadcast((0, 3), ("narrow",), MessageKind.CONTROL)))],
+        3: [(1, Action(sends=Broadcast((4, 5, 6, 7), ("late row",), MessageKind.CONTROL)))],
     }
     shapes = set()
     delivered = []
@@ -375,39 +300,17 @@ def test_every_delivered_message_is_the_recipients_own_envelope(receive):
     )
 
 
-def test_broadcast_slice_returns_send_list():
-    bcast = broadcast((3, 5, 9), ("p",), MessageKind.CONTROL)
-    assert bcast[0:2] == [
-        Send(3, ("p",), MessageKind.CONTROL),
-        Send(5, ("p",), MessageKind.CONTROL),
-    ]
-    assert bcast[-1] == Send(9, ("p",), MessageKind.CONTROL)
-    assert list(bcast[::2]) == [bcast[0], bcast[2]]
-
-
-def test_mixed_legacy_batch_keeps_per_copy_path():
-    """A batch mixing kinds cannot pack; it must still commit faithfully."""
-    batch = [
-        Send(1, ("reply",), MessageKind.POLL_REPLY),
-        Send(2, ("view",), MessageKind.ORDINARY),
-    ]
-    metrics, trace = _render_run(list(batch))
-    assert metrics["messages"] == 2
-    assert metrics["messages_by_kind"] == {"ordinary": 1, "poll_reply": 1}
-    assert "poll_reply" in trace and "ordinary" in trace
-
-
 # =====================================================================
 # The asynchronous oracle: per-copy broadcast expansion
 # =====================================================================
 
 
 class _ExpandedAsyncEngine(AsyncEngine):
-    """Pre-PR async behaviour: a broadcast is just its per-copy sends."""
+    """A broadcast is just its per-copy sends."""
 
     def _broadcast(self, src, bcast):
-        for send in bcast:
-            self._send(src, send.dst, send.payload, send.kind)
+        for dst in bcast.recipients:
+            self._send(src, dst, bcast.payload, bcast.kind)
 
 
 class _LoggingTracker(WorkTracker):
@@ -529,8 +432,6 @@ def test_async_packed_broadcasts_match_per_copy_reference(
 def test_async_broadcast_schedules_one_event_per_due_instant():
     """Under a deterministic delay model a t-1-recipient broadcast must
     enter the heap as a single deliver_bcast event, not t-1 events."""
-    from repro.sim.actions import broadcast as make_broadcast
-
     pushed = []
 
     class _SpyEngine(AsyncEngine):
@@ -542,7 +443,7 @@ def test_async_broadcast_schedules_one_event_per_due_instant():
     class Gossip(AsyncProcess):
         def on_start(self, ctx):
             others = [pid for pid in range(self.t) if pid != self.pid]
-            ctx.broadcast(make_broadcast(others, ("gen", self.pid), MessageKind.CONTROL))
+            ctx.broadcast(Broadcast(others, ("gen", self.pid), MessageKind.CONTROL))
             ctx.wake_in(5.0, "stop")
 
         def on_message(self, ctx, src, payload, kind):

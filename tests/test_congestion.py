@@ -10,7 +10,7 @@ import pytest
 from repro import run_protocol
 from repro.api import Scenario
 from repro.errors import ConfigurationError
-from repro.sim.actions import Action, Envelope, MessageKind, Send, broadcast
+from repro.sim.actions import Action, Broadcast, Envelope, MessageKind
 from repro.sim.adversary import FixedSchedule
 from repro.sim.congestion import (
     CongestionBudget,
@@ -92,10 +92,17 @@ class Script(Process):
         return Action.idle()
 
 
-def pings(dst, count):
-    return Action(
-        sends=[Send(dst, ("ping", i), MessageKind.CONTROL) for i in range(count)]
-    )
+def pings(count):
+    """One broadcast from pid 0 to the ``count`` receivers ``1..count``."""
+    return Action(sends=Broadcast(range(1, count + 1), ("ping",), MessageKind.CONTROL))
+
+
+def burst(count):
+    """Pid 0 pings ``count`` receivers at round 0; returns (sender, receivers)."""
+    t = count + 1
+    sender = Script(0, t, [(0, pings(count)), (10, Action.halting())])
+    receivers = [Script(pid, t, [(100, Action.halting())]) for pid in range(1, t)]
+    return sender, receivers
 
 
 def arrivals(script):
@@ -103,26 +110,34 @@ def arrivals(script):
     return {r: len(inbox) for r, inbox in script.inboxes if inbox}
 
 
+def total_arrivals(scripts):
+    """round -> number of envelopes all ``scripts`` received that round."""
+    totals = {}
+    for script in scripts:
+        for r, count in arrivals(script).items():
+            totals[r] = totals.get(r, 0) + count
+    return totals
+
+
 def test_send_budget_spreads_a_burst_over_rounds():
-    sender = Script(0, 2, [(0, pings(1, 5)), (10, Action.halting())])
-    receiver = Script(1, 2, [(100, Action.halting())])
-    engine = Engine([sender, receiver], congestion=CongestionBudget(send=2))
+    sender, receivers = burst(5)
+    engine = Engine([sender] + receivers, congestion=CongestionBudget(send=2))
     engine.run()
     # 5 copies at budget 2 depart over rounds 0,1,2 and land 1,2,3.
-    assert arrivals(receiver) == {1: 2, 2: 2, 3: 1}
+    assert total_arrivals(receivers) == {1: 2, 2: 2, 3: 1}
 
 
 def test_send_budget_of_one_serializes_everything():
-    sender = Script(0, 2, [(0, pings(1, 3)), (10, Action.halting())])
-    receiver = Script(1, 2, [(100, Action.halting())])
-    engine = Engine([sender, receiver], congestion=CongestionBudget(send=1))
+    sender, receivers = burst(3)
+    engine = Engine([sender] + receivers, congestion=CongestionBudget(send=1))
     engine.run()
-    assert arrivals(receiver) == {1: 1, 2: 1, 3: 1}
+    assert total_arrivals(receivers) == {1: 1, 2: 1, 3: 1}
 
 
 def test_receive_budget_throttles_fan_in():
+    ping = Action(sends=Broadcast((3,), ("ping",), MessageKind.CONTROL))
     senders = [
-        Script(pid, 4, [(0, pings(3, 1)), (10, Action.halting())])
+        Script(pid, 4, [(0, ping), (10, Action.halting())])
         for pid in range(3)
     ]
     receiver = Script(3, 4, [(100, Action.halting())])
@@ -135,17 +150,16 @@ def test_receive_budget_throttles_fan_in():
 
 
 def test_deferred_sends_survive_the_senders_crash():
-    sender = Script(0, 2, [(0, pings(1, 4)), (10, Action.halting())])
-    receiver = Script(1, 2, [(100, Action.halting())])
+    sender, receivers = burst(4)
     engine = Engine(
-        [sender, receiver],
+        [sender] + receivers,
         congestion=CongestionBudget(send=1),
         adversary=FixedSchedule([CrashDirective(pid=0, at_round=1)]),
     )
     engine.run()
     # The wire already holds all four copies; the crash at round 1 kills
     # the sender, not its in-flight backlog.
-    assert sum(arrivals(receiver).values()) == 4
+    assert total_arrivals(receivers) == {1: 1, 2: 1, 3: 1, 4: 1}
 
 
 class RecoveringScript(Script):
@@ -172,7 +186,7 @@ def test_deferred_broadcast_segment_reaches_a_crash_recovered_recipient():
         0,
         4,
         [
-            (0, Action(sends=broadcast([1, 2, 3], "hello", MessageKind.CONTROL))),
+            (0, Action(sends=Broadcast([1, 2, 3], "hello", MessageKind.CONTROL))),
             (10, Action.halting()),
         ],
     )
@@ -200,10 +214,9 @@ def test_deferred_broadcast_segment_reaches_a_crash_recovered_recipient():
 
 def test_uncongested_engine_unchanged_by_none_budget():
     def run(congestion):
-        sender = Script(0, 2, [(0, pings(1, 5)), (10, Action.halting())])
-        receiver = Script(1, 2, [(100, Action.halting())])
-        Engine([sender, receiver], congestion=congestion).run()
-        return arrivals(receiver)
+        sender, receivers = burst(5)
+        Engine([sender] + receivers, congestion=congestion).run()
+        return total_arrivals(receivers)
 
     assert run(None) == {1: 5}
     assert run(congestion_from_spec("budget:send=8")) == {1: 5}  # under budget

@@ -24,7 +24,7 @@ def _work_units(steps):
 
 
 def _broadcast_payloads(steps):
-    return [sends[0].payload for _, sends in steps if sends]
+    return [sends.payload for _, sends in steps if sends]
 
 
 def test_fresh_start_performs_all_units_in_order():
@@ -95,13 +95,13 @@ def test_terminal_subchunk_checkpointed_even_for_last_group_member():
     # script may be all work and no messages.
     steps = _transcript(15, (PARTIAL, 15), 14)
     assert _work_units(steps) == PLAN.units_of(16)
-    assert all(not sends for _, sends in steps if sends == [])
+    assert all(sends is None for work, sends in steps if work is not None)
 
 
 def test_kinds_are_checkpoint_kinds():
     payload, sender, _ = fictitious_initial_message(4, GROUPS)
     steps = _transcript(4, payload, sender)
-    kinds = {send.kind for _, sends in steps for send in sends}
+    kinds = {sends.kind for _, sends in steps if sends}
     assert kinds <= {MessageKind.PARTIAL_CHECKPOINT, MessageKind.FULL_CHECKPOINT}
 
 
@@ -110,8 +110,8 @@ def test_broadcast_recipients_partial_vs_full():
     for _, sends in steps:
         if not sends:
             continue
-        payload = sends[0].payload
-        recipients = [send.dst for send in sends]
+        payload = sends.payload
+        recipients = list(sends.dsts())
         if payload[0] == PARTIAL:
             assert recipients == [1, 2, 3]  # own higher members
         else:

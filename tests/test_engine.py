@@ -14,7 +14,7 @@ from repro.errors import (
     InvariantViolation,
     SimulationStalled,
 )
-from repro.sim.actions import Action, Envelope, MessageKind, Send
+from repro.sim.actions import Action, Broadcast, Envelope, MessageKind
 from repro.sim.adversary import FixedSchedule
 from repro.sim.crashes import CrashDirective, CrashPhase
 from repro.sim.engine import Engine
@@ -50,7 +50,7 @@ class Script(Process):
 
 
 def ping(dst, tag="ping"):
-    return Action(sends=[Send(dst, (tag,), MessageKind.CONTROL)])
+    return Action(sends=Broadcast((dst,), (tag,), MessageKind.CONTROL))
 
 
 def test_message_visible_only_after_send_round():
@@ -116,7 +116,7 @@ def test_crash_before_action_suppresses_everything():
 
 def test_crash_after_work_keeps_work_drops_sends():
     victim = Script(
-        0, 2, [(0, Action(work=1, sends=[Send(1, ("x",), MessageKind.CONTROL)]))]
+        0, 2, [(0, Action(work=1, sends=Broadcast((1,), ("x",), MessageKind.CONTROL)))]
     )
     peer = Script(1, 2, [(5, Action.halting())])
     adversary = FixedSchedule(
@@ -129,7 +129,7 @@ def test_crash_after_work_keeps_work_drops_sends():
 
 
 def test_crash_during_send_delivers_chosen_subset():
-    sends = [Send(dst, ("bcast",), MessageKind.CONTROL) for dst in (1, 2, 3)]
+    sends = Broadcast((1, 2, 3), ("bcast",), MessageKind.CONTROL)
     victim = Script(0, 4, [(0, Action(sends=sends))])
     peers = [Script(pid, 4, [(5, Action.halting())]) for pid in (1, 2, 3)]
     adversary = FixedSchedule(
@@ -146,7 +146,7 @@ def test_crash_during_send_delivers_chosen_subset():
 
 
 def test_crash_after_action_counts_everything():
-    victim = Script(0, 2, [(0, Action(work=1, sends=[Send(1, ("x",), MessageKind.CONTROL)]))])
+    victim = Script(0, 2, [(0, Action(work=1, sends=Broadcast((1,), ("x",), MessageKind.CONTROL)))])
     peer = Script(1, 2, [(5, Action.halting())])
     adversary = FixedSchedule(
         [CrashDirective(pid=0, at_round=0, phase=CrashPhase.AFTER_ACTION)]

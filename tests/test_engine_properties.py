@@ -14,13 +14,14 @@ from typing import List, Optional
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.actions import Action, Envelope, MessageKind, Send
+from repro.sim.actions import Action, Broadcast, Envelope, MessageKind
 from repro.sim.engine import Engine
 from repro.sim.process import Process
 
 
 class Chatter(Process):
-    """Sends a scripted series of (round, dst) messages; logs receipts."""
+    """Sends a scripted series of (round, dst) messages, one broadcast per
+    round to that round's destinations; logs receipts."""
 
     def __init__(self, pid, t, sends, stop_round):
         super().__init__(pid, t)
@@ -39,12 +40,14 @@ class Chatter(Process):
     def on_round(self, round_number, inbox):
         self.acted_rounds.append(round_number)
         self.received.extend(inbox)
-        outgoing = []
+        dsts = []
         while self.sends and self.sends[0][0] <= round_number:
-            _, dst = self.sends.pop(0)
-            outgoing.append(
-                Send(dst, ("msg", self.pid, round_number), MessageKind.CONTROL)
-            )
+            dsts.append(self.sends.pop(0)[1])
+        outgoing = (
+            Broadcast(dsts, ("msg", self.pid, round_number), MessageKind.CONTROL)
+            if dsts
+            else None
+        )
         return Action(
             sends=outgoing, halt=(round_number >= self.stop_round and not self.sends)
         )
@@ -56,14 +59,18 @@ def chatter_configs(draw):
     stop = draw(st.integers(min_value=5, max_value=40))
     plans = []
     for pid in range(t):
-        count = draw(st.integers(min_value=0, max_value=6))
-        plan = [
-            (
-                draw(st.integers(min_value=0, max_value=stop - 1)),
-                draw(st.integers(min_value=0, max_value=t - 1)),
+        # Distinct (round, dst) pairs: a round's destinations form one
+        # broadcast, which reaches each recipient once.
+        plan = draw(
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=0, max_value=stop - 1),
+                    st.integers(min_value=0, max_value=t - 1),
+                ),
+                max_size=6,
+                unique=True,
             )
-            for _ in range(count)
-        ]
+        )
         plans.append(plan)
     return t, stop, plans
 
@@ -137,7 +144,7 @@ def test_message_to_self_is_delivered_next_round():
         def on_round(self, round_number, inbox):
             self.got.extend(inbox)
             if round_number == 0:
-                return Action(sends=[Send(0, ("loop",), MessageKind.CONTROL)])
+                return Action(sends=Broadcast((0,), ("loop",), MessageKind.CONTROL))
             return Action(halt=True)
 
     process = SelfSender()

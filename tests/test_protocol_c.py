@@ -2,11 +2,13 @@
 
 import math
 
+import pytest
 
 from repro import run_protocol
 from repro.analysis import bounds
 from repro.core.protocol_c import ProtocolCProcess
-from repro.sim.actions import MessageKind
+from repro.errors import InvariantViolation
+from repro.sim.actions import Action, Broadcast, Envelope, MessageKind
 from repro.sim.adversary import Cascade, FixedSchedule, KillActive, RandomCrashes
 from repro.sim.crashes import CrashDirective
 from repro.sim.trace import Trace
@@ -183,3 +185,23 @@ def test_failure_reports_lower_level_to_inner_group():
     result = run_protocol("C", N, T, adversary=adversary, seed=7)
     assert result.completed
     assert result.metrics.messages_of(MessageKind.ORDINARY) > 0
+
+
+def _poll(src, dst, stamp):
+    return Envelope(src, dst, ("are_you_alive", src), MessageKind.POLL, stamp)
+
+
+def test_a_poll_in_a_round_the_process_steps_violates_lemma_3_4():
+    # Pid 0's first step is due at its epoch; a poll stamped the round
+    # before means another process is active at the same time.
+    process = ProtocolCProcess(0, 4, 4, epoch=5)
+    with pytest.raises(InvariantViolation, match="Lemma 3.4"):
+        process.on_round(5, [_poll(2, 0, 4)])
+
+
+def test_pollers_get_one_reply_broadcast():
+    process = ProtocolCProcess(1, 4, 4)
+    action = process.on_round(1, [_poll(0, 1, 0), _poll(3, 1, 0)])
+    assert action == Action(sends=Broadcast((0, 3), ("alive", 1), MessageKind.POLL_REPLY))
+    assert process.on_round(2, []) is Action.idle()
+

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sim.actions import MessageKind, Send
+from repro.sim.actions import Broadcast, MessageKind
 from repro.work.spec import WorkSpec
 from repro.work.workloads import scenario, scenario_names
 
@@ -46,12 +46,10 @@ def test_workspec_rejects_negative_n():
 def test_workspec_unit_effect_hook():
     spec = WorkSpec(
         n=2,
-        unit_effect=lambda pid, unit, rnd: [
-            Send(unit, ("fx",), MessageKind.VALUE)
-        ],
+        unit_effect=lambda pid, unit, rnd: Broadcast((unit,), ("fx",), MessageKind.VALUE),
     )
     sends = spec.unit_effect(0, 1, 5)
-    assert sends[0].dst == 1 and sends[0].kind is MessageKind.VALUE
+    assert sends.dsts() == (1,) and sends.kind is MessageKind.VALUE
 
 
 def test_workspec_default_description():
