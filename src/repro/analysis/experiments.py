@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List
 
 from repro.agreement.byzantine import ByzantineAgreement
-from repro.analysis import bounds
+from repro.analysis.bounds import byzantine_messages, theorem_bounds
 from repro.analysis.verify import protocol_d_reverted
 from repro.api import ResultSet, Scenario, Sweep
 from repro.core.registry import run_protocol
@@ -73,14 +73,17 @@ def _standard_adversaries(t: int, *, heavy: bool = True) -> List[AdversarySpec]:
 # =====================================================================
 
 
+def _claim(protocol: str) -> str:
+    """A theorem's three bounds as the table states them."""
+    table = theorem_bounds(protocol, 1, 1)
+    return (
+        f"work <= {table['work'].formula}, messages <= "
+        f"{table['messages'].formula}, retired by {table['rounds'].formula}"
+    )
+
+
 def _sequential_protocol_experiment(
-    protocol: str,
-    exp_id: str,
-    theorem: str,
-    work_bound,
-    message_bound,
-    round_bound,
-    quick: bool,
+    protocol: str, exp_id: str, theorem: str, quick: bool
 ) -> ExperimentResult:
     shapes = [(16, 128), (36, 288)] if quick else [(16, 128), (36, 288), (64, 512), (100, 800)]
     seeds = range(3) if quick else range(8)
@@ -88,7 +91,8 @@ def _sequential_protocol_experiment(
     for t, n in shapes:
         results = _sweep(protocol, n, t, _standard_adversaries(t), seeds)
         worst = results.worst()
-        wb, mb, rb = work_bound(n, t), message_bound(n, t), round_bound(n, t)
+        table = theorem_bounds(protocol, n, t)
+        wb, mb, rb = table["work"], table["messages"], table["rounds"]
         rows.append(
             {
                 "t": t,
@@ -111,10 +115,7 @@ def _sequential_protocol_experiment(
     return ExperimentResult(
         exp_id=exp_id,
         title=f"Protocol {protocol} worst-case effort ({theorem})",
-        claim=(
-            f"work <= {work_bound(1, 1).formula}, messages <= "
-            f"{message_bound(1, 1).formula}, retired by {round_bound(1, 1).formula}"
-        ),
+        claim=_claim(protocol),
         columns=[
             "t", "n", "runs", "work", "work bound", "messages", "msg bound",
             "rounds", "round bound", "completed", "ok",
@@ -130,19 +131,11 @@ def _sequential_protocol_experiment(
 
 
 def experiment_e1(quick: bool = False) -> ExperimentResult:
-    return _sequential_protocol_experiment(
-        "A", "E1", "Theorem 2.3",
-        bounds.protocol_a_work, bounds.protocol_a_messages, bounds.protocol_a_rounds,
-        quick,
-    )
+    return _sequential_protocol_experiment("A", "E1", "Theorem 2.3", quick)
 
 
 def experiment_e2(quick: bool = False) -> ExperimentResult:
-    return _sequential_protocol_experiment(
-        "B", "E2", "Theorem 2.8",
-        bounds.protocol_b_work, bounds.protocol_b_messages, bounds.protocol_b_rounds,
-        quick,
-    )
+    return _sequential_protocol_experiment("B", "E2", "Theorem 2.8", quick)
 
 
 # =====================================================================
@@ -168,9 +161,8 @@ def experiment_e3(quick: bool = False) -> ExperimentResult:
         ]
         results = _sweep("C", n, t, adversaries, seeds)
         worst = results.worst()
-        wb = bounds.protocol_c_work(n, t)
-        mb = bounds.protocol_c_messages(n, t)
-        rb = bounds.protocol_c_rounds(n, t)
+        table = theorem_bounds("C", n, t)
+        wb, mb, rb = table["work"], table["messages"], table["rounds"]
         rows.append(
             {
                 "t": t,
@@ -194,7 +186,7 @@ def experiment_e3(quick: bool = False) -> ExperimentResult:
     return ExperimentResult(
         exp_id="E3",
         title="Protocol C worst-case effort (Theorem 3.8)",
-        claim="work <= n + 2t, messages <= n + 8 t log t, retired by t K (n+t) 2^(n+t)",
+        claim=_claim("C"),
         columns=[
             "t", "n", "runs", "work", "work bound", "messages", "msg bound",
             "rounds", "round bound", "completed", "ok",
@@ -223,8 +215,8 @@ def experiment_e4(quick: bool = False) -> ExperimentResult:
         batched = _sweep("C-batched", n, t, adversaries, seeds)
         plain_msgs = plain.worst()["messages"]
         batched_worst = batched.worst()
-        mb = bounds.protocol_c_batched_messages(n, t)
-        wb = bounds.protocol_c_batched_work(n, t)
+        table = theorem_bounds("C-batched", n, t)
+        mb, wb = table["messages"], table["work"]
         rows.append(
             {
                 "t": t,
@@ -273,9 +265,8 @@ def experiment_e5(quick: bool = False) -> ExperimentResult:
     rows = []
     for f in fs:
         result = run_protocol("D", n, t, adversary=_phase_kills(t, f) if f else None, seed=3)
-        wb = bounds.protocol_d_work(n, t, f)
-        mb = bounds.protocol_d_messages(n, t, f)
-        rb = bounds.protocol_d_rounds(n, t, f)
+        table = theorem_bounds("D", n, t, failures=f)
+        wb, mb, rb = table["work"], table["messages"], table["rounds"]
         metrics = result.metrics
         rows.append(
             {
@@ -284,7 +275,7 @@ def experiment_e5(quick: bool = False) -> ExperimentResult:
                 "work bound": wb.value,
                 "messages": metrics.messages_total,
                 "msg bound": mb.value,
-                "rounds": metrics.retire_round + 1,
+                "rounds": rb.measured(metrics.retire_round),
                 "round bound": rb.value,
                 "completed": result.completed,
                 "ok": (
@@ -314,8 +305,8 @@ def experiment_e6(quick: bool = False) -> ExperimentResult:
     result = run_protocol("D", n, t, adversary=adversary, seed=5)
     metrics = result.metrics
     reverted = protocol_d_reverted(metrics)
-    wb = bounds.protocol_d_reverted_work(n, t, f)
-    mb = bounds.protocol_d_reverted_messages(n, t, f)
+    table = theorem_bounds("D", n, t, failures=f, reverted=True)
+    wb, mb = table["work"], table["messages"]
     rows = [
         {
             "f": f,
@@ -464,8 +455,8 @@ def experiment_e8(quick: bool = False) -> ExperimentResult:
 
 
 def _naive_row(n, t, interval, label, seeds):
-    work_target = bounds.protocol_a_work(n, t).value
-    msg_target = bounds.protocol_a_messages(n, t).value
+    table = theorem_bounds("A", n, t)
+    work_target, msg_target = table["work"].value, table["messages"].value
     results = _sweep(
         "naive", n, t, [f"kill-before-checkpoint:{t - 1}"], seeds, interval=interval
     )
@@ -499,8 +490,8 @@ def experiment_e9(quick: bool = False) -> ExperimentResult:
     """
     t, n = (16, 256) if quick else (36, 1296)
     seeds = range(1)
-    work_target = bounds.protocol_a_work(n, t).value
-    msg_target = bounds.protocol_a_messages(n, t).value
+    table = theorem_bounds("A", n, t)
+    work_target, msg_target = table["work"].value, table["messages"].value
     rows = []
     intervals = [1, 4, 16, 64, n] if quick else [1, 6, 18, 36, 72, 216, n]
     for interval in intervals:
@@ -586,7 +577,7 @@ def experiment_e10(quick: bool = False) -> ExperimentResult:
                 worst_msgs = max(worst_msgs, outcome.metrics.messages_total)
                 all_agree = all_agree and outcome.agreement
                 all_valid = all_valid and outcome.valid_for(7)
-            mb = bounds.byzantine_messages(n_system, t, protocol)
+            mb = byzantine_messages(n_system, t, protocol)
             rows.append(
                 {
                     "n": n_system,
@@ -629,8 +620,8 @@ def experiment_e11(quick: bool = False) -> ExperimentResult:
         scenario = Scenario(protocol="A-async", n=n, t=t, crash_times=crash_times)
         async_results = Sweep(scenario, seeds=seeds).run()
         async_worst = async_results.worst()
-        wb = bounds.protocol_a_work(n, t)
-        mb = bounds.protocol_a_messages(n, t)
+        table = theorem_bounds("A", n, t)  # Theorem 2.3's effort profile
+        wb, mb = table["work"], table["messages"]
         rows.append(
             {
                 "t": t,
@@ -772,11 +763,6 @@ def experiment_e17(quick: bool = False) -> ExperimentResult:
     seeds = range(1) if quick else range(2)
     series: Dict[str, List[float]] = {}
     rows = []
-    bound_fns = {
-        "A": bounds.protocol_a_messages,
-        "B": bounds.protocol_b_messages,
-        "C": bounds.protocol_c_messages,
-    }
     for protocol in ["A", "B", "C", "D"]:
         measured = []
         for t in ts:
@@ -787,9 +773,10 @@ def experiment_e17(quick: bool = False) -> ExperimentResult:
             ]
             messages = _sweep(protocol, n, t, adversaries, seeds).worst()["messages"]
             measured.append(float(messages))
-            if protocol in bound_fns and not bound_fns[protocol](
-                n, t
-            ).holds_for(messages):
+            # D's message bound needs the failure count, which the worst
+            # case does not pair with its message count.
+            checked = protocol != "D"
+            if checked and not theorem_bounds(protocol, n, t)["messages"].holds_for(messages):
                 measured[-1] = float("nan")  # flagged below via ok
         series[protocol] = measured
         fit = fit_power_law([float(t) for t in ts], measured)
@@ -911,6 +898,7 @@ def experiment_e15(quick: bool = False) -> ExperimentResult:
         naive = _sweep("C-naive", n, t, [adversary], range(1))
         full_c = _sweep("C", n, t, [adversary], range(1))
         naive_worst, c_worst = naive.worst(), full_c.worst()
+        c_work_bound = theorem_bounds("C", n, t)["work"]
         naive_work.append(float(naive_worst["work"]))
         c_work.append(float(c_worst["work"]))
         rows.append(
@@ -921,11 +909,11 @@ def experiment_e15(quick: bool = False) -> ExperimentResult:
                 "naive msgs": naive_worst["messages"],
                 "C work": c_worst["work"],
                 "C msgs": c_worst["messages"],
-                "C work bound": bounds.protocol_c_work(n, t).value,
+                "C work bound": c_work_bound.value,
                 "completed": naive.all_completed and full_c.all_completed,
                 "ok": full_c.all_completed
                 and naive.all_completed
-                and c_worst["work"] <= bounds.protocol_c_work(n, t).value,
+                and c_work_bound.holds_for(c_worst["work"]),
             }
         )
     naive_fit = fit_power_law([float(t) for t in ts], naive_work)

@@ -16,10 +16,9 @@ structured report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.analysis import bounds
-from repro.errors import ConfigurationError
 from repro.sim.actions import MessageKind
 from repro.sim.metrics import Metrics, RunResult
 
@@ -62,27 +61,14 @@ class VerificationReport:
 
 
 def protocol_d_reverted(metrics: Metrics) -> bool:
-    """Whether a Protocol D run reverted to Protocol A, which decides
-    which of D's two bound families applies.  D itself sends no
-    checkpoints, so any A checkpoint traffic means it reverted."""
+    """Whether a Protocol D run reverted to Protocol A (the
+    ``reverted`` fact :func:`~repro.analysis.bounds.theorem_bounds`
+    reads).  D itself sends no checkpoints, so any A checkpoint traffic
+    means it reverted."""
     return (
         metrics.messages_of(MessageKind.PARTIAL_CHECKPOINT)
         + metrics.messages_of(MessageKind.FULL_CHECKPOINT)
     ) > 0
-
-
-_WORK_MESSAGE_BOUNDS: Dict[str, Tuple[Callable, Callable]] = {
-    "A": (bounds.protocol_a_work, bounds.protocol_a_messages),
-    "B": (bounds.protocol_b_work, bounds.protocol_b_messages),
-    "C": (bounds.protocol_c_work, bounds.protocol_c_messages),
-    "C-BATCHED": (bounds.protocol_c_batched_work, bounds.protocol_c_batched_messages),
-}
-
-_ROUND_BOUNDS: Dict[str, Callable] = {
-    "A": bounds.protocol_a_rounds,
-    "B": bounds.protocol_b_rounds,
-    "C": bounds.protocol_c_rounds,
-}
 
 
 def verify_run(
@@ -95,30 +81,25 @@ def verify_run(
     round_slack: Optional[int] = None,
 ) -> VerificationReport:
     """Check ``result`` against every bound the paper proves for
-    ``protocol`` on an ``(n, t)`` instance.
+    ``protocol`` on an ``(n, t)`` instance: the work was completed, and
+    each bound of :func:`repro.analysis.bounds.theorem_bounds` holds.
 
-    ``failures`` is required for Protocol D (its message/round bounds are
-    failure-dependent).  ``round_slack`` widens round-bound checks by the
-    implementation's documented deadline slack; if ``None``, round bounds
-    are reported but checked with a slack of ``4 t`` (the default slack
-    of 2 paid on up to ``2t`` deadline evaluations).
+    ``failures`` (Protocol D's bounds depend on it) defaults to the
+    run's own crash count.  ``round_slack`` widens round-bound checks by
+    the implementation's documented deadline slack; if ``None``, round
+    bounds are checked with a slack of ``4 t`` (the default slack of 2
+    paid on up to ``2t`` deadline evaluations).  A protocol with no
+    paper bound gets the completion check only.
     """
-    key = protocol.upper()
-    report = VerificationReport(protocol=protocol, n=n, t=t, checks=[])
     metrics = result.metrics
-    slack = round_slack if round_slack is not None else 4 * t
-
-    def add(name: str, bound, measured: float, widen: float = 0.0) -> None:
-        report.checks.append(
-            Check(
-                name=name,
-                formula=bound.formula,
-                bound=bound.value,
-                measured=measured,
-                ok=measured <= bound.value + widen,
-            )
-        )
-
+    table = bounds.theorem_bounds(
+        protocol,
+        n,
+        t,
+        failures=metrics.crashes if failures is None else failures,
+        reverted=protocol_d_reverted(metrics),
+    )
+    report = VerificationReport(protocol=protocol, n=n, t=t, checks=[])
     if result.survivors >= 1:
         report.checks.append(
             Check(
@@ -129,44 +110,19 @@ def verify_run(
                 ok=result.completed,
             )
         )
-
-    if key in _WORK_MESSAGE_BOUNDS:
-        work_bound, msg_bound = _WORK_MESSAGE_BOUNDS[key]
-        add("work", work_bound(n, t), metrics.work_total)
-        add("messages", msg_bound(n, t), metrics.messages_total)
-        if key in _ROUND_BOUNDS:
-            add("rounds", _ROUND_BOUNDS[key](n, t), float(metrics.retire_round), widen=slack)
-    elif key == "D":
-        if failures is None:
-            raise ConfigurationError(
-                "Protocol D's bounds depend on the failure count; pass failures="
+    measures = metrics.measures()
+    slack = 4 * t if round_slack is None else round_slack
+    for name, bound in table.items():
+        measured, widen = bound.measured(measures[name]), 0
+        if name == "rounds":  # deadlines may run late by the slack
+            measured, widen = float(measured), slack
+        report.checks.append(
+            Check(
+                name=name,
+                formula=bound.formula,
+                bound=bound.value,
+                measured=measured,
+                ok=measured <= bound.value + widen,
             )
-        if protocol_d_reverted(metrics):
-            add("work", bounds.protocol_d_reverted_work(n, t, failures), metrics.work_total)
-            add(
-                "messages",
-                bounds.protocol_d_reverted_messages(n, t, failures),
-                metrics.messages_total,
-            )
-        else:
-            add("work", bounds.protocol_d_work(n, t, failures), metrics.work_total)
-            add(
-                "messages",
-                bounds.protocol_d_messages(n, t, failures),
-                metrics.messages_total,
-            )
-            add(
-                "rounds",
-                bounds.protocol_d_rounds(n, t, failures),
-                float(metrics.retire_round + 1),
-                widen=slack,
-            )
-    elif key == "REPLICATE":
-        add("work", bounds.replicate_work(n, t), metrics.work_total)
-    elif key == "NAIVE":
-        pass  # the straw man has no paper bound beyond completion
-    else:
-        raise ConfigurationError(
-            f"no verification rules for protocol {protocol!r}"
         )
     return report

@@ -483,7 +483,11 @@ class Scenario:
         if self.congestion is not None:
             data["congestion"] = self.congestion
         if self.crash_times:
-            data["crash_times"] = dict(self.crash_times)
+            # JSON keys, in JSON's order: the echo reads the same after a
+            # json.loads/json.dumps round trip.
+            data["crash_times"] = dict(
+                sorted((str(pid), when) for pid, when in self.crash_times.items())
+            )
         if self.failure_detector is not None:
             data["failure_detector"] = dict(self.failure_detector)
         if self.strict_invariants is not None:

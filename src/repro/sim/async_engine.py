@@ -22,8 +22,8 @@ one per message copy.  Dispatch order is *exactly* the per-copy order:
 each copy keeps its own sequence number, and the batch loop yields back
 to the heap whenever another queued event (a crash, a wake, another
 recipient's batch) sorts before the next copy at the same instant
-(``tests/test_async_equivalence.py`` diffs this against a per-copy
-reference engine).
+(``tests/test_async_equivalence.py`` diffs this against the per-copy
+reference engine of ``tests/reference_async.py``).
 
 Lazy broadcast fan-out
 ----------------------
@@ -38,9 +38,8 @@ stored once per broadcast.  Metrics are recorded with one
 :meth:`Metrics.record_sends` call per broadcast (a per-copy send books
 its one copy through the same call).  Per-copy
 sequence numbers and the same yield-to-heap-head rule keep global
-dispatch order exactly the per-copy engine's
-(``tests/test_broadcast_equivalence.py`` pins this against an engine
-that expands every broadcast).
+dispatch order exactly the per-copy engine's (the same reference
+expands every broadcast).
 
 Congestion budgets
 ------------------
@@ -416,7 +415,7 @@ class AsyncEngine:
         ctx = AsyncContext(self, process.pid)
         if event.kind == "deliver":
             # Per-copy path: the reference (oracle) engine in
-            # tests/test_async_equivalence.py, and re-queued over-budget
+            # tests/reference_async.py, and re-queued over-budget
             # copies under a receive budget.
             congestion = self.congestion
             if (

@@ -378,9 +378,9 @@ class RunResult:
                 raise ConfigurationError(
                     f"run-result field 'config' must be a dict, got {config!r}"
                 )
-            # JSON stringifies int dict keys (e.g. crash_times pids); a
-            # round trip through Scenario restores the native shape so
-            # rehydrated results compare equal to in-process ones.
+            # A round trip through Scenario checks the echo and makes it
+            # canonical, so rehydrated results compare equal to
+            # in-process ones.
             from repro.api import Scenario
 
             config = Scenario.from_dict(config).to_dict()

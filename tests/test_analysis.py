@@ -1,38 +1,58 @@
 """Analysis layer: bounds, tables, sweeps and the experiment registry."""
 
+import pytest
 
-from repro.analysis import bounds
+from repro.analysis.bounds import theorem_bounds
 from repro.analysis.experiments import REGISTRY, experiment_e7, run_experiment
 from repro.analysis.tables import format_number, render_dict_rows, render_table
 from repro.api import Scenario, Sweep
+from repro.errors import ConfigurationError
 from repro.sim.adversary import RandomCrashes
 
 # ---- bounds ----------------------------------------------------------------
 
 
 def test_bound_holds_for():
-    bound = bounds.protocol_a_work(100, 16)
+    bound = theorem_bounds("A", 100, 16)["work"]
     assert bound.value == 300
     assert bound.holds_for(300)
     assert not bound.holds_for(301)
 
 
 def test_bounds_match_paper_formulas():
-    assert bounds.protocol_a_messages(100, 16).value == 9 * 16 * 4
-    assert bounds.protocol_b_messages(100, 16).value == 10 * 16 * 4
-    assert bounds.protocol_b_rounds(100, 16).value == 300 + 128
-    assert bounds.protocol_c_work(100, 16).value == 132
-    assert bounds.protocol_d_rounds(128, 16, 0).value == 8 + 2
-    assert bounds.protocol_d_messages(128, 16, 2).value == 10 * 256
+    assert theorem_bounds("A", 100, 16)["messages"].value == 9 * 16 * 4
+    assert theorem_bounds("B", 100, 16)["messages"].value == 10 * 16 * 4
+    assert theorem_bounds("B", 100, 16)["rounds"].value == 300 + 128
+    assert theorem_bounds("C", 100, 16)["work"].value == 132
+    assert theorem_bounds("D", 128, 16, failures=0)["rounds"].value == 8 + 2
+    assert theorem_bounds("D", 128, 16, failures=2)["messages"].value == 10 * 256
 
 
 def test_n_prime_in_work_bounds():
     # n' = max(n, t): the work bound never drops below 3t.
-    assert bounds.protocol_a_work(4, 16).value == 48
+    assert theorem_bounds("A", 4, 16)["work"].value == 48
 
 
 def test_c_round_bound_is_astronomical():
-    assert bounds.protocol_c_rounds(32, 8).value > 2.0 ** 40
+    assert theorem_bounds("C", 32, 8)["rounds"].value > 2.0 ** 40
+
+
+def test_the_table_picks_d_s_family_and_the_time_it_reads():
+    plain = theorem_bounds("D", 64, 16, failures=2)
+    reverted = theorem_bounds("D", 64, 16, failures=2, reverted=True)
+    assert (plain["work"].formula, reverted["work"].formula) == ("2n", "4n")
+    assert "rounds" not in reverted
+    # D's time counts rounds 0..retire_round; A, B and C read retire_round.
+    assert plain["rounds"].measured(9) == 10
+    assert [theorem_bounds(p, 64, 16)["rounds"].measured(9) for p in "ABC"] == [9, 9, 9]
+    assert theorem_bounds("A", 64, 16, reverted=True) == theorem_bounds("A", 64, 16)
+
+
+def test_the_table_states_no_paper_bound_and_refuses_unknown_names():
+    for protocol in ("naive", "C-naive", "D-dynamic", "D-recovery"):
+        assert theorem_bounds(protocol, 64, 16) == {}
+    with pytest.raises(ConfigurationError):
+        theorem_bounds("A-async", 64, 16)
 
 
 # ---- tables ------------------------------------------------------------------

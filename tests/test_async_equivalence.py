@@ -1,14 +1,16 @@
-"""Batched async delivery must be observationally identical to per-copy.
+"""Batched async delivery and packed broadcasts must be observationally
+identical to scheduling every copy on its own.
 
-``_ReferencePerCopyEngine`` re-implements the seed behaviour - one heap
-event per message copy - by overriding only ``_send`` (the engine keeps
-a per-copy ``deliver`` dispatch path for exactly this oracle).  Both
-engines share RNG derivation, metrics, crash and failure-detector
-handling, so any divergence is attributable to the batching.  Runs are
-diffed on metrics, an ordered log of every work execution and
-suspicion, and the run outcome, across crash patterns x delay models x
-seeds - including fixed (deterministic) delays, where same-instant
-batches actually form and the tie-breaking re-push path is exercised.
+The reference is ``tests/reference_async.py``'s ``PerCopyAsyncEngine``:
+the engine with one ``deliver`` heap event per message copy and every
+broadcast expanded into its per-copy sends.  Both engines share RNG
+derivation, metrics, crash and failure-detector handling, so any
+divergence is attributable to the batching.  Runs are diffed on
+metrics, an ordered log of every work execution, a payload-level log of
+every message, wake and suspicion, and the run outcome, across crash
+patterns x delay models x seeds - including fixed (deterministic)
+delays, where same-instant batches actually form and the tie-breaking
+re-push path is exercised.
 """
 
 import heapq
@@ -25,76 +27,19 @@ from repro.sim.async_engine import (
     uniform_delays,
 )
 from repro.sim.failure_detector import FailureDetector
-from repro.work.tracker import WorkTracker
-
-
-class _ReferencePerCopyEngine(AsyncEngine):
-    """The seed scheduling: one ``deliver`` heap event per message copy."""
-
-    def _send(self, src, dst, payload, kind):
-        self.metrics.record_sends(src, kind, 1, int(self.now))
-        delay = max(0.0, self.delay_model(self.delay_rng, src, dst))
-        heapq.heappush(
-            self._heap,
-            _Event(self.now + delay, next(self._seq), "deliver", dst, (src, payload, kind)),
-        )
-
-
-class _LoggingTracker(WorkTracker):
-    """Work tracker that also logs the exact execution order."""
-
-    def __init__(self, n):
-        super().__init__(n)
-        self.log = []
-
-    def record(self, pid, unit, round_number):
-        super().record(pid, unit, round_number)
-        self.log.append((pid, unit, round_number))
-
-
-class _LoggingProcess(AsyncProcess):
-    """Wraps an async process, logging every handler invocation."""
-
-    def __init__(self, inner, log):
-        super().__init__(inner.pid, inner.t)
-        self.inner = inner
-        self.log = log
-
-    # retired is the wrapper's own crashed/halted - the engine marks the
-    # wrapper, and gates every dispatch on it, in both engines alike.
-
-    def on_start(self, ctx):
-        self.inner.on_start(ctx)
-
-    def on_message(self, ctx, src, payload, kind):
-        self.log.append(("msg", round(ctx.now, 9), self.pid, src, kind.value))
-        self.inner.on_message(ctx, src, payload, kind)
-
-    def on_wake(self, ctx, tag):
-        self.log.append(("wake", round(ctx.now, 9), self.pid, tag))
-        self.inner.on_wake(ctx, tag)
-
-    def on_suspect(self, ctx, crashed_pid):
-        self.log.append(("suspect", round(ctx.now, 9), self.pid, crashed_pid))
-        self.inner.on_suspect(ctx, crashed_pid)
+from tests.reference_async import PerCopyAsyncEngine, run_logged
 
 
 def _run(engine_cls, *, n, t, crash_times, delay_factory, detector_factory, seed):
-    log = []
-    processes = [
-        _LoggingProcess(p, log) for p in build_async_protocol_a(n, t)
-    ]
-    tracker = _LoggingTracker(n)
-    engine = engine_cls(
-        processes,
-        tracker=tracker,
+    return run_logged(
+        engine_cls,
+        build_async_protocol_a(n, t),
+        n,
         seed=seed,
         crash_times=dict(crash_times),
         delay_model=delay_factory(),
         failure_detector=detector_factory(),
     )
-    result = engine.run()
-    return result, tracker.log, log
 
 
 # 4 scenario shapes x 3 seeds = 12 async combinations.
@@ -142,7 +87,7 @@ def test_batched_delivery_matches_per_copy_reference(
         seed=seed,
     )
     ref, ref_work, ref_log = _run(
-        _ReferencePerCopyEngine,
+        PerCopyAsyncEngine,
         n=n,
         t=t,
         crash_times=crash_times,
@@ -158,6 +103,30 @@ def test_batched_delivery_matches_per_copy_reference(
         ref.survivors,
         ref.halted,
     )
+
+
+def test_the_reference_schedules_every_copy_on_its_own():
+    """If the reference stopped taking its per-copy path, the comparison
+    above would pit the engine against itself."""
+    kinds = set()
+
+    class Counting(PerCopyAsyncEngine):
+        def _dispatch(self, event):
+            kinds.add(event.kind)
+            return super()._dispatch(event)
+
+    for _, crash_times, delay_factory, detector_factory in SCENARIOS:
+        _run(
+            Counting,
+            n=60,
+            t=8,
+            crash_times=crash_times,
+            delay_factory=delay_factory,
+            detector_factory=detector_factory,
+            seed=0,
+        )
+    assert "deliver" in kinds
+    assert not kinds & {"deliver_batch", "deliver_bcast"}
 
 
 def test_fixed_delays_form_real_batches():
@@ -206,9 +175,7 @@ def test_fixed_delays_form_real_batches():
     fast_procs = build()
     fast = _SpyEngine(fast_procs, seed=1, delay_model=fixed_delays(1.0)).run()
     ref_procs = build()
-    ref = _ReferencePerCopyEngine(
-        ref_procs, seed=1, delay_model=fixed_delays(1.0)
-    ).run()
+    ref = PerCopyAsyncEngine(ref_procs, seed=1, delay_model=fixed_delays(1.0)).run()
     assert fast.metrics.as_dict() == ref.metrics.as_dict()
     assert [p.heard for p in fast_procs] == [p.heard for p in ref_procs]
     # Every broadcast generation lands at each recipient as ONE batch of

@@ -15,9 +15,10 @@ Two oracles commit copy by copy:
   on the list-per-recipient reference store of
   ``tests/reference_store.py`` - so the row store and the one-post
   broadcast commit never touch the reference execution;
-* ``_ExpandedAsyncEngine`` overrides ``_broadcast`` to route every copy
-  through the per-copy ``_send`` path (one delay draw and one
-  per-(recipient, due) batch entry per copy).
+* ``tests/reference_async.py``'s ``PerCopyAsyncEngine`` expands every
+  broadcast into per-copy sends, each one delay draw and one heap
+  event; ``tests/test_async_equivalence.py`` runs it against the async
+  engine.
 
 Running fast vs oracle over seeds x protocols x adversaries (including
 crash-mid-broadcast partial delivery) pins the rewrite the way
@@ -39,12 +40,11 @@ from repro.sim.adversary import (
     RandomCrashes,
     StaggeredWorkKills,
 )
-from repro.sim.async_engine import AsyncEngine, fixed_delays, uniform_delays
+from repro.sim.async_engine import AsyncEngine, AsyncProcess, fixed_delays
 from repro.sim.columnar import RowInbox, Span
 from repro.sim.congestion import CongestionBudget
 from repro.sim.crashes import CrashDirective, CrashPhase
 from repro.sim.engine import Engine
-from repro.sim.failure_detector import FailureDetector
 from repro.sim.process import Process
 from repro.sim.trace import Trace
 from repro.work.tracker import WorkTracker
@@ -301,132 +301,12 @@ def test_every_delivered_message_is_the_recipients_own_envelope(receive):
 
 
 # =====================================================================
-# The asynchronous oracle: per-copy broadcast expansion
+# The asynchronous engine: one heap event per due instant
 # =====================================================================
-
-
-class _ExpandedAsyncEngine(AsyncEngine):
-    """A broadcast is just its per-copy sends."""
-
-    def _broadcast(self, src, bcast):
-        for dst in bcast.recipients:
-            self._send(src, dst, bcast.payload, bcast.kind)
-
-
-class _LoggingTracker(WorkTracker):
-    def __init__(self, n):
-        super().__init__(n)
-        self.log = []
-
-    def record(self, pid, unit, round_number):
-        super().record(pid, unit, round_number)
-        self.log.append((pid, unit, round_number))
-
-
-from repro.core.protocol_a_async import build_async_protocol_a  # noqa: E402
-from repro.sim.async_engine import AsyncProcess  # noqa: E402
-
-
-class _LoggingProcess(AsyncProcess):
-    """Logs every handler invocation (payload-level, stamped)."""
-
-    def __init__(self, inner, log):
-        super().__init__(inner.pid, inner.t)
-        self.inner = inner
-        self.log = log
-
-    def on_start(self, ctx):
-        self.inner.on_start(ctx)
-
-    def on_message(self, ctx, src, payload, kind):
-        self.log.append(("msg", round(ctx.now, 9), self.pid, src, payload, kind.value))
-        self.inner.on_message(ctx, src, payload, kind)
-
-    def on_wake(self, ctx, tag):
-        self.log.append(("wake", round(ctx.now, 9), self.pid, tag))
-        self.inner.on_wake(ctx, tag)
-
-    def on_suspect(self, ctx, crashed_pid):
-        self.log.append(("suspect", round(ctx.now, 9), self.pid, crashed_pid))
-        self.inner.on_suspect(ctx, crashed_pid)
-
-
-def _run_async(engine_cls, *, n, t, crash_times, delay_factory, detector_factory, seed):
-    log = []
-    processes = [_LoggingProcess(p, log) for p in build_async_protocol_a(n, t)]
-    tracker = _LoggingTracker(n)
-    engine = engine_cls(
-        processes,
-        tracker=tracker,
-        seed=seed,
-        crash_times=dict(crash_times),
-        delay_model=delay_factory(),
-        failure_detector=detector_factory(),
-    )
-    result = engine.run()
-    return result, tracker.log, log
-
-
-# 4 scenario shapes x 3 seeds = 12 asynchronous combinations.
-ASYNC_COMBOS = [
-    ("nofail_uniform", {}, uniform_delays, FailureDetector),
-    (
-        "rolling_uniform",
-        {pid: 4.0 + 9.0 * pid for pid in range(6)},
-        uniform_delays,
-        FailureDetector,
-    ),
-    (
-        "crash_fixed_delay",
-        {0: 5.0, 1: 17.0},
-        lambda: fixed_delays(1.0),
-        lambda: FailureDetector(min_delay=2.0, max_delay=2.0),
-    ),
-    (
-        "slow_detector",
-        {0: 1.0},
-        lambda: uniform_delays(0.1, 8.0),
-        lambda: FailureDetector(min_delay=40.0, max_delay=60.0),
-    ),
-]
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize(
-    "name,crash_times,delay_factory,detector_factory",
-    ASYNC_COMBOS,
-    ids=[s[0] for s in ASYNC_COMBOS],
-)
-def test_async_packed_broadcasts_match_per_copy_reference(
-    name, crash_times, delay_factory, detector_factory, seed
-):
-    n, t = 60, 8
-    fast, fast_work, fast_log = _run_async(
-        AsyncEngine,
-        n=n,
-        t=t,
-        crash_times=crash_times,
-        delay_factory=delay_factory,
-        detector_factory=detector_factory,
-        seed=seed,
-    )
-    ref, ref_work, ref_log = _run_async(
-        _ExpandedAsyncEngine,
-        n=n,
-        t=t,
-        crash_times=crash_times,
-        delay_factory=delay_factory,
-        detector_factory=detector_factory,
-        seed=seed,
-    )
-    assert fast.metrics.as_dict() == ref.metrics.as_dict()
-    assert fast_work == ref_work
-    assert fast_log == ref_log
-    assert (fast.completed, fast.survivors, fast.halted) == (
-        ref.completed,
-        ref.survivors,
-        ref.halted,
-    )
+#
+# The per-copy async reference (``tests/reference_async.py``) is compared
+# with the engine, packed broadcasts included, in
+# ``tests/test_async_equivalence.py``.
 
 
 def test_async_broadcast_schedules_one_event_per_due_instant():

@@ -10,7 +10,11 @@ Two kinds of check:
   warm, one A-async job with ``crash_times``, and ``GET /results/<key>``)
   for the scenarios of ``inputs.json``.  The spliced texts must match
   them byte for byte, so neither the journal, the ledger nor the wire
-  format changed.
+  format changed.  One edit since: when the config echo's ``crash_times``
+  pids became JSON string keys, the A-async scenario (pids 0, 3, 10)
+  got a new cache key, so its keys, its journal line's crc, the ledger
+  header's digest and the order of its echo's pids were rewritten;
+  every result byte is still the old encoder's.
 * **One codec property over fuzzed runs.**  Scenarios drawn by the
   differential fuzz's generator (pinned seed) must satisfy
   ``decode(encode(r)) == r`` and ``encode(decode(b)) == b``, and a
@@ -31,6 +35,7 @@ from pathlib import Path
 import pytest
 
 from repro import codec
+from repro.__main__ import main as cli_main
 from repro.api import Scenario, Sweep
 from repro.cache import ResultCache, verify_journal
 from repro.campaign import (
@@ -122,6 +127,40 @@ def test_fixture_ledger_loads_and_reports_the_direct_runs():
     assert [result for _, result in report.result_set] == [
         scenario.run() for scenario in spec.grid.scenarios()
     ]
+
+
+def test_mixed_digit_crash_pids_are_canonical_on_every_path(tmp_path, capsys):
+    """A config echo whose ``crash_times`` pids mix one and two digits
+    reads the same after a ``json.loads``/``json.dumps`` round trip:
+    printed by ``repro run --json``, spliced by the codec, replayed from
+    the cache journal and served."""
+
+    def canonical(body, **dumps) -> bool:
+        return body == json.dumps(json.loads(body), sort_keys=True, **dumps)
+
+    scenario = Scenario(
+        protocol="A-async", n=24, t=12, seed=7, crash_times={3: 2.0, 10: 5.0}
+    )
+    result = scenario.run()
+    assert list(result.config["crash_times"]) == ["10", "3"]
+    path = scenario.save(tmp_path / "scenario.json")
+    assert cli_main(["run", "--scenario", str(path), "--json"]) == 0
+    assert canonical(capsys.readouterr().out.rstrip("\n"), indent=2)
+
+    text = codec.with_config(codec.encode(result), result.config)
+    assert canonical(text) and codec.decode(text) == result
+    journal = tmp_path / "cache.jsonl"
+    ResultCache(path=journal).put(scenario.cache_key(), result)
+    replayed = ResultCache(path=journal)
+    assert replayed.get(scenario.cache_key()) == dataclasses.replace(result, config=None)
+
+    document = json.dumps({"scenario": scenario.to_dict()}).encode()
+    with ReproServer(port=0, cache=replayed) as server:
+        answer = _exchange(server, "POST", "/jobs?wait=60", document)
+        stored = _exchange(server, "GET", "/results/" + scenario.cache_key())
+    assert json.loads(answer)["sources"] == ["cache"]
+    assert canonical(answer.decode()) and canonical(stored.decode())
+    assert codec.decode(json.loads(answer)["results"][0]) == result
 
 
 # ---- the codec itself -------------------------------------------------------

@@ -2,7 +2,7 @@
 
 
 from repro import run_protocol
-from repro.analysis import bounds
+from repro.analysis.bounds import theorem_bounds
 from repro.analysis.scaling import fit_power_law
 from repro.sim.adversary import Cascade, KillActive, RandomCrashes
 from repro.sim.trace import Trace
@@ -81,7 +81,7 @@ def test_protocol_c_defeats_the_same_cascade():
     for t in (8, 16, 32):
         result = run_protocol("C", 2 * t, t, adversary=_cascade(t), seed=2)
         assert result.completed
-        assert result.metrics.work_total <= bounds.protocol_c_work(2 * t, t).value
+        assert result.metrics.work_total <= theorem_bounds("C", 2 * t, t)["work"].value
 
 
 def test_naive_beats_nothing_on_messages_under_cascade():

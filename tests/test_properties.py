@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import run_protocol
-from repro.analysis import bounds
+from repro.analysis.bounds import theorem_bounds
 from repro.sim.adversary import FixedSchedule
 from repro.sim.crashes import CrashDirective, CrashPhase
 
@@ -51,8 +51,8 @@ def test_protocol_a_always_completes_within_bounds(schedule, seed):
     n, t = 54, 9
     result = run_protocol("A", n, t, adversary=schedule, seed=seed)
     assert result.completed
-    assert result.metrics.work_total <= bounds.protocol_a_work(n, t).value
-    assert result.metrics.messages_total <= bounds.protocol_a_messages(n, t).value
+    assert result.metrics.work_total <= theorem_bounds("A", n, t)["work"].value
+    assert result.metrics.messages_total <= theorem_bounds("A", n, t)["messages"].value
 
 
 # ---- Protocol B -------------------------------------------------------------
@@ -64,8 +64,8 @@ def test_protocol_b_always_completes_within_bounds(schedule, seed):
     n, t = 54, 9
     result = run_protocol("B", n, t, adversary=schedule, seed=seed)
     assert result.completed
-    assert result.metrics.work_total <= bounds.protocol_b_work(n, t).value
-    assert result.metrics.messages_total <= bounds.protocol_b_messages(n, t).value
+    assert result.metrics.work_total <= theorem_bounds("B", n, t)["work"].value
+    assert result.metrics.messages_total <= theorem_bounds("B", n, t)["messages"].value
 
 
 # ---- Protocol C -------------------------------------------------------------
@@ -77,8 +77,8 @@ def test_protocol_c_always_completes_within_bounds(schedule, seed):
     n, t = 24, 8
     result = run_protocol("C", n, t, adversary=schedule, seed=seed)
     assert result.completed
-    assert result.metrics.work_total <= bounds.protocol_c_work(n, t).value
-    assert result.metrics.messages_total <= bounds.protocol_c_messages(n, t).value
+    assert result.metrics.work_total <= theorem_bounds("C", n, t)["work"].value
+    assert result.metrics.messages_total <= theorem_bounds("C", n, t)["messages"].value
 
 
 # ---- Protocol D -------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from repro import run_protocol
 from repro.analysis import bounds
+from repro.analysis.bounds import theorem_bounds
 from repro.sim.adversary import (
     CrashMidBroadcast,
     FixedSchedule,
@@ -82,7 +83,7 @@ def test_work_never_lost_when_crash_is_after_work():
     adversary = KillActive(T - 1, actions_before_kill=1)
     result = run_protocol("A", N, T, adversary=adversary, seed=5)
     assert result.completed
-    assert result.metrics.work_total <= bounds.protocol_a_work(N, T).value
+    assert result.metrics.work_total <= theorem_bounds("A", N, T)["work"].value
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -92,8 +93,8 @@ def test_theorem_2_3_bounds_random_adversary(seed):
     )
     metrics = result.metrics
     assert result.completed
-    assert metrics.work_total <= bounds.protocol_a_work(N, T).value
-    assert metrics.messages_total <= bounds.protocol_a_messages(N, T).value
+    assert metrics.work_total <= theorem_bounds("A", N, T)["work"].value
+    assert metrics.messages_total <= theorem_bounds("A", N, T)["messages"].value
 
 
 def test_theorem_2_3_bounds_battery():
@@ -104,8 +105,8 @@ def test_theorem_2_3_bounds_battery():
             assert result.completed
             worst_work = max(worst_work, result.metrics.work_total)
             worst_msgs = max(worst_msgs, result.metrics.messages_total)
-    assert worst_work <= bounds.protocol_a_work(N, T).value
-    assert worst_msgs <= bounds.protocol_a_messages(N, T).value
+    assert worst_work <= theorem_bounds("A", N, T)["work"].value
+    assert worst_msgs <= theorem_bounds("A", N, T)["messages"].value
 
 
 def test_single_active_invariant_enforced():
@@ -155,5 +156,5 @@ def test_rounds_within_paper_bound_modulo_slack():
     slack_allowance = T * 2 * 2  # slack per deadline times t deadlines
     assert (
         result.metrics.retire_round
-        <= bounds.protocol_a_rounds(N, T).value + slack_allowance
+        <= theorem_bounds("A", N, T)["rounds"].value + slack_allowance
     )

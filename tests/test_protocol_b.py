@@ -4,6 +4,7 @@ import pytest
 
 from repro import run_protocol
 from repro.analysis import bounds
+from repro.analysis.bounds import theorem_bounds
 from repro.sim.actions import MessageKind
 from repro.sim.adversary import FixedSchedule, KillActive, RandomCrashes
 from repro.sim.crashes import CrashDirective
@@ -23,7 +24,7 @@ def test_failure_free_matches_protocol_a():
 
 def test_failure_free_round_complexity_linear():
     result = run_protocol("B", N, T, seed=1)
-    assert result.metrics.retire_round <= bounds.protocol_b_rounds(N, T).value
+    assert result.metrics.retire_round <= theorem_bounds("B", N, T)["rounds"].value
 
 
 def test_round_complexity_beats_protocol_a_under_failures():
@@ -74,8 +75,8 @@ def test_theorem_2_8_bounds_random(seed):
         "B", N, T, adversary=RandomCrashes(T - 1, max_action_index=25), seed=seed
     )
     assert result.completed
-    assert result.metrics.work_total <= bounds.protocol_b_work(N, T).value
-    assert result.metrics.messages_total <= bounds.protocol_b_messages(N, T).value
+    assert result.metrics.work_total <= theorem_bounds("B", N, T)["work"].value
+    assert result.metrics.messages_total <= theorem_bounds("B", N, T)["messages"].value
 
 
 def test_theorem_2_8_battery_worst_case():
@@ -87,8 +88,8 @@ def test_theorem_2_8_battery_worst_case():
             worst["work"] = max(worst["work"], result.metrics.work_total)
             worst["msgs"] = max(worst["msgs"], result.metrics.messages_total)
             worst["rounds"] = max(worst["rounds"], result.metrics.retire_round)
-    assert worst["work"] <= bounds.protocol_b_work(N, T).value
-    assert worst["msgs"] <= bounds.protocol_b_messages(N, T).value
+    assert worst["work"] <= theorem_bounds("B", N, T)["work"].value
+    assert worst["msgs"] <= theorem_bounds("B", N, T)["messages"].value
     # Rounds: paper bound plus the implementation's slack contribution
     # (slack enters PTO, which is paid O(t) times along a takeover chain).
     from repro.core.deadlines import ProtocolBDeadlines

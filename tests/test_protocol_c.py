@@ -6,6 +6,7 @@ import pytest
 
 from repro import run_protocol
 from repro.analysis import bounds
+from repro.analysis.bounds import theorem_bounds
 from repro.core.protocol_c import ProtocolCProcess
 from repro.errors import InvariantViolation
 from repro.sim.actions import Action, Broadcast, Envelope, MessageKind
@@ -62,7 +63,7 @@ def test_theorem_3_8_work_bound():
             "C", N, T, adversary=RandomCrashes(T - 1, max_action_index=20), seed=seed
         )
         assert result.completed
-        assert result.metrics.work_total <= bounds.protocol_c_work(N, T).value
+        assert result.metrics.work_total <= theorem_bounds("C", N, T)["work"].value
 
 
 def test_theorem_3_8_message_bound():
@@ -77,7 +78,7 @@ def test_theorem_3_8_message_bound():
             result = run_protocol("C", N, T, adversary=factory(), seed=seed)
             assert result.completed
             worst = max(worst, result.metrics.messages_total)
-    assert worst <= bounds.protocol_c_messages(N, T).value
+    assert worst <= theorem_bounds("C", N, T)["messages"].value
 
 
 def test_round_complexity_is_exponential_but_bounded():
@@ -85,7 +86,7 @@ def test_round_complexity_is_exponential_but_bounded():
         "C", N, T, adversary=KillActive(T - 1, actions_before_kill=2), seed=3
     )
     assert result.completed
-    assert result.metrics.retire_round <= bounds.protocol_c_rounds(N, T).value
+    assert result.metrics.retire_round <= theorem_bounds("C", N, T)["rounds"].value
 
 
 def test_cascade_adversary_defeated():
@@ -96,7 +97,7 @@ def test_cascade_adversary_defeated():
     )
     result = run_protocol("C", N, T, adversary=adversary, seed=4)
     assert result.completed
-    assert result.metrics.work_total <= bounds.protocol_c_work(N, T).value
+    assert result.metrics.work_total <= theorem_bounds("C", N, T)["work"].value
 
 
 def test_most_knowledgeable_takes_over():
@@ -157,7 +158,7 @@ def test_batched_variant_cuts_messages():
     assert batched.metrics.messages_total < plain.metrics.messages_total
     assert (
         batched.metrics.messages_total
-        <= bounds.protocol_c_batched_messages(n_big, T).value
+        <= theorem_bounds("C-batched", n_big, T)["messages"].value
     )
 
 
@@ -173,7 +174,7 @@ def test_batched_variant_work_stays_linear():
         assert result.completed
         assert (
             result.metrics.work_total
-            <= bounds.protocol_c_batched_work(128, T).value
+            <= theorem_bounds("C-batched", 128, T)["work"].value
         )
 
 

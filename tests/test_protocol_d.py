@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro import run_protocol
-from repro.analysis import bounds
+from repro.analysis.bounds import theorem_bounds
 from repro.core.protocol_d import ProtocolDProcess, build_protocol_d
 from repro.sim.actions import MessageKind
 from repro.sim.adversary import FixedSchedule, RandomCrashes, StaggeredWorkKills
@@ -74,8 +74,8 @@ def test_theorem_4_1_normal_path(f):
     metrics = result.metrics
     assert result.completed
     assert not _reverted(metrics)
-    assert metrics.work_total <= bounds.protocol_d_work(N, T, f).value
-    assert metrics.messages_total <= bounds.protocol_d_messages(N, T, f).value
+    assert metrics.work_total <= theorem_bounds("D", N, T, failures=f)["work"].value
+    assert metrics.messages_total <= theorem_bounds("D", N, T, failures=f)["messages"].value
 
 
 def test_crashed_processes_shares_are_redone():
@@ -99,10 +99,10 @@ def test_reversion_triggers_when_more_than_half_die():
     metrics = result.metrics
     assert result.completed
     assert _reverted(metrics)
-    assert metrics.work_total <= bounds.protocol_d_reverted_work(N, T, f).value
+    assert metrics.work_total <= theorem_bounds("D", N, T, failures=f, reverted=True)["work"].value
     assert (
         metrics.messages_total
-        <= bounds.protocol_d_reverted_messages(N, T, f).value
+        <= theorem_bounds("D", N, T, failures=f, reverted=True)["messages"].value
     )
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro import run_protocol
 from repro.analysis.verify import verify_run
+from repro.core.registry import available_protocols
 from repro.errors import ConfigurationError
 from repro.sim.adversary import KillActive, StaggeredWorkKills
 
@@ -29,10 +30,16 @@ def test_sequential_protocols_verify_under_attack(protocol):
 
 
 def test_protocol_d_requires_failure_count():
-    result = run_protocol("D", 64, 16, seed=1)
-    with pytest.raises(ConfigurationError):
-        verify_run(result, "D", 64, 16)
-    report = verify_run(result, "D", 64, 16, failures=0)
+    """D's bounds depend on the failure count; left out, it is the
+    run's own crash count."""
+    result = run_protocol(
+        "D", 64, 16, adversary=StaggeredWorkKills.plan([(1, 1), (3, 2)]), seed=2
+    )
+    assert result.metrics.crashes == 2
+    report = verify_run(result, "D", 64, 16)
+    assert report == verify_run(result, "D", 64, 16, failures=result.metrics.crashes)
+    assert report != verify_run(result, "D", 64, 16, failures=0)
+    report = verify_run(run_protocol("D", 64, 16, seed=1), "D", 64, 16, failures=0)
     assert report.ok, report.failures()
 
 
@@ -73,6 +80,22 @@ def test_rows_rendering():
     report = verify_run(result, "A", 32, 9)
     rows = report.as_rows()
     assert all({"check", "bound", "measured", "ok"} <= set(row) for row in rows)
+
+
+@pytest.mark.parametrize("protocol", available_protocols("sync"))
+def test_every_sync_protocol_verifies(protocol):
+    """Every registered sync protocol has a table entry; one with no
+    paper bound gets the completion check only."""
+    n, t = 24, 4
+    result = run_protocol(protocol, n, t, seed=1)
+    report = verify_run(result, protocol, n, t)
+    assert report.ok, report.failures()
+    names = [check.name for check in report.checks]
+    assert names[0] == "completion"
+    if protocol in ("naive", "c-naive", "d-dynamic", "d-recovery"):
+        assert names == ["completion"]
+    else:
+        assert len(names) > 1
 
 
 def test_unknown_protocol_raises():
