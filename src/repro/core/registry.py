@@ -46,8 +46,9 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
+from repro.sim.adversary import AdversarySpec, adversary_from_spec
 from repro.sim.congestion import congestion_from_spec
-from repro.sim.engine import Adversary, Engine
+from repro.sim.engine import Engine
 from repro.sim.metrics import RunResult
 from repro.sim.process import Process
 from repro.sim.trace import Trace
@@ -164,7 +165,7 @@ def run_protocol(
     n: int,
     t: int,
     *,
-    adversary: Optional[Adversary] = None,
+    adversary: AdversarySpec = None,
     seed: int = 0,
     strict_invariants: Optional[bool] = None,
     allow_total_failure: bool = False,
@@ -179,9 +180,11 @@ def run_protocol(
     ``n`` units and ``t`` processes.  Returns a
     :class:`~repro.sim.metrics.RunResult`.
 
-    For asynchronous protocols, declarative adversary specs, sweeps and
-    JSON round-trips, use :class:`repro.api.Scenario` - this function is
-    the stable synchronous shorthand it delegates to.
+    ``adversary`` is a live adversary or a spec (``"random:4"``, a spec
+    dict), and ``congestion`` a budget or a spec.  For asynchronous
+    protocols, sweeps and JSON round-trips, use
+    :class:`repro.api.Scenario` - this function is the stable
+    synchronous shorthand it delegates to.
     """
     entry = get_entry(name)
     if entry.engine != "sync":
@@ -197,7 +200,7 @@ def run_protocol(
     engine = Engine(
         processes,
         tracker=tracker,
-        adversary=adversary,
+        adversary=adversary_from_spec(adversary),
         seed=seed,
         strict_invariants=strict_invariants,
         allow_total_failure=allow_total_failure,

@@ -10,36 +10,24 @@ Processes are event handlers; the engine maintains a priority queue of
 timed events (message deliveries, self-scheduled wake-ups, crashes, and
 failure-detector suspicions) and runs until every process has retired.
 
-Batched delivery
-----------------
+Broadcast delivery
+------------------
 
-Message deliveries are batched per ``(recipient, due_time)``, mirroring
-the stamp-sorted mailbox design of the synchronous engine: the first
-copy due at a given instant pushes one ``deliver_batch`` heap event and
-later copies for the same instant append to the batch list, so the heap
-holds one entry per distinct delivery instant per recipient instead of
-one per message copy.  Dispatch order is *exactly* the per-copy order:
-each copy keeps its own sequence number, and the batch loop yields back
-to the heap whenever another queued event (a crash, a wake, another
-recipient's batch) sorts before the next copy at the same instant
-(``tests/test_async_equivalence.py`` diffs this against the per-copy
-reference engine of ``tests/reference_async.py``).
-
-Lazy broadcast fan-out
-----------------------
-
-A packed :class:`~repro.sim.actions.Broadcast` submitted through
-:meth:`AsyncContext.broadcast` extends that batching across recipients: the engine draws each copy's
-delay in ascending-recipient order (the same RNG stream as per-copy
-sends), groups the copies by due instant, and schedules **one**
-``deliver_bcast`` heap event per distinct due time - O(distinct
-due_times) events instead of O(copies), with the payload and kind
-stored once per broadcast.  Metrics are recorded with one
-:meth:`Metrics.record_sends` call per broadcast (a per-copy send books
-its one copy through the same call).  Per-copy
-sequence numbers and the same yield-to-heap-head rule keep global
-dispatch order exactly the per-copy engine's (the same reference
-expands every broadcast).
+Every message is a :class:`~repro.sim.actions.Broadcast` submitted
+through :meth:`AsyncContext.broadcast`; a point-to-point message is a
+one-recipient broadcast.  The engine draws each copy's delay in
+ascending-recipient order, groups the copies by due instant and pushes
+**one** ``deliver_bcast`` heap event per distinct due time, which hands
+over its whole group in recipient order when it pops.  That is exactly
+the order of a per-copy schedule that gives every copy its own
+sequence number, because no event can sort between two copies of one
+group: an event at the same instant was either queued before the
+broadcast, and took an earlier sequence number, or after it, and took
+a later one - handlers that run while the group is delivered included
+(``tests/test_async_equivalence.py`` and
+``tests/test_async_differential_fuzz.py`` diff this against the
+per-copy reference engine of ``tests/reference_async.py``).  Metrics are
+recorded with one :meth:`Metrics.record_sends` call per broadcast.
 
 Congestion budgets
 ------------------
@@ -91,9 +79,8 @@ def uniform_delays(low: float = 0.5, high: float = 4.0) -> DelayModel:
 def fixed_delays(delay: float = 1.0) -> DelayModel:
     """Every message takes exactly ``delay`` time units.
 
-    Deterministic delays make concurrent senders' copies coincide at the
-    recipient, which is the regime where per-instant delivery batching
-    collapses many heap events into one.
+    Deterministic delays give all copies of one broadcast the same due
+    instant, so each broadcast travels as one heap event.
     """
 
     def model(rng: random.Random, src: int, dst: int) -> float:
@@ -153,7 +140,7 @@ class _Event(NamedTuple):
 
     time: float
     seq: int
-    # deliver_batch | deliver_bcast | deliver (oracle path) | wake | crash | suspect
+    # deliver_bcast | deliver (one copy) | wake | crash | suspect
     kind: str
     pid: int
     payload: Any = None
@@ -175,11 +162,9 @@ class AsyncContext:
     def now(self) -> float:
         return self._engine.now
 
-    def send(self, dst: int, payload: Any, kind: MessageKind) -> None:
-        self._engine._send(self._pid, dst, payload, kind)
-
     def broadcast(self, bcast: Broadcast) -> None:
-        """Submit one packed broadcast (kept un-expanded by the engine)."""
+        """Send one message: a broadcast to its recipients (one recipient
+        for a point-to-point message)."""
         self._engine._broadcast(self._pid, bcast)
 
     def perform(self, unit: int) -> None:
@@ -261,8 +246,6 @@ class AsyncEngine:
         #: Every pid below this one has retired (see :meth:`_all_retired`).
         self._first_live = 0
         self._seq = itertools.count()
-        #: (dst, due_time) -> [(seq, src, payload, kind), ...] in send order.
-        self._batches: Dict[Tuple[int, float], List[Tuple[int, int, Any, MessageKind]]] = {}
         for pid, crash_time in sorted((crash_times or {}).items()):
             self._schedule_abs(crash_time, "crash", pid, None)
 
@@ -305,30 +288,11 @@ class AsyncEngine:
             return True
         return False
 
-    def _send(self, src: int, dst: int, payload: Any, kind: MessageKind) -> None:
-        self.metrics.record_sends(src, kind, 1, int(self.now))
-        delay = max(0.0, self.delay_model(self.delay_rng, src, dst))
-        congestion = self.congestion
-        if congestion is not None and congestion.send is not None:
-            due = self._departure(src) + delay
-        else:
-            due = self.now + delay
-        key = (dst, due)
-        batch = self._batches.get(key)
-        seq = next(self._seq)
-        if batch is None:
-            self._batches[key] = [(seq, src, payload, kind)]
-            heapq.heappush(self._heap, _new(_Event, (due, seq, "deliver_batch", dst, None)))
-        else:
-            batch.append((seq, src, payload, kind))
-
     def _broadcast(self, src: int, bcast: Broadcast) -> None:
-        """Schedule one packed broadcast: per-copy delay draws (ascending
-        recipients, same RNG stream as :meth:`_send`), then one
-        ``deliver_bcast`` heap event per *distinct due instant* instead
-        of one event per copy.  Each copy keeps its own sequence number,
-        so dispatch interleaves with every other queued event exactly as
-        the expanded per-copy schedule would."""
+        """Schedule one broadcast: per-copy delay draws in ascending-
+        recipient order, then one ``deliver_bcast`` heap event per
+        *distinct due instant* (see the module docstring for why that
+        keeps the per-copy dispatch order)."""
         count = len(bcast)
         if count == 0:
             return
@@ -336,10 +300,9 @@ class AsyncEngine:
         delay_model = self.delay_model
         delay_rng = self.delay_rng
         now = self.now
-        take_seq = self._seq
         congestion = self.congestion
         budgeted = congestion is not None and congestion.send is not None
-        by_due: Dict[float, List[Tuple[int, int]]] = {}
+        by_due: Dict[float, List[int]] = {}
         bits = bcast.recipients.to_int()
         while bits:
             low = bits & -bits
@@ -347,19 +310,17 @@ class AsyncEngine:
             dst = low.bit_length() - 1
             delay = max(0.0, delay_model(delay_rng, src, dst))
             due = (self._departure(src) if budgeted else now) + delay
-            seq = next(take_seq)
-            copies = by_due.get(due)
-            if copies is None:
-                by_due[due] = [(seq, dst)]
+            dsts = by_due.get(due)
+            if dsts is None:
+                by_due[due] = [dst]
             else:
-                copies.append((seq, dst))
+                dsts.append(dst)
         payload, kind = bcast.payload, bcast.kind
-        for due, copies in by_due.items():
-            first_seq, first_dst = copies[0]
-            record = (src, payload, kind, copies)
+        heap, take_seq = self._heap, self._seq
+        for due, dsts in by_due.items():
+            record = (src, payload, kind, dsts)
             heapq.heappush(
-                self._heap,
-                _new(_Event, (due, first_seq, "deliver_bcast", first_dst, (record, 0))),
+                heap, _new(_Event, (due, next(take_seq), "deliver_bcast", dsts[0], record))
             )
 
     def _perform(self, pid: int, unit: int) -> None:
@@ -392,7 +353,7 @@ class AsyncEngine:
 
     def _dispatch(self, event: _Event) -> int:
         """Handle one popped event; return how many events it consumed
-        against ``max_events`` (a delivery batch counts one per copy)."""
+        against ``max_events`` (a delivery group counts one per copy)."""
         process = self.processes[event.pid]
         if event.kind == "crash":
             if not process.retired:
@@ -406,17 +367,15 @@ class AsyncEngine:
                     )
                     self._schedule(delay, "suspect", observer.pid, event.pid)
             return 1
-        if event.kind == "deliver_batch":
-            return self._deliver_batch(event)
         if event.kind == "deliver_bcast":
             return self._deliver_bcast(event)
         if process.retired:
             return 1
         ctx = AsyncContext(self, process.pid)
         if event.kind == "deliver":
-            # Per-copy path: the reference (oracle) engine in
-            # tests/reference_async.py, and re-queued over-budget
-            # copies under a receive budget.
+            # One copy: an over-budget copy re-queued under a receive
+            # budget, or any copy of the per-copy reference engine in
+            # tests/reference_async.py.
             congestion = self.congestion
             if (
                 congestion is not None
@@ -435,80 +394,16 @@ class AsyncEngine:
             process.on_suspect(ctx, event.payload)
         return 1
 
-    def _deliver_batch(self, event: _Event) -> int:
-        """Deliver every copy batched at ``(event.pid, event.time)``.
-
-        Copies are handed over in send (sequence) order; if any other
-        queued event sorts between two copies at the same instant, the
-        undelivered suffix is re-pushed under the next copy's sequence
-        number so global (time, seq) dispatch order is exactly the
-        per-copy engine's.
-        """
-        time = event.time
-        key = (event.pid, time)
-        batch = self._batches.get(key)
-        if batch is None:  # pragma: no cover - defensive; keys are unique
-            return 1
-        process = self.processes[event.pid]
-        heap = self._heap
-        ctx = AsyncContext(self, event.pid)
-        congestion = self.congestion
-        guarded = congestion is not None and congestion.receive is not None
-        delivered = 0
-        # A re-pushed batch event carries its resume index; the batch list
-        # is append-only while in flight, so indices stay valid.
-        index = event.payload or 0
-        while index < len(batch):
-            seq, src, payload, kind = batch[index]
-            if heap:
-                head = heap[0]
-                if head.time < time or (head.time == time and head.seq < seq):
-                    heapq.heappush(
-                        heap, _new(_Event, (time, seq, "deliver_batch", event.pid, index))
-                    )
-                    return max(delivered, 1)
-            index += 1
-            delivered += 1
-            if not process.retired:
-                if guarded and not self._admit(event.pid):
-                    self._schedule_abs(
-                        float(int(time) + 1),
-                        "deliver",
-                        event.pid,
-                        (src, payload, kind),
-                    )
-                else:
-                    process.on_message(ctx, src, payload, kind)
-        del self._batches[key]
-        return max(delivered, 1)
-
     def _deliver_bcast(self, event: _Event) -> int:
-        """Deliver the copies of one broadcast that share a due instant.
-
-        The same contract as :meth:`_deliver_batch`, with the recipient
-        varying per copy: copies are handed over in sequence order, and
-        the undelivered suffix is re-pushed under the next copy's
-        sequence number whenever any other queued event sorts first.
-        """
+        """Deliver the copies of one broadcast that share a due instant,
+        in recipient order.  No other event sorts between them (module
+        docstring), so the group goes in one pass."""
         time = event.time
-        record, index = event.payload
-        src, payload, kind, copies = record
-        heap = self._heap
+        src, payload, kind, dsts = event.payload
         processes = self.processes
         congestion = self.congestion
         guarded = congestion is not None and congestion.receive is not None
-        delivered = 0
-        while index < len(copies):
-            seq, dst = copies[index]
-            if heap:
-                head = heap[0]
-                if head.time < time or (head.time == time and head.seq < seq):
-                    heapq.heappush(
-                        heap, _new(_Event, (time, seq, "deliver_bcast", dst, (record, index)))
-                    )
-                    return max(delivered, 1)
-            index += 1
-            delivered += 1
+        for dst in dsts:
             process = processes[dst]
             if not process.retired:
                 if guarded and not self._admit(dst):
@@ -517,7 +412,7 @@ class AsyncEngine:
                     )
                 else:
                     process.on_message(AsyncContext(self, dst), src, payload, kind)
-        return max(delivered, 1)
+        return len(dsts)
 
     # ---- results ---------------------------------------------------------------------
 

@@ -1,12 +1,14 @@
 """The reference asynchronous engine of the equivalence tests.
 
 :class:`PerCopyAsyncEngine` is the async engine with every message copy
-scheduled on its own: a broadcast is its ascending per-copy sends, and
-each send is one ``deliver`` heap event (no per-(recipient, due)
-batches, no ``deliver_bcast`` records).  RNG derivation, metrics, crash,
-failure-detector and congestion handling are the engine's own, so a
-divergence from :class:`~repro.sim.async_engine.AsyncEngine` is
-attributable to batched delivery or packed broadcasts.
+scheduled on its own: a broadcast is expanded, in ascending recipient
+order, into per-copy sends (:meth:`PerCopyAsyncEngine._send`, the
+reference's own helper), and each copy is one ``deliver`` heap event
+with its own sequence number - no ``deliver_bcast`` groups.  RNG
+derivation, metrics, crash, failure-detector and congestion handling
+are the engine's own, so a divergence from
+:class:`~repro.sim.async_engine.AsyncEngine` is attributable to grouping
+a broadcast's copies by due instant.
 
 :func:`run_logged` runs processes under a logging wrapper and tracker
 and returns the result, the order in which units were executed and a

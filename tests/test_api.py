@@ -87,6 +87,16 @@ def test_run_protocol_matches_scenario_run():
     assert wrapped.metrics.as_dict() == declarative.metrics.as_dict()
 
 
+def test_run_protocol_takes_adversary_specs():
+    # run_protocol reads an adversary spec the way Scenario does.
+    for spec in ("random:4", {"kind": "kill-active", "budget": 3}):
+        wrapped = run_protocol("D", 256, 16, adversary=spec, seed=1)
+        declarative = Scenario(protocol="D", n=256, t=16, adversary=spec, seed=1).run()
+        assert wrapped.metrics.as_dict(full=True) == declarative.metrics.as_dict(full=True)
+    with pytest.raises(ConfigurationError, match="unknown adversary kind"):
+        run_protocol("D", 256, 16, adversary="bogus:4", seed=1)
+
+
 # ---- RunResult.to_dict and the config echo ----------------------------------
 
 

@@ -1,16 +1,16 @@
-"""Batched async delivery and packed broadcasts must be observationally
+"""Grouped broadcast delivery on the async engine must be observationally
 identical to scheduling every copy on its own.
 
 The reference is ``tests/reference_async.py``'s ``PerCopyAsyncEngine``:
 the engine with one ``deliver`` heap event per message copy and every
 broadcast expanded into its per-copy sends.  Both engines share RNG
 derivation, metrics, crash and failure-detector handling, so any
-divergence is attributable to the batching.  Runs are diffed on
+divergence is attributable to the grouping.  Runs are diffed on
 metrics, an ordered log of every work execution, a payload-level log of
 every message, wake and suspicion, and the run outcome, across crash
 patterns x delay models x seeds - including fixed (deterministic)
-delays, where same-instant batches actually form and the tie-breaking
-re-push path is exercised.
+delays, where many copies share a due instant.  The randomized version
+of this diff is ``tests/test_async_differential_fuzz.py``.
 """
 
 import heapq
@@ -18,7 +18,7 @@ import heapq
 import pytest
 
 from repro.core.protocol_a_async import build_async_protocol_a
-from repro.sim.actions import MessageKind
+from repro.sim.actions import Broadcast, MessageKind
 from repro.sim.async_engine import (
     AsyncEngine,
     AsyncProcess,
@@ -126,23 +126,21 @@ def test_the_reference_schedules_every_copy_on_its_own():
             seed=0,
         )
     assert "deliver" in kinds
-    assert not kinds & {"deliver_batch", "deliver_bcast"}
+    assert "deliver_bcast" not in kinds
 
 
 def test_fixed_delays_form_real_batches():
     """Sanity: all-to-all traffic under deterministic delays really does
-    collapse into multi-copy batches (one heap event per recipient per
-    instant), and the batched run equals the per-copy run.  Async
-    Protocol A has a single active sender, so the batching regime is
+    collapse into multi-copy groups (one heap event per broadcast per
+    instant), and the grouped run equals the per-copy run.  Async
+    Protocol A has a single active sender, so the grouping regime is
     agreement-style concurrent broadcast."""
-    batch_sizes = []
+    group_sizes = []
 
     class _SpyEngine(AsyncEngine):
-        def _deliver_batch(self, event):
-            batch = self._batches.get((event.pid, event.time))
-            if batch is not None:
-                batch_sizes.append(len(batch))
-            return super()._deliver_batch(event)
+        def _deliver_bcast(self, event):
+            group_sizes.append(len(event.payload[-1]))
+            return super()._deliver_bcast(event)
 
     t, rounds = 6, 3
 
@@ -156,9 +154,10 @@ def test_fixed_delays_form_real_batches():
                 self._broadcast(ctx, 0)
 
             def _broadcast(self, ctx, generation):
-                for dst in range(self.t):
-                    if dst != self.pid:
-                        ctx.send(dst, (generation, self.pid), MessageKind.CONTROL)
+                others = tuple(dst for dst in range(self.t) if dst != self.pid)
+                ctx.broadcast(
+                    Broadcast(others, (generation, self.pid), MessageKind.CONTROL)
+                )
                 ctx.wake_in(2.0, generation + 1)
 
             def on_message(self, ctx, src, payload, kind):
@@ -178,21 +177,22 @@ def test_fixed_delays_form_real_batches():
     ref = PerCopyAsyncEngine(ref_procs, seed=1, delay_model=fixed_delays(1.0)).run()
     assert fast.metrics.as_dict() == ref.metrics.as_dict()
     assert [p.heard for p in fast_procs] == [p.heard for p in ref_procs]
-    # Every broadcast generation lands at each recipient as ONE batch of
-    # t-1 concurrent copies.
-    assert max(batch_sizes) == t - 1
+    # Every broadcast generation lands as ONE group of its t-1
+    # concurrent copies.
+    assert max(group_sizes) == t - 1
 
 
 def test_zero_delay_self_feedback_delivers_in_order():
-    """A 0-delay send issued *while its own batch is being delivered*
-    joins that batch and is handed over after the already-queued copies."""
+    """A 0-delay send issued *while an earlier copy is being delivered* is
+    due at the same instant and is handed over after the copies already
+    queued for it."""
 
     delivered = []
 
     class Sender(AsyncProcess):
         def on_start(self, ctx):
-            ctx.send(1, "first", MessageKind.CONTROL)
-            ctx.send(1, "second", MessageKind.CONTROL)
+            ctx.broadcast(Broadcast((1,), "first", MessageKind.CONTROL))
+            ctx.broadcast(Broadcast((1,), "second", MessageKind.CONTROL))
             ctx.wake_in(100.0, "stop")
 
         def on_message(self, ctx, src, payload, kind):
@@ -205,8 +205,8 @@ def test_zero_delay_self_feedback_delivers_in_order():
         def on_message(self, ctx, src, payload, kind):
             delivered.append(payload)
             if payload == "first":
-                # 0-delay self-send: lands in the batch being delivered.
-                ctx.send(1, "reflex", MessageKind.CONTROL)
+                # 0-delay self-send: due now, after "second".
+                ctx.broadcast(Broadcast((1,), "reflex", MessageKind.CONTROL))
             if len(delivered) >= 3:
                 ctx.halt()
 
@@ -231,7 +231,7 @@ class _Incomparable:
 def test_equal_times_pop_in_seq_order():
     """The heap orders events by (time, seq): at one instant the kind,
     pid and payload never decide."""
-    kinds = ["wake", "crash", "suspect", "deliver_batch", "deliver"]
+    kinds = ["wake", "crash", "suspect", "deliver_bcast", "deliver"]
     events = [
         _Event(2.0 if seq % 3 else 1.5, seq, kinds[seq % 5], (7 * seq) % 11, payload)
         for seq, payload in enumerate([_Incomparable() for _ in range(40)])
@@ -253,7 +253,7 @@ def test_engine_dispatches_same_instant_events_in_schedule_order():
     class Waker(AsyncProcess):
         def on_start(self, ctx):
             for _ in range(3):
-                ctx.send(1, _Incomparable(), MessageKind.CONTROL)
+                ctx.broadcast(Broadcast((1,), _Incomparable(), MessageKind.CONTROL))
 
         def on_message(self, ctx, src, payload, kind):
             pass

@@ -190,6 +190,15 @@ def _assert_ledger_consistent(scenario: Scenario, result) -> None:
         assert result.completed, f"incomplete run with {result.survivors} survivors"
 
 
+def write_reproducer(seed: int, index: int, config: dict) -> str:
+    """Write a diverging config to :data:`REPRODUCER_PATH`; return its
+    one-line Scenario JSON for the assertion message."""
+    REPRODUCER_PATH.write_text(
+        json.dumps({"seed": seed, "index": index, "scenario": config}, indent=2, sort_keys=True)
+    )
+    return json.dumps(config, sort_keys=True)
+
+
 def _run(scenario: Scenario):
     """One run's full observable state (or the error it raised)."""
     trace = Trace(enabled=True)
@@ -216,17 +225,9 @@ def _assert_stores_agree(seed: int, configs) -> int:
         with reference_engine():
             reference = _run(scenario)
         if rows != reference:
-            reproducer = json.dumps(config, sort_keys=True)
-            REPRODUCER_PATH.write_text(
-                json.dumps(
-                    {"seed": seed, "index": index, "scenario": config},
-                    indent=2,
-                    sort_keys=True,
-                )
-            )
             raise AssertionError(
                 f"store divergence at scenario {index} (seed {seed}); "
-                f"reproducer Scenario JSON: {reproducer}"
+                f"reproducer Scenario JSON: {write_reproducer(seed, index, config)}"
             )
         if "error" not in reference:
             exercised += 1
