@@ -108,7 +108,7 @@ from repro import codec
 from repro.analysis.tables import render_table
 from repro.api import ENGINE_CHOICES, Scenario
 from repro.core.registry import available_protocols, get_entry
-from repro.errors import ConfigurationError
+from repro.errors import AdversaryError, ConfigurationError
 from repro.sim.metrics import MEASURES
 
 
@@ -1115,9 +1115,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigurationError as exc:
-        # Misconfiguration is a user error: one named line, exit 2 (the
-        # same code argparse uses), never a traceback.
+    except (ConfigurationError, AdversaryError) as exc:
+        # Misconfiguration, or an adversary the protocol cannot take, is
+        # a user error: one named line, exit 2 (the same code argparse
+        # uses), never a traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -91,8 +91,13 @@ class RandomCrashes(Adversary):
     ``1..max_action_index``), with a random crash phase.  Expressing the
     schedule in actions rather than absolute rounds keeps the adversary
     meaningful for protocols whose executions are mostly quiescent
-    (Protocol C) as well as for dense ones (Protocol D).
+    (Protocol C) as well as for dense ones (Protocol D).  A victim whose
+    crash would leave no survivor waits and crashes at its next action.
     """
+
+    #: Crash-recover settings; :class:`RecoveringCrashes` sets them.
+    repair_delay: Optional[RepairSpec] = None
+    repeat = False
 
     def __init__(
         self,
@@ -108,40 +113,53 @@ class RandomCrashes(Adversary):
         self.max_action_index = max(1, max_action_index)
         self.phases = tuple(CrashPhase(phase) for phase in phases)
         self.explicit_victims = list(victims) if victims is not None else None
-        self._countdown: Dict[int, int] = {}
-        self._armed = False
 
-    def _arm(self, engine: Engine) -> None:
+    def bind(self, engine: Engine) -> None:
+        super().bind(engine)
         population = (
             self.explicit_victims
             if self.explicit_victims is not None
             else list(range(engine.t))
         )
         budget = min(self.count, max(0, engine.t - 1), len(population))
-        victims = self.rng.sample(population, budget)
-        for victim in victims:
-            self._countdown[victim] = self.rng.randint(1, self.max_action_index)
-        self._armed = True
+        self._countdown: Dict[int, int] = {
+            victim: self.rng.randint(1, self.max_action_index)
+            for victim in self.rng.sample(population, budget)
+        }
 
     def decide(
         self, round_number: int, actions: Dict[int, Action], engine: Engine
     ) -> List[CrashDirective]:
-        if not self._armed:
-            self._arm(engine)
         directives = []
-        for pid in list(actions):
+        for pid in actions:
             if pid not in self._countdown:
                 continue
             self._countdown[pid] -= 1
-            if self._countdown[pid] <= 0:
-                del self._countdown[pid]
-                directives.append(
-                    CrashDirective(
-                        pid=pid,
-                        at_round=round_number,
-                        phase=self.rng.choice(self.phases),
-                    )
+            if self._countdown[pid] > 0:
+                continue
+            if not self.spare(engine, len(directives)):
+                # Re-check later rather than over-kill; the countdown
+                # stays at zero so the victim crashes on its next action.
+                self._countdown[pid] = 1
+                continue
+            directives.append(
+                CrashDirective(
+                    pid=pid,
+                    at_round=round_number,
+                    phase=self.rng.choice(self.phases),
+                    recover_after=(
+                        draw_repair_delay(self.repair_delay, self.rng)
+                        if self.repair_delay is not None
+                        else None
+                    ),
                 )
+            )
+            if self.repeat:
+                # Fresh countdown: it only ticks once the victim is back
+                # (crashed processes take no actions).
+                self._countdown[pid] = self.rng.randint(1, self.max_action_index)
+            else:
+                del self._countdown[pid]
         return directives
 
 
@@ -181,9 +199,7 @@ class KillActive(Adversary):
             self._current_victim = pid
             self._seen_actions = 0
         self._seen_actions += 1
-        if self._seen_actions < self.actions_before_kill:
-            return []
-        if engine.crashed_count >= engine.t - 1:
+        if self._seen_actions < self.actions_before_kill or not self.spare(engine):
             return []
         self.budget -= 1
         self._current_victim = None
@@ -214,7 +230,7 @@ class KillBeforeCheckpoint(Adversary):
             process = engine.processes[pid]
             if not process.is_active or not action.sends:
                 continue
-            if engine.crashed_count >= engine.t - 1:
+            if not self.spare(engine, len(directives)):
                 continue
             if self.budget <= 0:
                 break
@@ -259,10 +275,12 @@ class Cascade(Adversary):
         directives: List[CrashDirective] = []
         if not self._did_initial:
             self._did_initial = True
-            directives.extend(
-                CrashDirective(pid=pid, at_round=round_number)
-                for pid in self.initial_dead
-            )
+            for pid in dict.fromkeys(self.initial_dead):
+                if self.spare(engine, len(directives)):
+                    directives.append(CrashDirective(pid=pid, at_round=round_number))
+        # An initial victim may also reach its quota in the first round;
+        # its second directive is a no-op and plans no further crash.
+        doomed = {directive.pid for directive in directives}
         for pid, action in actions.items():
             if action.work is None:
                 continue
@@ -271,8 +289,9 @@ class Cascade(Adversary):
             if self._work_seen[pid] == threshold:
                 if self.budget is not None and self.budget <= 0:
                     continue
-                if engine.crashed_count >= engine.t - 1:
+                if pid not in doomed and not self.spare(engine, len(doomed)):
                     continue
+                doomed.add(pid)
                 if self.budget is not None:
                     self.budget -= 1
                 directives.append(
@@ -317,7 +336,7 @@ class StaggeredWorkKills(Adversary):
             self._done[pid] = self._done.get(pid, 0) + 1
             if self._done[pid] >= self._quota[pid]:
                 del self._quota[pid]
-                if engine.crashed_count >= engine.t - 1:
+                if not self.spare(engine, len(directives)):
                     continue
                 directives.append(
                     CrashDirective(
@@ -347,7 +366,7 @@ class CrashMidBroadcast(Adversary):
             sends = action.sends
             dsts = sends.recipients if sends is not None else ()
             if pid in self.victims and len(dsts) >= self.min_batch:
-                if engine.crashed_count >= engine.t - 1:
+                if not self.spare(engine, len(directives)):
                     continue
                 self.victims.discard(pid)
                 # One draw per recipient, in ascending pid order.
@@ -363,7 +382,7 @@ class CrashMidBroadcast(Adversary):
         return directives
 
 
-class RecoveringCrashes(Adversary):
+class RecoveringCrashes(RandomCrashes):
     """Crash-recover faults: random victims crash and rejoin later.
 
     Like :class:`RandomCrashes`, each victim gets a countdown of observed
@@ -389,62 +408,13 @@ class RecoveringCrashes(Adversary):
         victims: Optional[Sequence[int]] = None,
         repeat: bool = False,
     ):
-        if count < 0:
-            raise ConfigurationError(f"crash count must be non-negative, got {count!r}")
-        self.count = count
+        super().__init__(
+            count, max_action_index=max_action_index, phases=phases, victims=victims
+        )
         self.repair_delay = normalize_repair_spec(
             repair_delay, what="'repair_delay' for adversary 'crash-recover'"
         )
-        self.max_action_index = max(1, max_action_index)
-        self.phases = tuple(CrashPhase(phase) for phase in phases)
-        self.explicit_victims = list(victims) if victims is not None else None
         self.repeat = repeat
-        self._countdown: Dict[int, int] = {}
-        self._armed = False
-
-    def _arm(self, engine: Engine) -> None:
-        population = (
-            self.explicit_victims
-            if self.explicit_victims is not None
-            else list(range(engine.t))
-        )
-        budget = min(self.count, max(0, engine.t - 1), len(population))
-        for victim in self.rng.sample(population, budget):
-            self._countdown[victim] = self.rng.randint(1, self.max_action_index)
-        self._armed = True
-
-    def decide(
-        self, round_number: int, actions: Dict[int, Action], engine: Engine
-    ) -> List[CrashDirective]:
-        if not self._armed:
-            self._arm(engine)
-        directives = []
-        for pid in list(actions):
-            if pid not in self._countdown:
-                continue
-            self._countdown[pid] -= 1
-            if self._countdown[pid] > 0:
-                continue
-            if engine.crashed_count >= engine.t - 1:
-                # Re-check later rather than over-kill; the countdown
-                # stays at zero so the victim crashes on its next action.
-                self._countdown[pid] = 1
-                continue
-            directives.append(
-                CrashDirective(
-                    pid=pid,
-                    at_round=round_number,
-                    phase=self.rng.choice(self.phases),
-                    recover_after=draw_repair_delay(self.repair_delay, self.rng),
-                )
-            )
-            if self.repeat:
-                # Fresh countdown: it only ticks once the victim is back
-                # (crashed processes take no actions).
-                self._countdown[pid] = self.rng.randint(1, self.max_action_index)
-            else:
-                del self._countdown[pid]
-        return directives
 
 
 class RackFailures(Adversary):
@@ -489,11 +459,10 @@ class RackFailures(Adversary):
         self.max_trigger = max(1, max_trigger)
         self.phase = CrashPhase(phase)
         self.recover_after = recover_after
-        self._triggers: List[Tuple[int, List[int]]] = []  # (threshold, members)
         self._seen_actions = 0
-        self._armed = False
 
-    def _arm(self, engine: Engine) -> None:
+    def bind(self, engine: Engine) -> None:
+        super().bind(engine)
         if self.explicit_groups is not None:
             groups = self.explicit_groups
         else:
@@ -504,22 +473,19 @@ class RackFailures(Adversary):
             ]
         budget = min(self.racks, len(groups))
         chosen = self.rng.sample(range(len(groups)), budget)
-        self._triggers = sorted(
+        #: ``(threshold, members)`` pairs, soonest first.
+        self._triggers: List[Tuple[int, List[int]]] = sorted(
             (self.rng.randint(1, self.max_trigger), groups[index])
             for index in sorted(chosen)
         )
-        self._armed = True
 
     def decide(
         self, round_number: int, actions: Dict[int, Action], engine: Engine
     ) -> List[CrashDirective]:
-        if not self._armed:
-            self._arm(engine)
         self._seen_actions += len(actions)
         if not self._triggers or self._triggers[0][0] > self._seen_actions:
             return []
         directives: List[CrashDirective] = []
-        projected = engine.crashed_count
         while self._triggers and self._triggers[0][0] <= self._seen_actions:
             _, members = self._triggers.pop(0)
             # One repair draw per rack: every member rejoins together.
@@ -531,9 +497,8 @@ class RackFailures(Adversary):
             for pid in members:
                 if not 0 <= pid < engine.t or engine.processes[pid].retired:
                     continue
-                if projected >= engine.t - 1:
+                if not self.spare(engine, len(directives)):
                     break
-                projected += 1
                 directives.append(
                     CrashDirective(
                         pid=pid,
@@ -548,10 +513,10 @@ class RackFailures(Adversary):
 class NeighbourCascade(Adversary):
     """Cascading crashes: failures spread to ring neighbours.
 
-    Each ``origin`` crashes at the adversary's first opportunity; every
-    crash then infects the victim's ring neighbours (``pid +- 1`` mod
-    ``t``) independently with probability ``p``, ``hop_delay`` rounds
-    later, and those crashes cascade in turn.  ``budget`` caps the total
+    Each ``origin`` is due at round 0, so it crashes at the adversary's
+    first opportunity; every crash then infects the victim's ring
+    neighbours (``pid +- 1`` mod ``t``) independently with probability
+    ``p``, ``hop_delay`` rounds later, and those crashes cascade in turn.  ``budget`` caps the total
     number of crashes (origins included); ``recover_after`` turns the
     cascade into a rolling outage where victims rejoin (a repair spec
     like ``"exp:mean=3"`` is drawn per victim).  All coin flips happen
@@ -584,35 +549,30 @@ class NeighbourCascade(Adversary):
         self.budget = budget
         self.phase = CrashPhase(phase)
         self.recover_after = recover_after
-        self._pending: Dict[int, int] = {}  # pid -> crash round
-        self._infected: set = set()
-        self._armed = False
+
+    def bind(self, engine: Engine) -> None:
+        super().bind(engine)
+        origins = [origin for origin in self.origins if 0 <= origin < engine.t]
+        self._pending: Dict[int, int] = dict.fromkeys(origins, 0)  # pid -> crash round
+        self._infected = set(origins)
 
     def decide(
         self, round_number: int, actions: Dict[int, Action], engine: Engine
     ) -> List[CrashDirective]:
-        if not self._armed:
-            for origin in self.origins:
-                if 0 <= origin < engine.t:
-                    self._pending[origin] = round_number
-                    self._infected.add(origin)
-            self._armed = True
         due = sorted(
             pid for pid, at in self._pending.items() if at <= round_number
         )
         if not due:
             return []
         directives: List[CrashDirective] = []
-        projected = engine.crashed_count
         for pid in due:
             del self._pending[pid]
             if engine.processes[pid].retired:
                 continue
             if self.budget is not None and self.budget <= 0:
                 continue
-            if projected >= engine.t - 1:
+            if not self.spare(engine, len(directives)):
                 continue
-            projected += 1
             if self.budget is not None:
                 self.budget -= 1
             directives.append(
@@ -638,22 +598,64 @@ class NeighbourCascade(Adversary):
         return directives
 
 
+class _Composite(Adversary):
+    """Several adversaries side by side; see :func:`compose`."""
+
+    def __init__(self, parts: Sequence[Adversary]):
+        self.parts = list(parts)
+
+    def bind(self, engine: Engine) -> None:
+        super().bind(engine)
+        for part in self.parts:
+            part.bind(engine)
+
+    def _union(self, round_number, actions, engine):
+        """Every part's directives, each paired with whether a fixed
+        schedule chose it."""
+        for part in self.parts:
+            if isinstance(part, _Composite):
+                yield from part._union(round_number, actions, engine)
+                continue
+            fixed = isinstance(part, FixedSchedule)
+            for directive in part.decide(round_number, actions, engine):
+                yield directive, fixed
+
+    def decide(self, round_number, actions, engine):
+        union = list(self._union(round_number, actions, engine))
+        if not union or engine.allow_total_failure:
+            return [directive for directive, _ in union]
+
+        def live(pid: int) -> bool:
+            return 0 <= pid < engine.t and not engine.processes[pid].retired
+
+        # Each part guards only its own directives: scheduled crashes
+        # are all kept, and an adaptive part's crash that would leave
+        # no survivor besides the union's other victims is dropped.
+        doomed = {directive.pid for directive, fixed in union if fixed and live(directive.pid)}
+        kept = []
+        for directive, fixed in union:
+            pid = directive.pid
+            if not fixed and pid not in doomed and live(pid):
+                if not self.spare(engine, len(doomed)):
+                    continue
+                doomed.add(pid)
+            kept.append(directive)
+        return kept
+
+
 def compose(*adversaries: Adversary) -> Adversary:
-    """Run several adversaries side by side (union of their directives)."""
+    """Run several adversaries side by side (union of their directives).
 
-    class _Composite(Adversary):
-        def bind(self, engine: Engine) -> None:
-            super().bind(engine)
-            for adversary in adversaries:
-                adversary.bind(engine)
-
-        def decide(self, round_number, actions, engine):
-            directives = []
-            for adversary in adversaries:
-                directives.extend(adversary.decide(round_number, actions, engine))
-            return directives
-
-    return _Composite()
+    The union keeps the survivor rule: an adaptive part's crash is
+    dropped when, with the other parts' victims, it would leave no
+    survivor.  A dropped crash is spent for the part that chose it: the
+    part has already booked it, so it is not retried, even by a kind
+    that retries its own refused crashes.  A ``fixed-schedule`` part's
+    crashes are never dropped, so a schedule that asks for total failure
+    still needs the run's ``allow_total_failure``, which also turns the
+    trimming off.
+    """
+    return _Composite(adversaries)
 
 
 # =====================================================================

@@ -49,10 +49,9 @@ an event index, mirroring the heap-based design of
   rejoins - never by scanning all ``t`` processes.
 * **A step re-reads one number.**  After a round commits, each stepped
   process that is still live only has its ``wake_round()`` re-read
-  (and, under a receive budget, its backlog checked).  Everything else
-  a step could change reaches the index through the wake listener
-  (:meth:`Engine._refresh_schedule`), which runs at construction, at
-  retirements and rejoins, and on ``notify_wake_changed`` - not once
+  (and, under a receive budget, its backlog checked).  The engine
+  re-enters a process whole (:meth:`Engine._refresh_schedule`) only at
+  construction and where it crashes, halts or rejoins one - not once
   per step.
 * **One delivery store.**  Mail lives in
   :class:`~repro.sim.columnar.ColumnarMailboxes`
@@ -102,19 +101,12 @@ defaults (both are off unless configured):
   preserved, so the sortedness invariant holds) and arrive at the next
   round(s).
 
-Teardown: each process's wake listener is a bound method of the engine,
-so a running engine and its processes form a cycle.  ``run`` drops the
-listeners when it ends (returning or raising), and an adversary keeps
-only the RNG it derives from the engine, so a finished run - row log,
-payloads, bitsets - is freed by reference count, not by the cyclic GC.
-
 Wake rounds are cached, which is sound because ``wake_round()`` is a pure
 function of process state and that state only changes at engine-observed
-points (see the scheduling contract in :mod:`repro.sim.process`);
-out-of-band mutations must call ``Process.notify_wake_changed``.  All of
-this is observationally identical to the naive scan: same metrics, same
-trace, same RNG draws (``tests/test_scheduler_equivalence.py`` checks
-exactly that against a reference scheduler).
+points (see the scheduling contract in :mod:`repro.sim.process`).  All
+of this is observationally identical to the naive scan: same metrics,
+same trace, same RNG draws (``tests/test_scheduler_equivalence.py``
+checks exactly that against a reference scheduler).
 """
 
 from __future__ import annotations
@@ -212,7 +204,6 @@ class Engine:
             for process in self.processes
         )
         for process in self.processes:
-            process._wake_listener = self._refresh_schedule
             self._refresh_schedule(process.pid)
             if not process.retired and process.is_active:
                 self._active.add(process.pid)
@@ -248,51 +239,42 @@ class Engine:
 
     def run(self) -> RunResult:
         """Run until every process retires; return the outcome."""
-        try:
-            steps = 0
-            # A crashed process with a pending rejoin still counts as work
-            # to do: the run only ends once no process is live *and* no
-            # recovery is scheduled.
-            while self._live or self._recoveries:
-                next_round = self._next_due_round()
-                if next_round is None:
-                    # Live processes remain but none will ever act again.
-                    raise SimulationStalled(
-                        "live processes remain but nothing is scheduled: "
-                        + ", ".join(
-                            f"p{p.pid}({p.state_label()})"
-                            for p in self.processes
-                            if not p.retired
-                        )
+        steps = 0
+        # A crashed process with a pending rejoin still counts as work
+        # to do: the run only ends once no process is live *and* no
+        # recovery is scheduled.
+        while self._live or self._recoveries:
+            next_round = self._next_due_round()
+            if next_round is None:
+                # Live processes remain but none will ever act again.
+                raise SimulationStalled(
+                    "live processes remain but nothing is scheduled: "
+                    + ", ".join(
+                        f"p{p.pid}({p.state_label()})"
+                        for p in self.processes
+                        if not p.retired
                     )
-                if self.max_rounds is not None and next_round > self.max_rounds:
-                    raise BudgetExceeded(
-                        f"round {next_round} exceeds max_rounds={self.max_rounds}"
-                    )
-                self._process_round(next_round)
-                steps += 1
-                if steps > self.max_steps:
-                    raise BudgetExceeded(f"exceeded max_steps={self.max_steps}")
-            return self._result()
-        finally:
-            # Each listener is a bound method of this engine: dropping
-            # them breaks the engine <-> process cycle, so a finished run
-            # is freed by reference count, not left to the cyclic GC.
-            for process in self.processes:
-                process._wake_listener = None
+                )
+            if self.max_rounds is not None and next_round > self.max_rounds:
+                raise BudgetExceeded(
+                    f"round {next_round} exceeds max_rounds={self.max_rounds}"
+                )
+            self._process_round(next_round)
+            steps += 1
+            if steps > self.max_steps:
+                raise BudgetExceeded(f"exceeded max_steps={self.max_steps}")
+        return self._result()
 
     # ---- schedule computation -----------------------------------------
 
     def _refresh_schedule(self, pid: int) -> None:
         """Re-enter ``pid`` into the event index, or take it out.
 
-        The wake listener: called at construction, at every retirement
-        and rejoin, and on an explicit ``notify_wake_changed``.  (A step
-        only re-reads the wake round, inside :meth:`_process_round`.)
-        A wake round that did not move pushes nothing.  Retirement also
-        updates the live/active/crashed bookkeeping and drops the pid's
-        mail, so a process retired through any path drops out of
-        scheduling.
+        Called at construction and right after the engine crashes, halts
+        or rejoins ``pid``.  (A step only re-reads the wake round, inside
+        :meth:`_process_round`.)  A wake round that did not move pushes
+        nothing.  Retirement also updates the live/active/crashed
+        bookkeeping and drops the pid's mail.
         """
         process = self.processes[pid]
         bit = 1 << pid
@@ -305,14 +287,6 @@ class Engine:
             self._active.discard(pid)
             if process.crashed:
                 self._crashed_pids.add(pid)
-            # Keep retire_round correct even for out-of-band retirements
-            # (external mark_crashed/mark_halted reach here through
-            # notify_wake_changed); record_retire is a max, so repeating
-            # it for engine-driven retirements is a no-op.
-            if process.crash_round is not None:
-                self.metrics.record_retire(pid, process.crash_round)
-            if process.halt_round is not None:
-                self.metrics.record_retire(pid, process.halt_round)
             self._store.clear(pid)
             return
         self._live.add(pid)
@@ -401,9 +375,9 @@ class Engine:
             self._flush_deferred(round_number)
         due_pids = self._collect_due_pids(round_number)
         processes = self.processes
-        # ``_live`` is exactly the set of pids not retired (the wake
-        # listener keeps it), and a set lookup is cheaper than the
-        # ``retired`` property.
+        # ``_live`` is exactly the set of pids not retired
+        # (``_refresh_schedule`` keeps it), and a set lookup is cheaper
+        # than the ``retired`` property.
         live = self._live
         # Each step takes all mail stamped before this round; a receive
         # budget takes at most ``receive`` envelopes and leaves the rest
@@ -457,11 +431,12 @@ class Engine:
                 process = processes[pid]
                 if not process.crashed:
                     process.mark_halted(round_number)
+                    self._refresh_schedule(pid)
                     self.metrics.record_retire(pid, round_number)
                     self.trace.emit(round_number, "halt", pid)
 
         # A step can only move its own process's wake round; retirements
-        # already left the index through the wake listener.
+        # already left the index through ``_refresh_schedule``.
         wake, heap = self._wake, self._heap
         for pid in due_pids:
             if pid not in live:
@@ -526,9 +501,8 @@ class Engine:
                 stepped[directive.pid] = directive.censor(
                     stepped[directive.pid], self.crash_rng
                 )
-            # mark_crashed notifies the wake listener, which retires the
-            # victim from the event index and live/active sets.
             victim.mark_crashed(max(directive.at_round, 0))
+            self._refresh_schedule(victim.pid)
             self.metrics.record_crash(victim.pid, victim.crash_round or round_number)
             self.trace.emit(round_number, "crash", victim.pid, directive.phase.value)
 
@@ -540,10 +514,10 @@ class Engine:
             process = self.processes[pid]
             if not process.crashed or process.halted:
                 continue
-            # mark_recovered restores the checkpoint (on_recover) and its
-            # notify_wake_changed re-enters the process into the event
-            # index via _refresh_schedule - it may act this very round.
+            # mark_recovered restores the checkpoint (on_recover); the
+            # refresh re-enters the process, which may act this very round.
             process.mark_recovered(round_number)
+            self._refresh_schedule(pid)
             self._crashed_pids.discard(pid)
             self.metrics.record_recovery(pid, round_number)
             self.trace.emit(round_number, "recover", pid)
@@ -691,6 +665,11 @@ class Adversary:
     acted; a directive whose ``at_round`` lies in a skipped (quiescent)
     stretch is applied at the next processed round, which is
     observationally identical because an idle process emits nothing.
+
+    Survivor rule: the paper's guarantees hold in every execution in
+    which one process survives, so every adaptive adversary asks
+    :meth:`spare` before it plans a crash; only a fixed schedule can ask
+    for total failure (and the run must then allow it).
     """
 
     def bind(self, engine: Engine) -> None:
@@ -698,6 +677,12 @@ class Adversary:
         reaches :meth:`decide` as an argument and is not kept, so a
         finished run leaves no cycle through its adversary."""
         self.rng = derive_rng(engine.rng, type(self).__name__)
+
+    @staticmethod
+    def spare(engine: Engine, planned: int = 0) -> bool:
+        """Whether one more crash still leaves a survivor, counting the
+        ``planned`` crashes already chosen this round."""
+        return engine.crashed_count + planned < engine.t - 1
 
     def decide(
         self, round_number: int, actions: Dict[int, Action], engine: Engine

@@ -12,23 +12,19 @@ Scheduling contract
 
 The engine schedules processes through an event index: it queries
 :meth:`wake_round` once after every event that can change the answer
-(construction, each :meth:`on_round` call, retirement) and caches the
-result rather than polling every process every round.  Two obligations
-follow for implementations:
+(construction, each :meth:`on_round` call, and the crashes, halts and
+rejoins it applies) and caches the result rather than polling every
+process every round.  Two obligations follow for implementations:
 
 * ``wake_round()`` must be a pure function of process state - calling it
   twice without an intervening state change must return the same value;
 * state that influences ``wake_round()`` may only change inside
-  ``on_round`` or the ``mark_crashed``/``mark_halted`` lifecycle hooks.
-  Code that mutates such state through any other path (e.g. an external
-  controller poking a process between rounds) must call
-  :meth:`notify_wake_changed` afterwards so the engine can refresh its
-  cached schedule entry.
+  ``on_round`` or the ``mark_*`` lifecycle hooks, which only the engine
+  calls during a run.
 
 Every protocol in this repository satisfies the contract naturally: their
-deadlines and scripts advance only inside ``on_round``.  The engine
-attaches itself when it is built and detaches when ``run`` ends, so a
-finished run holds no reference cycle through its processes.
+deadlines and scripts advance only inside ``on_round``.  A process keeps
+no reference to its engine.
 
 Crash-recover lifecycle
 -----------------------
@@ -46,7 +42,7 @@ a crash directive carried ``recover_after``; it refuses (with
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.sim.actions import Action, Envelope
 
@@ -61,10 +57,6 @@ class Process(ABC):
         self.crash_round: Optional[int] = None
         self.halted = False
         self.halt_round: Optional[int] = None
-        #: Set by the engine: called with ``pid`` when this process's
-        #: schedule entry must be recomputed (see module docstring).
-        #: ``Engine.run`` resets it to ``None`` when the run ends.
-        self._wake_listener: Optional[Callable[[int], None]] = None
 
     # ---- lifecycle -------------------------------------------------
 
@@ -88,13 +80,11 @@ class Process(ABC):
         self.crashed = True
         if self.crash_round is None:
             self.crash_round = round_number
-        self.notify_wake_changed()
 
     def mark_halted(self, round_number: int) -> None:
         self.halted = True
         if self.halt_round is None:
             self.halt_round = round_number
-        self.notify_wake_changed()
 
     #: Whether this protocol keeps a checkpoint that makes crash-recover
     #: directives meaningful.  Recovery-aware subclasses set this to True
@@ -104,14 +94,12 @@ class Process(ABC):
     def mark_recovered(self, round_number: int) -> None:
         """Rejoin after a ``recover_after`` crash (engine-driven).
 
-        Clears the crash flags, asks the protocol to restore its last
-        checkpoint via :meth:`on_recover`, then refreshes the engine's
-        cached schedule entry.
+        Clears the crash flags and asks the protocol to restore its last
+        checkpoint via :meth:`on_recover`.
         """
         self.crashed = False
         self.crash_round = None
         self.on_recover(round_number)
-        self.notify_wake_changed()
 
     def on_recover(self, round_number: int) -> None:
         """Restore this process to its last checkpoint.
@@ -147,20 +135,6 @@ class Process(ABC):
         strictly smaller than ``round_number``).  The returned action's
         sends are stamped ``round_number``.
         """
-
-    def notify_wake_changed(self) -> None:
-        """Tell the engine that :meth:`wake_round`'s answer (or retirement
-        status) changed outside the engine-driven call points.
-
-        The engine re-queries ``wake_round()`` only after events it
-        observes; any other mutation of wake-relevant state must be
-        followed by a call to this method or the process may be stepped
-        too late (never too early).  Safe to call when no engine is
-        attached (before a run, or after it ended), and idempotent.
-        """
-        listener = self._wake_listener
-        if listener is not None:
-            listener(self.pid)
 
     # ---- debugging -------------------------------------------------
 

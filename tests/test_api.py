@@ -14,6 +14,7 @@ from repro.sim.adversary import (
     Adversary,
     KillActive,
     adversary_from_spec,
+    compose,
     normalize_adversary_spec,
 )
 from repro.sim.async_engine import delay_model_from_spec, normalize_delay_spec
@@ -130,19 +131,22 @@ def test_live_adversary_runs_but_does_not_serialize():
 
 def test_live_adversary_state_is_fresh_per_run():
     # Adversaries are stateful (budgets, countdowns); a scenario holding a
-    # live instance must not hand later runs a spent one.
-    scenario = Scenario(
-        protocol="A", n=64, t=8, adversary=KillActive(5, actions_before_kill=2)
-    )
-    first = scenario.run()
-    second = scenario.run()
-    assert first.metrics.crashes == 5
-    assert first.metrics.as_dict() == second.metrics.as_dict()
-    sweep_crashes = [
-        result.metrics.crashes
-        for result in Sweep(base=scenario, seeds=range(3)).run().results
-    ]
-    assert sweep_crashes == [5, 5, 5]
+    # live instance must not hand later runs a spent one, nor a spent
+    # part of a composite.
+    for adversary in (
+        KillActive(5, actions_before_kill=2),
+        compose(KillActive(5, actions_before_kill=2)),
+    ):
+        scenario = Scenario(protocol="A", n=64, t=8, adversary=adversary)
+        first = scenario.run()
+        second = scenario.run()
+        assert first.metrics.crashes == 5
+        assert first.metrics.as_dict() == second.metrics.as_dict()
+        sweep_crashes = [
+            result.metrics.crashes
+            for result in Sweep(base=scenario, seeds=range(3)).run().results
+        ]
+        assert sweep_crashes == [5, 5, 5]
 
 
 # ---- spec parser errors ------------------------------------------------------

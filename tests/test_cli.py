@@ -220,6 +220,26 @@ def test_run_bad_congestion_spec_is_a_clean_error(capsys):
     assert "error:" in err and "0" in err
 
 
+@pytest.mark.parametrize("case", ["no-rejoin", "total-failure"])
+def test_run_an_adversary_error_is_one_named_line(case, capsys, tmp_path):
+    if case == "no-rejoin":
+        # Protocol A keeps no checkpoint to rejoin from.
+        argv = ["run", "a", "--n", "64", "--t", "8", "--adversary", "crash-recover:3"]
+    else:
+        path = tmp_path / "annihilate.json"
+        Scenario(
+            protocol="A", n=16, t=4,
+            adversary={
+                "kind": "fixed-schedule",
+                "directives": [{"pid": pid} for pid in range(4)],
+            },
+        ).save(str(path))
+        argv = ["run", "--scenario", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_run_d_recovery_with_crash_recover_spec(capsys):
     assert (
         main(

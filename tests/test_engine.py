@@ -265,9 +265,8 @@ def _teardown_cases():
 
 @pytest.mark.parametrize("protocol, failures", _teardown_cases())
 def test_a_finished_run_leaves_no_cyclic_garbage(protocol, failures):
-    """``Engine.run`` drops the processes' wake listeners (bound methods
-    of the engine) when it ends, and no adversary keeps the engine, so a
-    finished run is freed by reference count alone."""
+    """No process and no adversary keeps its engine, so a finished run
+    is freed by reference count alone."""
     scenario = Scenario(protocol=protocol, n=32, t=8, seed=1, **failures)
     scenario.run()  # warm: first-use caches
     gc.collect()
@@ -279,7 +278,7 @@ def test_a_finished_run_leaves_no_cyclic_garbage(protocol, failures):
         gc.enable()
 
 
-def test_a_step_does_not_go_through_the_wake_listener():
+def test_a_step_does_not_refresh_the_whole_schedule():
     """A step re-reads only its process's wake round: in a failure-free
     Protocol A run ``_refresh_schedule`` runs once per process at
     construction and once per retirement, never per step."""
