@@ -5,7 +5,7 @@ Subcommands:
 * ``run`` - simulate one protocol execution and print its accounting::
 
       python -m repro run B --n 256 --t 16 --crashes 8 --seed 7
-      python -m repro run a-async --engine async --n 128 --t 16 --json
+      python -m repro run a-async --n 128 --t 16 --json
       python -m repro run B --adversary "kill-active:7,actions_before_kill=3"
       python -m repro run --scenario scenario.json --json
 
@@ -106,7 +106,7 @@ from typing import List, Optional
 
 from repro import codec
 from repro.analysis.tables import render_table
-from repro.api import ENGINE_CHOICES, Scenario
+from repro.api import Scenario
 from repro.core.registry import available_protocols, get_entry
 from repro.errors import AdversaryError, ConfigurationError
 from repro.sim.metrics import MEASURES
@@ -149,7 +149,6 @@ def _scenario_from_args(args, protocol: str) -> Scenario:
         protocol=protocol,
         n=args.n,
         t=args.t,
-        engine=args.engine,
         seed=args.seed,
         adversary=_adversary_spec(args),
         delay=getattr(args, "delay", None),
@@ -651,12 +650,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=256, help="work units")
         p.add_argument("--t", type=int, default=16, help="processes")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument(
-            "--engine",
-            choices=list(ENGINE_CHOICES),
-            default="auto",
-            help="simulator kind (auto resolves from the protocol registry)",
-        )
         p.add_argument(
             "--adversary",
             default=None,

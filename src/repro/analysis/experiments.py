@@ -54,18 +54,16 @@ def _sweep(protocol: str, n: int, t: int, adversaries, seeds, **options) -> Resu
     return Sweep(base, adversaries=adversaries, seeds=seeds).run()
 
 
-def _standard_adversaries(t: int, *, heavy: bool = True) -> List[AdversarySpec]:
+def _standard_adversaries(t: int) -> List[AdversarySpec]:
     """The adversary battery used for worst-case aggregation, built from
     declarative specs (the same grammar the CLI and Scenario files use)."""
-    specs = [
+    return [
         None,
         f"random:{max(1, t // 2)},max_action_index=25",
         f"kill-active:{t - 1},actions_before_kill=2",
         {"kind": "crash-mid-broadcast", "victims": list(range(min(t, 6)))},
+        f"kill-active:{t - 1},actions_before_kill=1",
     ]
-    if heavy:
-        specs.append(f"kill-active:{t - 1},actions_before_kill=1")
-    return specs
 
 
 # =====================================================================

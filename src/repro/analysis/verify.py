@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.analysis import bounds
+from repro.core.deadlines import DEFAULT_SLACK
 from repro.sim.actions import MessageKind
 from repro.sim.metrics import Metrics, RunResult
 
@@ -78,18 +79,14 @@ def verify_run(
     t: int,
     *,
     failures: Optional[int] = None,
-    round_slack: Optional[int] = None,
 ) -> VerificationReport:
     """Check ``result`` against every bound the paper proves for
     ``protocol`` on an ``(n, t)`` instance: the work was completed, and
     each bound of :func:`repro.analysis.bounds.theorem_bounds` holds.
 
     ``failures`` (Protocol D's bounds depend on it) defaults to the
-    run's own crash count.  ``round_slack`` widens round-bound checks by
-    the implementation's documented deadline slack; if ``None``, round
-    bounds are checked with a slack of ``4 t`` (the default slack of 2
-    paid on up to ``2t`` deadline evaluations).  A protocol with no
-    paper bound gets the completion check only.
+    run's own crash count.  A protocol with no paper bound gets the
+    completion check only.
     """
     metrics = result.metrics
     table = bounds.theorem_bounds(
@@ -111,11 +108,13 @@ def verify_run(
             )
         )
     measures = metrics.measures()
-    slack = 4 * t if round_slack is None else round_slack
     for name, bound in table.items():
         measured, widen = bound.measured(measures[name]), 0
-        if name == "rounds":  # deadlines may run late by the slack
-            measured, widen = float(measured), slack
+        if name == "rounds":
+            # Every takeover deadline carries the builders' fixed slack
+            # of DEFAULT_SLACK = 2 rounds, paid on at most 2t deadline
+            # evaluations: 4t rounds on top of the paper's bound.
+            measured, widen = float(measured), 2 * DEFAULT_SLACK * t
         report.checks.append(
             Check(
                 name=name,

@@ -2,7 +2,7 @@
 
 One :class:`Scenario` object captures everything that defines a run -
 protocol, engine kind, workload shape, adversary spec, delay model,
-seed, limits, strictness - and is fully serializable, so the same
+seed, limits - and is fully serializable, so the same
 scenario is addressable in memory, as JSON, and from the CLI::
 
     from repro.api import Scenario
@@ -100,10 +100,10 @@ def _is_number(value: Any) -> bool:
 _FIELD_TYPES = (
     (int, "an integer", ("n", "t", "seed", "max_steps", "max_rounds", "max_events")),
     (str, "a string", ("protocol", "name")),
-    (bool, "a boolean", ("strict_invariants", "allow_total_failure")),
+    (bool, "a boolean", ("allow_total_failure",)),
     (dict, "a dict", ("options",)),
 )
-_OPTIONAL_FIELDS = frozenset({"max_rounds", "name", "strict_invariants"})
+_OPTIONAL_FIELDS = frozenset({"max_rounds", "name"})
 
 
 def _check_field_types(scenario: "Scenario") -> None:
@@ -183,8 +183,6 @@ class Scenario:
         congestion: per-process per-round send/receive budget spec
             (``"budget:send=4,receive=8"`` or the dict form; see
             :mod:`repro.sim.congestion`).  Both engines enforce it.
-        strict_invariants: override the per-protocol default for the
-            sync engine's single-active assertion.
         allow_total_failure: tolerate all-crashed executions (sync).
         max_steps / max_rounds: sync engine budgets.
         max_events: async engine budget.
@@ -193,9 +191,12 @@ class Scenario:
             has one delivery store, so it selects nothing; stored
             documents carry it, so it is validated and round-trips, but
             is excluded from :meth:`canonical_dict` / :meth:`cache_key`.
-        options: extra keyword arguments for the protocol builder
-            (e.g. ``interval`` for ``naive``, ``revert_threshold`` for
-            ``D``, ``step_delay`` for ``A-async``).
+        options: keyword arguments of the protocol's builder, and only
+            those: ``interval`` for ``naive``, ``revert_threshold`` for
+            ``D``, ``schedule``/``cycle_length`` for ``D-dynamic`` and
+            ``step_delay`` for ``A-async``.  Every other protocol takes
+            none; the protocol name alone selects the run (``C-batched``,
+            not ``C`` with an option, is Corollary 3.9).
         name: optional label, carried through serialization and the
             config echo (used by benchmarks and sweep tables).
     """
@@ -210,7 +211,6 @@ class Scenario:
     crash_times: Optional[Dict[int, float]] = None
     failure_detector: Optional[Dict[str, float]] = None
     congestion: CongestionSpec = None
-    strict_invariants: Optional[bool] = None
     allow_total_failure: bool = False
     max_steps: int = DEFAULT_MAX_STEPS
     max_rounds: Optional[int] = None
@@ -231,7 +231,6 @@ class Scenario:
             and (self.max_rounds is None or type(self.max_rounds) is int)
             and type(self.protocol) is str
             and (self.name is None or type(self.name) is str)
-            and (self.strict_invariants is None or type(self.strict_invariants) is bool)
             and type(self.allow_total_failure) is bool
             and type(self.options) is dict
         ):
@@ -316,10 +315,10 @@ class Scenario:
                     "round-driven adversaries only apply to sync scenarios; "
                     "async runs schedule failures via 'crash_times'"
                 )
-            if self.strict_invariants is not None or self.max_rounds is not None:
+            if self.max_rounds is not None:
                 raise ConfigurationError(
-                    "'strict_invariants' and 'max_rounds' are sync-engine "
-                    "knobs; the async budget is 'max_events'"
+                    "'max_rounds' is a sync-engine budget; the async budget "
+                    "is 'max_events'"
                 )
             if self.fastpath != "auto":
                 raise ConfigurationError(
@@ -331,13 +330,16 @@ class Scenario:
         """Check the cross-field constraints that :meth:`run` would hit.
 
         Construction already validates each field; this additionally
-        resolves the engine and rejects engine-mismatched knobs (a sync
+        resolves the engine, rejects engine-mismatched knobs (a sync
         scenario carrying ``delay``, an async one carrying an
-        adversary), raising :class:`ConfigurationError`.  The run server
-        calls this at submission time so a bad document 400s instead of
-        failing later inside a worker.
+        adversary) and builder options the protocol does not take,
+        raising :class:`ConfigurationError`.  The run server calls this
+        at submission time so a bad document 400s instead of failing
+        later inside a worker.
         """
         self._check_engine_fields(self.resolved_engine)
+        if self.options:
+            registry.check_options(self.protocol, self.options)
 
     # ---- content addressing ------------------------------------------
 
@@ -416,7 +418,6 @@ class Scenario:
                 self.t,
                 adversary=adversary,
                 seed=self.seed,
-                strict_invariants=self.strict_invariants,
                 allow_total_failure=self.allow_total_failure,
                 max_steps=self.max_steps,
                 max_rounds=self.max_rounds,
@@ -490,8 +491,6 @@ class Scenario:
             )
         if self.failure_detector is not None:
             data["failure_detector"] = dict(self.failure_detector)
-        if self.strict_invariants is not None:
-            data["strict_invariants"] = self.strict_invariants
         if self.allow_total_failure:
             data["allow_total_failure"] = True
         if self.max_steps != DEFAULT_MAX_STEPS:
@@ -726,17 +725,14 @@ class ResultSet:
 
     # ---- export ------------------------------------------------------
 
-    def table(self, *, reduce: str = "worst", title: Optional[str] = None) -> str:
-        """Markdown table, one row per protocol, reduced per-measure."""
+    def table(self) -> str:
+        """Markdown table, one row per protocol, each measure reduced by
+        :meth:`worst` (the paper's view)."""
         from repro.analysis.tables import render_table
 
-        if reduce not in ("worst", "mean"):
-            raise ConfigurationError(
-                f"unknown reducer {reduce!r}; choices: worst, mean"
-            )
         rows = []
         for protocol, subset in sorted(self.by_protocol().items()):
-            reduced = subset.worst() if reduce == "worst" else subset.mean()
+            reduced = subset.worst()
             rows.append(
                 [
                     protocol,
@@ -751,7 +747,6 @@ class ResultSet:
         return render_table(
             ["protocol", "runs", "work", "messages", "effort", "rounds", "completed"],
             rows,
-            title=title,
         )
 
     def as_dict(self) -> Dict[str, Any]:

@@ -54,20 +54,12 @@ hiccup.  HTTP 429 (rate limited - the server's ``Retry-After`` header
 overrides the backoff sleep) and retryable 5xx (500/502/503/504) are
 also retried; every *other* HTTP status (400/404/413...) is a real
 answer and is never retried.
-
-Hardening knobs (see ``docs/chaos.md``): ``deadline`` bounds the whole
-retry loop in wall-clock seconds, so a flapping server cannot hold a
-caller for ``attempts x timeout``; ``jitter`` (a fraction, default 0)
-stretches each backoff sleep by up to that share, drawn from a seeded
-RNG (``jitter_seed``) so retry storms decorrelate across clients while
-any single client stays reproducible.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
-import random
 import socket
 import ssl
 import threading
@@ -260,9 +252,6 @@ class Client:
         timeout: float = 30.0,
         attempts: int = 4,
         backoff: float = 0.05,
-        deadline: Optional[float] = None,
-        jitter: float = 0.0,
-        jitter_seed: int = 0,
         chaos=None,
     ):
         if isinstance(attempts, bool) or not isinstance(attempts, int) or attempts < 1:
@@ -272,23 +261,6 @@ class Client:
         if isinstance(backoff, bool) or not isinstance(backoff, (int, float)) or backoff < 0:
             raise ConfigurationError(
                 f"client backoff must be a non-negative number, got {backoff!r}"
-            )
-        if deadline is not None and (
-            isinstance(deadline, bool)
-            or not isinstance(deadline, (int, float))
-            or deadline <= 0
-        ):
-            raise ConfigurationError(
-                f"client deadline must be a positive number of seconds or "
-                f"None, got {deadline!r}"
-            )
-        if (
-            isinstance(jitter, bool)
-            or not isinstance(jitter, (int, float))
-            or not 0.0 <= jitter <= 1.0
-        ):
-            raise ConfigurationError(
-                f"client jitter must be a fraction in [0, 1], got {jitter!r}"
             )
         self.base_url = base_url.rstrip("/")
         split = urlsplit(self.base_url)
@@ -310,10 +282,7 @@ class Client:
         self.timeout = timeout
         self.attempts = attempts
         self.backoff = backoff
-        self.deadline = deadline
-        self.jitter = jitter
         self.chaos = chaos  # a repro.chaos.ChaosInjector, or None
-        self._jitter_rng = random.Random(jitter_seed)
         self._sleep = time.sleep  # injectable for deterministic tests
 
     # ---- transport ---------------------------------------------------
@@ -322,13 +291,6 @@ class Client:
         """The deterministic backoff schedule: one sleep before each
         retry after the first attempt (``backoff * 2**i``)."""
         return [self.backoff * (2 ** i) for i in range(self.attempts - 1)]
-
-    def _jittered(self, delay: float) -> float:
-        """``delay`` stretched by up to ``jitter`` (seeded draw); the
-        exact base schedule when jitter is 0."""
-        if self.jitter <= 0.0:
-            return delay
-        return delay * (1.0 + self.jitter * self._jitter_rng.random())
 
     def _connect(self) -> _Connection:
         """A new connection to the server; it connects on its first
@@ -389,25 +351,11 @@ class Client:
             headers["Content-Type"] = "application/json"
         delays = self._retry_delays()
         last_reason: Any = None
-        started = time.monotonic()
         next_delay: Optional[float] = None  # a 429's Retry-After override
         for attempt in range(self.attempts):
             if attempt:
-                delay = self._jittered(
-                    delays[attempt - 1] if next_delay is None else next_delay
-                )
+                self._sleep(delays[attempt - 1] if next_delay is None else next_delay)
                 next_delay = None
-                if (
-                    self.deadline is not None
-                    and time.monotonic() - started + delay > self.deadline
-                ):
-                    break
-                self._sleep(delay)
-            if (
-                self.deadline is not None
-                and time.monotonic() - started > self.deadline
-            ):
-                break
             if self.chaos is not None:
                 mode = self.chaos.fire("transport", path)
                 if mode == "refused":
@@ -443,14 +391,6 @@ class Client:
                 raise ServerError(
                     f"repro server at {self.base_url} sent a non-JSON response: {exc}"
                 ) from exc
-        if (
-            self.deadline is not None
-            and time.monotonic() - started > self.deadline - 1e-9
-        ):
-            raise ServerError(
-                f"gave up on repro server at {self.base_url} after "
-                f"{self.deadline:g}s wall-clock deadline: {last_reason}"
-            )
         raise ServerError(
             f"cannot reach repro server at {self.base_url} after "
             f"{self.attempts} attempt{'s' if self.attempts != 1 else ''}: "

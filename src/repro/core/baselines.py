@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional, Tuple
 
+from repro.core.deadlines import DEFAULT_SLACK
 from repro.errors import ConfigurationError
 from repro.sim.actions import Action, Broadcast, Envelope, MessageKind
 from repro.sim.process import Process
@@ -56,7 +57,7 @@ class NaiveCheckpointProcess(Process):
     heard about.
     """
 
-    def __init__(self, pid: int, t: int, n: int, *, interval: int = 1, slack: int = 2):
+    def __init__(self, pid: int, t: int, n: int, *, interval: int = 1):
         super().__init__(pid, t)
         if interval < 1:
             raise ConfigurationError(f"checkpoint interval must be >= 1, got {interval}")
@@ -64,7 +65,7 @@ class NaiveCheckpointProcess(Process):
         self.interval = interval
         # Active budget: n work rounds + one broadcast round per checkpoint.
         checkpoints = -(-n // interval) if n else 0
-        self._budget = n + checkpoints + slack
+        self._budget = n + checkpoints + DEFAULT_SLACK
         self._last_heard_unit = 0
         self._active = False
         self._script: Optional[Iterator[Tuple[Optional[int], Optional[Broadcast]]]] = None
@@ -126,9 +127,6 @@ def build_replicate(n: int, t: int) -> List[ReplicateProcess]:
 
 
 def build_naive_checkpoint(
-    n: int, t: int, *, interval: int = 1, slack: int = 2
+    n: int, t: int, *, interval: int = 1
 ) -> List[NaiveCheckpointProcess]:
-    return [
-        NaiveCheckpointProcess(pid, t, n, interval=interval, slack=slack)
-        for pid in range(t)
-    ]
+    return [NaiveCheckpointProcess(pid, t, n, interval=interval) for pid in range(t)]

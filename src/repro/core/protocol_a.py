@@ -124,10 +124,6 @@ class ProtocolAProcess(Process):
         return Action(work=work, sends=sends)
 
 
-def build_protocol_a(
-    n: int, t: int, *, epoch: int = 0, slack: int = 2
-) -> List[ProtocolAProcess]:
+def build_protocol_a(n: int, t: int) -> List[ProtocolAProcess]:
     """Construct the full set of Protocol A processes."""
-    return [
-        ProtocolAProcess(pid, t, n, epoch=epoch, slack=slack) for pid in range(t)
-    ]
+    return [ProtocolAProcess(pid, t, n) for pid in range(t)]

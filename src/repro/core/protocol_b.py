@@ -188,10 +188,6 @@ class ProtocolBProcess(Process):
         return Action(work=work, sends=sends)
 
 
-def build_protocol_b(
-    n: int, t: int, *, epoch: int = 0, slack: int = 2
-) -> List[ProtocolBProcess]:
+def build_protocol_b(n: int, t: int) -> List[ProtocolBProcess]:
     """Construct the full set of Protocol B processes."""
-    return [
-        ProtocolBProcess(pid, t, n, epoch=epoch, slack=slack) for pid in range(t)
-    ]
+    return [ProtocolBProcess(pid, t, n) for pid in range(t)]

@@ -232,18 +232,11 @@ class ProtocolCProcess(Process):
                     yield (_REPORT, level1_key, report_target)
 
 
-def build_protocol_c(
-    n: int, t: int, *, epoch: int = 0, slack: int = 2, batched: bool = False
-) -> List[ProtocolCProcess]:
+def build_protocol_c(n: int, t: int) -> List[ProtocolCProcess]:
     """Construct the full set of Protocol C processes."""
-    return [
-        ProtocolCProcess(pid, t, n, batched=batched, epoch=epoch, slack=slack)
-        for pid in range(t)
-    ]
+    return [ProtocolCProcess(pid, t, n) for pid in range(t)]
 
 
-def build_protocol_c_batched(
-    n: int, t: int, *, epoch: int = 0, slack: int = 2
-) -> List[ProtocolCProcess]:
+def build_protocol_c_batched(n: int, t: int) -> List[ProtocolCProcess]:
     """The Corollary 3.9 variant: level-0 work reported every ``n/t`` units."""
-    return build_protocol_c(n, t, epoch=epoch, slack=slack, batched=True)
+    return [ProtocolCProcess(pid, t, n, batched=True) for pid in range(t)]

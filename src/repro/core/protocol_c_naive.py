@@ -37,18 +37,17 @@ from repro.sim.process import Process
 class NaiveSpreadingProcess(Process):
     """One process of the naive knowledge-spreading algorithm."""
 
-    def __init__(self, pid: int, t: int, n: int, *, epoch: int = 0, slack: int = 2):
+    def __init__(self, pid: int, t: int, n: int):
         super().__init__(pid, t)
         if n < 0:
             raise ConfigurationError(f"n must be non-negative, got {n}")
         self.n = n
-        self.epoch = epoch
-        self.deadlines = ProtocolCDeadlines(n=n, t=t, slack=slack)
+        self.deadlines = ProtocolCDeadlines(n=n, t=t)
         self.work_next = 1          # next unit not known to be done
         self.last_informed = pid    # cyclic report pointer (own view)
         self._active = False
         self._script: Optional[Iterator[Tuple[Optional[int], Optional[Broadcast]]]] = None
-        self._deadline = epoch if pid == 0 else epoch + self._delay(0)
+        self._deadline = 0 if pid == 0 else self._delay(0)
 
     # ---- deadlines -------------------------------------------------------
 
@@ -121,10 +120,5 @@ class NaiveSpreadingProcess(Process):
                 yield None, Broadcast((target,), payload, MessageKind.ORDINARY)
 
 
-def build_naive_spreading(
-    n: int, t: int, *, epoch: int = 0, slack: int = 2
-) -> List[NaiveSpreadingProcess]:
-    return [
-        NaiveSpreadingProcess(pid, t, n, epoch=epoch, slack=slack)
-        for pid in range(t)
-    ]
+def build_naive_spreading(n: int, t: int) -> List[NaiveSpreadingProcess]:
+    return [NaiveSpreadingProcess(pid, t, n) for pid in range(t)]

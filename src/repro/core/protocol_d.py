@@ -30,6 +30,7 @@ import math
 from typing import List, Optional, Tuple
 
 from repro.core.agreement_fold import AgreementLayout, AgreementProcess
+from repro.core.deadlines import DEFAULT_SLACK
 from repro.core.protocol_a import ProtocolAProcess
 from repro.errors import ConfigurationError
 from repro.sim.actions import Action, Broadcast, Envelope, MessageKind
@@ -61,7 +62,6 @@ class ProtocolDProcess(AgreementProcess):
         n: int,
         *,
         revert_threshold: float = 0.5,
-        slack: int = 2,
     ):
         super().__init__(pid, t)
         if n < 0:
@@ -72,7 +72,6 @@ class ProtocolDProcess(AgreementProcess):
             )
         self.n = n
         self.revert_threshold = revert_threshold
-        self.slack = slack
         self.S: IntBitset = IntBitset.from_range(1, n + 1)
         self.T: IntBitset = IntBitset.from_range(0, t)
         self.phase_index = 0
@@ -221,7 +220,7 @@ class ProtocolDProcess(AgreementProcess):
             len(self._revert_members),
             len(self._revert_units),
             epoch=start_round,
-            slack=self.slack + 4,
+            slack=DEFAULT_SLACK + 4,
         )
 
     def _revert_round(self, round_number: int, inbox: List[Envelope]) -> Action:
@@ -253,12 +252,9 @@ def build_protocol_d(
     t: int,
     *,
     revert_threshold: float = 0.5,
-    slack: int = 2,
 ) -> List[ProtocolDProcess]:
     """Construct the full set of Protocol D processes."""
     return [
-        ProtocolDProcess(
-            pid, t, n, revert_threshold=revert_threshold, slack=slack
-        )
+        ProtocolDProcess(pid, t, n, revert_threshold=revert_threshold)
         for pid in range(t)
     ]

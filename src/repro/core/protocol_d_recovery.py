@@ -73,17 +73,6 @@ class ProtocolDRecoveryProcess(ProtocolDProcess):
         self._setup_work_phase(start_round=round_number)
 
 
-def build_protocol_d_recovery(
-    n: int,
-    t: int,
-    *,
-    revert_threshold: float = 0.5,
-    slack: int = 2,
-) -> List[ProtocolDRecoveryProcess]:
+def build_protocol_d_recovery(n: int, t: int) -> List[ProtocolDRecoveryProcess]:
     """Construct the full set of recovery-aware Protocol D processes."""
-    return [
-        ProtocolDRecoveryProcess(
-            pid, t, n, revert_threshold=revert_threshold, slack=slack
-        )
-        for pid in range(t)
-    ]
+    return [ProtocolDRecoveryProcess(pid, t, n) for pid in range(t)]

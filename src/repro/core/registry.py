@@ -74,7 +74,7 @@ class ProtocolEntry:
         engine: ``"sync"`` (round-driven :class:`~repro.sim.engine.Engine`)
             or ``"async"`` (:class:`~repro.sim.async_engine.AsyncEngine`).
         single_active: the paper proves at most one process is active at
-            a time; the sync engine asserts it when strict.
+            a time; the sync engine asserts it on every round.
         description: one-line summary for listings.
     """
 
@@ -140,23 +140,31 @@ def available_protocols(engine: Optional[str] = None) -> List[str]:
     return sorted(key for key, entry in _ENTRIES.items() if entry.engine == engine)
 
 
+def check_options(name: str, options: Dict[str, object]) -> None:
+    """Raise a :class:`ConfigurationError` naming the option(s) that
+    ``name``'s builder does not take (e.g. a ``schedule`` option passed
+    to a static protocol).  The protocol name selects the run; the only
+    options are the builder's own keyword parameters."""
+    entry = get_entry(name)
+    try:
+        inspect.signature(entry.builder).bind(0, 0, **options)
+    except TypeError as exc:
+        raise ConfigurationError(
+            f"protocol {entry.name!r} rejected builder option(s) "
+            f"{sorted(options)}: {exc}"
+        ) from None
+
+
 def build_processes(name: str, n: int, t: int, **options) -> List[Process]:
-    """Invoke ``name``'s builder, turning a builder-*signature* mismatch
-    (e.g. a ``schedule`` option passed to a static protocol) into a
-    named :class:`ConfigurationError` instead of a raw ``TypeError``.
-    A ``TypeError`` raised by a bug *inside* a builder (its signature
+    """Invoke ``name``'s builder.  A builder-*signature* mismatch is the
+    named :class:`ConfigurationError` of :func:`check_options`; a
+    ``TypeError`` raised by a bug *inside* a builder (its signature
     binds fine) propagates untouched."""
     entry = get_entry(name)
     try:
         return list(entry.builder(n, t, **options))
-    except TypeError as exc:
-        try:
-            inspect.signature(entry.builder).bind(n, t, **options)
-        except TypeError:
-            raise ConfigurationError(
-                f"protocol {entry.name!r} rejected builder option(s) "
-                f"{sorted(options)}: {exc}"
-            ) from exc
+    except TypeError:
+        check_options(name, options)
         raise
 
 
@@ -167,7 +175,6 @@ def run_protocol(
     *,
     adversary: AdversarySpec = None,
     seed: int = 0,
-    strict_invariants: Optional[bool] = None,
     allow_total_failure: bool = False,
     max_steps: int = 5_000_000,
     max_rounds: Optional[int] = None,
@@ -181,7 +188,9 @@ def run_protocol(
     :class:`~repro.sim.metrics.RunResult`.
 
     ``adversary`` is a live adversary or a spec (``"random:4"``, a spec
-    dict), and ``congestion`` a budget or a spec.  For asynchronous
+    dict), and ``congestion`` a budget or a spec.  The engine asserts
+    the paper's at-most-one-active invariant exactly when the entry is
+    ``single_active``.  For asynchronous
     protocols, sweeps and JSON round-trips, use
     :class:`repro.api.Scenario` - this function is the stable
     synchronous shorthand it delegates to.
@@ -194,15 +203,12 @@ def run_protocol(
             "protocol) instead of run_protocol"
         )
     processes = build_processes(name, n, t, **options)
-    tracker = WorkTracker(n)
-    if strict_invariants is None:
-        strict_invariants = entry.single_active
     engine = Engine(
         processes,
-        tracker=tracker,
+        tracker=WorkTracker(n),
         adversary=adversary_from_spec(adversary),
         seed=seed,
-        strict_invariants=strict_invariants,
+        strict_invariants=entry.single_active,
         allow_total_failure=allow_total_failure,
         max_steps=max_steps,
         max_rounds=max_rounds,

@@ -58,6 +58,18 @@ from repro.sim.specs import (
 )
 
 
+def check_pids(kind: str, parameter: str, pids: Iterable[int], t: int) -> None:
+    """Reject a pid outside ``0..t-1`` in a kind's ``parameter``.  The
+    spec grammar does not know ``t``, so each kind that names pids calls
+    this from its :meth:`~repro.sim.engine.Adversary.bind`."""
+    for pid in pids:
+        if not 0 <= pid < t:
+            raise ConfigurationError(
+                f"adversary {kind!r} parameter {parameter!r} names pid {pid}; "
+                f"with t={t} the process ids are 0..{t - 1}"
+            )
+
+
 class NoFailures(Adversary):
     """The failure-free execution (the paper's common case for Protocol D)."""
 
@@ -73,6 +85,11 @@ class FixedSchedule(Adversary):
         self.pending: List[CrashDirective] = sorted(
             directives, key=lambda d: (d.at_round, d.pid)
         )
+
+    def bind(self, engine: Engine) -> None:
+        super().bind(engine)
+        named = [pid for d in self.pending for pid in (d.pid, *(d.keep or ()))]
+        check_pids("fixed-schedule", "directives", named, engine.t)
 
     def decide(
         self, round_number: int, actions: Dict[int, Action], engine: Engine
@@ -95,7 +112,9 @@ class RandomCrashes(Adversary):
     crash would leave no survivor waits and crashes at its next action.
     """
 
-    #: Crash-recover settings; :class:`RecoveringCrashes` sets them.
+    #: The spec kind and its crash-recover settings;
+    #: :class:`RecoveringCrashes` sets them.
+    kind = "random"
     repair_delay: Optional[RepairSpec] = None
     repeat = False
 
@@ -116,6 +135,8 @@ class RandomCrashes(Adversary):
 
     def bind(self, engine: Engine) -> None:
         super().bind(engine)
+        if self.explicit_victims is not None:
+            check_pids(self.kind, "victims", self.explicit_victims, engine.t)
         population = (
             self.explicit_victims
             if self.explicit_victims is not None
@@ -269,6 +290,10 @@ class Cascade(Adversary):
         self._did_initial = False
         self._work_seen: Dict[int, int] = {}
 
+    def bind(self, engine: Engine) -> None:
+        super().bind(engine)
+        check_pids("cascade", "initial_dead", self.initial_dead, engine.t)
+
     def decide(
         self, round_number: int, actions: Dict[int, Action], engine: Engine
     ) -> List[CrashDirective]:
@@ -326,6 +351,10 @@ class StaggeredWorkKills(Adversary):
     def plan(cls, kills: Iterable[Sequence[int]]) -> "StaggeredWorkKills":
         return cls(_StaggeredKill(pid, units) for pid, units in kills)
 
+    def bind(self, engine: Engine) -> None:
+        super().bind(engine)
+        check_pids("staggered", "kills", self._quota, engine.t)
+
     def decide(
         self, round_number: int, actions: Dict[int, Action], engine: Engine
     ) -> List[CrashDirective]:
@@ -357,6 +386,10 @@ class CrashMidBroadcast(Adversary):
     def __init__(self, victims: Sequence[int], *, min_batch: int = 2):
         self.victims = set(victims)
         self.min_batch = min_batch
+
+    def bind(self, engine: Engine) -> None:
+        super().bind(engine)
+        check_pids("crash-mid-broadcast", "victims", sorted(self.victims), engine.t)
 
     def decide(
         self, round_number: int, actions: Dict[int, Action], engine: Engine
@@ -397,6 +430,8 @@ class RecoveringCrashes(RandomCrashes):
     With ``repeat=True`` a recovered victim is re-armed with a fresh
     countdown and crashes again, for as long as the run lasts.
     """
+
+    kind = "crash-recover"
 
     def __init__(
         self,
@@ -465,6 +500,8 @@ class RackFailures(Adversary):
         super().bind(engine)
         if self.explicit_groups is not None:
             groups = self.explicit_groups
+            for group in groups:
+                check_pids("rack", "groups", group, engine.t)
         else:
             pids = list(range(engine.t))
             groups = [
@@ -495,7 +532,7 @@ class RackFailures(Adversary):
                 else None
             )
             for pid in members:
-                if not 0 <= pid < engine.t or engine.processes[pid].retired:
+                if engine.processes[pid].retired:
                     continue
                 if not self.spare(engine, len(directives)):
                     break
@@ -552,9 +589,9 @@ class NeighbourCascade(Adversary):
 
     def bind(self, engine: Engine) -> None:
         super().bind(engine)
-        origins = [origin for origin in self.origins if 0 <= origin < engine.t]
-        self._pending: Dict[int, int] = dict.fromkeys(origins, 0)  # pid -> crash round
-        self._infected = set(origins)
+        check_pids("cascade-neighbours", "origins", self.origins, engine.t)
+        self._pending: Dict[int, int] = dict.fromkeys(self.origins, 0)  # pid -> crash round
+        self._infected = set(self.origins)
 
     def decide(
         self, round_number: int, actions: Dict[int, Action], engine: Engine

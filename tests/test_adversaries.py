@@ -4,7 +4,7 @@ import pytest
 
 from repro import run_protocol
 from repro.api import Scenario
-from repro.errors import AdversaryError
+from repro.errors import AdversaryError, ConfigurationError
 from repro.sim.adversary import (
     Cascade,
     CrashMidBroadcast,
@@ -213,3 +213,32 @@ def test_adaptive_adversaries_leave_a_survivor(protocol, spec):
         assert result.completed
         assert result.metrics.crashes <= 3
 
+
+
+@pytest.mark.parametrize(
+    "kind, parameter, spec",
+    [
+        ("random", "victims", "random:2,victims=99+100"),
+        ("crash-recover", "victims", "crash-recover:1,victims=2+99"),
+        ("rack", "groups", "rack:1,groups=99"),
+        ("cascade-neighbours", "origins", "cascade-neighbours:99"),
+        ("cascade", "initial_dead", "cascade:3,initial_dead=99"),
+        ("staggered", "kills", "staggered:99x1"),
+        ("crash-mid-broadcast", "victims", "crash-mid-broadcast:99"),
+        ("fixed-schedule", "directives", {"kind": "fixed-schedule", "directives": [{"pid": 99}]}),
+        (
+            "fixed-schedule",
+            "directives",
+            {"kind": "fixed-schedule", "directives": [{"pid": 1, "keep": [0, 99]}]},
+        ),
+    ],
+)
+def test_a_pid_the_run_does_not_have_is_a_named_error(kind, parameter, spec):
+    """The spec grammar cannot know ``t``; each kind checks the pids it
+    names when it binds to the run, before the first round."""
+    scenario = Scenario(protocol="D-recovery", n=32, t=8, adversary=spec)
+    with pytest.raises(ConfigurationError) as excinfo:
+        scenario.run()
+    message = str(excinfo.value)
+    for part in (f"'{kind}'", f"'{parameter}'", "pid 99", "t=8"):
+        assert part in message

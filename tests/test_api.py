@@ -306,6 +306,25 @@ def test_builder_option_named_like_a_run_setting_is_rejected():
             scenario.run()
 
 
+#: Builder options that no longer exist: the protocol name selects the
+#: run, and the bound table's constants are the builders' own.
+REMOVED_OPTIONS = [("C", "batched", True), ("A", "slack", 40), ("B", "epoch", 5000)]
+
+
+@pytest.mark.parametrize("protocol, option, value", REMOVED_OPTIONS)
+def test_a_removed_builder_option_is_a_named_error(protocol, option, value):
+    scenario = Scenario(protocol=protocol, n=16, t=4, options={option: value})
+    for check in (scenario.validate, scenario.run):
+        with pytest.raises(ConfigurationError, match=f"rejected builder option.*'{option}'"):
+            check()
+
+
+def test_strict_invariants_is_not_a_scenario_field():
+    document = {"protocol": "A", "n": 16, "t": 4, "strict_invariants": True}
+    with pytest.raises(ConfigurationError, match="strict_invariants"):
+        Scenario.from_dict(document)
+
+
 def test_fastpath_is_a_sync_engine_knob():
     with pytest.raises(ConfigurationError, match="sync"):
         Scenario(protocol="A-async", n=8, t=2, fastpath="off").run()
@@ -374,7 +393,7 @@ def test_sweep_over_protocols_renders_table():
         protocols=["A", "D"],
         adversaries=[None, "kill-active:2"],
     )
-    table = sweep.run().table(reduce="worst")
+    table = sweep.run().table()
     assert "| a" in table and "| d" in table
     assert "effort" in table
 

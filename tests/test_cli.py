@@ -240,6 +240,23 @@ def test_run_an_adversary_error_is_one_named_line(case, capsys, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_run_a_scenario_with_a_removed_option_is_one_named_line(capsys, tmp_path):
+    path = tmp_path / "batched.json"
+    path.write_text(json.dumps({"protocol": "C", "n": 16, "t": 4, "options": {"batched": True}}))
+    assert main(["run", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'batched'" in err
+
+
+def test_the_engine_flag_is_gone(capsys):
+    # The registry resolves the engine from the protocol name.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "a-async", "--engine", "async", "--n", "16", "--t", "4"])
+    assert excinfo.value.code == 2
+    assert "--engine" in capsys.readouterr().err
+
+
 def test_run_d_recovery_with_crash_recover_spec(capsys):
     assert (
         main(

@@ -1,9 +1,12 @@
 """Public API surface: registry, run_protocol, package exports."""
 
+import inspect
+
 import pytest
 
 import repro
 from repro import available_protocols, build_processes, run_protocol
+from repro.core.registry import get_entry
 from repro.errors import ConfigurationError
 
 
@@ -65,7 +68,34 @@ def test_deprecated_duplicate_registration_overwrites():
     from repro.core.registry import register
     from repro.core.protocol_a import build_protocol_a
 
-    register("custom-a", build_protocol_a)
+    register("custom-a", build_protocol_a, single_active=True)
     assert "custom-a" in available_protocols()
-    result = run_protocol("custom-a", 8, 4, strict_invariants=True, seed=0)
+    result = run_protocol("custom-a", 8, 4, seed=0)
     assert result.completed
+
+
+#: Every built-in protocol's builder options.  The protocol name selects
+#: the run; a new option has to change this table on purpose.
+BUILDER_OPTIONS = {
+    "a": (),
+    "a-async": ("step_delay",),
+    "b": (),
+    "c": (),
+    "c-batched": (),
+    "c-naive": (),
+    "d": ("revert_threshold",),
+    "d-dynamic": ("schedule", "cycle_length"),
+    "d-recovery": (),
+    "naive": ("interval",),
+    "replicate": (),
+}
+
+
+def test_builder_option_surface_is_pinned():
+    assert set(BUILDER_OPTIONS) <= set(available_protocols())
+    surface = {}
+    for name in BUILDER_OPTIONS:
+        parameters = list(inspect.signature(get_entry(name).builder).parameters)
+        assert parameters[:2] == ["n", "t"], name
+        surface[name] = tuple(parameters[2:])
+    assert surface == BUILDER_OPTIONS

@@ -180,6 +180,32 @@ def test_malformed_scenario_names_field_and_value(client):
             )
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("options", {"batched": True}),
+        ("options", {"slack": 40}),
+        ("options", {"epoch": 5000}),
+        ("strict_invariants", True),
+    ],
+)
+def test_a_removed_option_is_a_400_naming_it(server, field, value):
+    name = next(iter(value)) if field == "options" else field
+    protocol = {"batched": "C", "slack": "A", "epoch": "B"}.get(name, "A")
+    document = {"scenario": {"protocol": protocol, "n": 16, "t": 4, field: value}}
+    request = urllib.request.Request(
+        server.url + "/jobs",
+        data=json.dumps(document).encode("utf-8"),
+        headers={"Content-Type": "application/json"},
+    )
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        urllib.request.urlopen(request, timeout=30.0)
+    assert excinfo.value.code == 400
+    error = json.loads(excinfo.value.read())["error"]
+    assert error["type"] == "ConfigurationError"
+    assert f"'{name}'" in error["message"]
+
+
 def test_unknown_protocol_is_rejected_at_submission(client):
     with pytest.raises(ConfigurationError, match="zz"):
         client.submit({"scenario": {"protocol": "zz", "n": 32, "t": 4}})
