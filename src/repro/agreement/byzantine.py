@@ -159,7 +159,6 @@ class ByzantineAgreement:
         t: int,
         *,
         protocol: str = "B",
-        slack: int = 2,
     ):
         if t + 1 > n_system:
             raise ConfigurationError(
@@ -169,18 +168,17 @@ class ByzantineAgreement:
         self.t = t
         self.num_senders = t + 1
         self.protocol = protocol.upper()
-        self.slack = slack
 
     # ---- construction ------------------------------------------------------
 
     def _build_inner(self, pid: int, epoch: int):
         n, senders = self.n_system, self.num_senders
         if self.protocol == "A":
-            return ProtocolAProcess(pid, senders, n, epoch=epoch, slack=self.slack)
+            return ProtocolAProcess(pid, senders, n, epoch=epoch)
         if self.protocol == "B":
-            return ProtocolBProcess(pid, senders, n, epoch=epoch, slack=self.slack)
+            return ProtocolBProcess(pid, senders, n, epoch=epoch)
         if self.protocol == "C":
-            return ProtocolCProcess(pid, senders, n, epoch=epoch, slack=self.slack)
+            return ProtocolCProcess(pid, senders, n, epoch=epoch)
         raise ConfigurationError(
             f"Byzantine agreement supports protocols A, B, C; got {self.protocol!r}"
         )

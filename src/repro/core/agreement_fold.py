@@ -22,12 +22,14 @@ In a synchronous round almost every recipient folds the same *window*
 of broadcasts - the rows of the delivery store's segment stamped ``s``
 (see :mod:`repro.sim.columnar`) - minus its own row.  So the round is
 folded once (:class:`SharedWindows`): for each (stamp, phase key) the
-window is checked once, and for each admitted set it builds, once, per
-view field the prefix and suffix folds over the admitted senders'
-views.  A recipient's fold is then leave-one-out, ``prefix[i] op
-suffix[i + 1]``: one bitwise op per field instead of a fold over ``t``
-rows.  It applies only when all of these hold; any other inbox goes to
-:func:`_fold_messages` over its envelopes:
+window is checked once, reading the store's parallel per-row sender,
+kind and payload lists, and for each admitted set it builds, once, per
+view field every leave-one-out fold ``prefix[i] op suffix[i + 1]`` over
+the admitted senders' views.  A recipient resolves to its cut ``i``
+with a few int operations and one dict lookup, and folds one bitwise op
+per field instead of ``t`` rows.  It applies only when all of these
+hold; any other inbox goes to :func:`_fold_messages` over its
+envelopes:
 
 1. no buffered inbox but the last holds an AGREEMENT message with the
    phase key (the older ones hold, at most, the previous phase's
@@ -53,23 +55,32 @@ recipients (their snapshots diverge, and a crash-censored broadcast
 leaves rows missing or lands in lanes); those folds take
 :func:`_fold_messages`.
 
+The round handler (:meth:`AgreementProcess._agree_round`) keeps the
+views, the heard mask and the live-set estimate ``_U`` as python ints
+and writes the folded views back into the process's own bitsets.  A
+process that decides takes its work share through :func:`work_share`:
+every decider of a round with the same pool and team slices one
+partition, listed once in the delivery store's cache.
+
 ``tests/test_agreement_fold.py`` pins the shared window to
-:func:`_fold_messages` fold by fold; ``tests/test_differential_fuzz.py``
+:func:`_fold_messages` fold by fold and the shared partition to
+``IntBitset.select`` rank by rank; ``tests/test_differential_fuzz.py``
 pins whole runs to a list-per-recipient reference store.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, chain
-from operator import and_, or_
+from operator import and_, attrgetter, itemgetter, or_
 from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from repro.sim.actions import Action, MessageKind
-from repro.sim.bitset import IntBitset
+from repro.sim.bitset import IntBitset, positions
 from repro.sim.columnar import RowInbox, Span
 from repro.sim.process import Process
 
 _AGREEMENT = MessageKind.AGREEMENT
+_BITS = attrgetter("_bits")
 
 
 class AgreementLayout(NamedTuple):
@@ -90,10 +101,12 @@ class AgreementLayout(NamedTuple):
 class AgreementProcess(Process):
     """A process that runs the shared agreement round.
 
-    Subclasses set :attr:`layout`, keep the agreement state (``_U``,
-    ``_u_snapshot``, ``_round_var``, ``_agree_done``) and implement
+    Subclasses set :attr:`layout`, keep the agreement state (``_U`` and
+    ``_u_snapshot``, the live-set estimate and its last snapshot as
+    python ints, ``_round_var``, ``_agree_done``) and implement
     ``_agree_broadcast(flag)`` and ``_finish_agreement(round_number,
-    sends)``.
+    sends, store)``, ``store`` being the delivery store behind the
+    round's inboxes when any took rows (see :func:`work_share`).
     """
 
     layout: AgreementLayout
@@ -101,33 +114,46 @@ class AgreementProcess(Process):
     def _agree_round(self, round_number: int, inboxes: List, key) -> Action:
         """Fold ``inboxes`` (drained in order) for phase ``key``, then decide."""
         layout = self.layout
-        snapshot = self._u_snapshot.to_int()
-        admitted_from = snapshot & ~(1 << self.pid)
-        views = [getattr(self, attribute).to_int() for _, attribute, _ in layout.fields]
-        heard, adopted = _fold(inboxes, key, self.pid, layout, admitted_from, views)
+        fields = layout.fields
+        own = 1 << self.pid
+        snapshot = self._u_snapshot
+        views = []
+        for _, attribute, _ in fields:
+            views.append(getattr(self, attribute)._bits)
+        heard, adopted = _fold(inboxes, key, self.pid, layout, snapshot & ~own, views)
         if adopted is not None:
-            for index, attribute, _ in layout.fields:
+            for index, attribute, _ in fields:
                 setattr(self, attribute, adopted[index].thaw())
             self._agree_done = True
         else:
-            for (_, attribute, _), bits in zip(layout.fields, views):
-                setattr(self, attribute, IntBitset(bits))
+            # The views are this process's own working sets, so the
+            # folded bits go back into them: no bitset is allocated.
+            for (_, attribute, _), bits in zip(fields, views):
+                getattr(self, attribute)._bits = bits
+        U = self._U
         if self._round_var >= 1:
-            self._U -= IntBitset(snapshot & ~(heard | (1 << self.pid)))
-        if (
-            not self._agree_done
-            and self._round_var >= 1
-            and self._U == self._u_snapshot
-        ):
-            self._agree_done = True
+            U = self._U = U & ~(snapshot & ~(heard | own))
+            if U == snapshot:
+                self._agree_done = True
         self._round_var += 1
         if self._agree_done:
-            return self._finish_agreement(round_number, self._agree_broadcast(True))
-        self._u_snapshot = self._U.copy()
+            return self._finish_agreement(
+                round_number, self._agree_broadcast(True), _store_of(inboxes)
+            )
+        self._u_snapshot = U
         return Action(sends=self._agree_broadcast(False))
 
 
 # ---- the fold ---------------------------------------------------------------
+
+
+def _store_of(inboxes: List):
+    """The delivery store behind ``inboxes``, or ``None`` when no inbox
+    took rows."""
+    for inbox in inboxes:
+        if type(inbox) is RowInbox:
+            return inbox.store
+    return None
 
 
 def _records(inbox: Iterable) -> Iterable:
@@ -143,7 +169,7 @@ def _fold(
     """:func:`_fold_messages` over ``inboxes``, by leave-one-out over a
     round-shared window when its four rules hold.  Folds over inboxes
     that took rows are counted on the store's :class:`SharedWindows`."""
-    store = next((inbox.store for inbox in inboxes if type(inbox) is RowInbox), None)
+    store = _store_of(inboxes)
     if store is not None:
         windows = store.cache(layout.cache_name, SharedWindows)
         shared = windows.fold(store, inboxes, key, pid, layout, admitted_from, views)
@@ -208,21 +234,25 @@ def _fold_messages(
 # ---- round-shared windows --------------------------------------------------
 
 
-class _Folds(NamedTuple):
+class _Folds:
     """A window's rows folded over one admitted set.
 
     ``index`` maps each admitted sender to its position ``i`` among the
-    admitted rows.  Per view field, ``prefix[i]`` folds admitted rows
-    ``[0, i)`` and ``suffix[i]`` rows ``[i, m)``; ``suffix`` carries one
-    more identity, so cut ``m`` (no row left out) needs no special case.
+    ``size`` admitted rows.  Per view field, ``cuts`` holds the field's
+    ``intersect`` flag and its ``size + 1`` leave-one-out folds: entry
+    ``i`` folds every admitted row but the ``i``-th, entry ``size``
+    every admitted row.
     """
 
-    index: Dict[int, int]
-    prefix: List[List[int]]
-    suffix: List[List[int]]
+    __slots__ = ("index", "size", "cuts")
+
+    def __init__(self, index: Dict[int, int], cuts: List[Tuple[bool, List[int]]]):
+        self.index = index
+        self.size = len(index)
+        self.cuts = cuts
 
 
-class _Window(NamedTuple):
+class _Window:
     """The rows stamped ``s`` of one phase key, for which rule 2 holds.
 
     ``srcs[k]`` and ``payloads[k]`` belong to the window's ``k``-th row;
@@ -230,17 +260,22 @@ class _Window(NamedTuple):
     :class:`_Folds` per admitted set plus recipient, built on first use.
     """
 
-    heard: int
-    srcs: List[int]
-    payloads: List[tuple]
-    folds: Dict[int, _Folds]
+    __slots__ = ("heard", "srcs", "payloads", "folds")
+
+    def __init__(self, heard: int, srcs: List[int], payloads: List[tuple]):
+        self.heard = heard
+        self.srcs = srcs
+        self.payloads = payloads
+        self.folds: Dict[int, _Folds] = {}
 
 
 class SharedWindows:
     """Round-shared agreement folds for one store and one layout.
 
-    A window is keyed by the first row of its segment and the phase key;
-    its folds by the admitted set plus the recipient
+    ``windows`` maps a segment's first row to its windows by phase key;
+    ``span`` is the segment last folded over and ``by_key`` its windows;
+    ``older`` is the segment an older inbox was last checked in.
+    A window's folds are keyed by the admitted set plus the recipient
     (``admitted_from | 1 << pid``), so every recipient with the same
     snapshot shares one.  A window of a newer segment drops every older
     one, so memory holds one round.  ``keys`` maps each closed segment's
@@ -249,12 +284,16 @@ class SharedWindows:
     those that did not.
     """
 
-    __slots__ = ("span", "newest", "windows", "keys", "shared", "fallback")
+    __slots__ = (
+        "span", "by_key", "older", "newest", "windows", "keys", "shared", "fallback"
+    )
 
     def __init__(self):
         self.span = range(0)
+        self.older = range(0)
+        self.by_key: Dict = {}
         self.newest = -1
-        self.windows: Dict[tuple, Optional[_Window]] = {}
+        self.windows: Dict[int, Dict] = {}
         self.keys: Dict[int, Set] = {}
         self.shared = 0
         self.fallback = 0
@@ -282,42 +321,45 @@ class SharedWindows:
             if span.start > self.newest:
                 self.newest = span.start
                 self.windows.clear()
+            self.by_key = self.windows.setdefault(span.start, {})
+        start = span.start
+        stop = span.stop
         # Rule 3.
-        absent = len(span) - (hi - lo) + (skip >= 0)
-        if hi > span.stop or absent > 1:
+        absent = stop - start - (hi - lo) + (skip >= 0)
+        if hi > stop or absent > 1:
             return None
-        window_key = (span.start, key)
-        if window_key in self.windows:
-            window = self.windows[window_key]
-        else:
-            window = self.windows[window_key] = _window(store, span, key, layout.flag)
+        by_key = self.by_key
+        window = by_key.get(key, False)
+        if window is False:
+            window = by_key[key] = _window(store, start, stop, key, layout.flag)
         if window is None:
             return None
         # Rule 4: the rows left out of the fold are the recipient's own
         # and the missing one, each only if it is in the window and from
-        # an admitted sender (the recipient counts as one here).
+        # an admitted sender (the recipient counts as one here).  ``out``
+        # is the one left out, or -1.
         members = admitted_from | (1 << pid)
         heard = window.heard
-        left_out = {pid} if (heard >> pid) & 1 else set()
+        out = pid if heard >> pid & 1 else -1
         if absent:
-            row = span.start if lo > span.start else span.stop - 1 if hi < span.stop else skip
-            missing = window.srcs[row - span.start]
+            row = start if lo > start else stop - 1 if hi < stop else skip
+            missing = window.srcs[row - start]
             heard &= ~(1 << missing)
-            if (members >> missing) & 1:
-                left_out.add(missing)
-        if len(left_out) > 1:
-            return None
+            if members >> missing & 1:
+                if 0 <= out != missing:
+                    return None
+                out = missing
         folds = window.folds.get(members)
         if folds is None:
             folds = window.folds[members] = _folds(window, members, layout)
-        cut = folds.index[left_out.pop()] if left_out else len(folds.index)
-        for position, ((_, _, intersect), prefix, suffix) in enumerate(
-            zip(layout.fields, folds.prefix, folds.suffix)
-        ):
+        cut = folds.index[out] if out >= 0 else folds.size
+        position = 0
+        for intersect, values in folds.cuts:
             if intersect:
-                views[position] &= prefix[cut] & suffix[cut + 1]
+                views[position] &= values[cut]
             else:
-                views[position] |= prefix[cut] | suffix[cut + 1]
+                views[position] |= values[cut]
+            position += 1
         return heard, None
 
     def _holds(self, store, inbox, key) -> bool:
@@ -327,7 +369,7 @@ class SharedWindows:
         (the span's skip excluded)."""
         if type(inbox) is not RowInbox:
             return any(_keyed(record, key) for record in inbox)
-        shared = store.shared
+        kinds, payloads = store.kinds, store.payloads
         for item in inbox.items:
             if type(item) is not Span:
                 if _keyed(item, key):
@@ -335,19 +377,21 @@ class SharedWindows:
                 continue
             lo, hi, skip = item
             while lo < hi:
-                segment = store.segment(lo)
+                segment = self.older
+                if not segment.start <= lo < segment.stop:
+                    segment = self.older = store.segment(lo)
                 keys = self.keys.get(segment.start)
                 if keys is None:
                     # An older inbox was drained in an earlier round, so
                     # no row joins its segments any more.
                     keys = self.keys[segment.start] = {
-                        record.payload[0]
-                        for record in shared[segment.start:segment.stop]
-                        if record.kind is _AGREEMENT
+                        payloads[row][0] for row in segment if kinds[row] is _AGREEMENT
                     }
                 stop = min(hi, segment.stop)
                 if key in keys and any(
-                    _keyed(shared[row], key) for row in range(lo, stop) if row != skip
+                    kinds[row] is _AGREEMENT and payloads[row][0] == key
+                    for row in range(lo, stop)
+                    if row != skip
                 ):
                     return True
                 lo = stop
@@ -358,41 +402,86 @@ def _keyed(record, key) -> bool:
     return record.kind is _AGREEMENT and record.payload[0] == key
 
 
-def _window(store, span: range, key, flag: int) -> Optional[_Window]:
-    """The rows ``span`` as a window of phase ``key``, or ``None`` when
-    rule 2 fails for them."""
-    records = store.shared[span.start:span.stop]
-    src_list = []
-    payloads = []
+def _window(store, start: int, stop: int, key, flag: int) -> Optional[_Window]:
+    """Rows ``start .. stop - 1`` as a window of phase ``key``, or
+    ``None`` when rule 2 fails for them."""
+    kinds = store.kinds[start:stop]
+    if kinds.count(_AGREEMENT) != len(kinds):
+        return None
+    srcs = store.srcs[start:stop]
+    payloads = store.payloads[start:stop]
     previous = -1
-    for record in records:
-        payload = record.payload
-        src = record.src
-        if (
-            record.kind is not _AGREEMENT or payload[0] != key or payload[flag]
-            or src <= previous
-        ):
+    for src, payload in zip(srcs, payloads):
+        if src <= previous or payload[0] != key or payload[flag]:
             return None
-        src_list.append(src)
-        payloads.append(payload)
         previous = src
     # The senders are distinct, so their bits sum to the heard mask.
-    heard = sum(1 << src for src in src_list)
-    return _Window(heard, src_list, payloads, {})
+    return _Window(sum(1 << src for src in srcs), srcs, payloads)
 
 
 def _folds(window: _Window, members: int, layout: AgreementLayout) -> _Folds:
-    admitted = [
-        (src, payload)
-        for src, payload in zip(window.srcs, window.payloads)
-        if (members >> src) & 1
-    ]
-    prefix, suffix = [], []
+    srcs, payloads = window.srcs, window.payloads
+    if window.heard & ~members:
+        rows = [row for row, src in enumerate(srcs) if members >> src & 1]
+        srcs = [srcs[row] for row in rows]
+        payloads = [payloads[row] for row in rows]
+    size = len(srcs)
+    cuts = []
     for index, _, intersect in layout.fields:
         op, identity = (and_, -1) if intersect else (or_, 0)
-        bits = [payload[index]._bits for _, payload in admitted]
-        prefix.append(list(accumulate(bits, op, initial=identity)))
-        suffix.append(list(accumulate(reversed(bits), op, initial=identity))[::-1] + [identity])
-    return _Folds(
-        {src: position for position, (src, _) in enumerate(admitted)}, prefix, suffix
-    )
+        bits = list(map(_BITS, map(itemgetter(index), payloads)))
+        if size > 1 and bits.count(bits[0]) == size:
+            # One view in every row (a round after the views agreed):
+            # leaving any one row out folds to that view.
+            cuts.append((intersect, [bits[0]] * (size + 1)))
+            continue
+        # prefix[i] folds admitted rows [0, i), suffix[i] rows [i, size).
+        prefix = list(accumulate(bits, op, initial=identity))
+        suffix = list(accumulate(reversed(bits), op, initial=identity))[::-1]
+        values = list(map(op, prefix, suffix[1:]))
+        values.append(prefix[size])
+        cuts.append((intersect, values))
+    return _Folds(dict(zip(srcs, range(size))), cuts)
+
+
+# ---- the work partition -------------------------------------------------------
+
+
+class _Partitions:
+    """The work partitions of one round, by ``(pool, team)`` masks: each
+    the pool's members ascending and the team's members' ranks."""
+
+    __slots__ = ("round", "by_pair")
+
+    def __init__(self):
+        self.round = -1
+        self.by_pair: Dict[Tuple[int, int], Tuple[List[int], Dict[int, int]]] = {}
+
+
+def work_share(
+    store, pool: IntBitset, team: IntBitset, pid: int, per: int, round_number: int
+) -> List[int]:
+    """``pid``'s ``per`` units of ``pool``: its members ranked from
+    ``rank * per`` on, ``rank`` being ``pid``'s rank in ``team`` (which
+    holds ``pid``).
+
+    Every process that decides the same ``(pool, team)`` takes a slice
+    of one partition.  With a delivery store (``store`` is not ``None``)
+    the pool's members and the team's ranks are listed once per distinct
+    pair in the store's cache, which holds one round's partitions;
+    without one the slice comes straight off the bitsets.
+    """
+    if store is None:
+        return pool.select(team.count_below(pid) * per, per)
+    partitions = store.cache("work-partition", _Partitions)
+    if partitions.round != round_number:
+        partitions.round = round_number
+        partitions.by_pair.clear()
+    pair = (pool.to_int(), team.to_int())
+    partition = partitions.by_pair.get(pair)
+    if partition is None:
+        ranks = {member: rank for rank, member in enumerate(positions(pair[1]))}
+        partition = partitions.by_pair[pair] = (positions(pair[0]), ranks)
+    members, ranks = partition
+    first = ranks[pid] * per
+    return members[first:first + per]

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Tuple
 
-from repro.core.agreement_fold import AgreementLayout, AgreementProcess
+from repro.core.agreement_fold import AgreementLayout, AgreementProcess, work_share
 from repro.core.deadlines import DEFAULT_SLACK
 from repro.core.protocol_a import ProtocolAProcess
 from repro.errors import ConfigurationError
@@ -47,6 +47,7 @@ _REVERT = "revert"
 AgreePayload = Tuple[int, FrozenIntBitset, FrozenIntBitset, bool]
 
 _INNER_KINDS = (MessageKind.PARTIAL_CHECKPOINT, MessageKind.FULL_CHECKPOINT)
+_AGREEMENT = MessageKind.AGREEMENT
 
 
 class ProtocolDProcess(AgreementProcess):
@@ -81,12 +82,14 @@ class ProtocolDProcess(AgreementProcess):
         self._work_start = 0
         self._work_done_count = 0
         self._agree_entry = 0
-        # Agreement-phase state.
-        self._U: IntBitset = IntBitset()
-        self._u_snapshot: IntBitset = IntBitset()
+        # Agreement-phase state (the live-set estimate and its snapshot
+        # as python ints).
+        self._U = 0
+        self._u_snapshot = 0
         self._round_var = 0
         self._agree_done = False
-        self._T_prev: IntBitset = self.T.copy()
+        #: |T| when the current phase began (the reversion threshold's base).
+        self._team_size = len(self.T)
         #: Inboxes drained since the last agreement round, in drain order
         #: (the fold keeps only this phase's AGREEMENT messages).
         self._buffer: List = []
@@ -99,31 +102,33 @@ class ProtocolDProcess(AgreementProcess):
 
     # ---- work phases ------------------------------------------------------
 
-    def _setup_work_phase(self, start_round: int) -> None:
+    def _setup_work_phase(self, start_round: int, store=None) -> None:
         self.state = _WORK
         self.phase_index += 1
-        self._T_prev = self.T.copy()
-        team = len(self.T)       # popcount, O(1)
+        team = self._team_size = len(self.T)       # popcount, O(1)
         pool = len(self.S)
         per_process = math.ceil(pool / team) if team else 0
-        # Rank and share come straight off the bitsets: count_below is a
-        # masked popcount and select() slices exactly this process's
-        # ceil(|S|/|T|) units - no O(n) member list per process (the old
-        # list(S) cost Theta(n t) across the team every phase).
+        # The share is this process's rank slice of ceil(|S|/|T|) units
+        # (see work_share): no O(n) member list per process.
         if per_process == 0 or self.pid not in self.T:
             # Not thought correct: cannot happen for a live process in
             # the crash model, but stay safe.
             self._share = []
         else:
-            rank = self.T.count_below(self.pid)
-            self._share = self.S.select(rank * per_process, per_process)
+            self._share = work_share(
+                store, self.S, self.T, self.pid, per_process, start_round
+            )
         self._work_start = start_round
         self._work_done_count = 0
         self._agree_entry = start_round + per_process
         # Line 8 of Figure 4: S := S \ S'.  Removing the share up front is
         # equivalent: the share is fully performed before S is next used
         # (at agreement), and a crashed process's S is never consulted.
-        self.S.difference_update(self._share)
+        # The share is every member of S from its first unit to its last.
+        if self._share:
+            self.S.difference_update(
+                IntBitset.from_range(self._share[0], self._share[-1] + 1)
+            )
 
     # ---- scheduling ----------------------------------------------------------
 
@@ -131,7 +136,7 @@ class ProtocolDProcess(AgreementProcess):
     # value between engine-observed events, which is sound because every
     # field it reads is mutated only inside on_round / the lifecycle hooks.
     def wake_round(self) -> Optional[int]:
-        if self.retired:
+        if self.crashed or self.halted:  # ``retired``, read once per step
             return None
         if self.state == _REVERT:
             assert self._inner is not None
@@ -154,8 +159,9 @@ class ProtocolDProcess(AgreementProcess):
                 return self._work_round(round_number)
             return self._enter_agree(round_number)
         # Lines 8-18 of Figure 4 (see repro.core.agreement_fold).
-        inboxes, self._buffer = self._buffer, []
-        return self._agree_round(round_number, inboxes, self.phase_index)
+        action = self._agree_round(round_number, self._buffer, self.phase_index)
+        self._buffer.clear()
+        return action
 
     # ---- work rounds ---------------------------------------------------------
 
@@ -170,11 +176,11 @@ class ProtocolDProcess(AgreementProcess):
 
     def _enter_agree(self, round_number: int) -> Action:
         self.state = _AGREE
-        self._U = self.T.copy()
+        self._U = self.T.to_int()
         self.T = IntBitset.singleton(self.pid)
         self._agree_done = False
         self._round_var = 1 if self.phase_index == 1 else 0
-        self._u_snapshot = self._U.copy()
+        self._u_snapshot = self._U
         return Action(sends=self._agree_broadcast(done=False))
 
     def _agree_broadcast(self, done: bool) -> Broadcast:
@@ -186,18 +192,17 @@ class ProtocolDProcess(AgreementProcess):
         )
         # One packed broadcast: Theta(t) recipients share one payload
         # object; the engine never materialises per-copy messages.
-        recipients = self._U.copy()
-        recipients.discard(self.pid)
-        return Broadcast(recipients, payload, MessageKind.AGREEMENT)
+        recipients = FrozenIntBitset(self._U & ~(1 << self.pid))
+        return Broadcast(recipients, payload, _AGREEMENT)
 
-    def _finish_agreement(self, round_number: int, sends: Broadcast) -> Action:
-        threshold = self.revert_threshold * len(self._T_prev)
+    def _finish_agreement(self, round_number: int, sends: Broadcast, store) -> Action:
+        threshold = self.revert_threshold * self._team_size
         if self.S and len(self.T) < threshold:
             self._enter_revert(round_number + 1)
             return Action(sends=sends)
         if not self.S:
             return Action(sends=sends, halt=True)
-        self._setup_work_phase(start_round=round_number + 1)
+        self._setup_work_phase(round_number + 1, store)
         return Action(sends=sends)
 
     # ---- reversion to Protocol A ---------------------------------------------------

@@ -30,17 +30,19 @@ simulation parameter - a real deployment would run forever).
 from __future__ import annotations
 
 import math
-from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
+from collections import deque
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.core.agreement_fold import AgreementLayout, AgreementProcess
+from repro.core.agreement_fold import AgreementLayout, AgreementProcess, work_share
 from repro.errors import ConfigurationError
 from repro.sim.actions import Action, Broadcast, Envelope, MessageKind
-from repro.sim.bitset import IntBitset
+from repro.sim.bitset import FrozenIntBitset, IntBitset
 
 Arrival = Tuple[int, int, int]  # (round, site pid, unit)
 
 _AGREE = "agree"
 _WORK = "work"
+_AGREEMENT = MessageKind.AGREEMENT
 
 
 class ArrivalSchedule:
@@ -55,10 +57,15 @@ class ArrivalSchedule:
             seen.add(unit)
         self.units: FrozenSet[int] = frozenset(seen)
         self.horizon: int = max((rnd for rnd, _, _ in self.arrivals), default=0)
+        # Indexed by site once: a per-site scan of every arrival would
+        # cost O(t x arrivals) to build one run's processes.
+        self._by_site: Dict[int, List[Tuple[int, int]]] = {}
+        for rnd, site, unit in self.arrivals:
+            self._by_site.setdefault(site, []).append((rnd, unit))
 
     def at_site(self, pid: int) -> List[Tuple[int, int]]:
-        """(round, unit) pairs arriving at ``pid``."""
-        return [(rnd, unit) for rnd, site, unit in self.arrivals if site == pid]
+        """(round, unit) pairs arriving at ``pid``, in (round, unit) order."""
+        return list(self._by_site.get(pid, ()))
 
     @property
     def total_units(self) -> int:
@@ -91,7 +98,7 @@ class DynamicProtocolDProcess(AgreementProcess):
             )
         self.schedule = schedule
         self.cycle_length = cycle_length
-        self._pending_arrivals = sorted(schedule.at_site(pid))
+        self._pending_arrivals = deque(schedule.at_site(pid))
         self.known: IntBitset = IntBitset()
         #: Arrivals observed since the current agreement began.  They are
         #: folded into ``known`` only when the *next* agreement starts:
@@ -105,8 +112,8 @@ class DynamicProtocolDProcess(AgreementProcess):
         self._cycle_start = 0
         self._first_cycle = True
         # Agreement sub-state (pipelined exchange, as in Protocol D).
-        self._U: IntBitset = self.live.copy()
-        self._u_snapshot: IntBitset = IntBitset()
+        self._U = self.live.to_int()
+        self._u_snapshot = 0
         self._round_var = 0
         self._agree_done = False
         self._broadcast_pending = True
@@ -118,7 +125,7 @@ class DynamicProtocolDProcess(AgreementProcess):
 
     def _absorb_arrivals(self, round_number: int) -> None:
         while self._pending_arrivals and self._pending_arrivals[0][0] <= round_number:
-            _, unit = self._pending_arrivals.pop(0)
+            _, unit = self._pending_arrivals.popleft()
             self._arrived_buffer.add(unit)
 
     # ---- scheduling ------------------------------------------------------
@@ -127,16 +134,16 @@ class DynamicProtocolDProcess(AgreementProcess):
     # value between engine-observed events, which is sound because every
     # field it reads is mutated only inside on_round / the lifecycle hooks.
     def wake_round(self) -> Optional[int]:
-        if self.retired:
+        if self.crashed or self.halted:  # ``retired``, read once per step
             return None
         if self.state == _AGREE:
             return 0  # agreement acts every round
         if self._share_index < len(self._share):
             return 0
-        next_points = [self._cycle_start + self.cycle_length]
+        cycle_end = self._cycle_start + self.cycle_length
         if self._pending_arrivals:
-            next_points.append(self._pending_arrivals[0][0])
-        return min(next_points)
+            return min(cycle_end, self._pending_arrivals[0][0])
+        return cycle_end
 
     # ---- round dispatch ----------------------------------------------------
 
@@ -152,7 +159,7 @@ class DynamicProtocolDProcess(AgreementProcess):
             self.known |= self._arrived_buffer
             self._arrived_buffer.clear()
             self._broadcast_pending = False
-            self._u_snapshot = self._U.copy()
+            self._u_snapshot = self._U
             return Action(sends=self._agree_broadcast(False))
         # Same fold as Protocol D's (see repro.core.agreement_fold); a
         # laggard's stale cycle fails the key filter, arrivals re-sync it.
@@ -163,7 +170,7 @@ class DynamicProtocolDProcess(AgreementProcess):
     def _enter_agree(self, round_number: int) -> None:
         self.state = _AGREE
         self._cycle_start = round_number
-        self._U = self.live.copy()
+        self._U = self.live.to_int()
         self.live = IntBitset.singleton(self.pid)
         self._agree_done = False
         self._round_var = 1 if self._first_cycle else 0
@@ -180,11 +187,10 @@ class DynamicProtocolDProcess(AgreementProcess):
         )
 
     def _agree_broadcast(self, done_flag: bool) -> Broadcast:
-        recipients = self._U.copy()
-        recipients.discard(self.pid)
-        return Broadcast(recipients, self._payload(done_flag), MessageKind.AGREEMENT)
+        recipients = FrozenIntBitset(self._U & ~(1 << self.pid))
+        return Broadcast(recipients, self._payload(done_flag), _AGREEMENT)
 
-    def _finish_agreement(self, round_number: int, sends: Broadcast) -> Action:
+    def _finish_agreement(self, round_number: int, sends: Broadcast, store) -> Action:
         outstanding = self.known - self.done
         no_more_arrivals = round_number >= self.schedule.horizon
         if (
@@ -194,15 +200,15 @@ class DynamicProtocolDProcess(AgreementProcess):
             and not self._arrived_buffer
         ):
             return Action(sends=sends, halt=True)
-        # Rank-sliced share straight off the bitsets, as in Protocol D's
-        # _setup_work_phase: no O(n) member list per process per cycle.
+        # Rank-sliced share, as in Protocol D's _setup_work_phase.
         team = len(self.live)
         per_process = math.ceil(len(outstanding) / team) if team else 0
         if per_process == 0 or self.pid not in self.live:
             self._share = []
         else:
-            rank = self.live.count_below(self.pid)
-            self._share = outstanding.select(rank * per_process, per_process)
+            self._share = work_share(
+                store, outstanding, self.live, self.pid, per_process, round_number
+            )
         self._share_index = 0
         self.state = _WORK
         return Action(sends=sends)

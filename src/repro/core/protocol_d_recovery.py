@@ -42,13 +42,13 @@ class ProtocolDRecoveryProcess(ProtocolDProcess):
 
     _checkpoint: Tuple[int, IntBitset, IntBitset]
 
-    def _setup_work_phase(self, start_round: int) -> None:
+    def _setup_work_phase(self, start_round: int, store=None) -> None:
         # Snapshot the pre-phase view (phase_index before the increment,
         # S before the share is carved out, T before agreement rewrites
         # it): this is the state a crash anywhere in the phase - work,
         # agreement, or reversion - rolls back to.
         self._checkpoint = (self.phase_index, self.S.copy(), self.T.copy())
-        super()._setup_work_phase(start_round)
+        super()._setup_work_phase(start_round, store)
 
     def on_recover(self, round_number: int) -> None:
         phase_index, checkpoint_s, checkpoint_t = self._checkpoint
@@ -59,8 +59,8 @@ class ProtocolDRecoveryProcess(ProtocolDProcess):
         # traffic, the live-set estimate, and any embedded Protocol A
         # run from a reversion in progress.
         self._buffer = []
-        self._U = IntBitset()
-        self._u_snapshot = IntBitset()
+        self._U = 0
+        self._u_snapshot = 0
         self._round_var = 0
         self._agree_done = False
         self._inner = None

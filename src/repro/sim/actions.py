@@ -83,19 +83,21 @@ class Broadcast:
         payload: Any,
         kind: MessageKind,
     ):
-        if isinstance(recipients, _BitsetBase):
-            recipients = FrozenIntBitset(recipients.to_int())
-        else:
-            recipients = FrozenIntBitset.from_iterable(recipients)
+        # A frozen mask is kept as given: it cannot change under us.
+        if type(recipients) is not FrozenIntBitset:
+            if isinstance(recipients, _BitsetBase):
+                recipients = FrozenIntBitset(recipients.to_int())
+            else:
+                recipients = FrozenIntBitset.from_iterable(recipients)
         self.recipients: FrozenIntBitset = recipients
         self.payload = payload
         self.kind = kind
 
     def __len__(self) -> int:
-        return len(self.recipients)
+        return self.recipients._bits.bit_count()
 
     def __bool__(self) -> bool:
-        return bool(self.recipients)
+        return self.recipients._bits != 0
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Broadcast):

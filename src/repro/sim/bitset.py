@@ -35,9 +35,31 @@ frozenset); do not mix the two as keys of one dict.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Iterable, Iterator, Union
+from itertools import compress
+from typing import AbstractSet, Iterable, Iterator, List, Union
 
 BitsetLike = Union["_BitsetBase", AbstractSet[int], Iterable[int]]
+
+#: Maps the binary digits ``0``/``1`` to the bytes 0/1.
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def positions(mask: int) -> List[int]:
+    """The set bit positions of the non-negative ``mask``, ascending.
+
+    A dense mask is read off its binary digits at C speed per digit; a
+    sparse one bit by bit, which costs a few big-int operations per set
+    bit instead of a pass over every digit.
+    """
+    if mask.bit_count() * 8 >= mask.bit_length():
+        digits = bin(mask)[:1:-1].encode().translate(_DIGIT_BYTES)
+        return list(compress(range(len(digits)), digits))
+    members = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        members.append(low.bit_length() - 1)
+    return members
 
 
 def _mask_of(other: BitsetLike) -> int:
@@ -303,7 +325,11 @@ class IntBitset(_BitsetBase):
 
     def freeze(self) -> "FrozenIntBitset":
         """An immutable snapshot sharing the backing int (O(1))."""
-        return FrozenIntBitset(self._bits)
+        # The bits are known valid, so the snapshot skips ``__init__``:
+        # agreement rounds freeze two views per process per round.
+        frozen = object.__new__(FrozenIntBitset)
+        frozen._bits = self._bits
+        return frozen
 
 
 class FrozenIntBitset(_BitsetBase):

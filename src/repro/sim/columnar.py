@@ -9,7 +9,9 @@ of mail:
 * **Rows.**  A broadcast reaching at least ``min(WIDE_FANOUT, t // 2)``
   live recipients is stored once, as a row ``(Envelope, mask)`` of one
   run-wide row log, the envelope's ``dst`` ``-1`` because the row
-  addresses a mask; each recipient keeps a cursor into the log.
+  addresses a mask; each recipient keeps a cursor into the log.  The
+  row's sender, kind and payload are also kept in parallel per-row
+  lists, which the agreement fold reads at list-index speed.
   Rows are appended at non-decreasing stamps, so the rows of one stamp
   form a contiguous *segment*.  Each segment keeps ``common``, the AND
   over its rows of ``mask | 1 << src``, and the rows whose sender is not
@@ -98,10 +100,11 @@ class ColumnarMailboxes:
 
     ``cursor[pid]`` is the first row ``pid`` has neither taken nor
     skipped; it only moves forward, and under a receive budget stops at
-    the first row a drain did not take.  Segment ``k`` starts at
-    row ``seg_start[k]``, holds the rows stamped ``seg_stamp[k]`` and
-    carries ``seg_common[k]`` and ``seg_own[k]`` (see the module
-    docstring).  ``caches`` hosts protocol-owned per-run state (see
+    the first row a drain did not take.  ``srcs[row]``, ``kinds[row]``
+    and ``payloads[row]`` repeat the fields of ``shared[row]``.  Segment
+    ``k`` starts at row ``seg_start[k]``, holds the rows stamped
+    ``seg_stamp[k]`` and carries ``seg_common[k]`` and ``seg_own[k]``
+    (see the module docstring).  ``caches`` hosts protocol-owned per-run state (see
     :meth:`cache`).
     """
 
@@ -109,6 +112,9 @@ class ColumnarMailboxes:
         "wide",
         "lanes",
         "shared",
+        "srcs",
+        "kinds",
+        "payloads",
         "masks",
         "cursor",
         "marks",
@@ -123,6 +129,9 @@ class ColumnarMailboxes:
         self.wide = min(WIDE_FANOUT, t // 2)
         self.lanes: List[list] = [[] for _ in range(t)]
         self.shared: List[Envelope] = []
+        self.srcs: List[int] = []
+        self.kinds: List[MessageKind] = []
+        self.payloads: List[Any] = []
         self.masks: List[int] = []
         self.cursor = [0] * t
         self.marks: Dict[int, int] = {}
@@ -158,6 +167,9 @@ class ColumnarMailboxes:
                 self.seg_common.append(-1)
                 self.seg_own.append({})
             self.shared.append(_new(Envelope, (src, -1, payload, kind, sent_round)))
+            self.srcs.append(src)
+            self.kinds.append(kind)
+            self.payloads.append(payload)
             self.masks.append(mask)
             bit = 1 << src
             common = self.seg_common[-1] & (mask | bit)
@@ -212,11 +224,38 @@ class ColumnarMailboxes:
     def drain(self, pid: int, round_number: int, receive: Optional[int]):
         """All mail for ``pid`` stamped before ``round_number``, at most
         ``receive`` items; the rest stay queued, oldest first.  Returns
-        a list of lane envelopes or a :class:`RowInbox`."""
+        a list of lane envelopes or a :class:`RowInbox`.
+
+        A recipient whose only pending mail is the newest segment, and
+        who is in its ``common``, takes its one span straight away;
+        everything else goes through ``_runs`` and ``_items``."""
         lane = self.lanes[pid]
         start = self.cursor[pid]
         rows = None
         if start < len(self.masks):
+            if (
+                start >= self.seg_start[-1]
+                and self.seg_common[-1] >> pid & 1
+                and self.seg_stamp[-1] < round_number
+                and (not lane or lane[0].sent_round >= round_number)
+            ):
+                # The one agreement-round shape: nothing pending but the
+                # newest segment, which addresses ``pid`` in every row
+                # but, perhaps, its own.  One span, as ``_runs`` and
+                # ``_items`` would have made it.
+                end = len(self.masks)
+                lo, hi, skip = start, end, -1
+                own = self.seg_own[-1].get(pid, -1)
+                if own == lo:
+                    lo += 1
+                elif own == hi - 1:
+                    hi -= 1
+                elif own > lo:
+                    skip = own
+                count = hi - lo - (skip >= 0)
+                if count > 0 and (receive is None or count <= receive):
+                    self.cursor[pid] = end
+                    return RowInbox(self, pid, [_new(Span, (lo, hi, skip))])
             rows = _items(self._runs(pid, start, round_number))
             self.cursor[pid] = max(start, self._rows_before(round_number))
         if not rows:

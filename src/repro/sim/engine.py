@@ -37,22 +37,26 @@ an event index, mirroring the heap-based design of
   the round after, and wait in ``_posted`` like any other post.  A
   receive budget that leaves a backlog behind a step puts the pid back
   in ``_posted`` (the one place the engine reads ``head_stamp``).
-* **A wake heap with lazy invalidation.**  ``_heap`` holds
-  ``(wake_round, pid)`` pairs and ``_wake`` each pid's cached
-  ``wake_round()``; entries that no longer match ``_wake`` are
-  discarded when they surface.  A step whose wake round did not move
-  pushes nothing, so the heap holds about one entry per process.
-* **The due set** of round ``r`` is the mail mask OR the popped,
-  still-valid wake entries; read low bit first it is already in
-  ascending pid order.  The index is updated incrementally - when mail
-  is posted, when a process steps, and when a process retires or
-  rejoins - never by scanning all ``t`` processes.
-* **A step re-reads one number.**  After a round commits, each stepped
-  process that is still live only has its ``wake_round()`` re-read
-  (and, under a receive budget, its backlog checked).  The engine
-  re-enters a process whole (:meth:`Engine._refresh_schedule`) only at
-  construction and where it crashes, halts or rejoins one - not once
-  per step.
+* **Wake buckets.**  ``_wake`` holds each pid's indexed
+  ``wake_round()`` and ``_buckets`` maps a round to the mask of pids
+  indexed at it, so processes that wake at the same round share one
+  entry; ``_rounds`` is a min-heap of the bucket rounds (a round whose
+  bucket emptied is dropped when it surfaces).  A bucket is taken whole
+  once its round is processed, so an entry at a processed round is
+  spent.  A step whose wake round did not move touches no bucket.
+* **The due set** of round ``r`` is the mail mask OR every bucket due
+  by ``r``; its set bits, read low first, are already in ascending pid
+  order.  The index is updated incrementally - when mail is posted,
+  when a process steps, and when a process retires or rejoins - never
+  by scanning all ``t`` processes.
+* **A step re-reads one number.**  Right after its action commits,
+  each stepped process that is still live only has its
+  ``wake_round()`` re-read (and, under a receive budget, its backlog
+  checked).  The engine re-enters a process whole
+  (:meth:`Engine._refresh_schedule`) only at construction and where it
+  crashes, halts or rejoins one - not once per step.  A halt leaves the
+  index after the round's last post, so broadcasts to a halting team
+  keep their fan-out.
 * **One delivery store.**  Mail lives in
   :class:`~repro.sim.columnar.ColumnarMailboxes`
   (``post_p2p``/``post_broadcast``/``drain``/``head_stamp``/``clear``):
@@ -122,6 +126,7 @@ from repro.errors import (
     SimulationStalled,
 )
 from repro.sim.actions import Action, Broadcast
+from repro.sim.bitset import positions
 from repro.sim.columnar import ColumnarMailboxes
 from repro.sim.congestion import CongestionBudget
 from repro.sim.crashes import CrashDirective
@@ -188,8 +193,9 @@ class Engine:
         # Event index: see module docstring.
         self._mail: int = 0
         self._posted: int = 0
-        self._heap: List[Tuple[int, int]] = []
         self._wake: List[Optional[int]] = [None] * self.t
+        self._buckets: Dict[int, int] = {}
+        self._rounds: List[int] = []
         self._live: Set[int] = set()
         #: Packed mirror of ``_live`` (bit pid set iff not retired): lets
         #: the broadcast commit restrict its recipient bitset to live
@@ -279,7 +285,7 @@ class Engine:
         process = self.processes[pid]
         bit = 1 << pid
         if process.retired:
-            self._wake[pid] = None
+            self._index_wake(pid, None)
             self._mail &= ~bit
             self._posted &= ~bit
             self._live.discard(pid)
@@ -291,11 +297,7 @@ class Engine:
             return
         self._live.add(pid)
         self._live_mask |= bit
-        wake = process.wake_round()
-        if wake != self._wake[pid]:
-            self._wake[pid] = wake
-            if wake is not None:
-                heappush(self._heap, (wake, pid))
+        self._index_wake(pid, process.wake_round())
         congestion = self.congestion
         if congestion is not None and congestion.receive is not None:
             # A receive budget can leave a backlog behind a step; like
@@ -303,14 +305,29 @@ class Engine:
             if self._store.head_stamp(pid) is not None:
                 self._posted |= bit
 
-    def _note_mail(self, recipients: int, sent_round: int) -> None:
-        """Mark every pid in the ``recipients`` mask as having mail.
-
-        Mail is only ever posted at the current processed round
-        (``sent_round == self.round``) and becomes deliverable at the
-        next one, so a post is one ``|=`` into ``_posted``.
-        """
-        self._posted |= recipients
+    def _index_wake(self, pid: int, wake: Optional[int]) -> None:
+        """Move ``pid``'s wake entry to the bucket of round ``wake``
+        (``None``: out of the index)."""
+        buckets = self._buckets
+        old = self._wake[pid]
+        bit = 1 << pid
+        if old is not None and old > self.round:
+            # Not yet spent: the pid is still in that bucket.
+            if old == wake:
+                return
+            rest = buckets[old] ^ bit
+            if rest:
+                buckets[old] = rest
+            else:
+                del buckets[old]
+        self._wake[pid] = wake
+        if wake is not None:
+            bucket = buckets.get(wake)
+            if bucket is None:
+                buckets[wake] = bit
+                heappush(self._rounds, wake)
+            else:
+                buckets[wake] = bucket | bit
 
     def _next_due_round(self) -> Optional[int]:
         # Due rounds may lie in the past ("act as soon as possible");
@@ -319,14 +336,13 @@ class Engine:
         floor = self.round + 1
         if self._mail or self._posted:
             return floor
-        heap, wake = self._heap, self._wake
+        rounds, buckets = self._rounds, self._buckets
         best: Optional[int] = None
-        while heap:
-            due, pid = heap[0]
-            if wake[pid] == due:
-                best = due
+        while rounds:
+            if rounds[0] in buckets:
+                best = rounds[0]
                 break
-            heappop(heap)
+            heappop(rounds)
         # Deferred congestion flushes and pending rejoins are due rounds
         # too - without them fast-forward would sail past the event.
         if self._deferred_heap and (best is None or self._deferred_heap[0] < best):
@@ -339,25 +355,17 @@ class Engine:
 
     def _collect_due_pids(self, round_number: int) -> List[int]:
         """Take every process due at ``round_number``, in pid order:
-        the mail mask plus each popped, still-valid wake entry.
+        the mail mask plus every bucket due by then.
 
-        Taken pids leave the index; :meth:`_process_round` re-reads the
-        wake round of each survivor after the round commits.
+        Taken buckets leave the index; :meth:`_process_round` re-reads
+        the wake round of each survivor after the round commits.
         """
         due = self._mail
         self._mail = 0
-        heap, wake = self._heap, self._wake
-        while heap and heap[0][0] <= round_number:
-            when, pid = heappop(heap)
-            if wake[pid] == when:
-                wake[pid] = None
-                due |= 1 << pid
-        due_pids: List[int] = []
-        while due:
-            low = due & -due
-            due ^= low
-            due_pids.append(low.bit_length() - 1)
-        return due_pids
+        rounds, buckets = self._rounds, self._buckets
+        while rounds and rounds[0] <= round_number:
+            due |= buckets.pop(heappop(rounds), 0)
+        return positions(due)
 
     # ---- one round -----------------------------------------------------
 
@@ -413,13 +421,20 @@ class Engine:
                 self._apply_crashes(round_number, stepped, directives)
 
         # Commit every surviving action.  Without a trace or a unit
-        # effect, booking a unit is one call into the ledger.
+        # effect, booking a unit is one call into the ledger.  A step
+        # can only move its own process's wake round, so each survivor's
+        # is re-read right after its commit and re-indexed as
+        # ``_index_wake`` would, inline: this loop runs once per step.
+        # Entries at this round or earlier were spent when the round
+        # collected its due set.
         book = (
             self._book_work
             if self.unit_effect is None and not self.trace.enabled
             else self._record_work
         )
         post_batch = self._post_batch
+        wake, buckets, rounds = self._wake, self._buckets, self._rounds
+        halted = []
         for pid, action in stepped.items():
             work = action.work
             if work is not None:
@@ -431,23 +446,40 @@ class Engine:
                 process = processes[pid]
                 if not process.crashed:
                     process.mark_halted(round_number)
-                    self._refresh_schedule(pid)
+                    halted.append(pid)
                     self.metrics.record_retire(pid, round_number)
                     self.trace.emit(round_number, "halt", pid)
-
-        # A step can only move its own process's wake round; retirements
-        # already left the index through ``_refresh_schedule``.
-        wake, heap = self._wake, self._heap
-        for pid in due_pids:
-            if pid not in live:
                 continue
-            due = processes[pid].wake_round()
-            if due != wake[pid]:
-                wake[pid] = due
-                if due is not None:
-                    heappush(heap, (due, pid))
+            if pid not in live:
+                continue  # crashed this round
             if receive is not None and self._store.head_stamp(pid) is not None:
                 self._posted |= 1 << pid
+            due = processes[pid].wake_round()
+            old = wake[pid]
+            if old is not None and old > round_number:
+                # Due by mail before its wake round: the entry stands
+                # unless the wake round moved.
+                if due == old:
+                    continue
+                rest = buckets[old] ^ 1 << pid
+                if rest:
+                    buckets[old] = rest
+                else:
+                    del buckets[old]
+            wake[pid] = due
+            if due is not None:
+                bucket = buckets.get(due)
+                if bucket is None:
+                    buckets[due] = 1 << pid
+                    heappush(rounds, due)
+                else:
+                    buckets[due] = bucket | 1 << pid
+        # Halted pids leave the index once the round's posts are in: a
+        # later post to one is then cleared with its mail, and the
+        # round's last broadcasts keep their fan-out instead of
+        # narrowing into lanes as the team halts one by one.
+        for pid in halted:
+            self._refresh_schedule(pid)
         if self.strict_invariants:
             self._check_single_active(round_number)
 
@@ -615,7 +647,8 @@ class Engine:
         record for the whole batch."""
         kind = bcast.kind
         payload = bcast.payload
-        self.metrics.record_sends(src, kind, len(bcast), round_number)
+        recipients = bcast.recipients._bits
+        self.metrics.record_sends(src, kind, recipients.bit_count(), round_number)
         trace = self.trace
         if trace.enabled:
             kind_value = kind.value
@@ -623,10 +656,11 @@ class Engine:
                 trace.emit(round_number, "send", src, (kind_value, dst, payload))
         # Restricting to live recipients is one mask ``&`` (the live mask
         # only holds pids < t, so out-of-range dsts drop too).
-        bits = bcast.recipients.to_int() & self._live_mask
+        bits = recipients & self._live_mask
         if bits:
             self._store.post_broadcast(src, payload, kind, round_number, bits)
-            self._note_mail(bits, round_number)
+            # Mail posted now is deliverable next round (module docstring).
+            self._posted |= bits
 
     # ---- invariants and results -------------------------------------------
 

@@ -38,7 +38,15 @@ class WorkTracker:
             raise ConfigurationError(
                 f"process {pid} performed unit {unit}, outside 1..{self.n}"
             )
-        self.metrics.record_work(pid, unit, round_number)
+        # Metrics.record_work, inlined: a unit is booked in one call.
+        metrics = self.metrics
+        metrics.work_total += 1
+        by_unit = metrics.work_by_unit
+        by_unit[unit] = by_unit.get(unit, 0) + 1
+        by_process = metrics.work_by_process
+        by_process[pid] = by_process.get(pid, 0) + 1
+        if round_number > metrics.rounds:
+            metrics.rounds = round_number
         first = self._first
         if unit not in first:
             first[unit] = (round_number, pid)

@@ -31,7 +31,7 @@ from typing import List, NamedTuple, Optional, Tuple
 import pytest
 
 from repro.api import Scenario
-from repro.core.agreement_fold import SharedWindows, _fold, _fold_messages
+from repro.core.agreement_fold import SharedWindows, _fold, _fold_messages, work_share
 from repro.core.protocol_d import ProtocolDProcess
 from repro.core.protocol_d_dynamic import DynamicProtocolDProcess
 from repro.sim import columnar
@@ -115,6 +115,16 @@ def _cases() -> List[Case]:
         Case("older inbox of another key", t, n,
              _round(2, everyone, key=0, flagged=everyone) + _round(5, everyone),
              [(3, None), (6, None)], 1, "shared"),
+        Case("one row missing, its sender outside the snapshot", t, n,
+             _round(5, everyone[1:], to={3: frozenset({1, 2, 4})}), late, 1, "shared",
+             recipients=[0], snapshot=frozenset(everyone) - {3}),
+        Case("own row received, a row missing from outside the snapshot", t, n,
+             _round(5, everyone, to={3: frozenset({1, 2, 4}), 5: frozenset(everyone)}),
+             late, 1, "shared", recipients=[5], snapshot=frozenset(everyone) - {3}),
+        Case("recipients alternating between two segments", t, n,
+             _round(4, everyone, to={src: frozenset(everyone[:4]) - {src} for src in everyone})
+             + _round(5, everyone, to={src: frozenset(everyone[4:]) - {src} for src in everyone}),
+             late, 1, "shared", recipients=[0, 4, 1, 5, 2, 6, 3, 7]),
         Case("older segment whose only same-key row is the recipient's own", t, n,
              _round(2, everyone[:3], key=0, flagged=everyone) + _round(2, [3], flagged={3})
              + _round(2, everyone[4:], key=0, flagged=everyone) + _round(5, everyone),
@@ -293,3 +303,32 @@ def test_failure_free_phases_fold_through_the_shared_window(monkeypatch):
     # Rule 1 clears the older inboxes by their segments' phase keys, so
     # no fold reads a record.
     assert reads == []
+
+
+# ---- the shared work partition -------------------------------------------
+
+
+PARTITIONS = [
+    # (pool size, team size, universe): |S| > |T|, |S| == |T|, |S| < |T|,
+    # an empty pool, a single member each, pools and teams past one word.
+    (40, 8, 48), (8, 8, 64), (3, 8, 64), (0, 8, 16), (1, 1, 4), (300, 130, 600),
+    (5, 130, 600), (129, 64, 200),
+]
+
+
+@pytest.mark.parametrize("pool_size,team_size,universe", PARTITIONS)
+def test_shared_partition_equals_select_for_every_rank(pool_size, team_size, universe):
+    rng = random.Random(pool_size * 1000 + team_size)
+    pool = IntBitset.from_iterable(rng.sample(range(1, universe + 1), pool_size))
+    team = IntBitset.from_iterable(rng.sample(range(universe), team_size))
+    per = -(-pool_size // team_size)
+    store = ColumnarMailboxes(universe)
+    for round_number in (7, 8):
+        for pid in team:
+            expected = pool.select(team.count_below(pid) * per, per)
+            assert work_share(store, pool, team, pid, per, round_number) == expected, pid
+            assert work_share(None, pool, team, pid, per, round_number) == expected, pid
+        # The cache holds one round's partitions: one, as every pid of
+        # this round decided the same (pool, team).
+        partitions = store.cache("work-partition", lambda: None)
+        assert partitions.round == round_number and len(partitions.by_pair) == 1

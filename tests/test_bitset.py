@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from repro.sim.bitset import FrozenIntBitset, IntBitset
+from repro.sim.bitset import FrozenIntBitset, IntBitset, positions
 
 # ---- construction and basic queries ---------------------------------------
 
@@ -279,3 +279,10 @@ def test_select_matches_a_slice_of_the_sorted_members():
         for start in range(0, len(ordered) + 3, 3):
             for count in (0, 1, 2, 7, len(ordered) + 1):
                 assert bitset.select(start, count) == ordered[start : start + count]
+
+
+@pytest.mark.parametrize("width,count", [(0, 0), (1, 1), (64, 3), (64, 60), (512, 504), (4096, 1), (4096, 64), (4096, 4096)])
+def test_positions_lists_set_bits_ascending_dense_or_sparse(width, count):
+    members = random.Random(width * 7 + count).sample(range(width), count)
+    mask = sum(1 << member for member in members)
+    assert positions(mask) == sorted(members) == list(IntBitset(mask))

@@ -41,6 +41,7 @@ from repro.sim.adversary import (
     StaggeredWorkKills,
 )
 from repro.sim.async_engine import AsyncEngine, AsyncProcess, fixed_delays
+from repro.sim.bitset import FrozenIntBitset, IntBitset
 from repro.sim.columnar import RowInbox, Span
 from repro.sim.congestion import CongestionBudget
 from repro.sim.crashes import CrashDirective, CrashPhase
@@ -88,7 +89,7 @@ class _ExpandedEngine(ListStoreEngine):
                 self._store.post_p2p(src, dst, send.payload, send.kind, round_number)
                 # One mail note per copy (the engine notes a whole
                 # broadcast's recipient mask at once).
-                self._note_mail(1 << dst, round_number)
+                self._posted |= 1 << dst
 
 
 def _build(protocol: str, n: int, t: int):
@@ -190,6 +191,17 @@ def test_expanded_reference_commits_through_its_hook():
 # =====================================================================
 # Crash-mid-broadcast stays a recipients subset (never re-expanded)
 # =====================================================================
+
+
+def test_a_frozen_recipient_mask_is_kept_as_given():
+    """A frozen mask cannot change under the broadcast, so it is kept,
+    not copied; any other recipients spelling is frozen once."""
+    mask = FrozenIntBitset.from_iterable([1, 3, 5])
+    assert Broadcast(mask, ("payload",), MessageKind.AGREEMENT).recipients is mask
+    working = IntBitset.from_iterable([1, 3, 5])
+    kept = Broadcast(working, ("payload",), MessageKind.AGREEMENT).recipients
+    working.add(7)
+    assert type(kept) is FrozenIntBitset and kept == {1, 3, 5}
 
 
 def test_censored_broadcast_stays_packed_subset():

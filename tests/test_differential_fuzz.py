@@ -23,6 +23,12 @@ broadcasts in rows and the rest in lanes under receive budgets: every
 drain that merges the two kinds, and every budget cut through a merge,
 is compared with the reference.
 
+Each slice counts, per protocol, the configs that ran on both stores
+(a config that raises on both counts as not run: it exercises nothing)
+and fails when any protocol's runnable share drops below
+:data:`RUNNABLE_FLOOR`, so a generator that drifts into configs one
+protocol rejects cannot hide behind the others.
+
 On failure the reproducer ``Scenario`` JSON is printed in the assertion
 message and written to ``fuzz-reproducer.json`` (the CI fuzz-smoke step
 uploads it as an artifact).
@@ -38,6 +44,7 @@ from __future__ import annotations
 import json
 import os
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -64,6 +71,10 @@ WIDE_VIEWS_COUNT = 8
 #: budget, at fan-out thresholds that put broadcasts in rows and lanes.
 MERGE_SEED = 21
 MERGE_COUNT = 60
+
+#: Per slice, the least share of each protocol's configs that must run
+#: (not raise) on both stores.
+RUNNABLE_FLOOR = 0.75
 
 #: Every sync protocol in the registry (the async engine has its own
 #: delivery path).
@@ -153,7 +164,7 @@ def _random_config(rng: random.Random, sizes: str = "small") -> dict:
         receive = rng.randint(2, 8)
         config["congestion"] = f"budget:send={send},receive={receive}"
     options: dict = {}
-    if protocol in ("D", "D-recovery") and rng.random() < 0.3:
+    if protocol == "D" and rng.random() < 0.3:
         options["revert_threshold"] = rng.choice((0.3, 0.5, 0.9))
     if protocol == "D-dynamic":
         if rng.random() < 0.5:
@@ -217,8 +228,12 @@ def _run(scenario: Scenario):
 
 
 def _assert_stores_agree(seed: int, configs) -> int:
-    """Run every config on both stores; return how many ran to completion."""
-    exercised = 0
+    """Run every config on both stores; return how many ran to completion.
+
+    Fails when a protocol's configs ran on less than
+    :data:`RUNNABLE_FLOOR` of its draws."""
+    drawn: Counter = Counter()
+    ran: Counter = Counter()
     for index, config in enumerate(configs):
         scenario = Scenario.from_dict(config)
         rows = _run(scenario)
@@ -229,9 +244,20 @@ def _assert_stores_agree(seed: int, configs) -> int:
                 f"store divergence at scenario {index} (seed {seed}); "
                 f"reproducer Scenario JSON: {write_reproducer(seed, index, config)}"
             )
+        drawn[config["protocol"]] += 1
         if "error" not in reference:
-            exercised += 1
-    return exercised
+            ran[config["protocol"]] += 1
+    starved = {
+        protocol: f"{ran[protocol]}/{count}"
+        for protocol, count in sorted(drawn.items())
+        if ran[protocol] < RUNNABLE_FLOOR * count
+    }
+    assert not starved, (
+        f"seed {seed}: configs that ran, per protocol, below the floor of "
+        f"{RUNNABLE_FLOOR:.0%}: {starved}; the generator draws configs these "
+        "protocols reject"
+    )
+    return sum(ran.values())
 
 
 def test_differential_fuzz_row_store_bit_identical():
@@ -269,3 +295,13 @@ def test_rows_lanes_and_receive_budgets_together_bit_identical(wide, monkeypatch
         )
         configs.append(config)
     assert _assert_stores_agree(MERGE_SEED, configs) >= MERGE_COUNT * 3 // 4
+
+
+def test_a_protocol_whose_configs_all_raise_fails_the_floor():
+    """The floor is per protocol: configs of one protocol that raise on
+    both stores fail the slice even when the global share is high."""
+    rejected = {"protocol": "D-recovery", "n": 8, "t": 4, "seed": 1,
+                "options": {"revert_threshold": 0.5}}
+    runnable = {"protocol": "A", "n": 8, "t": 4, "seed": 1}
+    with pytest.raises(AssertionError, match=r"D-recovery': '0/2'"):
+        _assert_stores_agree(0, [rejected] * 2 + [runnable] * 10)

@@ -2,7 +2,7 @@
 crash phases, stall detection and invariant checking."""
 
 import gc
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import pytest
 
@@ -215,13 +215,13 @@ def test_trace_records_events():
     assert trace.first("work").pid == 0
 
 
-def test_wake_heap_holds_at_most_one_entry_per_process():
-    """Mail lives in a bitmask, so the wake heap only ever holds wake
-    rounds: a mail-only step whose wake round did not move pushes
-    nothing, and the heap stays within one entry per process.  The due
-    set comes off the masks low bit first, so it is already in pid order."""
+def test_wake_index_holds_at_most_one_entry_per_process():
+    """Mail lives in a bitmask, so the wake buckets only ever hold wake
+    rounds: each live pid sits in at most one bucket, and the buckets
+    never outnumber the processes.  The due set comes off the masks low
+    bit first, so it is already in pid order."""
     n, t = 256, 64
-    heap_sizes: List[int] = []
+    index_sizes: List[Tuple[int, int, int]] = []
     due_sets: List[List[int]] = []
 
     class Recording(Engine):
@@ -232,7 +232,15 @@ def test_wake_heap_holds_at_most_one_entry_per_process():
 
         def _process_round(self, round_number):
             super()._process_round(round_number)
-            heap_sizes.append(len(self._heap))
+            union = 0
+            for wake, mask in self._buckets.items():
+                assert not union & mask, "a pid sits in two buckets"
+                union |= mask
+                for pid in range(t):
+                    if mask >> pid & 1:
+                        assert self._wake[pid] == wake
+            assert union & ~self._live_mask == 0, "a retired pid is indexed"
+            index_sizes.append((len(self._buckets), union.bit_count(), len(self._live)))
 
     crashes = FixedSchedule(
         [CrashDirective(pid=pid, at_round=10) for pid in range(16)]
@@ -244,7 +252,7 @@ def test_wake_heap_holds_at_most_one_entry_per_process():
         strict_invariants=True,
     ).run()
     assert result.completed and result.metrics.crashes == 16
-    assert max(heap_sizes) <= t
+    assert all(buckets <= pids <= live <= t for buckets, pids, live in index_sizes)
     assert all(
         all(a < b for a, b in zip(pids, pids[1:])) for pids in due_sets
     )

@@ -112,6 +112,27 @@ def test_tracker_totals_are_consistent(units):
     assert tracker.metrics.work_by_unit == Counter(units)
 
 
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(1, 20), st.integers(0, 50)), max_size=100))
+def test_tracker_books_exactly_what_metrics_record_work_books(bookings):
+    """The tracker books a unit in one call, with ``Metrics.record_work``
+    inlined: both must leave the same ledger."""
+    tracker, direct = WorkTracker(20), Metrics()
+    for pid, unit, round_number in bookings:
+        tracker.record(pid, unit, round_number)
+        direct.record_work(pid, unit, round_number)
+    assert tracker.metrics == direct
+    firsts = {}
+    for pid, unit, round_number in bookings:
+        firsts.setdefault(unit, (round_number, pid))
+    assert all(tracker.first_execution(unit) == first for unit, first in firsts.items())
+
+
+def test_booking_a_send_hashes_its_kind_in_c():
+    """``messages_by_kind`` is keyed by ``MessageKind``: its hash is
+    ``str``'s slot, so a booked send makes no Python-level call for it."""
+    assert MessageKind.__hash__ is str.__hash__
+
+
 # ---- one ledger -------------------------------------------------------------
 
 

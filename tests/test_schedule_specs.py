@@ -7,6 +7,9 @@ every declarative surface (registry, Scenario, JSON round-trip, CLI)
 with metrics identical to wiring the engine by hand.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.api import Scenario
@@ -226,3 +229,48 @@ def test_cli_schedule_misuse_is_a_clean_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "rejected builder option" in err
+
+
+# ---------------------------------------------------------------------
+# The per-site arrival index
+# ---------------------------------------------------------------------
+
+
+def _shipped_schedules():
+    """``(n, t, schedule spec)`` of every D-dynamic scenario the suites
+    and campaigns ship, the large-t benchmark's and the default."""
+    from repro.campaign.spec import CampaignSpec
+    from repro.suites import Suite
+
+    root = Path(__file__).resolve().parent.parent
+    grids = [
+        entry.scenarios()
+        for path in sorted(root.glob("scenarios/*.json"))
+        for entry in Suite.from_file(path).entries
+    ] + [
+        CampaignSpec.from_file(path).grid.scenarios()
+        for path in sorted(root.glob("campaigns/*.json"))
+    ]
+    shapes = {
+        (scenario.n, scenario.t, json.dumps(scenario.options.get("schedule"), sort_keys=True))
+        for grid in grids
+        for scenario in grid
+        if scenario.protocol == "D-dynamic"
+    }
+    shapes |= {(1024, 32, json.dumps("arrivals:0x512,40x256,80x256")), (48, 6, "null")}
+    return sorted(shapes)
+
+
+SHIPPED_SCHEDULES = _shipped_schedules()
+
+
+@pytest.mark.parametrize("n,t,spec", SHIPPED_SCHEDULES)
+def test_at_site_equals_a_scan_of_every_arrival(n, t, spec):
+    schedule = schedule_from_spec(n, t, json.loads(spec))
+    for pid in range(t + 1):
+        scanned = [(rnd, unit) for rnd, site, unit in schedule.arrivals if site == pid]
+        assert schedule.at_site(pid) == scanned
+
+
+def test_the_shipped_documents_hold_d_dynamic_schedules():
+    assert sum(spec != "null" for _, _, spec in SHIPPED_SCHEDULES) >= 3

@@ -103,3 +103,14 @@ def test_the_engine_holds_the_one_store_whatever_fastpath_says():
         for mode in ("auto", "on", "off")
     ]
     assert results[0].metrics == results[1].metrics == results[2].metrics
+
+
+def test_a_halting_team_keeps_its_last_broadcasts_wide(posts):
+    """Halts leave the engine's index after the round's posts, so the
+    final flagged broadcasts of a D team that halts together still reach
+    every recipient the sender addressed: one row each, no lane copies."""
+    t = 128
+    result = Scenario(protocol="D", n=2 * t, t=t, seed=1).run()
+    assert result.completed and result.halted == t
+    assert posts and all(taken == "rows" for _, taken in posts)
+    assert {fan_out for fan_out, _ in posts} == {t - 1}
