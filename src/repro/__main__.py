@@ -14,10 +14,10 @@ Subcommands:
 
       python -m repro compare --n 256 --t 16 --crashes 8 [--json]
 
-* ``report`` - regenerate EXPERIMENTS.md (same as
-  ``python -m repro.analysis.report``)::
+* ``report`` - run every paper experiment and regenerate EXPERIMENTS.md
+  (same as ``python -m repro.analysis.report``; a few seconds)::
 
-      python -m repro report --quick
+      python -m repro report --out EXPERIMENTS.md
 
 * ``list`` - list registered protocols with engine kind and description.
 
@@ -218,12 +218,7 @@ def _cmd_compare(args) -> int:
 def _cmd_report(args) -> int:
     from repro.analysis.report import main as report_main
 
-    forwarded = []
-    if args.quick:
-        forwarded.append("--quick")
-    if args.out:
-        forwarded.extend(["--out", args.out])
-    return report_main(forwarded)
+    return report_main(["--out", args.out] if args.out else [])
 
 
 def _cmd_list(_args) -> int:
@@ -736,7 +731,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.set_defaults(func=_cmd_compare)
 
     rep_p = sub.add_parser("report", help="regenerate EXPERIMENTS.md")
-    rep_p.add_argument("--quick", action="store_true")
     rep_p.add_argument("--out", default=None)
     rep_p.set_defaults(func=_cmd_report)
 

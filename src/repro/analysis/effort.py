@@ -7,14 +7,14 @@ if we weight things a little differently, then a completely different
 set of algorithms might turn out to be optimal."
 
 This module makes that remark quantitative: a weighted effort
-``work_weight * W + message_weight * M`` and the crossover weight at
-which two protocols' weighted efforts tie.
+``work_weight * W + message_weight * M`` and the protocol that is
+cheapest under it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.sim.metrics import Metrics
 
@@ -34,18 +34,6 @@ class EffortModel:
 
     def effort_of(self, work: float, messages: float) -> float:
         return self.work_weight * work + self.message_weight * messages
-
-
-def crossover_message_weight(
-    work_a: float, messages_a: float, work_b: float, messages_b: float
-) -> Optional[float]:
-    """Message weight (work weight fixed at 1) at which protocol A's and
-    protocol B's weighted efforts tie; ``None`` if one dominates for all
-    non-negative weights."""
-    if messages_a == messages_b:
-        return None
-    weight = (work_b - work_a) / (messages_a - messages_b)
-    return weight if weight >= 0 else None
 
 
 def cheapest(

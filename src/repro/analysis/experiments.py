@@ -2,16 +2,19 @@
 
 Each experiment function reproduces one theorem/claim (:data:`REGISTRY`
 at the bottom of this module is the per-experiment index), returning
-paper-bound-vs-measured rows.  An adversary battery runs as a
-:class:`~repro.api.Sweep` and is reduced with ``ResultSet.worst()``,
-the package's one worst-case reducer.
-``python -m repro.analysis.report`` runs them all, regenerates
-EXPERIMENTS.md and exits 1 if any claim fails; CI's ``experiments`` job
-runs it on the full grids.
+paper-bound-vs-measured rows.  Every run is a plain
+:class:`~repro.api.Scenario`, run through a :class:`~repro.api.Sweep`
+and reduced with ``ResultSet.worst()``, the package's one worst-case
+reducer.  A row's ``ok`` is one rule: every run of the row passes
+:func:`~repro.analysis.verify.verify_run` (the bounds of
+:func:`~repro.analysis.bounds.theorem_bounds`), and the experiment's
+own claim holds - an ordering, an exact count or a growth shape.
+E10's Byzantine agreement runs are not a registered protocol; they
+check their own message bound.
 
-Every experiment takes ``quick``: True shrinks the sweep for use inside
-the test-suite (``tests/test_experiment_pins.py`` pins those rows),
-False is the full grid.
+``python -m repro.analysis.report`` runs them all (a few seconds),
+regenerates EXPERIMENTS.md and exits 1 if any claim fails;
+``tests/test_experiment_pins.py`` pins every row.
 """
 
 from __future__ import annotations
@@ -22,16 +25,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List
 
 from repro.agreement.byzantine import ByzantineAgreement
-from repro.analysis.bounds import byzantine_messages, theorem_bounds
-from repro.analysis.verify import protocol_d_reverted
+from repro.analysis.bounds import Bound, byzantine_messages, theorem_bounds
+from repro.analysis.verify import protocol_d_reverted, verify_run
 from repro.api import ResultSet, Scenario, Sweep
-from repro.core.registry import run_protocol
-from repro.sim.adversary import (
-    AdversarySpec,
-    RandomCrashes,
-    StaggeredWorkKills,
-)
-from repro.sim.engine import Adversary
+from repro.sim.adversary import AdversarySpec, RandomCrashes
 
 
 @dataclass
@@ -48,10 +45,28 @@ class ExperimentResult:
         return all(bool(row.get("ok", True)) for row in self.rows)
 
 
-def _sweep(protocol: str, n: int, t: int, adversaries, seeds, **options) -> ResultSet:
+def _sweep(
+    protocol: str, n: int, t: int, adversaries=(None,), seeds=range(1), **options
+) -> ResultSet:
     """Every (adversary, seed) run of one configuration, for ``worst()``."""
     base = Scenario(protocol, n, t, options=options)
     return Sweep(base, adversaries=adversaries, seeds=seeds).run()
+
+
+def _verified(*result_sets: ResultSet) -> bool:
+    """Every run passes :func:`verify_run`: it did all the work (given a
+    survivor) and met each bound the paper proves for its protocol."""
+    return all(
+        verify_run(result, scenario.protocol, scenario.n, scenario.t).ok
+        for results in result_sets
+        for scenario, result in results.entries
+    )
+
+
+def _staggered(kills) -> str:
+    """The spec that crashes each ``(pid, units)`` victim after it has
+    done ``units`` units of work."""
+    return "staggered:" + "+".join(f"{pid}x{units}" for pid, units in kills)
 
 
 def _standard_adversaries(t: int) -> List[AdversarySpec]:
@@ -66,171 +81,127 @@ def _standard_adversaries(t: int) -> List[AdversarySpec]:
     ]
 
 
+def _cascade_adversaries(t: int) -> List[AdversarySpec]:
+    """Protocol C's battery: the Section 3 cascade in place of the
+    broadcast crashes."""
+    return [
+        None,
+        f"random:{max(1, t // 2)},max_action_index=20",
+        f"kill-active:{t - 1},actions_before_kill=3",
+        {
+            "kind": "cascade",
+            "lead_units": max(1, t - 1),
+            "redo_units": 1,
+            "initial_dead": list(range(t // 2 + 1, t)),
+        },
+    ]
+
+
 # =====================================================================
-# E1 / E2 - Theorems 2.3 and 2.8 (Protocols A and B)
+# E1 / E2 / E3 - Theorems 2.3, 2.8 and 3.8 (Protocols A, B and C)
 # =====================================================================
 
 
-def _claim(protocol: str) -> str:
-    """A theorem's three bounds as the table states them."""
-    table = theorem_bounds(protocol, 1, 1)
-    return (
-        f"work <= {table['work'].formula}, messages <= "
-        f"{table['messages'].formula}, retired by {table['rounds'].formula}"
-    )
-
-
-def _sequential_protocol_experiment(
-    protocol: str, exp_id: str, theorem: str, quick: bool
+def _theorem_experiment(
+    exp_id: str, protocol: str, theorem: str, shapes, seeds, battery, notes: str
 ) -> ExperimentResult:
-    shapes = [(16, 128), (36, 288)] if quick else [(16, 128), (36, 288), (64, 512), (100, 800)]
-    seeds = range(3) if quick else range(8)
     rows = []
     for t, n in shapes:
-        results = _sweep(protocol, n, t, _standard_adversaries(t), seeds)
+        results = _sweep(protocol, n, t, battery(t), seeds)
         worst = results.worst()
         table = theorem_bounds(protocol, n, t)
-        wb, mb, rb = table["work"], table["messages"], table["rounds"]
         rows.append(
             {
                 "t": t,
                 "n": n,
                 "runs": len(results),
                 "work": worst["work"],
-                "work bound": wb.value,
+                "work bound": table["work"].value,
                 "messages": worst["messages"],
-                "msg bound": mb.value,
-                "rounds": worst["rounds"],
-                "round bound": rb.value,
+                "msg bound": table["messages"].value,
+                # C's exponential deadlines: its rounds print as floats.
+                "rounds": float(worst["rounds"]) if protocol == "C" else worst["rounds"],
+                "round bound": table["rounds"].value,
                 "completed": results.all_completed,
-                "ok": (
-                    results.all_completed
-                    and wb.holds_for(worst["work"])
-                    and mb.holds_for(worst["messages"])
-                ),
+                "ok": _verified(results),
             }
         )
+    formula = {name: bound.formula for name, bound in table.items()}
     return ExperimentResult(
         exp_id=exp_id,
         title=f"Protocol {protocol} worst-case effort ({theorem})",
-        claim=_claim(protocol),
+        claim=(
+            f"work <= {formula['work']}, messages <= {formula['messages']}, "
+            f"retired by {formula['rounds']}"
+        ),
         columns=[
             "t", "n", "runs", "work", "work bound", "messages", "msg bound",
             "rounds", "round bound", "completed", "ok",
         ],
         rows=rows,
-        notes=(
-            "Worst case over the adversary battery (none / random / kill-active "
-            "/ crash-mid-broadcast) and seeds.  Round counts are measured under "
-            "the implementation's slack-extended deadlines; the round bound "
-            "column is the paper's formula."
-        ),
+        notes=notes,
     )
 
 
-def experiment_e1(quick: bool = False) -> ExperimentResult:
-    return _sequential_protocol_experiment("A", "E1", "Theorem 2.3", quick)
+_SEQUENTIAL_NOTES = (
+    "Worst case over the adversary battery (none / random / kill-active "
+    "/ crash-mid-broadcast) and seeds.  Round counts are measured under "
+    "the implementation's slack-extended deadlines; the round bound "
+    "column is the paper's formula."
+)
 
 
-def experiment_e2(quick: bool = False) -> ExperimentResult:
-    return _sequential_protocol_experiment("B", "E2", "Theorem 2.8", quick)
-
-
-# =====================================================================
-# E3 / E4 - Theorem 3.8 and Corollary 3.9 (Protocol C)
-# =====================================================================
-
-
-def experiment_e3(quick: bool = False) -> ExperimentResult:
-    shapes = [(8, 32)] if quick else [(8, 32), (16, 64), (32, 128)]
-    seeds = range(3) if quick else range(6)
-    rows = []
-    for t, n in shapes:
-        adversaries = [
-            None,
-            f"random:{max(1, t // 2)},max_action_index=20",
-            f"kill-active:{t - 1},actions_before_kill=3",
-            {
-                "kind": "cascade",
-                "lead_units": max(1, t - 1),
-                "redo_units": 1,
-                "initial_dead": list(range(t // 2 + 1, t)),
-            },
-        ]
-        results = _sweep("C", n, t, adversaries, seeds)
-        worst = results.worst()
-        table = theorem_bounds("C", n, t)
-        wb, mb, rb = table["work"], table["messages"], table["rounds"]
-        rows.append(
-            {
-                "t": t,
-                "n": n,
-                "runs": len(results),
-                "work": worst["work"],
-                "work bound": wb.value,
-                "messages": worst["messages"],
-                "msg bound": mb.value,
-                "rounds": float(worst["rounds"]),
-                "round bound": rb.value,
-                "completed": results.all_completed,
-                "ok": (
-                    results.all_completed
-                    and wb.holds_for(worst["work"])
-                    and mb.holds_for(worst["messages"])
-                    and rb.holds_for(float(worst["rounds"]))
-                ),
-            }
-        )
-    return ExperimentResult(
-        exp_id="E3",
-        title="Protocol C worst-case effort (Theorem 3.8)",
-        claim=_claim("C"),
-        columns=[
-            "t", "n", "runs", "work", "work bound", "messages", "msg bound",
-            "rounds", "round bound", "completed", "ok",
-        ],
-        rows=rows,
-        notes=(
-            "Includes the Section 3 cascade adversary (leader does t-1 units "
-            "then dies; upper half pre-crashed) that forces Theta(t^2) effort "
-            "on the naive knowledge-spreading algorithm - Protocol C's fault "
-            "detection defeats it.  The exponential round counts are simulated "
-            "via deadline fast-forward."
-        ),
+def experiment_e1() -> ExperimentResult:
+    return _theorem_experiment(
+        "E1", "A", "Theorem 2.3", [(16, 128), (36, 288), (64, 512), (100, 800)],
+        range(8), _standard_adversaries, _SEQUENTIAL_NOTES,
     )
 
 
-def experiment_e4(quick: bool = False) -> ExperimentResult:
-    shapes = [(8, 128)] if quick else [(8, 128), (16, 256), (32, 512)]
-    seeds = range(2) if quick else range(5)
+def experiment_e2() -> ExperimentResult:
+    return _theorem_experiment(
+        "E2", "B", "Theorem 2.8", [(16, 128), (36, 288), (64, 512), (100, 800)],
+        range(8), _standard_adversaries, _SEQUENTIAL_NOTES,
+    )
+
+
+def experiment_e3() -> ExperimentResult:
+    return _theorem_experiment(
+        "E3", "C", "Theorem 3.8", [(8, 32), (16, 64), (32, 128)],
+        range(6), _cascade_adversaries,
+        "Includes the Section 3 cascade adversary (leader does t-1 units "
+        "then dies; upper half pre-crashed) that forces Theta(t^2) effort "
+        "on the naive knowledge-spreading algorithm - Protocol C's fault "
+        "detection defeats it.  The exponential round counts are simulated "
+        "via deadline fast-forward.",
+    )
+
+
+# =====================================================================
+# E4 - Corollary 3.9 (Protocol C, batched reporting)
+# =====================================================================
+
+
+def experiment_e4() -> ExperimentResult:
     rows = []
-    for t, n in shapes:
-        adversaries = [
-            None,
-            f"random:{max(1, t // 2)},max_action_index=20",
-        ]
-        plain = _sweep("C", n, t, adversaries, seeds)
-        batched = _sweep("C-batched", n, t, adversaries, seeds)
+    for t, n in [(8, 128), (16, 256), (32, 512)]:
+        adversaries = [None, f"random:{max(1, t // 2)},max_action_index=20"]
+        plain = _sweep("C", n, t, adversaries, range(5))
+        batched = _sweep("C-batched", n, t, adversaries, range(5))
         plain_msgs = plain.worst()["messages"]
         batched_worst = batched.worst()
         table = theorem_bounds("C-batched", n, t)
-        mb, wb = table["messages"], table["work"]
         rows.append(
             {
                 "t": t,
                 "n": n,
                 "plain msgs": plain_msgs,
                 "batched msgs": batched_worst["messages"],
-                "batched bound": mb.value,
+                "batched bound": table["messages"].value,
                 "batched work": batched_worst["work"],
-                "work bound": wb.value,
+                "work bound": table["work"].value,
                 "completed": plain.all_completed and batched.all_completed,
-                "ok": (
-                    batched.all_completed
-                    and mb.holds_for(batched_worst["messages"])
-                    and wb.holds_for(batched_worst["work"])
-                    and batched_worst["messages"] < plain_msgs
-                ),
+                "ok": _verified(plain, batched) and batched_worst["messages"] < plain_msgs,
             }
         )
     return ExperimentResult(
@@ -251,36 +222,26 @@ def experiment_e4(quick: bool = False) -> ExperimentResult:
 # =====================================================================
 
 
-def _phase_kills(t: int, f: int) -> Adversary:
-    """Kill f processes, staggered across their work shares."""
-    pairs = [(pid, 1 + (pid % 3)) for pid in range(1, f + 1)]
-    return StaggeredWorkKills.plan(pairs)
-
-
-def experiment_e5(quick: bool = False) -> ExperimentResult:
-    t, n = (8, 64) if quick else (16, 256)
-    fs = [0, 1, 2, 3] if quick else [0, 1, 2, 4, 6, 8]
+def experiment_e5() -> ExperimentResult:
+    t, n = 16, 256
     rows = []
-    for f in fs:
-        result = run_protocol("D", n, t, adversary=_phase_kills(t, f) if f else None, seed=3)
-        table = theorem_bounds("D", n, t, failures=f)
-        wb, mb, rb = table["work"], table["messages"], table["rounds"]
-        metrics = result.metrics
+    for f in [0, 1, 2, 4, 6, 8]:
+        # Kill f processes, staggered across their work shares.
+        kills = [(pid, 1 + (pid % 3)) for pid in range(1, f + 1)]
+        results = _sweep("D", n, t, [_staggered(kills) if f else None], [3])
+        metrics = results.results[0].metrics
+        table = theorem_bounds("D", n, t, failures=metrics.crashes)
         rows.append(
             {
                 "f": f,
                 "work": metrics.work_total,
-                "work bound": wb.value,
+                "work bound": table["work"].value,
                 "messages": metrics.messages_total,
-                "msg bound": mb.value,
-                "rounds": rb.measured(metrics.retire_round),
-                "round bound": rb.value,
-                "completed": result.completed,
-                "ok": (
-                    result.completed
-                    and wb.holds_for(metrics.work_total)
-                    and mb.holds_for(metrics.messages_total)
-                ),
+                "msg bound": table["messages"].value,
+                "rounds": metrics.retire_round + 1,
+                "round bound": table["rounds"].value,
+                "completed": results.all_completed,
+                "ok": _verified(results),
             }
         )
     return ExperimentResult(
@@ -296,31 +257,24 @@ def experiment_e5(quick: bool = False) -> ExperimentResult:
     )
 
 
-def experiment_e6(quick: bool = False) -> ExperimentResult:
-    t, n = (8, 64) if quick else (16, 256)
+def experiment_e6() -> ExperimentResult:
+    t, n = 16, 256
     f = t // 2 + 2  # more than half die in the first phase -> reversion
-    adversary = StaggeredWorkKills.plan([(pid, 1) for pid in range(f)])
-    result = run_protocol("D", n, t, adversary=adversary, seed=5)
-    metrics = result.metrics
+    results = _sweep("D", n, t, [_staggered((pid, 1) for pid in range(f))], [5])
+    metrics = results.results[0].metrics
     reverted = protocol_d_reverted(metrics)
-    table = theorem_bounds("D", n, t, failures=f, reverted=True)
-    wb, mb = table["work"], table["messages"]
+    table = theorem_bounds("D", n, t, failures=metrics.crashes, reverted=reverted)
     rows = [
         {
             "f": f,
             "reverted": reverted,
             "work": metrics.work_total,
-            "work bound": wb.value,
+            "work bound": table["work"].value,
             "messages": metrics.messages_total,
-            "msg bound": mb.value,
+            "msg bound": table["messages"].value,
             "rounds": metrics.retire_round + 1,
-            "completed": result.completed,
-            "ok": (
-                result.completed
-                and reverted
-                and wb.holds_for(metrics.work_total)
-                and mb.holds_for(metrics.messages_total)
-            ),
+            "completed": results.all_completed,
+            "ok": _verified(results) and reverted,
         }
     ]
     return ExperimentResult(
@@ -336,51 +290,48 @@ def experiment_e6(quick: bool = False) -> ExperimentResult:
     )
 
 
-def experiment_e7(quick: bool = False) -> ExperimentResult:
-    t, n = (8, 64) if quick else (16, 256)
+def experiment_e7() -> ExperimentResult:
+    t, n = 16, 256
+    cases = [
+        ("f = 0", None, 1, {
+            "work": Bound("n", n),
+            "rounds": Bound("n/t + 2", n // t + 2, offset=1),
+            "messages": Bound("2t^2", 2 * t * t),
+        }),
+        ("f = 1", _staggered([(2, 1)]), 2, {
+            "work": Bound("n + n/t", n + n // t),
+            "rounds": Bound(
+                "n/t + ceil(n/(t(t-1))) + 6",
+                n // t + math.ceil(n / (t * (t - 1))) + 6,
+                offset=1,
+            ),
+            "messages": Bound("5t^2", 5 * t * t),
+        }),
+    ]
     rows = []
-    # Failure-free: exact counts.
-    result = run_protocol("D", n, t, seed=1)
-    metrics = result.metrics
-    rows.append(
-        {
-            "case": "f = 0",
-            "work": metrics.work_total,
-            "work claim": n,
-            "rounds": metrics.retire_round + 1,
-            "round claim": n // t + 2,
-            "messages": metrics.messages_total,
-            "msg claim": 2 * t * t,
-            "ok": (
-                metrics.work_total == n
-                and metrics.retire_round + 1 == n // t + 2
-                and metrics.messages_total <= 2 * t * t
-            ),
-        }
-    )
-    # One failure.
-    result = run_protocol(
-        "D", n, t, adversary=StaggeredWorkKills.plan([(2, 1)]), seed=2
-    )
-    metrics = result.metrics
-    round_claim = n // t + math.ceil(n / (t * (t - 1))) + 6
-    rows.append(
-        {
-            "case": "f = 1",
-            "work": metrics.work_total,
-            "work claim": n + n // t,
-            "rounds": metrics.retire_round + 1,
-            "round claim": round_claim,
-            "messages": metrics.messages_total,
-            "msg claim": 5 * t * t,
-            "ok": (
-                result.completed
-                and metrics.work_total <= n + n // t
-                and metrics.retire_round + 1 <= round_claim
-                and metrics.messages_total <= 5 * t * t
-            ),
-        }
-    )
+    for case, adversary, seed, claims in cases:
+        results = _sweep("D", n, t, [adversary], [seed])
+        measures = results.results[0].metrics.measures()
+        ok = _verified(results) and all(
+            claim.holds_for(measures[name]) for name, claim in claims.items()
+        )
+        if adversary is None:  # the failure-free work and time are exact
+            ok = ok and all(
+                claims[name].measured(measures[name]) == claims[name].value
+                for name in ("work", "rounds")
+            )
+        rows.append(
+            {
+                "case": case,
+                "work": measures["work"],
+                "work claim": claims["work"].value,
+                "rounds": measures["rounds"] + 1,
+                "round claim": claims["rounds"].value,
+                "messages": measures["messages"],
+                "msg claim": claims["messages"].value,
+                "ok": ok,
+            }
+        )
     return ExperimentResult(
         exp_id="E7",
         title=f"Protocol D common cases (Section 4 text), n={n}, t={t}",
@@ -398,25 +349,35 @@ def experiment_e7(quick: bool = False) -> ExperimentResult:
 # =====================================================================
 
 
-def experiment_e8(quick: bool = False) -> ExperimentResult:
-    t, n = (16, 256) if quick else (25, 500)
-    seeds = range(2) if quick else range(4)
+def experiment_e8() -> ExperimentResult:
+    t, n = 25, 500
     adversaries = [
         None,
         f"random:{t // 2},max_action_index=20",
         f"kill-active:{t - 1},actions_before_kill=2",
     ]
+    sweeps = {
+        protocol: _sweep(protocol, n, t, adversaries, range(4), **options)
+        for protocol, options in [
+            ("replicate", {}),
+            ("naive", {"interval": 1}),
+            ("A", {}),
+            ("B", {}),
+            ("C", {}),
+            ("D", {}),
+        ]
+    }
+    worsts = {protocol: results.worst() for protocol, results in sweeps.items()}
+    effort = {protocol: worst["effort"] for protocol, worst in worsts.items()}
+    shape_ok = (
+        effort["A"] < effort["replicate"]
+        and effort["B"] < effort["replicate"]
+        and effort["C"] < effort["naive"]
+        and effort["C"] < effort["replicate"]
+    )
     rows = []
-    for protocol, options in [
-        ("replicate", {}),
-        ("naive", {"interval": 1}),
-        ("A", {}),
-        ("B", {}),
-        ("C", {}),
-        ("D", {}),
-    ]:
-        results = _sweep(protocol, n, t, adversaries, seeds, **options)
-        worst = results.worst()
+    for protocol, results in sweeps.items():
+        worst = worsts[protocol]
         rows.append(
             {
                 "protocol": protocol,
@@ -425,18 +386,9 @@ def experiment_e8(quick: bool = False) -> ExperimentResult:
                 "effort": worst["effort"],
                 "rounds": float(worst["rounds"]),
                 "completed": results.all_completed,
-                "ok": results.all_completed,
+                "ok": _verified(results) and shape_ok,
             }
         )
-    effort = {row["protocol"]: row["effort"] for row in rows}
-    shape_ok = (
-        effort["A"] < effort["replicate"]
-        and effort["B"] < effort["replicate"]
-        and effort["C"] < effort["naive"]
-        and effort["C"] < effort["replicate"]
-    )
-    for row in rows:
-        row["ok"] = bool(row["ok"]) and shape_ok
     return ExperimentResult(
         exp_id="E8",
         title=f"Section 1 comparison: baselines vs Protocols A-D (n={n}, t={t})",
@@ -452,11 +404,13 @@ def experiment_e8(quick: bool = False) -> ExperimentResult:
 # =====================================================================
 
 
-def _naive_row(n, t, interval, label, seeds):
+def _checkpoint_row(protocol, n, t, label, interval="-"):
+    """One scheme against the worst-case checkpoint killer, judged
+    against Theorem 2.3's work and message bounds."""
     table = theorem_bounds("A", n, t)
-    work_target, msg_target = table["work"].value, table["messages"].value
+    options = {} if protocol == "A" else {"interval": interval}
     results = _sweep(
-        "naive", n, t, [f"kill-before-checkpoint:{t - 1}"], seeds, interval=interval
+        protocol, n, t, [f"kill-before-checkpoint:{t - 1}"], **options
     )
     worst = results.worst()
     return {
@@ -466,13 +420,13 @@ def _naive_row(n, t, interval, label, seeds):
         "work": worst["work"],
         "messages": worst["messages"],
         "effort": worst["effort"],
-        "work<=3n'": worst["work"] <= work_target,
-        "msgs<=9t^1.5": worst["messages"] <= msg_target,
-        "ok": results.all_completed,
+        "work<=3n'": table["work"].holds_for(worst["work"]),
+        "msgs<=9t^1.5": table["messages"].holds_for(worst["messages"]),
+        "ok": _verified(results),
     }
 
 
-def experiment_e9(quick: bool = False) -> ExperimentResult:
+def experiment_e9() -> ExperimentResult:
     """Section 2's motivating tension, against the worst-case adversary
     (kill the active process just before each checkpoint, losing a full
     interval of work every time).
@@ -484,33 +438,14 @@ def experiment_e9(quick: bool = False) -> ExperimentResult:
     best single-level interval on effort.  At ``t = 361`` the window
     provably closes even numerically - adjacent intervals straddle the
     work/message constraint boundary and every interval fails at least
-    one bound - which the full (non-quick) run demonstrates.
+    one bound.
     """
-    t, n = (16, 256) if quick else (36, 1296)
-    seeds = range(1)
-    table = theorem_bounds("A", n, t)
-    work_target, msg_target = table["work"].value, table["messages"].value
-    rows = []
-    intervals = [1, 4, 16, 64, n] if quick else [1, 6, 18, 36, 72, 216, n]
-    for interval in intervals:
-        rows.append(_naive_row(n, t, interval, f"naive t={t}", seeds))
-    a_results = _sweep("A", n, t, [f"kill-before-checkpoint:{t - 1}"], seeds)
-    a_worst = a_results.worst()
-    rows.append(
-        {
-            "scheme": "A (2-level)",
-            "t": t,
-            "interval": "-",
-            "work": a_worst["work"],
-            "messages": a_worst["messages"],
-            "effort": a_worst["effort"],
-            "work<=3n'": a_worst["work"] <= work_target,
-            "msgs<=9t^1.5": a_worst["messages"] <= msg_target,
-            "ok": a_results.all_completed
-            and a_worst["work"] <= work_target
-            and a_worst["messages"] <= msg_target,
-        }
-    )
+    t, n = 36, 1296
+    rows = [
+        _checkpoint_row("naive", n, t, f"naive t={t}", interval)
+        for interval in [1, 6, 18, 36, 72, 216, n]
+    ]
+    rows.append(_checkpoint_row("A", n, t, "A (2-level)"))
     # Intervals ascend: the densest naive row must blow the message bound,
     # the sparsest the work bound, and A must beat every one on effort.
     dense, *_, sparse, a_row = rows
@@ -520,15 +455,14 @@ def experiment_e9(quick: bool = False) -> ExperimentResult:
         and a_row["effort"] < min(row["effort"] for row in rows[:-1])
     )
     for row in rows:
-        row["ok"] = bool(row["ok"]) and shape_ok
-    if not quick:
-        # The large-t instance where no interval can meet both bounds:
-        # intervals 7 and 8 straddle the constraint crossover.
-        big_t, big_n = 361, 1296
-        for interval in [1, 7, 8, big_n // 2]:
-            row = _naive_row(big_n, big_t, interval, f"naive t={big_t}", range(1))
-            row["ok"] = row["ok"] and not (row["work<=3n'"] and row["msgs<=9t^1.5"])
-            rows.append(row)
+        row["ok"] = row["ok"] and shape_ok
+    # The large-t instance where no interval can meet both bounds:
+    # intervals 7 and 8 straddle the constraint crossover.
+    big_t, big_n = 361, 1296
+    for interval in [1, 7, 8, big_n // 2]:
+        row = _checkpoint_row("naive", big_n, big_t, f"naive t={big_t}", interval)
+        row["ok"] = row["ok"] and not (row["work<=3n'"] and row["msgs<=9t^1.5"])
+        rows.append(row)
     return ExperimentResult(
         exp_id="E9",
         title="Checkpoint-frequency ablation (Section 2 motivation)",
@@ -557,16 +491,14 @@ def experiment_e9(quick: bool = False) -> ExperimentResult:
 # =====================================================================
 
 
-def experiment_e10(quick: bool = False) -> ExperimentResult:
-    configs = [(16, 5)] if quick else [(16, 5), (32, 7), (64, 7)]
-    seeds = range(3) if quick else range(6)
+def experiment_e10() -> ExperimentResult:
     rows = []
-    for n_system, t in configs:
+    for n_system, t in [(16, 5), (32, 7), (64, 7)]:
         for protocol in ["A", "B", "C"]:
             worst_msgs = 0
             all_agree = True
             all_valid = True
-            for seed in seeds:
+            for seed in range(6):
                 ba = ByzantineAgreement(n_system, t, protocol=protocol)
                 adversary = RandomCrashes(
                     t, max_action_index=12, victims=list(range(t + 1))
@@ -606,20 +538,15 @@ def experiment_e10(quick: bool = False) -> ExperimentResult:
 # =====================================================================
 
 
-def experiment_e11(quick: bool = False) -> ExperimentResult:
-    shapes = [(16, 128)] if quick else [(16, 128), (36, 288)]
-    seeds = range(3) if quick else range(6)
+def experiment_e11() -> ExperimentResult:
     rows = []
-    for t, n in shapes:
-        sync_worst = _sweep(
-            "A", n, t, [f"random:{t // 2},max_action_index=25"], seeds
-        ).worst()
+    for t, n in [(16, 128), (36, 288)]:
+        sync = _sweep("A", n, t, [f"random:{t // 2},max_action_index=25"], range(6))
         crash_times = {pid: 3.0 + 9.0 * pid for pid in range(1, t // 2 + 1)}
         scenario = Scenario(protocol="A-async", n=n, t=t, crash_times=crash_times)
-        async_results = Sweep(scenario, seeds=seeds).run()
-        async_worst = async_results.worst()
-        table = theorem_bounds("A", n, t)  # Theorem 2.3's effort profile
-        wb, mb = table["work"], table["messages"]
+        async_results = Sweep(scenario, seeds=range(6)).run()
+        sync_worst, async_worst = sync.worst(), async_results.worst()
+        table = theorem_bounds("A-async", n, t)  # Theorem 2.3's effort profile
         rows.append(
             {
                 "t": t,
@@ -628,12 +555,10 @@ def experiment_e11(quick: bool = False) -> ExperimentResult:
                 "async msgs": async_worst["messages"],
                 "sync work": sync_worst["work"],
                 "sync msgs": sync_worst["messages"],
-                "work bound": wb.value,
-                "msg bound": mb.value,
+                "work bound": table["work"].value,
+                "msg bound": table["messages"].value,
                 "completed": async_results.all_completed,
-                "ok": async_results.all_completed
-                and wb.holds_for(async_worst["work"])
-                and mb.holds_for(async_worst["messages"]),
+                "ok": _verified(sync, async_results),
             }
         )
     return ExperimentResult(
@@ -653,38 +578,30 @@ def experiment_e11(quick: bool = False) -> ExperimentResult:
 # =====================================================================
 
 
-def experiment_e12(quick: bool = False) -> ExperimentResult:
-    t, n = (8, 64) if quick else (16, 256)
+def experiment_e12() -> ExperimentResult:
+    t, n = 16, 256
     f = t // 2 + 1
-    adversary_plan = [(pid, 1) for pid in range(f)]
+    adversary = _staggered((pid, 1) for pid in range(f))
     rows = []
     for threshold in [0.25, 0.5, 0.75]:
-        result = run_protocol(
-            "D",
-            n,
-            t,
-            adversary=StaggeredWorkKills.plan(adversary_plan),
-            seed=4,
-            revert_threshold=threshold,
-        )
-        metrics = result.metrics
-        reverted = protocol_d_reverted(metrics)
+        results = _sweep("D", n, t, [adversary], [4], revert_threshold=threshold)
+        metrics = results.results[0].metrics
         rows.append(
             {
                 "threshold": threshold,
-                "reverted": reverted,
+                "reverted": protocol_d_reverted(metrics),
                 "work": metrics.work_total,
                 "messages": metrics.messages_total,
                 "rounds": metrics.retire_round + 1,
-                "completed": result.completed,
-                "ok": result.completed,
+                "completed": results.all_completed,
+                "ok": _verified(results),
             }
         )
     # Thresholds ascend, so "more eagerly" means the flags never fall.
     reverted_flags = [row["reverted"] for row in rows]
     shape_ok = reverted_flags == sorted(reverted_flags)
     for row in rows:
-        row["ok"] = bool(row["ok"]) and shape_ok
+        row["ok"] = row["ok"] and shape_ok
     return ExperimentResult(
         exp_id="E12",
         title=f"Protocol D reversion-threshold ablation (n={n}, t={t}, {f} first-phase kills)",
@@ -702,33 +619,23 @@ def experiment_e12(quick: bool = False) -> ExperimentResult:
 # =====================================================================
 
 
-def experiment_e13(quick: bool = False) -> ExperimentResult:
-    shapes = [("A", 16, 512), ("C", 8, 32)] if quick else [
-        ("A", 64, 4096),
-        ("B", 64, 4096),
-        ("C", 16, 64),
-        ("D", 64, 4096),
-    ]
+def experiment_e13() -> ExperimentResult:
     rows = []
-    for protocol, t, n in shapes:
+    for protocol, t, n in [("A", 64, 4096), ("B", 64, 4096), ("C", 16, 64), ("D", 64, 4096)]:
         start = time.perf_counter()
-        result = run_protocol(
-            protocol, n, t, adversary=RandomCrashes(t // 2, max_action_index=25), seed=1
-        )
+        results = _sweep(protocol, n, t, [f"random:{t // 2},max_action_index=25"], [1])
         elapsed = time.perf_counter() - start
-        metrics = result.metrics
+        retire_round = results.results[0].metrics.retire_round
         rows.append(
             {
                 "protocol": protocol,
                 "t": t,
                 "n": n,
-                "virtual rounds": float(metrics.retire_round),
+                "virtual rounds": float(retire_round),
                 "wall seconds": round(elapsed, 3),
-                "rounds/sec": float("inf")
-                if elapsed == 0
-                else float(metrics.retire_round) / elapsed,
-                "completed": result.completed,
-                "ok": result.completed,
+                "rounds/sec": float("inf") if elapsed == 0 else float(retire_round) / elapsed,
+                "completed": results.all_completed,
+                "ok": _verified(results),
             }
         )
     return ExperimentResult(
@@ -748,40 +655,34 @@ def experiment_e13(quick: bool = False) -> ExperimentResult:
 # =====================================================================
 
 
-def experiment_e17(quick: bool = False) -> ExperimentResult:
+def experiment_e17() -> ExperimentResult:
     """Fit message counts to ``t^p`` across a doubling-ish sweep of t
     (with n = 4t) and check the paper's ordering of growth rates:
     Protocol C (t log t) < Protocols A/B (t sqrt t) < Protocol D (t^2
-    per discovered failure, f growing with t here).  Measured worst-case
-    counts stay below each protocol's own bound pointwise; the fitted
-    exponents carry the asymptotic claim."""
+    per discovered failure, f growing with t here).  Every run stays
+    within its own protocol's bounds; the fitted exponents carry the
+    asymptotic claim."""
     from repro.analysis.scaling import fit_power_law
 
-    ts = [9, 16, 36] if quick else [9, 16, 36, 64]
-    seeds = range(1) if quick else range(2)
-    series: Dict[str, List[float]] = {}
+    ts = [9, 16, 36, 64]
     rows = []
     for protocol in ["A", "B", "C", "D"]:
-        measured = []
-        for t in ts:
-            n = 4 * t
-            adversaries = [
-                f"kill-active:{t - 1},actions_before_kill=2",
-                f"random:{t // 2},max_action_index=20",
-            ]
-            messages = _sweep(protocol, n, t, adversaries, seeds).worst()["messages"]
-            measured.append(float(messages))
-            # D's message bound needs the failure count, which the worst
-            # case does not pair with its message count.
-            checked = protocol != "D"
-            if checked and not theorem_bounds(protocol, n, t)["messages"].holds_for(messages):
-                measured[-1] = float("nan")  # flagged below via ok
-        series[protocol] = measured
+        sweeps = [
+            _sweep(
+                protocol,
+                4 * t,
+                t,
+                [f"kill-active:{t - 1},actions_before_kill=2", f"random:{t // 2},max_action_index=20"],
+                range(2),
+            )
+            for t in ts
+        ]
+        measured = [float(results.worst()["messages"]) for results in sweeps]
         fit = fit_power_law([float(t) for t in ts], measured)
         row = {"protocol": protocol, "fit p (msgs ~ t^p)": round(fit.exponent, 2)}
         for t, value in zip(ts, measured):
             row[f"t={t}"] = value
-        row["ok"] = True
+        row["ok"] = _verified(*sweeps)
         rows.append(row)
     exponents = {row["protocol"]: row["fit p (msgs ~ t^p)"] for row in rows}
     shape_ok = (
@@ -791,7 +692,7 @@ def experiment_e17(quick: bool = False) -> ExperimentResult:
         and exponents["B"] + 0.3 < exponents["D"]
     )
     for row in rows:
-        row["ok"] = shape_ok
+        row["ok"] = row["ok"] and shape_ok
     return ExperimentResult(
         exp_id="E17",
         title="Message-growth exponents across protocols (n = 4t)",
@@ -814,7 +715,7 @@ def experiment_e17(quick: bool = False) -> ExperimentResult:
 # =====================================================================
 
 
-def experiment_e16(quick: bool = False) -> ExperimentResult:
+def experiment_e16() -> ExperimentResult:
     """The paper's measure-choice argument made measurable.
 
     Section 1.1 contrasts the paper's *effort* (charge only actual work
@@ -826,38 +727,30 @@ def experiment_e16(quick: bool = False) -> ExperimentResult:
     is the only one whose APS tracks its effort.  De Prisco-Mayer-Yung
     [8] later showed n^2 APS is unavoidable in message passing for t~n.
     """
-    t, n = (8, 64) if quick else (16, 256)
-    f = t // 2
+    t, n = 16, 256
+    sweeps = {
+        protocol: _sweep(protocol, n, t, [f"random:{t // 2},max_action_index=20"], [2])
+        for protocol in ["A", "B", "C", "D"]
+    }
+    aps = {
+        protocol: float(results.results[0].metrics.available_processor_steps)
+        for protocol, results in sweeps.items()
+    }
+    shape_ok = aps["D"] < aps["A"] and aps["D"] < aps["C"] and aps["C"] > 10 * aps["D"]
     rows = []
-    for protocol in ["A", "B", "C", "D"]:
-        result = run_protocol(
-            protocol,
-            n,
-            t,
-            adversary=RandomCrashes(f, max_action_index=20),
-            seed=2,
-        )
-        metrics = result.metrics
-        aps = metrics.available_processor_steps
+    for protocol, results in sweeps.items():
+        metrics = results.results[0].metrics
         rows.append(
             {
                 "protocol": protocol,
                 "effort": metrics.effort,
-                "APS": float(aps),
-                "APS / effort": float(aps) / max(1, metrics.effort),
+                "APS": aps[protocol],
+                "APS / effort": aps[protocol] / max(1, metrics.effort),
                 "rounds": float(metrics.retire_round),
-                "completed": result.completed,
-                "ok": result.completed,
+                "completed": results.all_completed,
+                "ok": _verified(results) and shape_ok,
             }
         )
-    by_name = {row["protocol"]: row for row in rows}
-    shape_ok = (
-        by_name["D"]["APS"] < by_name["A"]["APS"]
-        and by_name["D"]["APS"] < by_name["C"]["APS"]
-        and by_name["C"]["APS"] > 10 * by_name["D"]["APS"]
-    )
-    for row in rows:
-        row["ok"] = bool(row["ok"]) and shape_ok
     return ExperimentResult(
         exp_id="E16",
         title=f"Effort vs available processor steps (Section 1.1), n={n}, t={t}",
@@ -877,10 +770,10 @@ def experiment_e16(quick: bool = False) -> ExperimentResult:
 # =====================================================================
 
 
-def experiment_e15(quick: bool = False) -> ExperimentResult:
+def experiment_e15() -> ExperimentResult:
     from repro.analysis.scaling import fit_power_law
 
-    ts = [8, 16, 32] if quick else [8, 16, 32, 64]
+    ts = [8, 16, 32, 64]
     naive_work: List[float] = []
     c_work: List[float] = []
     rows = []
@@ -892,11 +785,9 @@ def experiment_e15(quick: bool = False) -> ExperimentResult:
             "redo_units": t // 2,
             "initial_dead": list(range(t // 2 + 1, t)),
         }
-
-        naive = _sweep("C-naive", n, t, [adversary], range(1))
-        full_c = _sweep("C", n, t, [adversary], range(1))
+        naive = _sweep("C-naive", n, t, [adversary])
+        full_c = _sweep("C", n, t, [adversary])
         naive_worst, c_worst = naive.worst(), full_c.worst()
-        c_work_bound = theorem_bounds("C", n, t)["work"]
         naive_work.append(float(naive_worst["work"]))
         c_work.append(float(c_worst["work"]))
         rows.append(
@@ -907,16 +798,13 @@ def experiment_e15(quick: bool = False) -> ExperimentResult:
                 "naive msgs": naive_worst["messages"],
                 "C work": c_worst["work"],
                 "C msgs": c_worst["messages"],
-                "C work bound": c_work_bound.value,
+                "C work bound": theorem_bounds("C", n, t)["work"].value,
                 "completed": naive.all_completed and full_c.all_completed,
-                "ok": full_c.all_completed
-                and naive.all_completed
-                and c_work_bound.holds_for(c_worst["work"]),
+                "ok": _verified(naive, full_c),
             }
         )
     naive_fit = fit_power_law([float(t) for t in ts], naive_work)
     c_fit = fit_power_law([float(t) for t in ts], c_work)
-    growth_ok = naive_fit.exponent > 1.6 and c_fit.exponent < 1.3
     rows.append(
         {
             "t": "fit p (work ~ t^p)",
@@ -927,7 +815,7 @@ def experiment_e15(quick: bool = False) -> ExperimentResult:
             "C msgs": "-",
             "C work bound": "-",
             "completed": True,
-            "ok": growth_ok,
+            "ok": naive_fit.exponent > 1.6 and c_fit.exponent < 1.3,
         }
     )
     return ExperimentResult(
@@ -957,39 +845,35 @@ def experiment_e15(quick: bool = False) -> ExperimentResult:
 # =====================================================================
 
 
-def experiment_e14(quick: bool = False) -> ExperimentResult:
+def experiment_e14() -> ExperimentResult:
     from repro.analysis.effort import EffortModel, cheapest
 
-    t, n = (16, 256) if quick else (25, 500)
-    seeds = range(2) if quick else range(3)
+    t, n = 25, 500
     adversaries = [
         f"random:{t // 2},max_action_index=20",
         f"kill-active:{t - 1},actions_before_kill=2",
     ]
-    profiles: Dict[str, tuple] = {}
-    for protocol, options in [
-        ("replicate", {}),
-        ("A", {}),
-        ("B", {}),
-        ("C", {}),
-        ("D", {}),
-    ]:
-        worst = _sweep(protocol, n, t, adversaries, seeds, **options).worst()
+    sweeps = {
+        protocol: _sweep(protocol, n, t, adversaries, range(3))
+        for protocol in ["replicate", "A", "B", "C", "D"]
+    }
+    profiles = {}
+    for protocol, results in sweeps.items():
+        worst = results.worst()
         profiles[protocol] = (worst["work"], worst["messages"])
     rows = []
-    winners = set()
     for weight in [0.0, 0.1, 1.0, 10.0, 100.0]:
         model = EffortModel(work_weight=1.0, message_weight=weight)
-        winner = cheapest(profiles, model)
-        winners.add(winner)
-        row = {"msg weight": weight, "winner": winner}
+        row = {"msg weight": weight, "winner": cheapest(profiles, model)}
         for name, (work, messages) in sorted(profiles.items()):
             row[name] = model.effort_of(work, messages)
         rows.append(row)
-    heaviest = max(rows, key=lambda row: row["msg weight"])
-    shape_ok = len(winners) >= 2 and heaviest["winner"] == "replicate"
+    winners = {row["winner"] for row in rows}
+    # Weights ascend: the heaviest message weight is the last row.
+    shape_ok = len(winners) >= 2 and rows[-1]["winner"] == "replicate"
+    ok = _verified(*sweeps.values()) and shape_ok
     for row in rows:
-        row["ok"] = shape_ok
+        row["ok"] = ok
     return ExperimentResult(
         exp_id="E14",
         title=f"Weighted effort: who is optimal depends on the cost model (n={n}, t={t})",
@@ -1004,7 +888,7 @@ def experiment_e14(quick: bool = False) -> ExperimentResult:
     )
 
 
-REGISTRY: Dict[str, Callable[[bool], ExperimentResult]] = {
+REGISTRY: Dict[str, Callable[[], ExperimentResult]] = {
     "E1": experiment_e1,
     "E2": experiment_e2,
     "E3": experiment_e3,
@@ -1025,9 +909,9 @@ REGISTRY: Dict[str, Callable[[bool], ExperimentResult]] = {
 }
 
 
-def run_experiment(exp_id: str, quick: bool = False) -> ExperimentResult:
-    return REGISTRY[exp_id](quick)
+def run_experiment(exp_id: str) -> ExperimentResult:
+    return REGISTRY[exp_id]()
 
 
-def run_all(quick: bool = False) -> List[ExperimentResult]:
-    return [runner(quick) for runner in REGISTRY.values()]
+def run_all() -> List[ExperimentResult]:
+    return [runner() for runner in REGISTRY.values()]

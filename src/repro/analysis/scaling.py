@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 from repro.errors import ConfigurationError
 
@@ -24,9 +24,6 @@ class PowerLawFit:
     exponent: float
     coefficient: float
     residual: float  # RMS residual in log space
-
-    def predict(self, x: float) -> float:
-        return self.coefficient * x ** self.exponent
 
 
 def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> PowerLawFit:
@@ -58,11 +55,3 @@ def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> PowerLawFit:
     return PowerLawFit(
         exponent=exponent, coefficient=math.exp(intercept), residual=residual
     )
-
-
-def doubling_ratios(ys: Sequence[float]) -> List[float]:
-    """Successive ratios y[i+1] / y[i] - a quick growth diagnostic for
-    series measured at doubling x values (ratio ~ 2^p)."""
-    if any(y <= 0 for y in ys):
-        raise ConfigurationError("doubling ratios need positive data")
-    return [ys[i + 1] / ys[i] for i in range(len(ys) - 1)]

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.analysis import bounds
-from repro.core.deadlines import DEFAULT_SLACK
 from repro.sim.actions import MessageKind
 from repro.sim.metrics import Metrics, RunResult
 
@@ -86,7 +85,8 @@ def verify_run(
 
     ``failures`` (Protocol D's bounds depend on it) defaults to the
     run's own crash count.  A protocol with no paper bound gets the
-    completion check only.
+    completion check only.  Each bound is judged by
+    :meth:`~repro.analysis.bounds.Bound.holds_for`, slack included.
     """
     metrics = result.metrics
     table = bounds.theorem_bounds(
@@ -109,19 +109,13 @@ def verify_run(
         )
     measures = metrics.measures()
     for name, bound in table.items():
-        measured, widen = bound.measured(measures[name]), 0
-        if name == "rounds":
-            # Every takeover deadline carries the builders' fixed slack
-            # of DEFAULT_SLACK = 2 rounds, paid on at most 2t deadline
-            # evaluations: 4t rounds on top of the paper's bound.
-            measured, widen = float(measured), 2 * DEFAULT_SLACK * t
         report.checks.append(
             Check(
                 name=name,
                 formula=bound.formula,
                 bound=bound.value,
-                measured=measured,
-                ok=measured <= bound.value + widen,
+                measured=bound.measured(measures[name]),
+                ok=bound.holds_for(measures[name]),
             )
         )
     return report

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.analysis.bounds import theorem_bounds
+from repro.analysis.bounds import Bound, theorem_bounds
 from repro.analysis.experiments import REGISTRY, experiment_e7, run_experiment
 from repro.analysis.tables import format_number, render_dict_rows, render_table
 from repro.api import Scenario, Sweep
+from repro.core.deadlines import DEFAULT_SLACK
 from repro.errors import ConfigurationError
 from repro.sim.adversary import RandomCrashes
 
@@ -51,8 +52,35 @@ def test_the_table_picks_d_s_family_and_the_time_it_reads():
 def test_the_table_states_no_paper_bound_and_refuses_unknown_names():
     for protocol in ("naive", "C-naive", "D-dynamic", "D-recovery"):
         assert theorem_bounds(protocol, 64, 16) == {}
-    with pytest.raises(ConfigurationError):
-        theorem_bounds("A-async", 64, 16)
+    for protocol in ("Z", "B-async", "A async"):
+        with pytest.raises(ConfigurationError):
+            theorem_bounds(protocol, 64, 16)
+
+
+def test_a_async_keeps_theorem_2_3_effort_without_a_time_bound():
+    # Section 2.1: under a failure detector DoWork runs unchanged, so
+    # A's work and message bounds carry over; async runs have no rounds.
+    table = theorem_bounds("A-async", 64, 16)
+    assert table == {
+        "work": Bound("3n'", 192),
+        "messages": Bound("9 t sqrt(t)", 9 * 16 * 4),
+    }
+    sync = theorem_bounds("A", 64, 16)
+    assert {name: sync[name] for name in table} == table
+
+
+def test_each_bound_carries_its_own_slack():
+    # The time bounds of A, B, C and D allow 2 * DEFAULT_SLACK * t rounds;
+    # no other bound has room beyond the paper's value.
+    for protocol in ("A", "B", "C", "D", "C-batched", "replicate", "A-async"):
+        for name, bound in theorem_bounds(protocol, 64, 16, failures=1).items():
+            assert bound.slack == (2 * DEFAULT_SLACK * 16 if name == "rounds" else 0)
+    rounds = theorem_bounds("B", 64, 16)["rounds"]  # 3n + 8t = 320
+    assert rounds.holds_for(320 + 64)
+    assert not rounds.holds_for(320 + 65)
+    d_rounds = theorem_bounds("D", 64, 16)["rounds"]  # 64/16 + 2 = 6, read +1
+    assert d_rounds.holds_for(5 + 64)
+    assert not d_rounds.holds_for(6 + 64)
 
 
 # ---- tables ------------------------------------------------------------------
@@ -105,15 +133,15 @@ def test_registry_covers_all_design_experiments():
     assert set(REGISTRY) == {f"E{i}" for i in range(1, 18)}
 
 
-def test_run_single_experiment_quick():
-    result = run_experiment("E7", quick=True)
+def test_run_single_experiment():
+    result = run_experiment("E7")
     assert result.exp_id == "E7"
     assert result.rows
     assert result.all_ok
 
 
 def test_experiment_rows_have_declared_columns():
-    result = experiment_e7(quick=True)
+    result = experiment_e7()
     for row in result.rows:
         for column in result.columns:
             assert column in row

@@ -52,7 +52,7 @@ def test_compare_table(capsys):
     assert "effort" in out
 
 
-def test_report_quick(tmp_path, capsys, monkeypatch):
+def test_report_command(tmp_path, capsys, monkeypatch):
     # Patch the experiment registry to keep the CLI test fast.
     import repro.analysis.report as report_module
     from repro.analysis.experiments import ExperimentResult
@@ -60,10 +60,27 @@ def test_report_quick(tmp_path, capsys, monkeypatch):
     fake = ExperimentResult(
         exp_id="EX", title="Fake", claim="c", columns=["ok"], rows=[{"ok": True}]
     )
-    monkeypatch.setattr(report_module, "run_all", lambda quick: [fake])
+    monkeypatch.setattr(report_module, "run_all", lambda: [fake])
     out_file = tmp_path / "OUT.md"
-    assert main(["report", "--quick", "--out", str(out_file)]) == 0
+    assert main(["report", "--out", str(out_file)]) == 0
     assert "Fake" in out_file.read_text()
+
+
+def test_report_has_no_quick_flag(tmp_path, capsys, monkeypatch):
+    """Each experiment has one grid, so ``--quick`` is a usage error
+    (exit 2) on both entry points, before any experiment runs."""
+    import repro.analysis.report as report_module
+
+    monkeypatch.setattr(report_module, "run_all", lambda: pytest.fail("ran"))
+    out_file = str(tmp_path / "OUT.md")
+    for entry, argv in [
+        (main, ["report", "--quick", "--out", out_file]),
+        (report_module.main, ["--quick", "--out", out_file]),
+    ]:
+        with pytest.raises(SystemExit) as excinfo:
+            entry(argv)
+        assert excinfo.value.code == 2
+    assert "--quick" in capsys.readouterr().err
 
 
 def test_unknown_protocol_is_rejected():

@@ -1,9 +1,6 @@
 """Weighted effort models (Conclusions remark)."""
 
-from hypothesis import given
-from hypothesis import strategies as st
-
-from repro.analysis.effort import EffortModel, cheapest, crossover_message_weight
+from repro.analysis.effort import EffortModel, cheapest
 from repro.sim.metrics import Metrics
 
 
@@ -24,35 +21,7 @@ def test_weighted_effort():
     assert model.effort(_metrics(10, 8)) == 24.0
 
 
-def test_crossover_weight_basic():
-    # A: (100 work, 50 msgs); B: (130 work, 20 msgs).
-    # Tie at weight w: 100 + 50w = 130 + 20w -> w = 1.
-    assert crossover_message_weight(100, 50, 130, 20) == 1.0
-
-
-def test_crossover_none_when_dominated():
-    # A dominates B on both axes: no non-negative crossover.
-    assert crossover_message_weight(100, 10, 120, 20) is None
-
-
-def test_crossover_none_when_equal_messages():
-    assert crossover_message_weight(100, 10, 120, 10) is None
-
-
 def test_cheapest_picks_minimum():
     profiles = {"A": (100, 50), "R": (400, 0)}
     assert cheapest(profiles, EffortModel(message_weight=1.0)) == "A"
     assert cheapest(profiles, EffortModel(message_weight=100.0)) == "R"
-
-
-@given(
-    st.integers(0, 1000),
-    st.integers(0, 1000),
-    st.integers(0, 1000),
-    st.integers(0, 1000),
-)
-def test_crossover_really_ties(wa, ma, wb, mb):
-    weight = crossover_message_weight(wa, ma, wb, mb)
-    if weight is not None:
-        model = EffortModel(message_weight=weight)
-        assert abs(model.effort_of(wa, ma) - model.effort_of(wb, mb)) < 1e-6

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.analysis.scaling import doubling_ratios, fit_power_law
+from repro.analysis.scaling import fit_power_law
 from repro.errors import ConfigurationError
 
 
@@ -27,11 +27,6 @@ def test_exact_sqrt_with_coefficient():
     assert abs(fit.coefficient - 5.0) < 1e-9
 
 
-def test_predict_round_trips():
-    fit = fit_power_law([2.0, 4.0, 8.0], [10.0, 40.0, 160.0])
-    assert abs(fit.predict(16.0) - 640.0) < 1e-6
-
-
 def test_noisy_data_reports_residual():
     fit = fit_power_law([2.0, 4.0, 8.0, 16.0], [4.1, 15.7, 65.0, 254.0])
     assert 1.9 < fit.exponent < 2.1
@@ -47,12 +42,6 @@ def test_validation_errors():
         fit_power_law([1.0, -2.0], [1.0, 2.0])
     with pytest.raises(ConfigurationError):
         fit_power_law([1.0, 1.0], [1.0, 2.0])
-
-
-def test_doubling_ratios():
-    assert doubling_ratios([1.0, 2.0, 8.0]) == [2.0, 4.0]
-    with pytest.raises(ConfigurationError):
-        doubling_ratios([1.0, 0.0])
 
 
 @given(

@@ -135,8 +135,8 @@ def test_report_main_writes_file(tmp_path, monkeypatch):
     import repro.analysis.report as report_module
 
     monkeypatch.setattr(
-        report_module, "run_all", lambda quick: [_fake_result(), _fake_result()]
+        report_module, "run_all", lambda: [_fake_result(), _fake_result()]
     )
-    code = report_main(["--quick", "--out", str(out)])
+    code = report_main(["--out", str(out)])
     assert code == 0
     assert "## EX: Fake" in out.read_text()

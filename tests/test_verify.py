@@ -98,6 +98,26 @@ def test_every_sync_protocol_verifies(protocol):
         assert len(names) > 1
 
 
+def test_a_async_run_verifies_against_theorem_2_3():
+    """An A-async run is judged on Theorem 2.3's work and message bounds
+    (the Section 2.1 remark) and, having no rounds, on no time bound."""
+    from repro.api import Scenario
+
+    n, t = 64, 16
+    crash_times = {pid: 3.0 + 9.0 * pid for pid in range(1, t // 2 + 1)}
+    result = Scenario(protocol="A-async", n=n, t=t, crash_times=crash_times).run()
+    report = verify_run(result, "A-async", n, t)
+    assert report.ok, report.failures()
+    assert [check.name for check in report.checks] == [
+        "completion",
+        "work",
+        "messages",
+    ]
+    measured = {check.name: check.measured for check in report.checks}
+    assert measured["work"] == result.metrics.work_total
+    assert measured["messages"] == result.metrics.messages_total
+
+
 def test_unknown_protocol_raises():
     result = run_protocol("A", 16, 4, seed=0)
     with pytest.raises(ConfigurationError):
